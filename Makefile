@@ -1,7 +1,7 @@
 # Convenience targets for the STONNE reproduction.
 
 .PHONY: install test bench report examples validate trace-smoke \
-	sentinel-smoke telemetry-smoke explain-smoke fabric-smoke \
+	sentinel-smoke telemetry-smoke lens-smoke \
 	sanitize-smoke differential differential-vector coverage \
 	bench-parallel lint typecheck all clean
 
@@ -125,42 +125,33 @@ telemetry-smoke:
 		--format json -o stonne-hotspots.json
 	@echo "telemetry smoke OK"
 
-# attributed model run into a scratch registry, then `insight explain`
-# re-validates the conservation invariant (it exits 2 on violation) and
-# writes the ledger JSON that CI uploads as an artifact
-explain-smoke:
-	rm -rf /tmp/stonne-explain-runs
+# one model run with the stall and fabric lenses both on, into one
+# scratch registry; then `insight explain` re-validates the conservation
+# invariant and `insight fabric` the per-level consistency invariant
+# (each exits 2 on violation), writing the ledger JSON, fabric JSON and
+# report HTML that CI uploads as artifacts
+lens-smoke:
+	rm -rf /tmp/stonne-lens-runs
 	PYTHONPATH=src python -m repro.ui.cli model squeezenet --arch tpu \
-		--num-ms 16 --stalls --registry-dir /tmp/stonne-explain-runs \
-		> /dev/null
+		--num-ms 16 --stalls --fabric \
+		--registry-dir /tmp/stonne-lens-runs > /dev/null
 	PYTHONPATH=src python -m repro.observability.insight \
-		--registry-dir /tmp/stonne-explain-runs explain latest
+		--registry-dir /tmp/stonne-lens-runs explain latest
 	PYTHONPATH=src python -m repro.observability.insight \
-		--registry-dir /tmp/stonne-explain-runs \
+		--registry-dir /tmp/stonne-lens-runs \
 		explain latest --format json -o stonne-explain.json
 	PYTHONPATH=src python -c "import json; \
 		d = json.load(open('stonne-explain.json')); \
 		assert d['conservation']['ok'], d['conservation']; \
 		assert sum(d['buckets'].values()) == d['total_cycles'], d; \
 		assert d['coverage'] == 1.0, d['coverage']"
-	@echo "explain smoke OK"
-
-# fabric-instrumented model run into a scratch registry, then `insight
-# fabric` re-validates the per-level consistency invariant (it exits 2
-# on violation) and writes the fabric JSON + report HTML that CI
-# uploads as artifacts
-fabric-smoke:
-	rm -rf /tmp/stonne-fabric-runs
-	PYTHONPATH=src python -m repro.ui.cli model squeezenet --arch tpu \
-		--num-ms 16 --fabric --registry-dir /tmp/stonne-fabric-runs \
-		> /dev/null
 	PYTHONPATH=src python -m repro.observability.insight \
-		--registry-dir /tmp/stonne-fabric-runs fabric latest
+		--registry-dir /tmp/stonne-lens-runs fabric latest
 	PYTHONPATH=src python -m repro.observability.insight \
-		--registry-dir /tmp/stonne-fabric-runs \
+		--registry-dir /tmp/stonne-lens-runs \
 		fabric latest --format json -o stonne-fabric.json
 	PYTHONPATH=src python -m repro.observability.insight \
-		--registry-dir /tmp/stonne-fabric-runs \
+		--registry-dir /tmp/stonne-lens-runs \
 		report latest -o stonne-fabric-report.html
 	PYTHONPATH=src python -c "import json; \
 		d = json.load(open('stonne-fabric.json')); \
@@ -170,7 +161,7 @@ fabric-smoke:
 		assert d['coverage'] > 0.9, d['coverage']; \
 		html = open('stonne-fabric-report.html').read(); \
 		assert 'Fabric observatory' in html"
-	@echo "fabric smoke OK"
+	@echo "lens smoke OK"
 
 examples:
 	@for script in examples/*.py; do \

@@ -11,9 +11,9 @@ three ways:
    disk cache, so only the functional pass and cache lookups remain.
 
 4. **serial vector** — the serial sweep again with
-   ``engine_mode=vector``, so the closed-form kernels of
-   :mod:`repro.engine.vector` are timed against the cycle-stepped
-   reference they replace (ROADMAP item 1).
+   ``engine_mode=vector``, so the systolic engine's tile-class
+   aggregate is timed against the per-tile walk it stands in for
+   (ROADMAP item 1).
 
 Total cycles must be byte-identical across all four paths — the
 benchmark asserts it — and the headline numbers are the warm-over-serial

@@ -117,7 +117,7 @@ def _child_run(args: argparse.Namespace) -> int:
     checksum = 0.0
     names = set()
     for workload in order:
-        bundle = _simulate_workload(config, workload, stalls=True)
+        bundle = _simulate_workload(config, workload, {"stalls": True})
         payload = bundle["layer"]
         rows[workload.index] = payload
         window.append((workload.index, payload))

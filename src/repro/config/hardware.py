@@ -88,18 +88,21 @@ class Dataflow(enum.Enum):
 
 
 class EngineMode(enum.Enum):
-    """How the dense hot paths advance simulated time.
+    """How the systolic engine accounts the tiles of a GEMM.
 
-    - ``CYCLE`` — the cycle-stepped reference implementation everywhere.
-    - ``VECTOR`` — the closed-form/batched kernels of
-      :mod:`repro.engine.vector` on every eligible dense path;
-      data-dependent paths (SpMM, SNAPEA) always stay cycle-stepped, and
-      metrics sampling forces the stepped walk in any mode (samples
-      snapshot intermediate counter state only the walk produces).
-    - ``AUTO`` — like ``VECTOR``, but additionally falls back to the
-      reference whenever event tracing is active (vector mode replays
-      trace spans closed-form; auto conservatively treats the reference
-      as the instrumentation ground truth).
+    The mode reaches one place, :meth:`repro.engine.systolic.
+    SystolicEngine.run_gemm`; the dense controller has a single timing
+    path and the data-dependent paths (SpMM, SNAPEA) never consult it.
+
+    - ``CYCLE`` — the per-tile walk, the reference, always.
+    - ``VECTOR`` — the tile-class aggregate (at most four
+      ``(shape, count)`` classes per GEMM) whenever it can serve;
+      metrics sampling forces the walk in any mode (samples snapshot
+      intermediate counter state only the walk produces).
+    - ``AUTO`` — like ``VECTOR``, but additionally walks whenever event
+      tracing is active (vector mode places trace spans without per-tile
+      accounting; auto conservatively treats the walk as the
+      instrumentation ground truth).
 
     Every mode produces byte-identical simulation reports; the
     differential suite (``tests/differential/test_vector_equivalence.py``)

@@ -311,7 +311,8 @@ class Accelerator:
             util_acc = 0.0
             for g, cols in enumerate(group_cols):
                 w2d = weights[g * layer.k : (g + 1) * layer.k].reshape(layer.k, -1)
-                _, result = self.systolic.run_gemm(w2d, cols)
+                # groups run back to back: each starts where the last ended
+                _, result = self.systolic.run_gemm(w2d, cols, start=cycles)
                 cycles += result.cycles
                 macs += result.macs
                 util_acc += result.multiplier_utilization * result.cycles

@@ -1,4 +1,4 @@
-"""Cycle-by-cycle output-stationary systolic array (TPU-like).
+"""Cycle-level output-stationary systolic array (TPU-like).
 
 The engine models the classic OS dataflow the paper validates against
 SCALE-Sim's TPU RTL: operands enter skewed at the west (A, the stationary
@@ -12,26 +12,78 @@ compute wavefront spans ``k + m + n - 2`` cycles and the fill/drain
 pipeline adds a constant :data:`PIPE_OVERHEAD`; larger GEMMs run as a
 sequence of such tiles (the RTL of Table V executes tiles back-to-back,
 which the engine mirrors). :meth:`SystolicEngine.run_gemm` fast-forwards
-through this deterministic schedule by default — producing exactly the
-cycle count the explicit per-cycle loop yields, as the test suite checks
-against :meth:`simulate_tile_cycle_by_cycle`.
+through this deterministic schedule — producing exactly the cycle count
+the explicit per-cycle loop yields, as the test suite checks against
+:meth:`SystolicEngine.simulate_tile_cycle_by_cycle`.
+
+One schedule, two accountings
+-----------------------------
+
+:meth:`SystolicEngine.run_gemm` has one body — operand validation, the
+product, span emission, DRAM, stall/fabric charging, the result — inside
+which only the *accounting step* depends on the engine mode:
+
+- the **per-tile walk** visits every tile, charging
+  :meth:`SystolicEngine._account_tile` and offering a metrics sample at
+  each tile boundary. It is the reference the differential suite
+  compares against and the only accounting that can serve a metrics
+  recorder (samples snapshot the *live* counter file, so the counters
+  must mutate tile by tile);
+- the **tile-class aggregate** uses the regularity of the schedule:
+  along each axis a tile is either *full* (``dim`` wide) or the single
+  *remainder* tile, so the grid partitions into at most four
+  ``(shape, count)`` classes (:func:`tile_classes`) and every per-tile
+  quantity — a function of the tile shape alone — is a count-weighted
+  sum over them. That is SCALE-Sim's observation that systolic timing
+  follows from the layer dimensions, and it is ~6x faster on a 4x4 array.
+
+Why the two are byte-identical, per output:
+
+- **cycles** — :meth:`SystolicEngine.tile_cycles` depends only on the
+  tile shape, so the sum over tiles equals ``sum(count * tile_cycles)``
+  over classes; both accountings call that one method, so the
+  validation errors (``k < 1``, stream dimension ``< 1``) raise alike.
+- **counters, GB** — both accountings call ``_account_tile``, the walk
+  once per tile and the aggregate once per class with its ``count``.
+  Each amount is a product of tile extents, :class:`CounterSet` holds
+  plain ints and serializes sorted, so only per-name totals are
+  observable; zero increments are dropped either way.
+- **DRAM, stall and fabric ledgers** — charged once per GEMM by the
+  shared epilogue from ``(m, k, n)`` and the tile classes, whichever
+  accounting ran.
+- **trace spans** — span boundaries are prefix sums of the per-tile
+  cycle counts. The one span site sits in the tile loop, which runs
+  whenever a tracer is attached; under the aggregate it only places
+  spans and accounts nothing.
+- **functional output** — one whole ``a @ b`` in every mode; the
+  accelerator reports the functional-path product and discards this one.
+
+``tests/differential/test_vector_equivalence.py`` pins the equivalence
+over the model zoo and Hypothesis-drawn shapes, and
+``tests/unit/test_vector_golden.py`` pins hand-computed tables so a
+regression points at the formula. See ``docs/VECTOR_ENGINE.md``.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
-from typing import Tuple
+from typing import TYPE_CHECKING, Iterator, List, Tuple
 
 import numpy as np
 
-from repro.config.hardware import HardwareConfig
+from repro.config.hardware import Dataflow, EngineMode, HardwareConfig
 from repro.errors import ConfigurationError, MappingError
 from repro.memory.dram import Dram
 from repro.memory.global_buffer import GlobalBuffer
 from repro.noc.base import ClockedComponent
-from repro.observability.stalls import StallLedger
 from repro.observability.telemetry.scopes import component_scope
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
+    from repro.observability.context import Observability
+    from repro.observability.fabric import FabricLedger
+    from repro.observability.stalls import StallLedger
 
 #: fixed pipeline fill/drain cycles per tile (weight-feed setup, edge
 #: buffers, and the output drain handshake), calibrated against the
@@ -42,6 +94,91 @@ PIPE_OVERHEAD = 4
 #: streams tiles back-to-back with no inter-layer gap, and the per-tile
 #: PIPE_OVERHEAD already covers the initial fill
 LAYER_SETUP_CYCLES = 0
+
+#: environment variable overriding the configured engine mode at dispatch
+#: time (used by the CI matrix leg that re-runs tier-1 under ``vector``)
+ENGINE_MODE_ENV = "STONNE_ENGINE_MODE"
+
+
+def resolve_engine_mode(config: HardwareConfig) -> EngineMode:
+    """The effective engine mode: ``STONNE_ENGINE_MODE`` over the config."""
+    raw = os.environ.get(ENGINE_MODE_ENV)
+    if not raw:
+        return config.engine_mode
+    try:
+        return EngineMode(raw.strip().lower())
+    except ValueError:
+        valid = ", ".join(mode.value for mode in EngineMode)
+        raise ConfigurationError(
+            f"{ENGINE_MODE_ENV}={raw!r} is not a valid engine mode "
+            f"(expected one of: {valid})"
+        ) from None
+
+
+def use_vector_kernels(config: HardwareConfig, obs: "Observability") -> bool:
+    """Whether this GEMM takes the tile-class aggregate over the walk.
+
+    Consulted once per GEMM by :meth:`SystolicEngine.run_gemm`, its only
+    caller: the dense controller has a single timing path in every mode,
+    and the sparse controller and the SNAPEA context never run on the
+    systolic array, so data-dependent timing never sees an aggregate.
+    """
+    mode = resolve_engine_mode(config)
+    if mode is EngineMode.CYCLE:
+        return False
+    if config.is_sparse:
+        # unreachable from the systolic engine, but keep the predicate
+        # safe for external callers: sparse timing is data dependent
+        return False
+    if obs.metrics is not None:
+        # metrics samples snapshot intermediate counter state at every
+        # tile boundary; only the per-tile walk reproduces them
+        return False
+    if mode is EngineMode.AUTO and obs.tracer.enabled:
+        # span boundaries are closed-form, so ``vector`` places them
+        # without per-tile accounting; ``auto`` conservatively treats
+        # the walk as the instrumentation ground truth
+        return False
+    return True
+
+
+#: ``(tm, tk, tn, count)`` rows: a tile shape and how many tiles have it
+_TileClasses = List[Tuple[int, int, int, int]]
+
+
+def _axis_classes(extent: int, dim: int) -> List[Tuple[int, int]]:
+    """``(tile_extent, tile_count)`` classes of one tiled axis."""
+    full, rem = divmod(extent, dim)
+    classes = []
+    if full:
+        classes.append((dim, full))
+    if rem:
+        classes.append((rem, 1))
+    return classes
+
+
+def tile_classes(
+    engine: "SystolicEngine", m: int, k: int, n: int
+) -> _TileClasses:
+    """The ``(tm, k, tn, count)`` classes of the engine's tile grid.
+
+    The triple matches the ``_account_tile(tm, k, tn)`` argument order:
+    output-stationary tiles partition ``(m, n)`` with the full reduction
+    ``k`` streaming; weight-stationary tiles partition ``(k, n)`` with
+    the full ``m`` activation rows streaming.
+    """
+    dim = engine.dim
+    if engine.weight_stationary:
+        return [
+            (m, tk, tn, ck * cn)
+            for tk, ck in _axis_classes(k, dim)
+            for tn, cn in _axis_classes(n, dim)
+        ]
+    return [
+        (tm, k, tn, cm * cn)
+        for tm, cm in _axis_classes(m, dim)
+        for tn, cn in _axis_classes(n, dim)
+    ]
 
 
 @dataclass(frozen=True)
@@ -75,8 +212,6 @@ class SystolicEngine(ClockedComponent):
         self.dim = config.systolic_dim
         self.gb = gb
         self.dram = dram
-        from repro.config.hardware import Dataflow
-
         #: output-stationary (the paper's validated configuration) or
         #: weight-stationary (the TPUv1-style alternative)
         self.weight_stationary = (
@@ -108,22 +243,34 @@ class SystolicEngine(ClockedComponent):
             raise MappingError("tile reduction dimension must be >= 1")
         return k + m + n - 2 + PIPE_OVERHEAD
 
+    def _tile_grid(
+        self, m: int, k: int, n: int
+    ) -> Iterator[Tuple[int, int, int]]:
+        """Every tile's ``(tm, tk, tn)`` shape, in execution order.
+
+        Output-stationary tiles partition ``(m, n)``; weight-stationary
+        tiles partition the stationary ``(k, n)`` weight matrix while the
+        full ``m`` activation rows stream through each tile.
+        """
+        dim = self.dim
+        stationary = self.weight_stationary
+        outer = k if stationary else m
+        for lo in range(0, outer, dim):
+            extent = min(dim, outer - lo)
+            for n_lo in range(0, n, dim):
+                tn = min(dim, n - n_lo)
+                yield (m, extent, tn) if stationary else (extent, k, tn)
+
     def run_gemm(
-        self, a: np.ndarray, b: np.ndarray
+        self, a: np.ndarray, b: np.ndarray, start: int = 0
     ) -> Tuple[np.ndarray, SystolicRunResult]:
         """Execute ``a @ b`` tile by tile; returns (result, summary).
 
-        Depending on :attr:`HardwareConfig.engine_mode` the deterministic
-        tile schedule is either walked tile-by-tile (the reference below,
-        the oracle of the differential suite) or collapsed into the
-        byte-identical closed form of :mod:`repro.engine.vector`.
+        ``start`` is the layer-relative cycle this GEMM begins at — the
+        cycles a grouped convolution already spent in earlier groups. It
+        only positions trace spans and metrics samples; cycles and
+        counters do not depend on it.
         """
-        from repro.engine.vector.predicate import use_vector_kernels
-
-        if use_vector_kernels(self.config, self.obs):
-            from repro.engine.vector.systolic import run_gemm_closed_form
-
-            return run_gemm_closed_form(self, a, b)
         a = np.asarray(a, dtype=np.float32)
         b = np.asarray(b, dtype=np.float32)
         if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
@@ -131,77 +278,54 @@ class SystolicEngine(ClockedComponent):
                 f"incompatible GEMM operands {a.shape} @ {b.shape}"
             )
         m, k = a.shape
-        _, n = b.shape
-        out = np.zeros((m, n), dtype=np.float32)
+        n = b.shape[1]
 
         obs = self.obs
         tracer = obs.tracer
-        base = obs.base
-        cycles = LAYER_SETUP_CYCLES
-        tiles = 0
-        macs = 0
-        with obs.profiler.phase("compute"), component_scope("engine.systolic"):
-            if self.weight_stationary:
-                # tiles partition the stationary (K x N) weight matrix; the
-                # full M activation rows stream through each tile
-                out[:, :] = a @ b
-                k_tiles = math.ceil(k / self.dim)
-                n_tiles = math.ceil(n / self.dim)
-                for ki in range(k_tiles):
-                    tk = min(self.dim, k - ki * self.dim)
-                    for ni in range(n_tiles):
-                        tn = min(self.dim, n - ni * self.dim)
-                        tile = self.tile_cycles(m, tk, tn)
-                        if tracer.enabled:
-                            tracer.span(
-                                "PE:tile", self.name, base + cycles,
-                                base + cycles + tile,
-                                m=m, k=tk, n=tn, macs=m * tk * tn,
-                            )
-                        cycles += tile
-                        tiles += 1
-                        macs += m * tk * tn
-                        self._account_tile(m, tk, tn)
-                        obs.sample(cycles)
-            else:
-                m_tiles = math.ceil(m / self.dim)
-                n_tiles = math.ceil(n / self.dim)
-                for mi in range(m_tiles):
-                    m_lo, m_hi = mi * self.dim, min((mi + 1) * self.dim, m)
-                    for ni in range(n_tiles):
-                        n_lo, n_hi = ni * self.dim, min((ni + 1) * self.dim, n)
-                        tm, tn = m_hi - m_lo, n_hi - n_lo
-                        out[m_lo:m_hi, n_lo:n_hi] = (
-                            a[m_lo:m_hi, :] @ b[:, n_lo:n_hi]
+        origin = obs.base + start
+        classes = tile_classes(self, m, k, n)
+        walk = not use_vector_kernels(self.config, obs)
+        scope = "engine.systolic" if walk else "engine.vector"
+        with obs.profiler.phase("compute"), component_scope(scope):
+            out = a @ b
+            cycles = LAYER_SETUP_CYCLES
+            tiles = 0
+            macs = 0
+            if walk or tracer.enabled:
+                for tm, tk, tn in self._tile_grid(m, k, n):
+                    tile = self.tile_cycles(tm, tk, tn)
+                    if tracer.enabled:
+                        tracer.span(
+                            "PE:tile", self.name, origin + cycles,
+                            origin + cycles + tile,
+                            m=tm, k=tk, n=tn, macs=tm * tk * tn,
                         )
-                        tile = self.tile_cycles(tm, k, tn)
-                        if tracer.enabled:
-                            tracer.span(
-                                "PE:tile", self.name, base + cycles,
-                                base + cycles + tile,
-                                m=tm, k=k, n=tn, macs=tm * k * tn,
-                            )
-                        cycles += tile
-                        tiles += 1
-                        macs += tm * k * tn
-                        self._account_tile(tm, k, tn)
-                        obs.sample(cycles)
+                    cycles += tile
+                    tiles += 1
+                    macs += tm * tk * tn
+                    if walk:
+                        self._account_tile(tm, tk, tn)
+                        obs.sample(start + cycles)
+            if not walk:
+                # the totals come from the classes; a loop run above only
+                # placed the tracer's spans
+                cycles, tiles, macs = self._account_tile_classes(classes)
 
         with obs.profiler.phase("drain"):
             dram_stall = self._account_dram(m, k, n, cycles)
             if tracer.enabled and dram_stall:
                 tracer.span(
-                    "DRAM:stall", self.dram.name, base + cycles,
-                    base + cycles + dram_stall,
+                    "DRAM:stall", self.dram.name, origin + cycles,
+                    origin + cycles + dram_stall,
                 )
             cycles += dram_stall
-            obs.sample(cycles)
+            obs.sample(start + cycles)
         ledger = obs.stalls
         if ledger is not None:
-            self._charge_stalls(ledger, m, k, n, dram_stall)
+            self._charge_stalls(ledger, classes, dram_stall)
         fabric = obs.fabric
         if fabric is not None:
-            self._charge_fabric(fabric, m, k, n)
+            self._charge_fabric(fabric, classes)
         self._current_cycle += cycles
         self.counters.add("ctrl_cycles", cycles)
         utilization = macs / (self.config.num_ms * cycles) if cycles else 0.0
@@ -265,38 +389,58 @@ class SystolicEngine(ClockedComponent):
         return acc, span + PIPE_OVERHEAD
 
     # ------------------------------------------------------------------
-    def _account_tile(self, tm: int, k: int, tn: int) -> None:
-        macs = tm * k * tn
+    def _account_tile(
+        self, tm: int, k: int, tn: int, count: int = 1
+    ) -> None:
+        """Record the activity of ``count`` tiles of one shape."""
+        macs = tm * k * tn * count
         self.counters.add("mn_multiplications", macs)
         # operands hop PE-to-PE: each A value crosses tn PEs, each B value tm
-        self.counters.add("mn_forwarding_hops", tm * k * (tn - 1) + k * tn * (tm - 1))
+        self.counters.add(
+            "mn_forwarding_hops",
+            (tm * k * (tn - 1) + k * tn * (tm - 1)) * count,
+        )
         # output-stationary accumulate in the PE register file
         self.counters.add("rn_accumulator_ops", macs)
-        self.counters.add("rn_outputs_written", tm * tn)
-        self.counters.add("dn_wire_traversals", tm * k + k * tn)
+        self.counters.add("rn_outputs_written", tm * tn * count)
+        self.counters.add("dn_wire_traversals", (tm * k + k * tn) * count)
         # GB feeds the array edges once per tile
-        self.gb.record_reads(tm * k + k * tn)
-        self.gb.record_writes(tm * tn)
+        self.gb.record_reads((tm * k + k * tn) * count)
+        self.gb.record_writes(tm * tn * count)
+
+    def _account_tile_classes(
+        self, classes: _TileClasses
+    ) -> Tuple[int, int, int]:
+        """Account the whole grid class by class; (cycles, tiles, macs)."""
+        cycles = LAYER_SETUP_CYCLES
+        tiles = 0
+        macs = 0
+        for tm, tk, tn, count in classes:
+            cycles += self.tile_cycles(tm, tk, tn) * count
+            tiles += count
+            macs += tm * tk * tn * count
+            self._account_tile(tm, tk, tn, count)
+        return cycles, tiles, macs
 
     def _charge_stalls(
-        self, ledger: StallLedger, m: int, k: int, n: int, dram_stall: int
+        self,
+        ledger: StallLedger,
+        classes: _TileClasses,
+        dram_stall: int,
     ) -> None:
         """Attribute one GEMM's cycles to stall buckets.
 
-        Shared by the tile-walking reference and the closed-form vector
-        kernel: both charge from the same ``(shape, count)`` tile
-        classes, so the engine modes produce byte-identical ledgers by
-        construction. Per tile the wavefront formula of
+        Charged from the ``(shape, count)`` tile classes whichever
+        accounting ran, so the engine modes produce byte-identical
+        ledgers by construction. Per tile the wavefront formula of
         :meth:`tile_cycles` decomposes exactly — useful MAC waves,
         stationary preload (WS only), the ``+tn-2``-style skew where
         edge PEs idle while the diagonal passes, and the fixed
         fill/drain overhead — so the PE-array row conserves with zero
         idle.
         """
-        from repro.engine.vector.systolic import tile_classes
-
         charge = ledger.charge
-        for tm, tk, tn, count in tile_classes(self, m, k, n):
+        for tm, tk, tn, count in classes:
             if self.weight_stationary:
                 charge("pe_array", "weight_fill", tk * count)
                 charge("pe_array", "compute_busy", tm * count)
@@ -311,23 +455,22 @@ class SystolicEngine(ClockedComponent):
             charge("pe_array", "pipeline_drain", PIPE_OVERHEAD * count)
         charge("pe_array", "dram_stall", dram_stall)
 
-    def _charge_fabric(self, fabric, m: int, k: int, n: int) -> None:
+    def _charge_fabric(
+        self, fabric: FabricLedger, classes: _TileClasses
+    ) -> None:
         """Decompose one GEMM's activity across the array's fabric tiers.
 
-        Shared by the tile-walking reference and the closed-form vector
-        kernel, fed the same ``(shape, count)`` tile classes, so the
-        engine modes record byte-identical fabric ledgers. The systolic
-        topology is flat: the DN is the 2 x ``dim`` edge-feed bus (west
-        activations + north weights, anchored to ``dn_wire_traversals``),
-        the MN is the ``dim x dim`` PE grid (``mn_multiplications``), and
-        the RN is the in-place accumulator file of the same grid
-        (``rn_accumulator_ops``) — one level each.
+        Like :meth:`_charge_stalls`, charged from the tile classes in
+        every engine mode. The systolic topology is flat: the DN is the
+        2 x ``dim`` edge-feed bus (west activations + north weights,
+        anchored to ``dn_wire_traversals``), the MN is the ``dim x dim``
+        PE grid (``mn_multiplications``), and the RN is the in-place
+        accumulator file of the same grid (``rn_accumulator_ops``) — one
+        level each.
         """
-        from repro.engine.vector.systolic import tile_classes
-
         edge_feeds = 0
         macs = 0
-        for tm, tk, tn, count in tile_classes(self, m, k, n):
+        for tm, tk, tn, count in classes:
             edge_feeds += (tm * tk + tk * tn) * count
             macs += tm * tk * tn * count
         grid = self.dim * self.dim

@@ -43,12 +43,39 @@ Dataflows
   re-delivered every fold of every pixel step.
 - *Input-stationary*: inputs pinned, weights stream; psum traffic follows
   the weight-stationary pattern.
+
+One timing path
+---------------
+
+:meth:`DenseController._run` is the only dense timing body, in every
+``engine_mode``. A layer is at most four steady-phase segments of
+identical steps plus the stationary weight loads
+(:meth:`DenseController._plan`), and each segment is fast-forwarded
+through the live DN queue (``enqueue`` → ``_scale_last_delivery`` →
+``skip_cycles``). That sequencing is already closed-form:
+
+- **DN queue** — within one segment ``slots * repeats`` bandwidth slots
+  are enqueued and ``step_cycles * repeats`` cycles skipped.
+  ``step_cycles >= delivery_cycles = ceil(slots / bandwidth)`` by
+  construction, so the skip always fully drains the queue: the busy
+  count is ``min(step_cycles * repeats, ceil(slots * repeats /
+  bandwidth))`` and segments never interact through leftover pending
+  work. Weight loads drain identically.
+- **counters** — every ``record_*`` / ``counters.add`` is a pure sum
+  scaled by ``repeats``; :class:`~repro.noc.base.CounterSet` serializes
+  sorted, making add order unobservable.
+
+So there is no batched variant to select: one measured no faster
+(``memory.dense_ctrl_s`` 0.035 s for this loop vs 0.038 s batched on the
+``benchmarks/perf`` dense sweeps). The true per-cycle oracle is
+:mod:`repro.engine.microsim`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import List, NamedTuple, Tuple
 
 from repro.config.hardware import Dataflow, HardwareConfig
 from repro.config.layer import ConvLayerSpec, GemmSpec
@@ -60,6 +87,7 @@ from repro.noc.base import ClockedComponent
 from repro.noc.distribution import DistributionNetwork
 from repro.noc.multiplier import MultiplierNetwork
 from repro.noc.reduction import ReductionNetwork
+from repro.observability.fabric import FabricLedger
 from repro.observability.stalls import StallLedger
 from repro.observability.telemetry.scopes import component_scope
 
@@ -95,6 +123,30 @@ class _StepCost:
     psum_writebacks: int
     outputs_completed: int
     weight_unique: int = 0
+
+
+class _Plan(NamedTuple):
+    """One loop ordering of a layer, priced.
+
+    ``segments`` is the steady-phase table: ``(cost, repeats,
+    step_cycles)`` per run of identical pixel steps, empty runs dropped.
+    It is computed once, by :meth:`DenseController._plan`, and is the
+    single form timing, span emission, :meth:`~DenseController.
+    _charge_stalls` and :meth:`~DenseController._charge_fifos` consume.
+    """
+
+    segments: List[Tuple[_StepCost, int, int]]
+    weight_loads: int
+    w_unique: int
+    w_dests: int
+    w_cycles: int
+    total_steps: int
+
+    def estimated_cycles(self) -> int:
+        """Weight loads plus steady phases — what the orderings differ in."""
+        return self.w_cycles * self.weight_loads + sum(
+            step_cycles * repeats for _, repeats, step_cycles in self.segments
+        )
 
 
 class DenseController(ClockedComponent):
@@ -144,18 +196,12 @@ class DenseController(ClockedComponent):
     # the timing engine
     # ------------------------------------------------------------------
     def _run(self, layer: ConvLayerSpec, tile: TileConfig) -> DenseRunResult:
-        from repro.engine.vector.predicate import use_vector_kernels
-
-        if use_vector_kernels(self.config, self.obs):
-            from repro.engine.vector.dense import run_layer_closed_form
-
-            return run_layer_closed_form(self, layer, tile)
         obs = self.obs
         prof = obs.profiler
         with prof.phase("map"):
-            plan_state = self._plan(layer, tile)
-        (cs, tile, plan, weight_loads, w_unique, w_dests, w_cycles,
-         total_steps) = plan_state
+            plan = self._plan(layer, tile)
+        cs = tile.cluster_size
+        nc = tile.num_clusters
 
         tracer = obs.tracer
         base = obs.base
@@ -164,30 +210,25 @@ class DenseController(ClockedComponent):
         if tracer.enabled:
             tracer.span("CTRL:setup", self.name, base, base + cycles)
 
-        stall_cycles = 0
         with prof.phase("distribute"), component_scope("noc.distribution"):
-            load_cycles = self._account_weight_loads(
-                w_unique, w_dests, w_cycles, weight_loads
-            )
+            load_cycles = self._account_weight_loads(plan)
         if tracer.enabled and load_cycles:
             tracer.span(
                 "DN:weight-load", self.dn.name, base + cycles,
                 base + cycles + load_cycles,
-                unique=w_unique, loads=weight_loads,
+                unique=plan.w_unique, loads=plan.weight_loads,
             )
         cycles += load_cycles
         obs.sample(cycles)
 
+        stall_cycles = 0
         with prof.phase("compute"), component_scope("engine"):
-            for cost, repeats in plan:
-                if repeats <= 0:
-                    continue
-                step_cycles = self._step_cycles(cost, cs)
+            for cost, repeats, step_cycles in plan.segments:
                 segment = step_cycles * repeats
-                self._account_steps(cost, cs, tile.num_clusters, repeats)
+                stall = (step_cycles - 1) * repeats
+                self._account_steps(cost, cs, nc, repeats, step_cycles)
                 if tracer.enabled:
                     start, end = base + cycles, base + cycles + segment
-                    stall = max(0, step_cycles - 1) * repeats
                     tracer.span(
                         "DN:deliver", self.dn.name, start, end,
                         steps=repeats, slots_per_step=cost.dn_slots,
@@ -195,7 +236,7 @@ class DenseController(ClockedComponent):
                     )
                     tracer.span(
                         "MN:multiply", self.mn.name, start, end,
-                        multiplications=cs * tile.num_clusters * repeats,
+                        multiplications=cs * nc * repeats,
                         forwarded=cost.forwarded * repeats,
                     )
                     tracer.span(
@@ -204,7 +245,7 @@ class DenseController(ClockedComponent):
                         psum_writebacks=cost.psum_writebacks * repeats,
                     )
                 cycles += segment
-                stall_cycles += max(0, step_cycles - 1) * repeats
+                stall_cycles += stall
                 obs.sample(cycles)
 
         with prof.phase("drain"):
@@ -218,8 +259,6 @@ class DenseController(ClockedComponent):
                 )
             cycles += drain
 
-            macs = layer.num_macs
-            outputs = layer.num_outputs
             dram_stall = self._account_dram(layer, cycles)
             if tracer.enabled and dram_stall:
                 tracer.span(
@@ -230,34 +269,30 @@ class DenseController(ClockedComponent):
             obs.sample(cycles)
 
         ledger = obs.stalls
+        if ledger is not None:
+            self._charge_stalls(
+                ledger, cs, load_cycles, plan.segments, drain, dram_stall
+            )
         fabric = obs.fabric
-        if ledger is not None or fabric is not None:
-            segments = [
-                (cost, repeats, self._step_cycles(cost, cs))
-                for cost, repeats in plan if repeats > 0
-            ]
-            if ledger is not None:
-                self._charge_stalls(
-                    ledger, cs, load_cycles, segments, drain, dram_stall
-                )
-            if fabric is not None:
-                self._charge_fifos(fabric, segments)
+        if fabric is not None:
+            self._charge_fifos(fabric, plan.segments)
 
+        macs = layer.num_macs
         utilization = macs / (self.mn.num_ms * cycles) if cycles else 0.0
         self._current_cycle += cycles
         self.counters.add("ctrl_cycles", cycles)
         return DenseRunResult(
             cycles=cycles,
             macs=macs,
-            outputs=outputs,
-            steps=total_steps,
+            outputs=layer.num_outputs,
+            steps=plan.total_steps,
             stall_cycles=stall_cycles,
             dram_stall_cycles=dram_stall,
             multiplier_utilization=utilization,
         )
 
-    def _plan(self, layer: ConvLayerSpec, tile: TileConfig):
-        """Choose the loop ordering and the per-segment step costs."""
+    def _plan(self, layer: ConvLayerSpec, tile: TileConfig) -> _Plan:
+        """Choose the loop ordering and price its steady-phase segments."""
         cs = tile.cluster_size
         folds = tile.folds_for(layer)
         k_iters = math.ceil(layer.k / tile.t_k) * math.ceil(layer.g / tile.t_g)
@@ -286,9 +321,8 @@ class DenseController(ClockedComponent):
 
         full_pixels_per_k = n_iters * x_iters
         steady_pixels_per_k = pixel_steps - full_pixels_per_k
-        total_steps = k_iters * folds * pixel_steps
 
-        def build_plan(fold_inner: bool):
+        def build_plan(fold_inner: bool) -> _Plan:
             if fold_inner:
                 dataflow = Dataflow.OUTPUT_STATIONARY
             else:
@@ -296,39 +330,43 @@ class DenseController(ClockedComponent):
                 if dataflow is Dataflow.OUTPUT_STATIONARY:
                     dataflow = Dataflow.WEIGHT_STATIONARY
             roundtrip = self._needs_psum_roundtrip(folds, dataflow)
-            costs = {
-                (steady, tail): self._step_cost(
-                    layer, tile, steady, tail, roundtrip,
-                    weight_unique=w_unique if fold_inner else 0,
-                    # sliding-window reuse needs the previous pixel step's
-                    # operands still latched; with folds interleaved
-                    # between pixel steps the registers have been
-                    # overwritten `folds` times, so fold-inner ordering
-                    # forfeits the forwarding discount
-                    allow_forwarding=not (fold_inner and folds > 1),
-                )
-                for steady in (False, True)
-                for tail in (False, True)
-            }
-            weight_loads = k_iters if fold_inner else k_iters * folds
-            plan = [
-                (costs[(False, False)], k_iters * (folds - 1) * full_pixels_per_k),
-                (costs[(False, True)], k_iters * full_pixels_per_k),
-                (costs[(True, False)], k_iters * (folds - 1) * steady_pixels_per_k),
-                (costs[(True, True)], k_iters * steady_pixels_per_k),
-            ]
-            estimate = w_cycles * weight_loads + sum(
-                self._step_cycles(cost, cs) * repeats
-                for cost, repeats in plan if repeats > 0
+            # one segment per (first | steady pixel step) x (earlier |
+            # last fold) combination that occurs
+            segments = []
+            for steady, pixels in (
+                (False, full_pixels_per_k), (True, steady_pixels_per_k)
+            ):
+                for tail, phases in ((False, folds - 1), (True, 1)):
+                    repeats = k_iters * phases * pixels
+                    if repeats <= 0:
+                        continue
+                    cost = self._step_cost(
+                        layer, tile, steady, tail, roundtrip,
+                        weight_unique=w_unique if fold_inner else 0,
+                        # sliding-window reuse needs the previous pixel
+                        # step's operands still latched; with folds
+                        # interleaved between pixel steps the registers
+                        # have been overwritten `folds` times, so
+                        # fold-inner ordering forfeits the forwarding
+                        # discount
+                        allow_forwarding=not (fold_inner and folds > 1),
+                    )
+                    segments.append(
+                        (cost, repeats, max(1, *self._step_stages(cost, cs)))
+                    )
+            return _Plan(
+                segments=segments,
+                weight_loads=k_iters if fold_inner else k_iters * folds,
+                w_unique=w_unique,
+                w_dests=w_dests,
+                w_cycles=w_cycles,
+                total_steps=k_iters * folds * pixel_steps,
             )
-            return plan, weight_loads, estimate
 
         candidates = [build_plan(fold_inner=False)]
         if folds > 1 and self.rn.has_accumulators:
             candidates.append(build_plan(fold_inner=True))
-        plan, weight_loads, _estimate = min(candidates, key=lambda item: item[2])
-        return (cs, tile, plan, weight_loads, w_unique, w_dests, w_cycles,
-                total_steps)
+        return min(candidates, key=_Plan.estimated_cycles)
 
     # ------------------------------------------------------------------
     # pieces
@@ -356,17 +394,16 @@ class DenseController(ClockedComponent):
             unique = destinations
         return unique, destinations
 
-    def _account_weight_loads(
-        self, unique: int, destinations: int, w_cycles: int, loads: int
-    ) -> int:
-        """Charge ``loads`` stationary deliveries; returns total cycles."""
+    def _account_weight_loads(self, plan: _Plan) -> int:
+        """Charge the plan's stationary deliveries; returns total cycles."""
+        loads = plan.weight_loads
         if loads <= 0:
             return 0
-        self.dn.enqueue(unique, destinations)
-        self._scale_last_delivery(unique, destinations, loads - 1)
-        self.dn.skip_cycles(w_cycles * loads)
-        self.gb.record_reads(unique * loads)
-        return w_cycles * loads
+        self.dn.enqueue(plan.w_unique, plan.w_dests)
+        self._scale_last_delivery(plan.w_unique, plan.w_dests, loads - 1)
+        self.dn.skip_cycles(plan.w_cycles * loads)
+        self.gb.record_reads(plan.w_unique * loads)
+        return plan.w_cycles * loads
 
     def _scale_last_delivery(self, unique: int, destinations: int, extra: int) -> None:
         """Replicate the activity of one recorded delivery ``extra`` times."""
@@ -431,19 +468,22 @@ class DenseController(ClockedComponent):
             weight_unique=weight_unique,
         )
 
-    def _step_cycles(self, cost: _StepCost, cluster_size: int) -> int:
+    def _step_stages(
+        self, cost: _StepCost, cluster_size: int
+    ) -> Tuple[int, int, int]:
+        """(delivery, reduction, output drain) cycles of one step; the
+        step occupies the slowest of them, and never less than a cycle."""
         delivery = self.dn.delivery_cycles(
             max(cost.dn_slots, 1), max(cost.destinations, 1)
         )
         reduction = 1 if self.rn.pipelined else self.rn.reduction_latency(cluster_size)
         drain = self.rn.output_cycles(cost.outputs_completed + cost.psum_writebacks)
-        return max(1, delivery, reduction, drain)
+        return delivery, reduction, drain
 
     def _account_steps(
-        self, cost: _StepCost, cs: int, nc: int, repeats: int
+        self, cost: _StepCost, cs: int, nc: int, repeats: int, step_cycles: int
     ) -> None:
         """Record the activity of ``repeats`` identical steps."""
-        step_cycles = self._step_cycles(cost, cs)
         self.dn.enqueue(max(cost.dn_slots, 1), max(cost.destinations, 1))
         self._scale_last_delivery(
             max(cost.dn_slots, 1), max(cost.destinations, 1), repeats - 1
@@ -476,33 +516,22 @@ class DenseController(ClockedComponent):
         ledger: StallLedger,
         cs: int,
         load_cycles: int,
-        segments: list,
+        segments: List[Tuple[_StepCost, int, int]],
         drain: int,
         dram_stall: int,
     ) -> None:
         """Attribute the layer's cycles to stall buckets.
 
-        Called by the cycle-stepped reference and the closed-form vector
-        kernel with identical aggregate inputs — the segment table and
-        phase totals both paths already compute — so the two engine
-        modes produce byte-identical ledgers by construction. The
-        controller row is exhaustive (its charges sum to the layer's
-        cycles with zero idle); the dn/mn/rn rows charge each tier's
-        busy share of every step and leave the rest as idle.
+        Fed the plan's segment table and the phase totals :meth:`_run`
+        accumulated. The controller row is exhaustive (its charges sum
+        to the layer's cycles with zero idle); the dn/mn/rn rows charge
+        each tier's busy share of every step and leave the rest as idle.
         """
         charge = ledger.charge
         charge("controller", "weight_fill", LAYER_SETUP_CYCLES + load_cycles)
         charge("dn", "weight_fill", load_cycles)
         for cost, repeats, step_cycles in segments:
-            delivery = self.dn.delivery_cycles(
-                max(cost.dn_slots, 1), max(cost.destinations, 1)
-            )
-            reduction = (
-                1 if self.rn.pipelined else self.rn.reduction_latency(cs)
-            )
-            out_drain = self.rn.output_cycles(
-                cost.outputs_completed + cost.psum_writebacks
-            )
+            delivery, reduction, out_drain = self._step_stages(cost, cs)
             charge("controller", "compute_busy", repeats)
             stall = (step_cycles - 1) * repeats
             if stall > 0:
@@ -526,13 +555,12 @@ class DenseController(ClockedComponent):
         for component in ("controller", "dn", "mn", "rn"):
             charge(component, "dram_stall", dram_stall)
 
-    def _charge_fifos(self, fabric, segments: list) -> None:
+    def _charge_fifos(
+        self, fabric: FabricLedger, segments: List[Tuple[_StepCost, int, int]]
+    ) -> None:
         """Record tier-boundary FIFO occupancy from the segment table.
 
-        Like :meth:`_charge_stalls`, this is shared by the cycle-stepped
-        walk and the closed-form vector kernel and is fed the identical
-        segment table, so the two engine modes record byte-identical
-        FIFO ledgers. Per segment the ``gb_dn`` staging FIFO sees the
+        Per segment the ``gb_dn`` staging FIFO sees the
         step's DN slots (anchored to ``ctrl_fifo_pushes``) and the
         ``rn_gb`` drain FIFO the completed psums/outputs (anchored to
         ``ctrl_fifo_pops``); the occupancy proxy is the per-step burst,

@@ -102,11 +102,10 @@ class DistributionNetwork(ClockedComponent):
     ) -> None:
         """Charge ``times`` deliveries' spatial split to the fabric ledger.
 
-        :meth:`enqueue` calls this once per delivery; the batched
-        accounting paths (weight-load scaling, the vector engine's
-        closed-form sites) call it with the same (unique, destinations)
-        arguments and their repeat count, so cycle and vector runs
-        accumulate identical ledgers.
+        :meth:`enqueue` calls this once per delivery; the dense
+        controller's repeat scaling (weight loads, steady-phase segments)
+        calls it with the same (unique, destinations) arguments and the
+        repeat count.
         """
         fabric = self.obs.fabric
         if fabric is None:

@@ -158,9 +158,9 @@ class ReductionNetwork(ClockedComponent):
     def record_cluster_reductions(self, cluster_size: int, waves: int) -> None:
         """Account ``waves`` reduction waves of one ``cluster_size`` cluster.
 
-        The shared charging site of the dense cycle walk, the vector
-        engine's closed-form path and the sparse controller — replacing
-        their former inline counter adds, byte for byte: the wire charge
+        The shared charging site of the dense and sparse controllers —
+        replacing their former inline counter adds, byte for byte: the
+        wire charge
         is the inline sites' ``2*size - 1`` (deliberately *not*
         :meth:`_wave_wires`, which the linear RN narrows), and the fabric
         split sums to the adder charge exactly.

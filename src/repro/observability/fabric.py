@@ -10,12 +10,12 @@ and the buffer) track occupancy: accumulated pushes/pops, the per-window
 high-watermark, and a bounded windowed time series.
 
 Charging follows the stall-ledger playbook exactly
-(:mod:`repro.observability.stalls`): the cycle-stepped engine charges at
-its existing ``counters.add`` sites (inside the NoC components' own
-recording methods), the vector engine charges through the same shared
-methods fed the same aggregate segment/tile-class tables, and addition
-commutes — so the two engines produce byte-identical ledgers by
-construction. Per-link spreads are computed once at :meth:`finalize`
+(:mod:`repro.observability.stalls`): the controllers charge at their
+existing ``counters.add`` sites (inside the NoC components' own
+recording methods) and from the dense segment table, the systolic
+engine from its tile classes whichever way it accounted the tiles, and
+addition commutes — so every engine mode produces byte-identical
+ledgers by construction. Per-link spreads are computed once at :meth:`finalize`
 from the per-level totals (never at charge time), so charge batching
 cannot perturb the payload either.
 

@@ -34,10 +34,10 @@ charge the ledger only when one is attached
 :class:`~repro.noc.base.CounterSet`, and the differential suite pins
 that enabling it leaves cycles/counters/energy payloads byte-identical.
 
-Both engine families produce the ledger through shared charging code
-called with identical aggregate inputs (the dense segment table, the
-systolic tile classes), so the ``cycle`` and ``vector`` engine modes
-yield byte-identical ledgers by construction — also pinned by the
+Both engine families charge the ledger from an aggregate form — the
+dense controller's one segment table, the systolic tile classes
+whichever way the tiles were accounted — so the ``cycle`` and
+``vector`` engine modes yield byte-identical ledgers by construction — also pinned by the
 differential suite.
 
 The per-bucket ``stall_*`` names below live in

@@ -35,7 +35,6 @@ from repro.errors import StonneError
 #: any other ``repro/<sub>/...`` frame attributes to its subpackage
 _REFINED: Dict[Tuple[str, str], str] = {
     ("engine", "systolic"): "engine.systolic",
-    ("engine", "vector"): "engine.vector",
     ("noc", "distribution"): "noc.distribution",
     ("noc", "reduction"): "noc.reduction",
     ("memory", "dram"): "memory.dram",

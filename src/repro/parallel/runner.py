@@ -31,7 +31,7 @@ import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -54,24 +54,20 @@ from repro.parallel.workload import LayerWorkload, record_model
 def _simulate_workload(
     config: HardwareConfig,
     workload: LayerWorkload,
-    trace: bool = False,
-    metrics_every: int = 0,
-    stalls: bool = False,
-    fabric: bool = False,
+    lenses: Optional[Dict[str, Any]] = None,
 ) -> Dict:
     """Time one workload on a fresh accelerator; plain-data result.
 
-    Runs in worker processes (everything crossing the boundary is
-    picklable) and in the parent for the serial path and fallbacks, so
-    every execution mode shares one code path. Workers never open a run
-    registry: per-layer fragments are not runs — only the parent's
-    merged report is registered, once, by whoever drove the model.
+    ``lenses`` holds the :meth:`Observability.create` keyword arguments
+    of the lens set to turn on (none by default). Runs in worker
+    processes (everything crossing the boundary is picklable) and in the
+    parent for the serial path and fallbacks, so every execution mode
+    shares one code path. Workers never open a run registry: per-layer
+    fragments are not runs — only the parent's merged report is
+    registered, once, by whoever drove the model.
     """
     started = time.perf_counter()
-    obs = Observability.create(
-        trace=trace, metrics_every=metrics_every, stalls=stalls,
-        fabric=fabric,
-    )
+    obs = Observability.create(**(lenses or {}))
     acc = Accelerator(config, observability=obs)
     params = workload.params
     if workload.kind == "conv":
@@ -120,16 +116,11 @@ def _simulate_workload(
 def _simulate_workload_in_worker(
     config: HardwareConfig,
     workload: LayerWorkload,
-    trace: bool,
-    metrics_every: int,
-    stalls: bool = False,
-    fabric: bool = False,
+    lenses: Optional[Dict[str, Any]],
 ) -> Dict:
     """The function submitted to the pool (separate name so tests can
     fault-inject the remote path without touching the serial fallback)."""
-    return _simulate_workload(
-        config, workload, trace, metrics_every, stalls, fabric
-    )
+    return _simulate_workload(config, workload, lenses)
 
 
 # ----------------------------------------------------------------------
@@ -205,12 +196,16 @@ class ParallelModelRunner:
         self._executor = executor
 
     # ---- simulation of the distinct workloads -------------------------
-    def _worker_flags(self) -> Tuple[bool, int, bool, bool]:
-        trace = self.obs.tracer.enabled
-        every = self.obs.metrics.every if self.obs.metrics is not None else 0
-        stalls = self.obs.stalls is not None
-        fabric = self.obs.fabric is not None
-        return trace, every, stalls, fabric
+    def _worker_lenses(self) -> Dict[str, Any]:
+        """The parent's lens set as :meth:`Observability.create` keyword
+        arguments — the one value that reaches every simulation."""
+        obs = self.obs
+        return {
+            "trace": obs.tracer.enabled,
+            "metrics_every": obs.metrics.every if obs.metrics is not None else 0,
+            "stalls": obs.stalls is not None,
+            "fabric": obs.fabric is not None,
+        }
 
     def _emit_progress(self, workload: LayerWorkload, mode: str) -> None:
         if self.progress is not None:
@@ -237,13 +232,13 @@ class ParallelModelRunner:
     ) -> Tuple[Dict[int, Dict], int]:
         """Time the given workloads; returns index→bundle and the number
         that fell back to serial execution."""
-        trace, every, stalls, fabric = self._worker_flags()
+        lenses = self._worker_lenses()
         results: Dict[int, Dict] = {}
         fallbacks = 0
         if self.jobs == 1 or len(misses) <= 1:
             for workload in misses:
                 results[workload.index] = _simulate_workload(
-                    self.config, workload, trace, every, stalls, fabric
+                    self.config, workload, lenses
                 )
                 self._note_task(results[workload.index], "simulated")
                 self._emit_progress(workload, "simulated")
@@ -262,7 +257,7 @@ class ParallelModelRunner:
             try:
                 futures[workload.index] = executor.submit(
                     _simulate_workload_in_worker,
-                    self.config, workload, trace, every, stalls, fabric,
+                    self.config, workload, lenses,
                 )
             # stonne: lint-ok[EXC-BROAD] submit fails with arbitrary types (pickling, pool state); the serial fallback below retypes real errors
             except Exception:
@@ -288,9 +283,7 @@ class ParallelModelRunner:
                 # error reproduces here and propagates with its real type.
                 fallbacks += 1
                 mode = "fallback"
-                bundle = _simulate_workload(
-                    self.config, workload, trace, every, stalls, fabric
-                )
+                bundle = _simulate_workload(self.config, workload, lenses)
             results[workload.index] = bundle
             pending -= 1
             queue_gauge.set(float(pending))

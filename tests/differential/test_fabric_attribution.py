@@ -23,7 +23,7 @@ import pytest
 
 from repro.config import EngineMode
 from repro.engine.accelerator import Accelerator
-from repro.engine.vector.predicate import ENGINE_MODE_ENV
+from repro.engine.systolic import ENGINE_MODE_ENV
 from repro.experiments.fig5 import architecture_config
 from repro.frontend.models import MODEL_NAMES, build_model, model_input
 from repro.frontend.simulated import detach_context, simulate
@@ -127,16 +127,17 @@ def test_fabric_does_not_force_reference_walk(monkeypatch):
     """The observatory must not silently disable the vector engine — the
     closed-form kernels charge the same ledger through the shared code."""
     calls = {"n": 0}
-    from repro.engine.vector import systolic as vec_systolic
+    from repro.engine.systolic import SystolicEngine
 
-    real = vec_systolic.run_gemm_closed_form
+    real = SystolicEngine._account_tile_classes
 
     def counting(*args, **kwargs):
         calls["n"] += 1
         return real(*args, **kwargs)
 
     monkeypatch.setattr(
-        "repro.engine.vector.systolic.run_gemm_closed_form", counting
+        "repro.engine.systolic.SystolicEngine._account_tile_classes",
+        counting,
     )
     _, report = _run("tpu", "squeezenet", mode=EngineMode.VECTOR, fabric=True)
     assert calls["n"] > 0

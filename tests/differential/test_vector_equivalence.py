@@ -1,23 +1,27 @@
-"""Differential suite: cycle-stepped reference vs closed-form vector engine.
+"""Differential suite: the per-tile walk vs the tile-class aggregate.
 
-``repro.engine.vector`` is a pure execution strategy, not an
-approximation: for every dense workload it must produce *byte-identical*
-reports — same cycles, same activity counters, same energy, same trace
-spans — as the per-cycle reference it replaces. This suite is the safety
-net that makes that claim falsifiable:
+``engine_mode`` is a pure execution strategy, not an approximation: for
+every dense workload every mode must produce *byte-identical* reports —
+same cycles, same activity counters, same energy, same trace spans.
+The systolic engine is where the modes differ (per-tile walk vs
+tile-class aggregate inside ``SystolicEngine.run_gemm``); the dense
+controller has a single timing path, so its cases pin that the mode is
+ignored there. This suite is the safety net that makes the claim
+falsifiable:
 
 - every zoo model on every dense architecture, compared layer by layer
   through the full ``to_payload()`` serialization;
 - Hypothesis-generated (geometry, tile, preset) triples for GEMMs and
   convolutions, so shapes nobody hand-picked get the same guarantee;
-- trace-span equality under the tracer (the vector kernels *replay* the
-  reference schedule's spans closed-form);
+- trace-span equality under the tracer (the aggregate places the
+  schedule's spans without per-tile accounting), grouped convolutions
+  included;
 - refusal-path checks: sparse (SIGMA) and SNAPEA workloads must never
-  reach a vector kernel, metrics sampling must force the stepped walk,
+  reach the aggregate, metrics sampling must force the per-tile walk,
   and the ``STONNE_ENGINE_MODE`` override must win over the config.
 
-The reference engine is the oracle; whenever this file disagrees with
-``repro.engine.vector``, the vector kernel is the one that is wrong.
+The per-tile walk is the oracle; whenever the two disagree, the
+aggregate is the one that is wrong.
 """
 
 import json
@@ -31,7 +35,7 @@ from repro.config import EngineMode, maeri_like, tpu_like
 from repro.config.hardware import Dataflow
 from repro.config.tile import TileConfig
 from repro.engine.accelerator import Accelerator
-from repro.engine.vector.predicate import (
+from repro.engine.systolic import (
     ENGINE_MODE_ENV,
     resolve_engine_mode,
     use_vector_kernels,
@@ -210,6 +214,13 @@ def test_vector_trace_spans_byte_identical(arch):
     vec_obs = Observability.create(trace=True)
     _, ref_acc = _run_zoo(arch, "squeezenet", EngineMode.CYCLE, ref_obs)
     _, vec_acc = _run_zoo(arch, "squeezenet", EngineMode.VECTOR, vec_obs)
+    # squeezenet has no grouped layer: the systolic array runs one GEMM
+    # per group, each placed after the cycles of the groups before it
+    rng = np.random.default_rng(3)
+    weights = rng.standard_normal((16, 2, 3, 3)).astype(np.float32)
+    activations = rng.standard_normal((1, 16, 10, 10)).astype(np.float32)
+    for acc in (ref_acc, vec_acc):
+        acc.run_conv(weights, activations, groups=8, name="grouped")
     _assert_reports_identical(ref_acc, vec_acc)
     assert list(vec_obs.tracer.events) == list(ref_obs.tracer.events)
 
@@ -221,10 +232,7 @@ def test_metrics_sampling_forces_reference_walk(mode, monkeypatch):
         raise AssertionError("vector kernel reached under metrics sampling")
 
     monkeypatch.setattr(
-        "repro.engine.vector.systolic.run_gemm_closed_form", boom
-    )
-    monkeypatch.setattr(
-        "repro.engine.vector.dense.run_layer_closed_form", boom
+        "repro.engine.systolic.SystolicEngine._account_tile_classes", boom
     )
     obs = Observability.create(metrics_every=64)
     _, acc = _run_zoo("tpu", "squeezenet", mode, obs)
@@ -237,10 +245,7 @@ def test_auto_falls_back_under_tracing(monkeypatch):
         raise AssertionError("vector kernel reached in AUTO under tracing")
 
     monkeypatch.setattr(
-        "repro.engine.vector.systolic.run_gemm_closed_form", boom
-    )
-    monkeypatch.setattr(
-        "repro.engine.vector.dense.run_layer_closed_form", boom
+        "repro.engine.systolic.SystolicEngine._account_tile_classes", boom
     )
     obs = Observability.create(trace=True)
     _, acc = _run_zoo("tpu", "squeezenet", EngineMode.AUTO, obs)
@@ -256,10 +261,7 @@ def test_sparse_sigma_never_reaches_vector_kernels(monkeypatch):
         raise AssertionError("vector kernel reached on the sparse path")
 
     monkeypatch.setattr(
-        "repro.engine.vector.systolic.run_gemm_closed_form", boom
-    )
-    monkeypatch.setattr(
-        "repro.engine.vector.dense.run_layer_closed_form", boom
+        "repro.engine.systolic.SystolicEngine._account_tile_classes", boom
     )
     _, acc = _run_zoo("sigma", "bert", EngineMode.VECTOR)
     assert acc.report.total_cycles > 0
@@ -273,10 +275,7 @@ def test_snapea_never_reaches_vector_kernels(monkeypatch):
         raise AssertionError("vector kernel reached on the SNAPEA path")
 
     monkeypatch.setattr(
-        "repro.engine.vector.systolic.run_gemm_closed_form", boom
-    )
-    monkeypatch.setattr(
-        "repro.engine.vector.dense.run_layer_closed_form", boom
+        "repro.engine.systolic.SystolicEngine._account_tile_classes", boom
     )
     monkeypatch.setenv(ENGINE_MODE_ENV, "vector")
     rng = np.random.default_rng(7)

@@ -69,11 +69,11 @@ def test_seeded_generators_are_clean():
 
 
 def test_vector_engine_package_is_deterministic():
-    """The closed-form kernels must stay free of wall-clock and RNG use:
-    they replace a deterministic schedule and are cache-key relevant."""
-    vector_pkg = (
+    """The tile-class aggregate must stay free of wall-clock and RNG use:
+    it replaces a deterministic schedule and is cache-key relevant."""
+    systolic = (
         Path(__file__).resolve().parents[2] / "src" / "repro"
-        / "engine" / "vector"
+        / "engine" / "systolic.py"
     )
-    result = run_lint([vector_pkg], select=["DET"])
+    result = run_lint([systolic], select=["DET"])
     assert result.findings == []

@@ -24,7 +24,7 @@ import pytest
 from repro.config import EngineMode, tpu_like
 from repro.config.hardware import Dataflow
 from repro.engine.accelerator import Accelerator
-from repro.engine.vector.systolic import tile_classes
+from repro.engine.systolic import tile_classes
 
 MODES = (EngineMode.CYCLE, EngineMode.VECTOR)
 
@@ -33,7 +33,7 @@ MODES = (EngineMode.CYCLE, EngineMode.VECTOR)
 def _pin_configured_mode(monkeypatch):
     """Both engines must hit the hand-computed tables; don't let a
     CI-level ``STONNE_ENGINE_MODE`` override collapse the comparison."""
-    from repro.engine.vector.predicate import ENGINE_MODE_ENV
+    from repro.engine.systolic import ENGINE_MODE_ENV
 
     monkeypatch.delenv(ENGINE_MODE_ENV, raising=False)
 
