@@ -2,7 +2,8 @@
 
 .PHONY: install test bench report examples validate trace-smoke \
 	sentinel-smoke telemetry-smoke lens-smoke \
-	sanitize-smoke differential differential-vector coverage \
+	sanitize-smoke differential differential-vector differential-sparse \
+	coverage \
 	bench-parallel lint typecheck all clean
 
 install:
@@ -51,8 +52,18 @@ differential:
 
 # cycle-stepped reference vs closed-form vector engine, byte for byte
 differential-vector:
-	pytest tests/differential/test_vector_equivalence.py \
+	PYTHONPATH=src python -m pytest \
+		tests/differential/test_vector_equivalence.py \
 		tests/unit/test_vector_golden.py -q
+
+# the sparse controller has one timing path: its oracle is the payload
+# pin taken before the round-plan refactor, plus the two suites that hold
+# the array-built plan and the O(blocks) ART proof to their slow forms
+differential-sparse:
+	PYTHONPATH=src python -m pytest \
+		tests/regression/test_sigma_payload_pin.py \
+		tests/differential/test_round_plan_equivalence.py \
+		tests/differential/test_art_verifier_equivalence.py -q
 
 # line-coverage gate; skips gracefully when pytest-cov is absent
 coverage:

@@ -15,6 +15,24 @@ and verifies the non-blocking property structurally: no physical adder is
 claimed by two clusters, and the block count per cluster never exceeds
 the ``2·log2(N)`` bound the decomposition guarantees.
 
+Two functions, one claim
+------------------------
+
+:func:`allocate_virtual_trees` *constructs* the embedding — every
+physical adder of every virtual tree, as explicit ``(level, index)``
+sets — and checks disjointness node by node. It is the constructor for
+mapping studies and the oracle of the equivalence tests.
+
+:func:`verify_non_blocking` *proves* the same property from the block
+table alone, in O(#blocks), and is what the reduction networks run on
+every reconfiguration. The lemma it rests on: an aligned power-of-two
+block ``[s, s + 2^k)`` with ``s`` a multiple of ``2^k`` is exactly one
+subtree of the physical binary tree, and two subtrees of one tree are
+either nested or leaf-disjoint — so two aligned blocks share a physical
+adder *iff* their leaf ranges overlap. Every block being aligned to its
+size and starting at or after the previous block's end therefore rules
+out a doubly-claimed adder without enumerating one.
+
 The allocation also yields each virtual tree's latency (deepest block
 plus the horizontal merge chain); the calibrated engine keeps its simpler
 ``log2(size)`` figure (virtual trees pipeline, so the difference only
@@ -83,10 +101,8 @@ def _subtree_adders(start: int, size: int) -> FrozenSet[Tuple[int, int]]:
     return frozenset(nodes)
 
 
-def allocate_virtual_trees(
-    cluster_sizes: Sequence[int], num_leaves: int
-) -> List[VirtualTree]:
-    """Embed contiguous clusters into a ``num_leaves``-leaf ART substrate."""
+def _checked_sizes(cluster_sizes: Sequence[int], num_leaves: int) -> List[int]:
+    """The cluster sizes as ints, once substrate and capacity are checked."""
     if num_leaves < 2 or num_leaves & (num_leaves - 1):
         raise ConfigurationError(
             f"the ART substrate needs a power-of-two leaf count, got {num_leaves}"
@@ -98,6 +114,71 @@ def allocate_virtual_trees(
         raise MappingError(
             f"clusters need {sum(sizes)} leaves but the substrate has {num_leaves}"
         )
+    return sizes
+
+
+def _block_bound(num_leaves: int) -> int:
+    return 2 * max(1, int(math.log2(num_leaves)))
+
+
+def verify_non_blocking(cluster_sizes: Sequence[int], num_leaves: int) -> None:
+    """Prove contiguous clusters embed as non-blocking virtual trees.
+
+    Accepts and rejects exactly what :func:`allocate_virtual_trees` does,
+    with the same exception types, without materialising an adder node
+    (see the module docstring for the lemma).
+    """
+    sizes = _checked_sizes(cluster_sizes, num_leaves)
+    bound = _block_bound(num_leaves)
+    cursor = 0
+    for cluster, size in enumerate(sizes):
+        cursor = check_cluster_blocks(
+            cluster, size, _aligned_blocks(cursor, size), bound, cursor
+        )
+
+
+def check_cluster_blocks(
+    cluster: int,
+    leaf_count: int,
+    blocks: Sequence[Tuple[int, int]],
+    bound: int,
+    floor: int = 0,
+) -> int:
+    """Check one cluster's block table; returns the end of its last block.
+
+    ``floor`` is the end of the previous cluster's last block. The three
+    checks are the structural non-blocking proof: the ``2·log2(N)`` block
+    bound, the blocks covering the cluster's leaves, and every block
+    being one physical subtree (aligned to its power-of-two size) that
+    starts at or after the previous block's end.
+    """
+    if len(blocks) > bound:
+        raise MappingError(
+            f"cluster {cluster} decomposed into {len(blocks)} "
+            f"blocks, above the 2*log2(N) = {bound} bound"
+        )
+    covered = 0
+    for start, size in blocks:
+        if size < 1 or size & (size - 1) or start & (size - 1) or start < floor:
+            raise MappingError(
+                f"cluster {cluster}: block ({start}, {size}) is misaligned "
+                f"or overlaps the block ending at leaf {floor}, so a "
+                "physical adder would be claimed twice: not non-blocking"
+            )
+        floor = start + size
+        covered += size
+    if covered != leaf_count:
+        raise MappingError(
+            f"cluster {cluster}: blocks do not cover its leaves"
+        )
+    return floor
+
+
+def allocate_virtual_trees(
+    cluster_sizes: Sequence[int], num_leaves: int
+) -> List[VirtualTree]:
+    """Embed contiguous clusters into a ``num_leaves``-leaf ART substrate."""
+    sizes = _checked_sizes(cluster_sizes, num_leaves)
 
     trees: List[VirtualTree] = []
     cursor = 0
@@ -125,7 +206,7 @@ def allocate_virtual_trees(
 def _assert_non_blocking(trees: Sequence[VirtualTree], num_leaves: int) -> None:
     """Structural verification of the paper's non-blocking claim."""
     claimed: dict = {}
-    bound = 2 * max(1, int(math.log2(num_leaves)))
+    bound = _block_bound(num_leaves)
     for tree in trees:
         if len(tree.blocks) > bound:
             raise MappingError(

@@ -81,11 +81,12 @@ class ReductionNetwork(ClockedComponent):
     def _validate_clusters(self, sizes: tuple) -> None:
         if self.variable_clusters:
             # arbitrary simultaneous sizes must embed as non-blocking
-            # virtual trees over the physical substrate — construct the
-            # embedding to prove it (repro.noc.art_allocation)
-            from repro.noc.art_allocation import allocate_virtual_trees
+            # virtual trees over the physical substrate — proven from the
+            # aligned-block table, not by constructing every adder node
+            # (repro.noc.art_allocation)
+            from repro.noc.art_allocation import verify_non_blocking
 
-            allocate_virtual_trees(sizes, self.num_inputs)
+            verify_non_blocking(sizes, self.num_inputs)
             return
         if len(set(sizes)) > 1:
             raise MappingError(

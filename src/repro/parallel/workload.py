@@ -61,7 +61,7 @@ class LayerWorkload:
         result = {}
         for key, value in self.operands.items():
             if isinstance(value, (BitmapMatrix, CsrMatrix)):
-                result[key] = tuple(value.to_dense().shape)
+                result[key] = tuple(value.shape)
             else:
                 result[key] = tuple(np.asarray(value).shape)
         return result

@@ -95,9 +95,8 @@ class CsrMatrix:
 
     def to_dense(self) -> np.ndarray:
         dense = np.zeros(self.shape, dtype=self.values.dtype)
-        for i in range(self.shape[0]):
-            cols, vals = self.row(i)
-            dense[i, cols] = vals
+        rows = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+        dense[rows, self.indices] = self.values
         return dense
 
     def metadata_bits(self, index_bits: int = 16) -> int:
@@ -117,24 +116,14 @@ def from_dense(dense: np.ndarray, fmt: str = "bitmap") -> SparseMatrix:
             bitmap=mask.astype(np.uint8), values=dense[mask].copy(), shape=dense.shape
         )
     if fmt == "csr":
+        # np.nonzero scans row-major: the same order as a per-row walk
+        rows, cols = np.nonzero(dense)
         indptr = np.zeros(dense.shape[0] + 1, dtype=np.int64)
-        indices = []
-        values = []
-        for i in range(dense.shape[0]):
-            cols = np.nonzero(dense[i])[0]
-            indptr[i + 1] = indptr[i] + len(cols)
-            indices.append(cols)
-            values.append(dense[i, cols])
-        indices_arr = (
-            np.concatenate(indices) if indices else np.zeros(0, dtype=np.int64)
-        )
-        values_arr = (
-            np.concatenate(values) if values else np.zeros(0, dtype=dense.dtype)
-        )
+        np.cumsum(np.bincount(rows, minlength=dense.shape[0]), out=indptr[1:])
         return CsrMatrix(
             indptr=indptr,
-            indices=indices_arr.astype(np.int64),
-            values=values_arr,
+            indices=cols.astype(np.int64),
+            values=dense[rows, cols],
             shape=dense.shape,
         )
     raise ConfigurationError(f"unknown sparse format {fmt!r}; use 'bitmap' or 'csr'")

@@ -1,5 +1,6 @@
 """DET pass: RNG, wall-clock, iteration-order and doc-example rules."""
 
+import ast
 from pathlib import Path
 
 from repro.analysis.lint import run_lint
@@ -68,12 +69,30 @@ def test_seeded_generators_are_clean():
     assert result.findings == []
 
 
+def _kernel_path(package, module):
+    return (
+        Path(__file__).resolve().parents[2] / "src" / "repro" / package / module
+    )
+
+
 def test_vector_engine_package_is_deterministic():
     """The tile-class aggregate must stay free of wall-clock and RNG use:
     it replaces a deterministic schedule and is cache-key relevant."""
-    systolic = (
-        Path(__file__).resolve().parents[2] / "src" / "repro"
-        / "engine" / "systolic.py"
-    )
-    result = run_lint([systolic], select=["DET"])
+    result = run_lint([_kernel_path("engine", "systolic.py")], select=["DET"])
     assert result.findings == []
+
+
+def test_sparse_controller_is_deterministic_and_builds_no_set():
+    """Same bar for the sparse round plan. Its union support is a sorted
+    array: the ``set`` the controller once filled per round and read back
+    through ``np.fromiter`` (hash order, which DET-ORDER cannot see
+    through a call) must not come back."""
+    path = _kernel_path("memory", "sparse_controller.py")
+    assert run_lint([path], select=["DET"]).findings == []
+    offenders = [
+        node.lineno for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.Set, ast.SetComp))
+        or (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("set", "frozenset"))
+    ]
+    assert offenders == []

@@ -85,6 +85,34 @@ def test_record_model_detaches_on_failure(small_maeri):
     assert all(m.context is None for m in model.modules())
 
 
+def test_shapes_of_compressed_operands_do_not_densify(monkeypatch):
+    """``shapes()`` used to call ``to_dense()`` just to read ``.shape``."""
+    from repro.tensors.sparse import BitmapMatrix, CsrMatrix, from_dense
+
+    rng = np.random.default_rng(3)
+    dense = rng.standard_normal((6, 9)).astype(np.float32)
+    dense[rng.random((6, 9)) < 0.6] = 0.0
+    inputs = rng.standard_normal((9, 4)).astype(np.float32)
+    workloads = [
+        LayerWorkload(index=0, kind="spmm", name=fmt,
+                      operands={"weights": weights, "inputs": inputs},
+                      data_dependent=True)
+        for fmt, weights in (
+            ("dense", dense),
+            ("csr", from_dense(dense, "csr")),
+            ("bitmap", from_dense(dense, "bitmap")),
+        )
+    ]
+
+    def boom(self):  # pragma: no cover - must never run
+        raise AssertionError("shapes() densified a compressed operand")
+
+    monkeypatch.setattr(CsrMatrix, "to_dense", boom)
+    monkeypatch.setattr(BitmapMatrix, "to_dense", boom)
+    for workload in workloads:
+        assert workload.shapes() == {"weights": (6, 9), "inputs": (9, 4)}
+
+
 # ---- cacheability ------------------------------------------------------
 def test_data_dependent_kinds_are_uncacheable(small_maeri):
     for kind in sorted(DATA_DEPENDENT_KINDS):

@@ -152,3 +152,122 @@ class TestScheduleValidation:
 
         with pytest.raises(MappingError, match="empty"):
             ctrl.run_spmm(matrix, 4, bad_builder)
+
+    def test_duplicate_row_rejected(self):
+        ctrl = _controller()
+        matrix = uniform_sparse_matrix(2, 8, 0.0, seed=10)
+
+        def bad_builder(row_nnz, capacity):
+            return [
+                [RowChunk(0, 0, 8, True)],
+                [RowChunk(0, 0, 8, True)],  # row 0 again
+                [RowChunk(1, 0, 8, True)],
+            ]
+
+        with pytest.raises(
+            MappingError, match="schedule covers 16 of row 0's 8 nonzeros"
+        ):
+            ctrl.run_spmm(matrix, 4, bad_builder)
+
+    def test_messages_unchanged(self):
+        """The exact texts, now that validation reads the plan's table."""
+        matrix = uniform_sparse_matrix(4, 16, 0.0, seed=8)
+        cases = {
+            "round maps 64 nonzeros onto 32 MSs": [
+                [RowChunk(r, 0, 16, True) for r in range(4)]
+            ],
+            "a scheduling round cannot be empty": [
+                [RowChunk(0, 0, 16, True)], [],
+            ],
+            "schedule covers 0 of row 1's 16 nonzeros": [
+                [RowChunk(0, 0, 16, True)]
+            ],
+        }
+        for message, rounds in cases.items():
+            with pytest.raises(MappingError, match=message):
+                _controller(num_ms=32).run_spmm(
+                    matrix, 4, lambda row_nnz, capacity: rounds
+                )
+
+    def test_first_offending_round_is_reported(self):
+        matrix = uniform_sparse_matrix(4, 16, 0.0, seed=8)
+        over = [RowChunk(r, 0, 16, True) for r in range(4)]
+        with pytest.raises(MappingError, match="empty"):
+            _controller(num_ms=32).run_spmm(
+                matrix, 4, lambda row_nnz, capacity: [[], over]
+            )
+        with pytest.raises(MappingError, match="onto"):
+            _controller(num_ms=32).run_spmm(
+                matrix, 4, lambda row_nnz, capacity: [over, []]
+            )
+
+    def test_chunk_outside_its_row_rejected(self):
+        """Coverage adds up, but one chunk reads past its row's nonzeros
+        — formerly clamped silently by the slice."""
+        matrix = uniform_sparse_matrix(2, 8, 0.0, seed=11)
+
+        def bad_builder(row_nnz, capacity):
+            return [
+                [RowChunk(0, 0, 4, False), RowChunk(1, 0, 8, True)],
+                [RowChunk(0, 6, 4, True)],  # [6, 10) of an 8-nonzero row
+            ]
+
+        with pytest.raises(MappingError, match="lies outside row 0's 8"):
+            _controller().run_spmm(matrix, 4, bad_builder)
+
+    def test_unknown_row_rejected(self):
+        matrix = uniform_sparse_matrix(2, 8, 0.0, seed=12)
+
+        def bad_builder(row_nnz, capacity):
+            return [[RowChunk(0, 0, 8, True), RowChunk(1, 0, 8, True)],
+                    [RowChunk(2, 0, 8, True)]]
+
+        with pytest.raises(MappingError, match="names row 2"):
+            _controller().run_spmm(matrix, 4, bad_builder)
+
+
+class TestZeroRounds:
+    """An all-zero stationary operand schedules nothing."""
+
+    def test_cycles_are_setup_plus_dram_stall(self):
+        from repro.memory.sparse_controller import GEMM_SETUP_CYCLES
+
+        ctrl = _controller()
+        stalls = []
+        original = ctrl._account_dram
+
+        def spy(csr, n_cols, compute_cycles):
+            stalls.append(original(csr, n_cols, compute_cycles))
+            return stalls[-1]
+
+        ctrl._account_dram = spy
+        result = ctrl.run_spmm(np.zeros((6, 16), dtype=np.float32), 5)
+        assert result.rounds == 0 and result.round_stats == ()
+        assert result.cycles == GEMM_SETUP_CYCLES + stalls[0]
+        assert ctrl.counters["ctrl_cycles"] == result.cycles
+        assert result.effective_macs == 0
+        assert result.mapping_utilization == 0.0
+        # no round, so the fabric is never configured
+        assert ctrl.mn.counters["mn_reconfigurations"] == 0
+        assert ctrl.rn.counters["rn_reconfigurations"] == 0
+
+    def test_ledgers_conserved_through_the_accelerator(self):
+        from repro.observability import (
+            Observability,
+            validate_fabric,
+            validate_ledger,
+        )
+
+        obs = Observability.create(trace=True, stalls=True, fabric=True)
+        acc = Accelerator(sigma_like(num_ms=32, bandwidth=16), observability=obs)
+        out = acc.run_spmm(
+            np.zeros((6, 16), dtype=np.float32),
+            np.ones((16, 5), dtype=np.float32),
+        )
+        assert not out.any()
+        layer = acc.report.layers[0]
+        assert layer.extra["rounds"] == 0
+        assert validate_ledger(layer.extra["stalls"], layer.cycles) == []
+        assert validate_fabric(
+            layer.extra["fabric"], layer.counters.as_dict(), layer.cycles
+        ) == []
