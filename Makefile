@@ -50,10 +50,12 @@ bench:
 differential:
 	pytest tests/differential/ --jobs 4 -q
 
-# cycle-stepped reference vs closed-form vector engine, byte for byte
+# cycle-stepped reference vs closed-form vector engine, byte for byte;
+# one unfold per conv and `time_gemm(repeats=G)` vs their per-group forms
 differential-vector:
 	PYTHONPATH=src python -m pytest \
 		tests/differential/test_vector_equivalence.py \
+		tests/differential/test_functional_equivalence.py \
 		tests/unit/test_vector_golden.py -q
 
 # the sparse controller has one timing path: its oracle is the payload

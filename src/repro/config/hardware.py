@@ -91,7 +91,7 @@ class EngineMode(enum.Enum):
     """How the systolic engine accounts the tiles of a GEMM.
 
     The mode reaches one place, :meth:`repro.engine.systolic.
-    SystolicEngine.run_gemm`; the dense controller has a single timing
+    SystolicEngine.time_gemm`; the dense controller has a single timing
     path and the data-dependent paths (SpMM, SNAPEA) never consult it.
 
     - ``CYCLE`` — the per-tile walk, the reference, always.

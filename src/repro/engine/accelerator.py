@@ -89,28 +89,21 @@ def conv_functional(
     layer: ConvLayerSpec,
 ) -> Tuple[np.ndarray, List[np.ndarray]]:
     """Real-valued convolution via im2col; returns (output, group_cols)."""
-    n = activations.shape[0]
     k = layer.k
-    output = np.zeros(
-        (n, k * groups, layer.x_out, layer.y_out), dtype=np.float32
-    )
-    group_cols: List[np.ndarray] = []
-    c_g = layer.c
-    for g in range(groups):
-        act_g = activations[:, g * c_g : (g + 1) * c_g]
-        cols = im2col(act_g, layer.r, layer.s, stride, padding)
-        group_cols.append(cols)
-        w2d = weights[g * k : (g + 1) * k].reshape(k, -1)
-        out_g = w2d @ cols
-        output[:, g * k : (g + 1) * k] = col2im_output(
-            out_g, n, layer.x_out, layer.y_out
-        )
-    return output, group_cols
+    crs = layer.filter_size
+    # one unfold over all channels: rows are (c, r, s)-ordered, so a
+    # group's column matrix is a C-contiguous row slice
+    cols = im2col(activations, layer.r, layer.s, stride, padding)
+    group_cols = [cols[g * crs : (g + 1) * crs] for g in range(groups)]
+    out = np.matmul(
+        weights.reshape(groups, k, crs), cols.reshape(groups, crs, -1)
+    ).reshape(groups * k, -1)
+    return col2im_output(out, layer.n, layer.x_out, layer.y_out), group_cols
 
 
 def gemm_functional(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Real-valued dense matrix multiplication."""
-    return (a @ b).astype(np.float32)
+    return (a @ b).astype(np.float32, copy=False)
 
 
 def maxpool_functional(
@@ -306,15 +299,17 @@ class Accelerator:
         # ---- microarchitectural execution ----
         before = self._snapshot()
         if self.systolic is not None:
-            cycles = 0
-            macs = 0
+            # a grouped conv is `groups` identical GEMMs run back to back
+            gemm = layer.to_gemm()
+            result = self.systolic.time_gemm(
+                gemm.m, gemm.k, gemm.n, repeats=groups
+            )
+            cycles = result.cycles * groups
+            macs = result.macs * groups
+            # FLOAT-ORDER: utilization is payload bytes and `groups * x`
+            # is not `x + x + ...`, so keep the left-to-right sum
             util_acc = 0.0
-            for g, cols in enumerate(group_cols):
-                w2d = weights[g * layer.k : (g + 1) * layer.k].reshape(layer.k, -1)
-                # groups run back to back: each starts where the last ended
-                _, result = self.systolic.run_gemm(w2d, cols, start=cycles)
-                cycles += result.cycles
-                macs += result.macs
+            for _ in range(groups):
                 util_acc += result.multiplier_utilization * result.cycles
             utilization = util_acc / cycles if cycles else 0.0
         elif self.sparse_controller is not None:
@@ -347,26 +342,22 @@ class Accelerator:
             raise ConfigurationError(f"incompatible GEMM operands {a.shape} @ {b.shape}")
         gemm = GemmSpec(m=a.shape[0], n=b.shape[1], k=a.shape[1], name=name)
         self._start_layer(name, "gemm")
+        # like the conv path: the returned output is always the
+        # functional product, the engine contributes the timing —
+        # keeps layer outputs identical across engines and paths
+        with self.obs.profiler.phase("functional"):
+            output = gemm_functional(a, b)
 
         before = self._snapshot()
         if self.systolic is not None:
-            # like the conv path: the returned output is always the
-            # functional product, the engine contributes the timing —
-            # keeps layer outputs identical across engines and paths
-            with self.obs.profiler.phase("functional"):
-                output = gemm_functional(a, b)
-            _, result = self.systolic.run_gemm(a, b)
+            result = self.systolic.time_gemm(gemm.m, gemm.k, gemm.n)
             cycles, macs = result.cycles, result.macs
             utilization = result.multiplier_utilization
         elif self.sparse_controller is not None:
-            with self.obs.profiler.phase("functional"):
-                output = gemm_functional(a, b)
             result = self.sparse_controller.run_spmm(a, gemm.n)
             cycles, macs = result.cycles, result.effective_macs
             utilization = result.multiplier_utilization
         else:
-            with self.obs.profiler.phase("functional"):
-                output = gemm_functional(a, b)
             with self.obs.profiler.phase("map"):
                 chosen = self.mapper.tile_for_gemm(gemm, tile)
             result = self.dense_controller.run_gemm(gemm, chosen)
@@ -408,7 +399,7 @@ class Accelerator:
             )
         self._start_layer(name, "spmm")
         with self.obs.profiler.phase("functional"):
-            output = gemm_functional(dense_a.astype(np.float32), b)
+            output = gemm_functional(dense_a.astype(np.float32, copy=False), b)
 
         before = self._snapshot()
         result = self.sparse_controller.run_spmm(

@@ -11,7 +11,7 @@ For an ``A x A`` array multiplying an ``m x k`` by ``k x n`` tile, the
 compute wavefront spans ``k + m + n - 2`` cycles and the fill/drain
 pipeline adds a constant :data:`PIPE_OVERHEAD`; larger GEMMs run as a
 sequence of such tiles (the RTL of Table V executes tiles back-to-back,
-which the engine mirrors). :meth:`SystolicEngine.run_gemm` fast-forwards
+which the engine mirrors). :meth:`SystolicEngine.time_gemm` fast-forwards
 through this deterministic schedule — producing exactly the cycle count
 the explicit per-cycle loop yields, as the test suite checks against
 :meth:`SystolicEngine.simulate_tile_cycle_by_cycle`.
@@ -19,9 +19,9 @@ the explicit per-cycle loop yields, as the test suite checks against
 One schedule, two accountings
 -----------------------------
 
-:meth:`SystolicEngine.run_gemm` has one body — operand validation, the
-product, span emission, DRAM, stall/fabric charging, the result — inside
-which only the *accounting step* depends on the engine mode:
+:meth:`SystolicEngine.time_gemm` has one body — shape validation, span
+emission, DRAM, stall/fabric charging, the result — inside which only
+the *accounting step* depends on the engine mode:
 
 - the **per-tile walk** visits every tile, charging
   :meth:`SystolicEngine._account_tile` and offering a metrics sample at
@@ -55,8 +55,12 @@ Why the two are byte-identical, per output:
   cycle counts. The one span site sits in the tile loop, which runs
   whenever a tracer is attached; under the aggregate it only places
   spans and accounts nothing.
-- **functional output** — one whole ``a @ b`` in every mode; the
-  accelerator reports the functional-path product and discards this one.
+- **functional output** — none: the schedule follows from ``(m, k, n)``,
+  so ``time_gemm`` never sees an operand. A layer's one product is the
+  accelerator's functional path; ``run_gemm`` is ``a @ b`` + ``time_gemm``.
+- **grouped convolutions** — ``repeats`` identical GEMMs. The aggregate
+  scales the class counts and accounts them in one pass; the walk, or
+  any tracer, runs them one after another with ``start`` advancing.
 
 ``tests/differential/test_vector_equivalence.py`` pins the equivalence
 over the model zoo and Hypothesis-drawn shapes, and
@@ -118,7 +122,7 @@ def resolve_engine_mode(config: HardwareConfig) -> EngineMode:
 def use_vector_kernels(config: HardwareConfig, obs: "Observability") -> bool:
     """Whether this GEMM takes the tile-class aggregate over the walk.
 
-    Consulted once per GEMM by :meth:`SystolicEngine.run_gemm`, its only
+    Consulted once per GEMM by :meth:`SystolicEngine.time_gemm`, its only
     caller: the dense controller has a single timing path in every mode,
     and the sparse controller and the SNAPEA context never run on the
     systolic array, so data-dependent timing never sees an aggregate.
@@ -264,30 +268,53 @@ class SystolicEngine(ClockedComponent):
     def run_gemm(
         self, a: np.ndarray, b: np.ndarray, start: int = 0
     ) -> Tuple[np.ndarray, SystolicRunResult]:
-        """Execute ``a @ b`` tile by tile; returns (result, summary).
-
-        ``start`` is the layer-relative cycle this GEMM begins at — the
-        cycles a grouped convolution already spent in earlier groups. It
-        only positions trace spans and metrics samples; cycles and
-        counters do not depend on it.
-        """
+        """``a @ b`` and :meth:`time_gemm` of its shapes; (result, summary)."""
         a = np.asarray(a, dtype=np.float32)
         b = np.asarray(b, dtype=np.float32)
         if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
             raise ConfigurationError(
                 f"incompatible GEMM operands {a.shape} @ {b.shape}"
             )
-        m, k = a.shape
-        n = b.shape[1]
+        return a @ b, self.time_gemm(a.shape[0], a.shape[1], b.shape[1], start)
 
+    def time_gemm(
+        self, m: int, k: int, n: int, start: int = 0, repeats: int = 1
+    ) -> SystolicRunResult:
+        """Time ``repeats`` back-to-back ``m x k x n`` GEMMs from shapes alone.
+
+        ``start`` is the layer-relative cycle the first GEMM begins at;
+        it only positions trace spans and metrics samples. ``repeats``
+        is the group count of a grouped convolution, whose groups are
+        identical GEMMs: the counters, ledgers and clock advance by all
+        of them while the returned summary describes one. Under the
+        tile-class aggregate with no tracer they are accounted in one
+        pass with the class counts scaled (DRAM still record by record:
+        its row-buffer hit/miss sequence is stateful within a layer);
+        otherwise they run one after another, so every span and metrics
+        sample of a group lands after the groups before it.
+        """
+        if min(m, k, n, repeats) < 1:
+            raise ConfigurationError(
+                f"time_gemm: m, k, n and repeats must be >= 1, got m={m!r}, "
+                f"k={k!r}, n={n!r}, repeats={repeats!r}"
+            )
         obs = self.obs
         tracer = obs.tracer
+        walk = not use_vector_kernels(self.config, obs)
+        if repeats > 1 and (walk or tracer.enabled):
+            for _ in range(repeats):
+                result = self.time_gemm(m, k, n, start)
+                start += result.cycles
+            return result
+
         origin = obs.base + start
         classes = tile_classes(self, m, k, n)
-        walk = not use_vector_kernels(self.config, obs)
+        if repeats > 1:
+            classes = [
+                (tm, tk, tn, count * repeats) for tm, tk, tn, count in classes
+            ]
         scope = "engine.systolic" if walk else "engine.vector"
         with obs.profiler.phase("compute"), component_scope(scope):
-            out = a @ b
             cycles = LAYER_SETUP_CYCLES
             tiles = 0
             macs = 0
@@ -310,9 +337,13 @@ class SystolicEngine(ClockedComponent):
                 # the totals come from the classes; a loop run above only
                 # placed the tracer's spans
                 cycles, tiles, macs = self._account_tile_classes(classes)
+                cycles = LAYER_SETUP_CYCLES + cycles // repeats
+                tiles //= repeats
+                macs //= repeats
 
         with obs.profiler.phase("drain"):
-            dram_stall = self._account_dram(m, k, n, cycles)
+            for _ in range(repeats):
+                dram_stall = self._account_dram(m, k, n, cycles)
             if tracer.enabled and dram_stall:
                 tracer.span(
                     "DRAM:stall", self.dram.name, origin + cycles,
@@ -322,14 +353,14 @@ class SystolicEngine(ClockedComponent):
             obs.sample(start + cycles)
         ledger = obs.stalls
         if ledger is not None:
-            self._charge_stalls(ledger, classes, dram_stall)
+            self._charge_stalls(ledger, classes, dram_stall * repeats)
         fabric = obs.fabric
         if fabric is not None:
             self._charge_fabric(fabric, classes)
-        self._current_cycle += cycles
-        self.counters.add("ctrl_cycles", cycles)
+        self._current_cycle += cycles * repeats
+        self.counters.add("ctrl_cycles", cycles * repeats)
         utilization = macs / (self.config.num_ms * cycles) if cycles else 0.0
-        return out, SystolicRunResult(
+        return SystolicRunResult(
             cycles=cycles,
             macs=macs,
             outputs=m * n,
@@ -412,7 +443,7 @@ class SystolicEngine(ClockedComponent):
         self, classes: _TileClasses
     ) -> Tuple[int, int, int]:
         """Account the whole grid class by class; (cycles, tiles, macs)."""
-        cycles = LAYER_SETUP_CYCLES
+        cycles = 0
         tiles = 0
         macs = 0
         for tm, tk, tn, count in classes:

@@ -17,7 +17,7 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro.config import ConvLayerSpec, GemmSpec, TileConfig, maeri_like, sigma_like, tpu_like
+from repro.config import ConvLayerSpec, TileConfig, maeri_like, sigma_like, tpu_like
 from repro.engine.accelerator import Accelerator
 
 
@@ -84,12 +84,7 @@ def run_tablev() -> List[Dict]:
             cycles = result.cycles
         else:  # TPU: 16x16 OS array
             acc = Accelerator(tpu_like(num_pes=256))
-            gemm = GemmSpec(m=case.m, n=case.n, k=case.k, name=case.name)
-            rng = np.random.default_rng(3)
-            a = rng.standard_normal((gemm.m, gemm.k)).astype(np.float32)
-            b = rng.standard_normal((gemm.k, gemm.n)).astype(np.float32)
-            _, result = acc.systolic.run_gemm(a, b)
-            cycles = result.cycles
+            cycles = acc.systolic.time_gemm(case.m, case.k, case.n).cycles
         rows.append(
             {
                 "design": case.design,

@@ -155,9 +155,11 @@ class SnapeaContext:
         terminate = self.early_termination and bool((x >= 0).all())
         outputs = []
         lengths_parts = []
+        dot = c_g * r * s
+        # one unfold for all groups; a group's columns are a row slice
+        all_cols = im2col(x, r, s, module.stride, module.padding)
         for g in range(groups):
-            xg = x[:, g * c_g : (g + 1) * c_g]
-            cols = im2col(xg, r, s, module.stride, module.padding)
+            cols = all_cols[g * dot : (g + 1) * dot]
             w2d = weights[g * k_g : (g + 1) * k_g].reshape(k_g, -1)
             gemm_g = w2d @ cols
             lengths_g, predicted_zero = self._termination_lengths(
@@ -182,16 +184,8 @@ class SnapeaContext:
 
         x_out = (x.shape[2] + 2 * module.padding - r) // module.stride + 1
         y_out = (x.shape[3] + 2 * module.padding - s) // module.stride + 1
-        # interleave groups back into (N, K_total, X', Y') layout
-        out = np.concatenate(
-            [
-                col2im_output(outputs[g], n, x_out, y_out)
-                for g in range(groups)
-            ],
-            axis=1,
-        )
+        out = col2im_output(gemm_out, n, x_out, y_out)
 
-        dot = c_g * r * s
         self._record_layer(name, lengths, dot, int(gemm_out.size), int(x.size))
         return out.astype(np.float32)
 

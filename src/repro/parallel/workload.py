@@ -161,7 +161,7 @@ class RecordingAccelerator:
             raise ConfigurationError(
                 f"incompatible SpMM operands {dense_a.shape} @ {b.shape}"
             )
-        output = gemm_functional(dense_a.astype(np.float32), b)
+        output = gemm_functional(dense_a.astype(np.float32, copy=False), b)
         self._record(
             "spmm", name,
             {"round_builder": round_builder,

@@ -1,0 +1,257 @@
+"""Differential suite: one unfold per convolution, timing from shapes alone.
+
+Three claims keep the dense path honest after the functional forward
+pass left the timing half:
+
+- ``conv_functional`` unfolds once over all channels and multiplies the
+  groups as one stacked product. The oracle — one ``im2col`` and one
+  GEMM per group — lives only in this file; outputs must be
+  ``tobytes()``-equal and every ``group_cols[g]`` a C-contiguous row
+  slice byte-equal to the unfold of that group's channels.
+- ``SystolicEngine.time_gemm(m, k, n, repeats=G)`` is ``G`` sequential
+  single-GEMM calls: result, every component's counters, stall and
+  fabric ledgers, the engine clock, trace events and metrics samples.
+- the timing half is value-blind: a grouped ``run_conv`` unfolds exactly
+  once on tpu, maeri and sigma, the accelerator never asks the engine
+  for a product, and ``time_gemm`` of the shapes equals the summary
+  ``run_gemm`` returns beside its product.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import repro.engine.accelerator as accelerator_module
+from repro.config import EngineMode, tpu_like
+from repro.config.hardware import Dataflow, DramConfig
+from repro.engine.accelerator import (
+    Accelerator,
+    conv_functional,
+    conv_layer_spec,
+)
+from repro.engine.systolic import ENGINE_MODE_ENV, SystolicEngine
+from repro.experiments.fig5 import architecture_config
+from repro.observability import Observability
+from repro.tensors.im2col import col2im_output, im2col
+
+
+@pytest.fixture(autouse=True)
+def _pin_configured_mode(monkeypatch):
+    """Both engine modes are driven explicitly via ``engine_mode``."""
+    monkeypatch.delenv(ENGINE_MODE_ENV, raising=False)
+
+
+# ---------------------------------------------------------------------------
+# (a) one unfold + one stacked product == per-group unfold + GEMM
+# ---------------------------------------------------------------------------
+
+def _per_group_oracle(weights, activations, stride, padding, groups, layer):
+    """The per-group loop ``conv_functional`` used to be."""
+    n = activations.shape[0]
+    k, c_g = layer.k, layer.c
+    output = np.zeros(
+        (n, k * groups, layer.x_out, layer.y_out), dtype=np.float32
+    )
+    group_cols = []
+    for g in range(groups):
+        cols = im2col(
+            activations[:, g * c_g : (g + 1) * c_g],
+            layer.r, layer.s, stride, padding,
+        )
+        group_cols.append(cols)
+        out_g = weights[g * k : (g + 1) * k].reshape(k, -1) @ cols
+        output[:, g * k : (g + 1) * k] = col2im_output(
+            out_g, n, layer.x_out, layer.y_out
+        )
+    return output, group_cols
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    n=st.integers(1, 3),
+    c_g=st.integers(1, 5),
+    k_g=st.integers(1, 6),
+    groups=st.integers(1, 6),
+    x=st.integers(3, 9),
+    y=st.integers(3, 9),
+    r=st.integers(1, 3),
+    stride=st.integers(1, 2),
+    padding=st.integers(0, 2),
+    seed=st.integers(0, 2**16),
+)
+# dense, depthwise, stride 2 and padding 0, whatever the draw explores
+@example(n=1, c_g=4, k_g=8, groups=1, x=8, y=8, r=3, stride=1, padding=1,
+         seed=0)
+@example(n=2, c_g=1, k_g=1, groups=6, x=9, y=7, r=3, stride=2, padding=0,
+         seed=1)
+@example(n=2, c_g=3, k_g=2, groups=4, x=6, y=6, r=1, stride=2, padding=0,
+         seed=2)
+def test_conv_functional_matches_per_group_oracle(
+    n, c_g, k_g, groups, x, y, r, stride, padding, seed
+):
+    rng = np.random.default_rng(seed)
+    weights = rng.standard_normal((k_g * groups, c_g, r, r)).astype(np.float32)
+    activations = rng.standard_normal(
+        (n, c_g * groups, x, y)
+    ).astype(np.float32)
+    layer = conv_layer_spec(
+        weights, activations, stride=stride, padding=padding, groups=groups
+    )
+    output, group_cols = conv_functional(
+        weights, activations, stride, padding, groups, layer
+    )
+    want, want_cols = _per_group_oracle(
+        weights, activations, stride, padding, groups, layer
+    )
+    assert output.dtype == np.float32 and output.shape == want.shape
+    assert output.flags.c_contiguous
+    assert output.tobytes() == want.tobytes()
+    assert len(group_cols) == groups
+    for cols, ref in zip(group_cols, want_cols):
+        assert cols.flags.c_contiguous
+        assert cols.shape == ref.shape
+        assert cols.tobytes() == ref.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# (b) time_gemm(..., repeats=G) == G back-to-back time_gemm calls
+# ---------------------------------------------------------------------------
+
+LENSES = {
+    "plain": {},
+    "trace": {"trace": True},
+    "metrics": {"metrics_every": 16},
+    "stalls": {"stalls": True},
+    "fabric": {"fabric": True},
+}
+
+#: ``(m, k, n, groups, dram_gbps)``: a ragged grid on a 4x4 array, and one
+#: behind a DRAM slow enough that every group pays a stall
+SHAPES = [(6, 18, 25, 5, 512.0), (3, 40, 70, 3, 0.5)]
+
+
+def _time_groups(dataflow, mode, lens, shape, batched):
+    m, k, n, groups, dram_gbps = shape
+    obs = Observability.create(**LENSES[lens])
+    acc = Accelerator(
+        tpu_like(16, dataflow=dataflow).with_updates(
+            engine_mode=mode, dram=DramConfig(bandwidth_gbps=dram_gbps)
+        ),
+        observability=obs,
+    )
+    engine = acc.systolic
+    acc.dram.new_layer()
+    obs.start_layer(0)
+    if batched:
+        result = engine.time_gemm(m, k, n, repeats=groups)
+    else:
+        start = 0
+        for _ in range(groups):
+            result = engine.time_gemm(m, k, n, start)
+            start += result.cycles
+    total = result.cycles * groups
+    delta = {c.name: c.counters.as_dict() for c in acc.components}
+    merged = {}
+    for counters in delta.values():
+        merged.update(counters)
+    return {
+        "result": dataclasses.asdict(result),
+        "counters": delta,
+        "current_cycle": engine.current_cycle,
+        "events": list(obs.tracer.events),
+        "samples": [
+            (s.cycle, dict(s.values)) for s in obs.layer_samples()
+        ],
+        "stalls": obs.stalls.finalize(total) if obs.stalls else None,
+        "fabric": obs.fabric.finalize(merged, total) if obs.fabric else None,
+    }
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("lens", sorted(LENSES))
+@pytest.mark.parametrize("mode", [EngineMode.CYCLE, EngineMode.VECTOR])
+@pytest.mark.parametrize(
+    "dataflow", [Dataflow.OUTPUT_STATIONARY, Dataflow.WEIGHT_STATIONARY]
+)
+def test_repeats_equal_sequential_calls(dataflow, mode, lens, shape):
+    batched = _time_groups(dataflow, mode, lens, shape, batched=True)
+    sequential = _time_groups(dataflow, mode, lens, shape, batched=False)
+    assert batched == sequential
+    assert batched["current_cycle"] == (
+        batched["result"]["cycles"] * shape[3]
+    )
+    if lens == "trace":
+        assert batched["events"]
+    if lens == "metrics":
+        assert batched["samples"]
+
+
+def test_dram_bound_shape_stalls_every_group():
+    """The second SHAPES row must exercise the per-repeat DRAM records."""
+    run = _time_groups(
+        Dataflow.OUTPUT_STATIONARY, EngineMode.VECTOR, "stalls",
+        SHAPES[1], batched=True,
+    )
+    assert run["result"]["dram_stall_cycles"] > 0
+    assert run["stalls"]["pe_array"]["dram_stall"] == (
+        run["result"]["dram_stall_cycles"] * SHAPES[1][3]
+    )
+    dram = run["counters"]["dram"]
+    assert dram["dram_row_misses"] == 1
+    assert dram["dram_row_hits"] == 2 * SHAPES[1][3] - 1
+
+
+# ---------------------------------------------------------------------------
+# (c) value-blindness
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("arch", ["tpu", "maeri", "sigma"])
+def test_grouped_conv_unfolds_once_and_never_asks_for_a_product(
+    arch, monkeypatch
+):
+    unfolds = []
+
+    def counting_im2col(*args, **kwargs):
+        unfolds.append(args[0].shape)
+        return im2col(*args, **kwargs)
+
+    def boom(*args, **kwargs):  # pragma: no cover - must never run
+        raise AssertionError("the accelerator asked the engine for a product")
+
+    monkeypatch.setattr(accelerator_module, "im2col", counting_im2col)
+    monkeypatch.setattr(SystolicEngine, "run_gemm", boom)
+    rng = np.random.default_rng(5)
+    weights = rng.standard_normal((8, 2, 3, 3)).astype(np.float32)
+    activations = rng.standard_normal((2, 8, 7, 7)).astype(np.float32)
+    acc = Accelerator(architecture_config(arch))
+    output = acc.run_conv(weights, activations, padding=1, groups=4)
+    assert unfolds == [activations.shape]
+    layer = conv_layer_spec(weights, activations, padding=1, groups=4)
+    want, _ = _per_group_oracle(weights, activations, 1, 1, 4, layer)
+    assert output.tobytes() == want.tobytes()
+    assert acc.report.layers[-1].macs > 0
+    if arch == "tpu":
+        a = rng.standard_normal((5, 9)).astype(np.float32)
+        b = rng.standard_normal((9, 4)).astype(np.float32)
+        assert acc.run_gemm(a, b).tobytes() == (a @ b).tobytes()
+
+
+@pytest.mark.parametrize("mode", [EngineMode.CYCLE, EngineMode.VECTOR])
+@pytest.mark.parametrize(
+    "dataflow", [Dataflow.OUTPUT_STATIONARY, Dataflow.WEIGHT_STATIONARY]
+)
+def test_time_gemm_equals_run_gemm_summary(dataflow, mode):
+    config = tpu_like(16, dataflow=dataflow).with_updates(engine_mode=mode)
+    rng = np.random.default_rng(9)
+    a = rng.standard_normal((7, 13)).astype(np.float32)
+    b = rng.standard_normal((13, 10)).astype(np.float32)
+    timed_acc, run_acc = Accelerator(config), Accelerator(config)
+    timed = timed_acc.systolic.time_gemm(7, 13, 10)
+    out, summary = run_acc.systolic.run_gemm(a, b)
+    assert out.tobytes() == (a @ b).tobytes()
+    assert dataclasses.asdict(timed) == dataclasses.asdict(summary)
+    for ours, theirs in zip(timed_acc.components, run_acc.components):
+        assert ours.counters.as_dict() == theirs.counters.as_dict()

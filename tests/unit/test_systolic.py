@@ -113,3 +113,32 @@ class TestRunGemm:
             _engine(16).run_gemm(
                 rng.standard_normal((4, 8)), rng.standard_normal((7, 4))
             )
+
+
+class TestTimeGemm:
+    @pytest.mark.parametrize(
+        "args, offender",
+        [
+            ((0, 8, 4), "got m=0,"),
+            ((4, -3, 4), "k=-3,"),
+            ((4, 8, 0), "n=0,"),
+            ((4, 8, 4, 0, 0), "repeats=0"),
+        ],
+    )
+    def test_rejects_non_positive_before_touching_counters(
+        self, args, offender
+    ):
+        acc = Accelerator(tpu_like(num_pes=16))
+        acc.systolic.time_gemm(3, 5, 2)  # a non-empty counter file
+        before = [c.counters.as_dict() for c in acc.components]
+        clock = acc.systolic.current_cycle
+        with pytest.raises(ConfigurationError, match=offender):
+            acc.systolic.time_gemm(*args)
+        assert [c.counters.as_dict() for c in acc.components] == before
+        assert acc.systolic.current_cycle == clock
+
+    def test_run_gemm_rejects_empty_operands_alike(self):
+        engine = _engine(16)
+        with pytest.raises(ConfigurationError, match="k=0,"):
+            engine.run_gemm(np.zeros((4, 0)), np.zeros((0, 4)))
+        assert engine.counters.as_dict() == {}
