@@ -142,30 +142,28 @@ telemetry-smoke:
 # scratch registry; then `insight explain` re-validates the conservation
 # invariant and `insight fabric` the per-level consistency invariant
 # (each exits 2 on violation), writing the ledger JSON, fabric JSON and
-# report HTML that CI uploads as artifacts
+# report HTML that CI uploads as artifacts. The same invocation then runs
+# again on the now-warm `--cache`: it must simulate nothing and its
+# replayed ledgers must give the same explain / fabric documents
+LENS_RUN = PYTHONPATH=src python -m repro.ui.cli model squeezenet \
+	--arch tpu --num-ms 16 --stalls --fabric \
+	--cache /tmp/stonne-lens-cache --registry-dir /tmp/stonne-lens-runs
+LENS_INSIGHT = PYTHONPATH=src python -m repro.observability.insight \
+	--registry-dir /tmp/stonne-lens-runs
+
 lens-smoke:
-	rm -rf /tmp/stonne-lens-runs
-	PYTHONPATH=src python -m repro.ui.cli model squeezenet --arch tpu \
-		--num-ms 16 --stalls --fabric \
-		--registry-dir /tmp/stonne-lens-runs > /dev/null
-	PYTHONPATH=src python -m repro.observability.insight \
-		--registry-dir /tmp/stonne-lens-runs explain latest
-	PYTHONPATH=src python -m repro.observability.insight \
-		--registry-dir /tmp/stonne-lens-runs \
-		explain latest --format json -o stonne-explain.json
+	rm -rf /tmp/stonne-lens-runs /tmp/stonne-lens-cache
+	$(LENS_RUN) > /dev/null
+	$(LENS_INSIGHT) explain latest
+	$(LENS_INSIGHT) explain latest --format json -o stonne-explain.json
 	PYTHONPATH=src python -c "import json; \
 		d = json.load(open('stonne-explain.json')); \
 		assert d['conservation']['ok'], d['conservation']; \
 		assert sum(d['buckets'].values()) == d['total_cycles'], d; \
 		assert d['coverage'] == 1.0, d['coverage']"
-	PYTHONPATH=src python -m repro.observability.insight \
-		--registry-dir /tmp/stonne-lens-runs fabric latest
-	PYTHONPATH=src python -m repro.observability.insight \
-		--registry-dir /tmp/stonne-lens-runs \
-		fabric latest --format json -o stonne-fabric.json
-	PYTHONPATH=src python -m repro.observability.insight \
-		--registry-dir /tmp/stonne-lens-runs \
-		report latest -o stonne-fabric-report.html
+	$(LENS_INSIGHT) fabric latest
+	$(LENS_INSIGHT) fabric latest --format json -o stonne-fabric.json
+	$(LENS_INSIGHT) report latest -o stonne-fabric-report.html
 	PYTHONPATH=src python -c "import json; \
 		d = json.load(open('stonne-fabric.json')); \
 		assert d['consistency']['ok'], d['consistency']; \
@@ -174,7 +172,22 @@ lens-smoke:
 		assert d['coverage'] > 0.9, d['coverage']; \
 		html = open('stonne-fabric-report.html').read(); \
 		assert 'Fabric observatory' in html"
-	@echo "lens smoke OK"
+	$(LENS_RUN) 2>&1 > /dev/null | grep -Eq "run: ([0-9]+) layers, 0 simulated, \1 cache hits" \
+		|| { echo "attributed warm run re-simulated layers"; exit 1; }
+	$(LENS_INSIGHT) explain latest --format json \
+		-o /tmp/stonne-explain-warm.json
+	$(LENS_INSIGHT) fabric latest --format json \
+		-o /tmp/stonne-fabric-warm.json
+	PYTHONPATH=src python -c "import json; \
+		load = lambda p: {k: v for k, v in json.load(open(p)).items() \
+			if k != 'run_id'}; \
+		cold, warm = load('stonne-explain.json'), \
+			load('/tmp/stonne-explain-warm.json'); \
+		assert warm['conservation']['ok'] and warm == cold, 'explain'; \
+		cold, warm = load('stonne-fabric.json'), \
+			load('/tmp/stonne-fabric-warm.json'); \
+		assert warm['consistency']['ok'] and warm == cold, 'fabric'"
+	@echo "lens smoke OK (warm attributed rerun: 0 simulated, same ledgers)"
 
 examples:
 	@for script in examples/*.py; do \

@@ -183,24 +183,12 @@ class StonneInstance:
         instructions do. Returns a
         :class:`~repro.parallel.runner.ModelRunResult`.
         """
-        from repro.parallel import ParallelModelRunner
+        from repro.frontend.simulated import simulate_parallel
 
-        runner = ParallelModelRunner(
-            self.accelerator.config,
-            jobs=jobs,
-            cache=cache,
-            observability=self.accelerator.obs,
-            round_builder=round_builder,
-            tiles=tiles,
+        result = simulate_parallel(
+            model, self.accelerator, inputs, jobs=jobs, cache=cache,
+            round_builder=round_builder, tiles=tiles,
         )
-        result = runner.run_model(
-            model, inputs, base_cycle=self.report.total_cycles
-        )
-        for layer in result.report.layers:
-            self.report.append(layer)
-        for key, value in result.report.metadata.items():
-            if key.startswith("parallel_"):
-                self.report.metadata[key] = value
         if self.registry is not None or registry_enabled(default=False):
             self.register_run(
                 workload=f"model:{getattr(model, 'name', type(model).__name__)}",

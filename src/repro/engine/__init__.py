@@ -2,7 +2,11 @@
 
 - :mod:`repro.engine.accelerator` — the top-level ``Accelerator`` class
   that composes the configured building blocks, advances them cycle by
-  cycle and exposes the run entry points.
+  cycle and times one workload per layer (``Accelerator.time``), plus
+  the functional ``run_*`` front end it shares with the parallel
+  runner's recorder.
+- :mod:`repro.engine.workload` — ``LayerWorkload``, the plain-data
+  description of one offloaded operation the two halves exchange.
 - :mod:`repro.engine.systolic` — the cycle-by-cycle output-stationary
   systolic array used by TPU-like (PoPN) configurations.
 - :mod:`repro.engine.mapper` — layer/tile → configuration signals.

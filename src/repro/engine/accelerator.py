@@ -5,16 +5,21 @@ An ``Accelerator`` composes the building blocks a
 / reduction networks, Global Buffer, DRAM and a memory controller (or the
 systolic engine for point-to-point configurations) — and exposes the
 operations of the STONNE API: convolutions, GEMMs, sparse GEMMs and
-pooling. Every operation is executed *functionally* (producing the real
+pooling. Every operation is two halves. The *functional* half (the real
 output tensor, which is what enables full-model evaluation and
-data-dependent optimizations) and *microarchitecturally* (producing the
-cycle count and per-component activity recorded in the simulation
-report).
+data-dependent optimizations) is the ``run_*`` front end of
+:class:`OperationFrontEnd`, which the parallel runner's recorder shares.
+The *microarchitectural* half (the cycle count and per-component
+activity recorded in the simulation report) is :meth:`Accelerator.time`,
+the one timing entry point of serial runs, pool workers, cache misses
+and ``stonne sanitize`` alike. It reads operand shapes only, and operand
+values only where timing is data-dependent (the stationary matrix on a
+sparse fabric): it computes no tensor.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -24,7 +29,8 @@ from repro.config.tile import TileConfig
 from repro.engine.mapper import Mapper
 from repro.engine.stats import LayerReport, SimulationReport
 from repro.engine.systolic import SystolicEngine
-from repro.errors import ConfigurationError, MappingError
+from repro.engine.workload import DATA_DEPENDENT_KINDS, LayerWorkload
+from repro.errors import ConfigurationError, MappingError, SimulationError
 from repro.memory.dense_controller import DenseController
 from repro.memory.dram import Dram
 from repro.memory.global_buffer import GlobalBuffer
@@ -34,27 +40,22 @@ from repro.observability.context import TRACE_COUNTER_SERIES, Observability
 from repro.noc.distribution import build_distribution_network
 from repro.noc.multiplier import build_multiplier_network
 from repro.noc.reduction import build_reduction_network
-from repro.tensors.im2col import col2im_output, im2col
+from repro.tensors.im2col import col2im_output, conv2d_output_shape, im2col
 from repro.tensors.sparse import BitmapMatrix, CsrMatrix
 
 # re-exported for convenience
 __all__ = [
     "Accelerator",
     "LayerReport",
+    "OperationFrontEnd",
     "conv_layer_spec",
     "conv_functional",
     "gemm_functional",
     "maxpool_functional",
 ]
 
-
 # ----------------------------------------------------------------------
-# functional execution helpers
-#
-# The value-producing half of every operation lives in module-level
-# functions so the parallel runner's recording pass (repro.parallel)
-# computes bit-identical outputs through the *same* code the serial
-# Accelerator uses — the invariant the differential test suite pins.
+# the functional half: module-level helpers + the one `run_*` front end
 # ----------------------------------------------------------------------
 def conv_layer_spec(
     weights: np.ndarray,
@@ -64,7 +65,7 @@ def conv_layer_spec(
     groups: int = 1,
     name: str = "conv",
 ) -> ConvLayerSpec:
-    """Validate conv operands and derive the layer descriptor."""
+    """Validate conv operand shapes and derive the layer descriptor."""
     if weights.ndim != 4 or activations.ndim != 4:
         raise ConfigurationError("conv expects 4-D weights and activations")
     k_total, c_g, r, s = weights.shape
@@ -106,20 +107,48 @@ def gemm_functional(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a @ b).astype(np.float32, copy=False)
 
 
+def maxpool_output_shape(
+    shape: Tuple[int, ...], pool: int, stride: int
+) -> Tuple[int, int, int, int]:
+    """Validate a max-pool and derive its ``(n, c, x', y')`` output shape."""
+    if len(shape) != 4:
+        raise ConfigurationError(
+            f"maxpool expects a (N, C, X, Y) tensor, got shape {shape}"
+        )
+    if pool < 1 or stride < 1:
+        raise ConfigurationError(
+            f"maxpool needs pool >= 1 and stride >= 1, got pool={pool} "
+            f"stride={stride}"
+        )
+    n, c, x, y = shape
+    if pool > x or pool > y:
+        raise ConfigurationError(
+            f"maxpool window {pool}x{pool} is larger than the {x}x{y} input"
+        )
+    return (n, c, *conv2d_output_shape(x, y, pool, pool, stride))
+
+
 def maxpool_functional(
     activations: np.ndarray, pool: int, stride: int
 ) -> Tuple[np.ndarray, int]:
     """Real-valued max pooling; returns (output, window comparisons)."""
-    n, c, x, y = activations.shape
-    xo = (x - pool) // stride + 1
-    yo = (y - pool) // stride + 1
-    cols = im2col(activations.reshape(n * c, 1, x, y), pool, pool, stride, 0)
+    n, c, xo, yo = maxpool_output_shape(activations.shape, pool, stride)
+    planes = activations.reshape(n * c, 1, *activations.shape[2:])
+    cols = im2col(planes, pool, pool, stride, 0)
     output = cols.max(axis=0).reshape(n * c, xo, yo).reshape(n, c, xo, yo)
     return output, int(cols.size)
 
 
-class Accelerator:
-    """One simulated accelerator instance."""
+class OperationFrontEnd:
+    """Coerce, validate, compute, describe — then :meth:`time`.
+
+    The surface a :class:`~repro.frontend.simulated.SimulationContext`
+    touches (with ``sparse_controller``, which subclasses set). What
+    ``time`` does is the only difference between its two subclasses —
+    the :class:`Accelerator` simulates the workload, the parallel
+    runner's recorder keeps it — so outputs, validation errors and
+    workloads are the same bytes on every execution path.
+    """
 
     def __init__(
         self,
@@ -128,6 +157,157 @@ class Accelerator:
     ) -> None:
         self.config = config
         self.obs = observability if observability is not None else Observability()
+        self._offloaded = 0
+
+    def time(self, workload: LayerWorkload) -> Any:
+        """The microarchitectural half: what becomes of a workload."""
+        raise NotImplementedError
+
+    def _offload(
+        self,
+        kind: str,
+        name: str,
+        params: Dict[str, Any],
+        operands: Dict[str, Any],
+    ) -> None:
+        data_dependent = kind in DATA_DEPENDENT_KINDS or self.config.is_sparse
+        workload = LayerWorkload(
+            self._offloaded, kind, name, params, operands, data_dependent
+        )
+        self._offloaded += 1
+        self.time(workload)
+
+    def run_conv(
+        self,
+        weights: np.ndarray,
+        activations: np.ndarray,
+        stride: int = 1,
+        padding: int = 0,
+        groups: int = 1,
+        tile: Optional[TileConfig] = None,
+        name: str = "conv",
+        round_builder: Optional[RoundBuilder] = None,
+    ) -> np.ndarray:
+        """Simulate a 2-D convolution; returns the output tensor.
+
+        ``weights``: (K_total, C/groups, R, S); ``activations``:
+        (N, C_total, X, Y).
+        """
+        weights = np.asarray(weights, dtype=np.float32)
+        activations = np.asarray(activations, dtype=np.float32)
+        layer = conv_layer_spec(
+            weights, activations, stride=stride, padding=padding,
+            groups=groups, name=name,
+        )
+        with self.obs.profiler.phase("functional"):
+            output, _ = conv_functional(
+                weights, activations, stride, padding, groups, layer
+            )
+        self._offload(
+            "conv", name,
+            {"stride": stride, "padding": padding, "groups": groups,
+             "tile": tile, "round_builder": round_builder},
+            {"weights": weights, "inputs": activations},
+        )
+        return output
+
+    def run_gemm(
+        self,
+        a: np.ndarray,
+        b: np.ndarray,
+        tile: Optional[TileConfig] = None,
+        name: str = "gemm",
+    ) -> np.ndarray:
+        """Simulate a dense matrix multiplication ``a @ b``."""
+        a = np.asarray(a, dtype=np.float32)
+        b = np.asarray(b, dtype=np.float32)
+        if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+            raise ConfigurationError(
+                f"incompatible GEMM operands {a.shape} @ {b.shape}"
+            )
+        # the returned output is always the functional product, whatever
+        # engine times the layer — outputs are identical across engines
+        with self.obs.profiler.phase("functional"):
+            output = gemm_functional(a, b)
+        self._offload("gemm", name, {"tile": tile}, {"weights": a, "inputs": b})
+        return output
+
+    def run_spmm(
+        self,
+        a: Union[np.ndarray, BitmapMatrix, CsrMatrix],
+        b: np.ndarray,
+        round_builder: Optional[RoundBuilder] = None,
+        name: str = "spmm",
+        sparse_streaming: bool = False,
+    ) -> np.ndarray:
+        """Simulate a sparse-stationary matrix multiplication.
+
+        ``sparse_streaming=True`` additionally exploits zeros in ``b``
+        (SIGMA's dual-sided sparsity); the default matches the paper's
+        weight-sparsity-only evaluation configuration.
+        """
+        if self.sparse_controller is None:
+            raise MappingError(
+                "this accelerator has no sparse controller; configure a "
+                "SIGMA-like instance for SpMM"
+            )
+        b = np.asarray(b, dtype=np.float32)
+        dense_a = (
+            a.to_dense() if isinstance(a, (BitmapMatrix, CsrMatrix)) else
+            np.asarray(a, dtype=np.float32)
+        )
+        if dense_a.ndim != 2 or b.ndim != 2 or dense_a.shape[1] != b.shape[0]:
+            raise ConfigurationError(
+                f"incompatible SpMM operands {dense_a.shape} @ {b.shape}"
+            )
+        with self.obs.profiler.phase("functional"):
+            output = gemm_functional(dense_a.astype(np.float32, copy=False), b)
+        self._offload(
+            "spmm", name,
+            {"round_builder": round_builder,
+             "sparse_streaming": sparse_streaming},
+            {"weights": a, "inputs": b},
+        )
+        return output
+
+    def run_maxpool(
+        self,
+        activations: np.ndarray,
+        pool: int,
+        stride: Optional[int] = None,
+        name: str = "maxpool",
+    ) -> np.ndarray:
+        """Simulate a max-pooling layer.
+
+        Pooling maps onto flexible fabrics without dedicated SIMD units
+        (paper Section III): windows stream through the multipliers
+        configured as comparators, one window element per MS per cycle.
+        """
+        if stride is None:
+            stride = pool
+        activations = np.asarray(activations, dtype=np.float32)
+        with self.obs.profiler.phase("functional"):
+            output, _ = maxpool_functional(activations, pool, stride)
+        self._offload(
+            "maxpool", name, {"pool": pool, "stride": stride},
+            {"inputs": activations},
+        )
+        return output
+
+
+#: a timing branch: (cycles, macs, outputs, utilization, report extras)
+_Timing = Tuple[int, int, int, float, Dict[str, Any]]
+
+
+class Accelerator(OperationFrontEnd):
+    """One simulated accelerator instance."""
+
+    def __init__(
+        self,
+        config: HardwareConfig,
+        observability: Optional[Observability] = None,
+    ) -> None:
+        super().__init__(config, observability)
         self.obs.bind(self._snapshot)
         self.mapper = Mapper(config)
         self.gb = GlobalBuffer(
@@ -191,6 +371,7 @@ class Accelerator:
         for component in self._components:
             component.reset()
         self.report = SimulationReport(self.config)
+        self._offloaded = 0
 
     def _snapshot(self) -> CounterSet:
         merged = CounterSet()
@@ -264,40 +445,41 @@ class Accelerator:
         return layer
 
     # ------------------------------------------------------------------
-    # operations
+    # the microarchitectural half (the run_* front ends are inherited)
     # ------------------------------------------------------------------
-    def run_conv(
-        self,
-        weights: np.ndarray,
-        activations: np.ndarray,
-        stride: int = 1,
-        padding: int = 0,
-        groups: int = 1,
-        tile: Optional[TileConfig] = None,
-        name: str = "conv",
-        round_builder: Optional[RoundBuilder] = None,
-    ) -> np.ndarray:
-        """Simulate a 2-D convolution; returns the output tensor.
+    def time(self, workload: LayerWorkload) -> LayerReport:
+        """Simulate one workload's timing; appends and returns its report.
 
-        ``weights``: (K_total, C/groups, R, S); ``activations``:
-        (N, C_total, X, Y).
+        Dense hardware reads operand shapes only; a sparse fabric also
+        reads the stationary operand's values (round packing) and, under
+        ``sparse_streaming``, the streamed one's. No output is computed.
         """
-        weights = np.asarray(weights, dtype=np.float32)
-        activations = np.asarray(activations, dtype=np.float32)
-        layer = conv_layer_spec(
-            weights, activations, stride=stride, padding=padding,
-            groups=groups, name=name,
-        )
-        self._start_layer(name, "conv")
-
-        # ---- functional execution (real values) ----
-        with self.obs.profiler.phase("functional"):
-            output, group_cols = conv_functional(
-                weights, activations, stride, padding, groups, layer
-            )
-
-        # ---- microarchitectural execution ----
+        kind, name = workload.kind, workload.name
+        if kind not in ("conv", "gemm", "spmm", "maxpool"):
+            raise SimulationError(f"unknown workload kind {kind!r}")
+        self._start_layer(name, kind)
         before = self._snapshot()
+        if kind == "conv":
+            timing = self._time_conv(workload)
+        elif kind == "gemm":
+            timing = self._time_gemm(workload)
+        elif kind == "spmm":
+            timing = self._time_spmm(workload)
+        else:
+            timing = self._time_maxpool(workload)
+        cycles, macs, outputs, utilization, extra = timing
+        return self._finish_layer(
+            name, kind, before, cycles, macs, outputs, utilization, **extra
+        )
+
+    def _time_conv(self, workload: LayerWorkload) -> _Timing:
+        params = workload.params
+        weights = workload.operands["weights"]
+        groups = params["groups"]
+        layer = conv_layer_spec(
+            weights, workload.operands["inputs"], stride=params["stride"],
+            padding=params["padding"], groups=groups, name=workload.name,
+        )
         if self.systolic is not None:
             # a grouped conv is `groups` identical GEMMs run back to back
             gemm = layer.to_gemm()
@@ -312,157 +494,77 @@ class Accelerator:
             for _ in range(groups):
                 util_acc += result.multiplier_utilization * result.cycles
             utilization = util_acc / cycles if cycles else 0.0
-        elif self.sparse_controller is not None:
-            result = self._sparse_conv_timing(weights, group_cols, layer, round_builder)
-            cycles, macs = result.cycles, result.effective_macs
-            utilization = result.multiplier_utilization
-        else:
-            with self.obs.profiler.phase("map"):
-                chosen = self.mapper.tile_for_conv(layer, tile)
-            result = self.dense_controller.run_conv(layer, chosen)
-            cycles, macs = result.cycles, result.macs
-            utilization = result.multiplier_utilization
+            return cycles, macs, layer.num_outputs, utilization, {}
+        if self.sparse_controller is not None:
+            # one block-diagonal GEMM, so filters from every group can
+            # pack into the same rounds
+            k = layer.k
+            dot = layer.filter_size
+            block = np.zeros((k * groups, dot * groups), dtype=np.float32)
+            for g in range(groups):
+                w2d = weights[g * k : (g + 1) * k].reshape(k, -1)
+                block[g * k : (g + 1) * k, g * dot : (g + 1) * dot] = w2d
+            sparse = self.sparse_controller.run_spmm(
+                block, layer.to_gemm().n, params.get("round_builder")
+            )
+            return (sparse.cycles, sparse.effective_macs, layer.num_outputs,
+                    sparse.multiplier_utilization, {})
+        with self.obs.profiler.phase("map"):
+            chosen = self.mapper.tile_for_conv(layer, params["tile"])
+        dense = self.dense_controller.run_conv(layer, chosen)
+        return (dense.cycles, dense.macs, layer.num_outputs,
+                dense.multiplier_utilization, {})
 
-        self._finish_layer(
-            name, "conv", before, cycles, macs, layer.num_outputs, utilization
+    def _time_gemm(self, workload: LayerWorkload) -> _Timing:
+        a = workload.operands["weights"]
+        gemm = GemmSpec(
+            m=a.shape[0], n=workload.operands["inputs"].shape[1],
+            k=a.shape[1], name=workload.name,
         )
-        return output
-
-    def run_gemm(
-        self,
-        a: np.ndarray,
-        b: np.ndarray,
-        tile: Optional[TileConfig] = None,
-        name: str = "gemm",
-    ) -> np.ndarray:
-        """Simulate a dense matrix multiplication ``a @ b``."""
-        a = np.asarray(a, dtype=np.float32)
-        b = np.asarray(b, dtype=np.float32)
-        if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-            raise ConfigurationError(f"incompatible GEMM operands {a.shape} @ {b.shape}")
-        gemm = GemmSpec(m=a.shape[0], n=b.shape[1], k=a.shape[1], name=name)
-        self._start_layer(name, "gemm")
-        # like the conv path: the returned output is always the
-        # functional product, the engine contributes the timing —
-        # keeps layer outputs identical across engines and paths
-        with self.obs.profiler.phase("functional"):
-            output = gemm_functional(a, b)
-
-        before = self._snapshot()
         if self.systolic is not None:
             result = self.systolic.time_gemm(gemm.m, gemm.k, gemm.n)
-            cycles, macs = result.cycles, result.macs
-            utilization = result.multiplier_utilization
         elif self.sparse_controller is not None:
-            result = self.sparse_controller.run_spmm(a, gemm.n)
-            cycles, macs = result.cycles, result.effective_macs
-            utilization = result.multiplier_utilization
+            sparse = self.sparse_controller.run_spmm(a, gemm.n)
+            return (sparse.cycles, sparse.effective_macs, gemm.num_outputs,
+                    sparse.multiplier_utilization, {})
         else:
             with self.obs.profiler.phase("map"):
-                chosen = self.mapper.tile_for_gemm(gemm, tile)
+                chosen = self.mapper.tile_for_gemm(gemm, workload.params["tile"])
             result = self.dense_controller.run_gemm(gemm, chosen)
-            cycles, macs = result.cycles, result.macs
-            utilization = result.multiplier_utilization
+        return (result.cycles, result.macs, gemm.num_outputs,
+                result.multiplier_utilization, {})
 
-        self._finish_layer(
-            name, "gemm", before, cycles, macs, gemm.num_outputs, utilization
-        )
-        return output
-
-    def run_spmm(
-        self,
-        a: Union[np.ndarray, BitmapMatrix, CsrMatrix],
-        b: np.ndarray,
-        round_builder: Optional[RoundBuilder] = None,
-        name: str = "spmm",
-        sparse_streaming: bool = False,
-    ) -> np.ndarray:
-        """Simulate a sparse-stationary matrix multiplication.
-
-        ``sparse_streaming=True`` additionally exploits zeros in ``b``
-        (SIGMA's dual-sided sparsity); the default matches the paper's
-        weight-sparsity-only evaluation configuration.
-        """
-        if self.sparse_controller is None:
-            raise MappingError(
-                "this accelerator has no sparse controller; configure a "
-                "SIGMA-like instance for SpMM"
-            )
-        b = np.asarray(b, dtype=np.float32)
-        dense_a = (
-            a.to_dense() if isinstance(a, (BitmapMatrix, CsrMatrix)) else
-            np.asarray(a, dtype=np.float32)
-        )
-        if dense_a.ndim != 2 or b.ndim != 2 or dense_a.shape[1] != b.shape[0]:
-            raise ConfigurationError(
-                f"incompatible SpMM operands {dense_a.shape} @ {b.shape}"
-            )
-        self._start_layer(name, "spmm")
-        with self.obs.profiler.phase("functional"):
-            output = gemm_functional(dense_a.astype(np.float32, copy=False), b)
-
-        before = self._snapshot()
+    def _time_spmm(self, workload: LayerWorkload) -> _Timing:
+        params = workload.params
+        b = workload.operands["inputs"]
         result = self.sparse_controller.run_spmm(
-            a, b.shape[1], round_builder,
-            streaming=b if sparse_streaming else None,
+            workload.operands["weights"], b.shape[1],
+            params.get("round_builder"),
+            streaming=b if params.get("sparse_streaming") else None,
         )
-        self._finish_layer(
-            name,
-            "spmm",
-            before,
-            result.cycles,
-            result.effective_macs,
-            result.outputs,
+        return (
+            result.cycles, result.effective_macs, result.outputs,
             result.multiplier_utilization,
-            rounds=result.rounds,
-            mapping_utilization=result.mapping_utilization,
-            dense_macs=result.dense_macs,
+            {"rounds": result.rounds,
+             "mapping_utilization": result.mapping_utilization,
+             "dense_macs": result.dense_macs},
         )
-        return output
 
-    def run_maxpool(
-        self, activations: np.ndarray, pool: int, stride: Optional[int] = None,
-        name: str = "maxpool",
-    ) -> np.ndarray:
-        """Simulate a max-pooling layer.
-
-        Pooling maps onto flexible fabrics without dedicated SIMD units
-        (paper Section III): windows stream through the multipliers
-        configured as comparators, one window element per MS per cycle.
-        """
-        stride = stride or pool
-        activations = np.asarray(activations, dtype=np.float32)
-        self._start_layer(name, "maxpool")
-        with self.obs.profiler.phase("functional"):
-            output, comparisons = maxpool_functional(activations, pool, stride)
-
-        before = self._snapshot()
+    def _time_maxpool(self, workload: LayerWorkload) -> _Timing:
+        pool = workload.params["pool"]
+        n, c, xo, yo = maxpool_output_shape(
+            workload.operands["inputs"].shape, pool, workload.params["stride"]
+        )
+        # one comparison per window element, one window per output
+        outputs = n * c * xo * yo
+        comparisons = pool * pool * outputs
         cycles = 4 + int(np.ceil(comparisons / self.config.num_ms))
         self.gb.record_reads(comparisons)
-        self.gb.record_writes(output.size)
+        self.gb.record_writes(outputs)
         self.gb.counters.add("gb_pool_comparisons", comparisons)
         if self.obs.stalls is not None:
             # windows stream through the comparators after the fixed
             # configuration cycles
             self.obs.stalls.charge("controller", "weight_fill", 4)
             self.obs.stalls.charge("controller", "compute_busy", cycles - 4)
-        self._finish_layer(name, "maxpool", before, cycles, 0, output.size, 0.0)
-        return output
-
-    # ------------------------------------------------------------------
-    # helpers
-    # ------------------------------------------------------------------
-    def _sparse_conv_timing(
-        self, weights, group_cols, layer: ConvLayerSpec, round_builder=None
-    ):
-        """Time a convolution on the sparse fabric as one block-diagonal
-        GEMM so filters from every group can pack into the same rounds."""
-        groups = layer.g
-        k = layer.k
-        dot = layer.filter_size
-        block = np.zeros((k * groups, dot * groups), dtype=np.float32)
-        for g in range(groups):
-            w2d = weights[g * k : (g + 1) * k].reshape(k, -1)
-            block[g * k : (g + 1) * k, g * dot : (g + 1) * dot] = w2d
-        n_cols = group_cols[0].shape[1]
-        return self.sparse_controller.run_spmm(block, n_cols, round_builder)
+        return cycles, 0, outputs, 0.0, {}

@@ -16,6 +16,10 @@ Data-dependent paths are **refused by construction**:
   structure of the stationary operand);
 - SNAPEA early termination (cut-offs read the running partial sums).
 
+The stall and fabric ledgers in a dense payload's ``extra`` are as
+value-independent as its cycles, so attributed runs are cached too —
+under keys that name the lenses that were on (a lens-free key names none).
+
 Entries persist to disk (optional) under
 ``<dir>/v<schema>/<config-hash>/<key>.json``; both the schema version and
 the provenance config hash are part of the key *and* the path, so bumping
@@ -44,7 +48,7 @@ import numpy as np
 from repro.config.hardware import HardwareConfig
 from repro.observability.provenance import config_hash
 from repro.observability.telemetry.facade import telemetry
-from repro.parallel.workload import DATA_DEPENDENT_KINDS, LayerWorkload
+from repro.engine.workload import DATA_DEPENDENT_KINDS, LayerWorkload
 
 #: bump when the key layout or the stored payload schema changes — old
 #: on-disk entries become unreachable automatically (v2: HardwareConfig
@@ -58,6 +62,10 @@ _KEY_PARAMS = {
     "gemm": ("tile",),
     "maxpool": ("pool", "stride"),
 }
+
+#: the lenses whose ledgers ride in a stored payload's ``extra`` (trace
+#: events and metrics samples never reach the cache)
+_PAYLOAD_LENSES = ("fabric", "stalls")
 
 #: How every config-dataclass field reaches the canonical key. The
 #: CACHE-KEY lint pass diffs these manifests against the *actual* fields
@@ -175,14 +183,19 @@ def _jsonable_param(value: Any) -> Any:
 
 
 def canonical_key_source(
-    workload: LayerWorkload, config: HardwareConfig
+    workload: LayerWorkload,
+    config: HardwareConfig,
+    lenses: Optional[Dict[str, Any]] = None,
 ) -> str:
     """The canonical JSON text a cache key digests.
 
-    Everything that can change the timing result is in here — and nothing
-    else: layer kind, operand shapes and dtypes, the mapping parameters
-    for the kind, the cache schema version and the hardware config hash.
-    Layer *names* and operand *values* are deliberately absent.
+    Everything that can change the stored payload is in here — and
+    nothing else: layer kind, operand shapes and dtypes, the mapping
+    parameters for the kind, the cache schema version, the hardware
+    config hash and, when any is on, the payload-changing lenses of
+    ``lenses`` (:meth:`Observability.create` keyword arguments). Layer
+    *names* and operand *values* are deliberately absent, and a lens-free
+    key has no lens entry at all.
     """
     if not cacheable(workload, config):
         raise ValueError(
@@ -203,13 +216,20 @@ def canonical_key_source(
             for name in _KEY_PARAMS[workload.kind]
         },
     }
+    ledgers = [name for name in _PAYLOAD_LENSES if (lenses or {}).get(name)]
+    if ledgers:
+        record["lenses"] = ledgers
     return json.dumps(record, sort_keys=True)
 
 
-def canonical_key(workload: LayerWorkload, config: HardwareConfig) -> str:
+def canonical_key(
+    workload: LayerWorkload,
+    config: HardwareConfig,
+    lenses: Optional[Dict[str, Any]] = None,
+) -> str:
     """SHA-256 digest of :func:`canonical_key_source`."""
     return hashlib.sha256(
-        canonical_key_source(workload, config).encode("utf-8")
+        canonical_key_source(workload, config, lenses).encode("utf-8")
     ).hexdigest()
 
 
@@ -308,12 +328,15 @@ class SimCache:
 
     @staticmethod
     def key(
-        workload: LayerWorkload, config: HardwareConfig
+        workload: LayerWorkload,
+        config: HardwareConfig,
+        lenses: Optional[Dict[str, Any]] = None,
     ) -> Optional[str]:
-        """The workload's cache key, or ``None`` when uncacheable."""
+        """The workload's cache key under the given lens set, or ``None``
+        when uncacheable."""
         if not cacheable(workload, config):
             return None
-        return canonical_key(workload, config)
+        return canonical_key(workload, config, lenses)
 
     # ---- storage ------------------------------------------------------
     def _path(self, key: str, config: HardwareConfig) -> Path:

@@ -38,7 +38,6 @@ import numpy as np
 from repro.config.hardware import HardwareConfig, load_config
 from repro.engine.accelerator import Accelerator
 from repro.engine.stats import LayerReport, SimulationReport
-from repro.errors import SimulationError
 from repro.observability import Observability
 from repro.observability.context import TRACE_COUNTER_SERIES
 from repro.observability.metrics import MetricsSample
@@ -58,6 +57,8 @@ def _simulate_workload(
 ) -> Dict:
     """Time one workload on a fresh accelerator; plain-data result.
 
+    Timing only (:meth:`Accelerator.time`): the record pass already
+    produced the layer's output, so no tensor is computed here.
     ``lenses`` holds the :meth:`Observability.create` keyword arguments
     of the lens set to turn on (none by default). Runs in worker
     processes (everything crossing the boundary is picklable) and in the
@@ -68,34 +69,7 @@ def _simulate_workload(
     """
     started = time.perf_counter()
     obs = Observability.create(**(lenses or {}))
-    acc = Accelerator(config, observability=obs)
-    params = workload.params
-    if workload.kind == "conv":
-        acc.run_conv(
-            workload.operands["weights"], workload.operands["inputs"],
-            stride=params["stride"], padding=params["padding"],
-            groups=params["groups"], tile=params["tile"],
-            name=workload.name, round_builder=params.get("round_builder"),
-        )
-    elif workload.kind == "gemm":
-        acc.run_gemm(
-            workload.operands["weights"], workload.operands["inputs"],
-            tile=params["tile"], name=workload.name,
-        )
-    elif workload.kind == "spmm":
-        acc.run_spmm(
-            workload.operands["weights"], workload.operands["inputs"],
-            round_builder=params.get("round_builder"), name=workload.name,
-            sparse_streaming=bool(params.get("sparse_streaming")),
-        )
-    elif workload.kind == "maxpool":
-        acc.run_maxpool(
-            workload.operands["inputs"], pool=params["pool"],
-            stride=params["stride"], name=workload.name,
-        )
-    else:
-        raise SimulationError(f"unknown workload kind {workload.kind!r}")
-    layer = acc.report.layers[0]
+    layer = Accelerator(config, observability=obs).time(workload)
     payload = layer.to_payload()
     # the metrics series is timeline-dependent; the parent rebuilds it
     # from the raw samples below, and the cache must never store it
@@ -228,11 +202,10 @@ class ParallelModelRunner:
             ).observe(float(seconds), mode=mode)
 
     def _simulate_misses(
-        self, misses: List[LayerWorkload]
+        self, misses: List[LayerWorkload], lenses: Dict[str, Any]
     ) -> Tuple[Dict[int, Dict], int]:
         """Time the given workloads; returns index→bundle and the number
         that fell back to serial execution."""
-        lenses = self._worker_lenses()
         results: Dict[int, Dict] = {}
         fallbacks = 0
         if self.jobs == 1 or len(misses) <= 1:
@@ -336,20 +309,14 @@ class ParallelModelRunner:
 
         stage_started = time.perf_counter()
         with profiler.phase("simulate"):
-            # Stall and fabric attribution run uncached: ledgers ride in
-            # the layer extras the cache stores verbatim, and replaying
-            # ledger-free payloads into an attributed run (or vice versa)
-            # would mix the two populations. Cycles/counters are
-            # unaffected — only the warm-cache speedup is given up while
-            # attributing.
-            cache = (
-                self.cache
-                if self.obs.stalls is None and self.obs.fabric is None
-                else None
-            )
+            # the lens set is part of the key: ledgers ride in the layer
+            # extras the cache stores verbatim, so attributed and
+            # ledger-free payloads must never share an entry
+            lenses = self._worker_lenses()
+            cache = self.cache
             keys: Dict[int, Optional[str]] = {
                 w.index: (
-                    cache.key(w, self.config)
+                    cache.key(w, self.config, lenses)
                     if cache is not None else None
                 )
                 for w in workloads
@@ -382,7 +349,7 @@ class ParallelModelRunner:
                     first_for_key[key] = workload.index
                 misses.append(workload)
 
-            simulated, fallbacks = self._simulate_misses(misses)
+            simulated, fallbacks = self._simulate_misses(misses, lenses)
             bundles.update(simulated)
             by_index = {w.index: w for w in workloads}
             for index, source in shared_from.items():

@@ -107,12 +107,11 @@ def _add_hw_args(parser: argparse.ArgumentParser) -> None:
                         help="print a wall-clock phase profile of the simulator")
     parser.add_argument("--stalls", action="store_true",
                         help="attribute every simulated cycle to a stall "
-                             "bucket; inspect with 'stonne insight explain' "
-                             "(bypasses the simulation cache)")
+                             "bucket; inspect with 'stonne insight explain'")
     parser.add_argument("--fabric", action="store_true",
                         help="record spatially-resolved DN/MN/RN utilization "
                              "and FIFO occupancy; inspect with 'stonne "
-                             "insight fabric' (bypasses the simulation cache)")
+                             "insight fabric'")
     parser.add_argument("--telemetry", action="store_true",
                         help="collect host-side telemetry (cache/pool/registry "
                              "metrics); printed to stderr unless "

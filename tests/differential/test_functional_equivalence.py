@@ -15,9 +15,16 @@ pass left the timing half:
   once on tpu, maeri and sigma, the accelerator never asks the engine
   for a product, and ``time_gemm`` of the shapes equals the summary
   ``run_gemm`` returns beside its product.
+
+And one keeps the two halves of an operation apart: ``run_*`` is the
+functional front half plus ``Accelerator.time(workload)``, and ``time``
+alone — what a pool worker, a cache miss and ``stonne sanitize`` run —
+leaves the payload, trace events, metrics samples and ledgers of the
+whole ``run_*`` while every functional helper is poisoned.
 """
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -31,10 +38,15 @@ from repro.engine.accelerator import (
     Accelerator,
     conv_functional,
     conv_layer_spec,
+    maxpool_functional,
+    maxpool_output_shape,
 )
 from repro.engine.systolic import ENGINE_MODE_ENV, SystolicEngine
 from repro.experiments.fig5 import architecture_config
+from repro.frontend.models import MODEL_NAMES, build_model, model_input
 from repro.observability import Observability
+from repro.parallel import record_model
+from repro.parallel.runner import _simulate_workload
 from repro.tensors.im2col import col2im_output, im2col
 
 
@@ -255,3 +267,133 @@ def test_time_gemm_equals_run_gemm_summary(dataflow, mode):
     assert dataclasses.asdict(timed) == dataclasses.asdict(summary)
     for ours, theirs in zip(timed_acc.components, run_acc.components):
         assert ours.counters.as_dict() == theirs.counters.as_dict()
+
+
+# ---------------------------------------------------------------------------
+# (d) run_* = functional front half + Accelerator.time(workload)
+# ---------------------------------------------------------------------------
+
+ALL_LENSES = {"trace": True, "metrics_every": 64, "stalls": True, "fabric": True}
+
+#: the four functional helpers, by the names the front half calls them
+FUNCTIONAL_HELPERS = (
+    "im2col", "conv_functional", "gemm_functional", "maxpool_functional",
+)
+
+ZOO = [
+    (model, arch) for model in MODEL_NAMES for arch in ("tpu", "maeri", "sigma")
+]
+
+
+def _run_workload(acc, workload):
+    """``acc.run_*`` on one recorded layer's operands."""
+    params, operands = workload.params, workload.operands
+    if workload.kind == "conv":
+        return acc.run_conv(
+            operands["weights"], operands["inputs"], stride=params["stride"],
+            padding=params["padding"], groups=params["groups"],
+            tile=params["tile"], name=workload.name,
+            round_builder=params["round_builder"],
+        )
+    if workload.kind == "gemm":
+        return acc.run_gemm(operands["weights"], operands["inputs"],
+                            tile=params["tile"], name=workload.name)
+    if workload.kind == "spmm":
+        return acc.run_spmm(
+            operands["weights"], operands["inputs"],
+            round_builder=params["round_builder"], name=workload.name,
+            sparse_streaming=params["sparse_streaming"],
+        )
+    return acc.run_maxpool(operands["inputs"], pool=params["pool"],
+                           stride=params["stride"], name=workload.name)
+
+
+def _observed(acc, obs):
+    """Everything one layer leaves behind, as comparable plain data."""
+    (layer,) = acc.report.layers
+    return {
+        "payload": json.dumps(layer.to_payload(), sort_keys=True),
+        "trace": [dataclasses.asdict(e) for e in obs.tracer.events],
+        "samples": [
+            {"cycle": s.cycle, "values": dict(s.values)}
+            for s in (obs.metrics.samples if obs.metrics is not None else [])
+        ],
+    }
+
+
+@pytest.mark.parametrize("model_name,arch", ZOO)
+def test_time_alone_equals_run_and_computes_no_tensor(
+    model_name, arch, monkeypatch
+):
+    """``Accelerator.time`` and the pool worker built on it leave what a
+    plain ``run_*`` leaves — with every functional helper poisoned, so
+    neither can be recomputing the output the record pass produced.
+    Grouped and depthwise convs come with mobilenets / ssd-mobilenets."""
+    config = architecture_config(arch)
+    model = build_model(model_name, seed=0)
+    x = model_input(model_name, batch=1, seed=1)
+    _, workloads = record_model(model, x, config)
+    assert workloads
+
+    want = {}
+    for label, lenses in (("off", {}), ("on", ALL_LENSES)):
+        for workload in workloads:
+            obs = Observability.create(**lenses)
+            acc = Accelerator(config, observability=obs)
+            _run_workload(acc, workload)
+            want[label, workload.index] = _observed(acc, obs)
+
+    def boom(*args, **kwargs):  # pragma: no cover - must never run
+        raise AssertionError("the timing half asked for a tensor")
+
+    for helper in FUNCTIONAL_HELPERS:
+        monkeypatch.setattr(accelerator_module, helper, boom)
+    for label, lenses in (("off", {}), ("on", ALL_LENSES)):
+        for workload in workloads:
+            reference = want[label, workload.index]
+            obs = Observability.create(**lenses)
+            acc = Accelerator(config, observability=obs)
+            report = acc.time(workload)
+            assert report is acc.report.layers[0]
+            assert _observed(acc, obs) == reference
+
+            bundle = _simulate_workload(config, workload, lenses)
+            payload = json.loads(reference["payload"])
+            payload["extra"].pop("metrics", None)
+            assert json.dumps(bundle["layer"], sort_keys=True) == \
+                json.dumps(payload, sort_keys=True)
+            assert bundle["trace"] == reference["trace"]
+            assert bundle["metrics_samples"] == reference["samples"]
+            if label == "on":
+                assert "stalls" in payload["extra"]
+                assert "fabric" in payload["extra"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 3),
+    c=st.integers(1, 4),
+    x=st.integers(1, 12),
+    y=st.integers(1, 12),
+    pool=st.integers(1, 4),
+    stride=st.integers(1, 4),
+)
+@example(n=1, c=1, x=1, y=1, pool=1, stride=1)
+@example(n=2, c=3, x=7, y=5, pool=3, stride=2)  # windows do not tile
+def test_maxpool_shape_derived_counts_match_functional(
+    n, c, x, y, pool, stride
+):
+    pool = min(pool, x, y)
+    activations = np.arange(n * c * x * y, dtype=np.float32).reshape(n, c, x, y)
+    output, comparisons = maxpool_functional(activations, pool, stride)
+    shape = maxpool_output_shape(activations.shape, pool, stride)
+    assert shape == output.shape
+    assert comparisons == pool * pool * output.size
+
+    acc = Accelerator(architecture_config("maeri"))
+    assert acc.run_maxpool(activations, pool, stride).tobytes() == \
+        output.tobytes()
+    (layer,) = acc.report.layers
+    assert layer.outputs == output.size
+    assert layer.counters.as_dict()["gb_pool_comparisons"] == comparisons
+    assert layer.counters.as_dict()["gb_writes"] == output.size

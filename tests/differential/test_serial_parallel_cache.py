@@ -21,10 +21,11 @@ import pytest
 
 from repro.engine.accelerator import Accelerator
 from repro.experiments.fig5 import architecture_config
-from repro.frontend.models import build_model, model_input
+from repro.frontend.models import MODEL_NAMES, build_model, model_input
 from repro.frontend.simulated import detach_context, simulate
 from repro.observability import Observability
-from repro.parallel import ParallelModelRunner, SimCache
+from repro.parallel import ParallelModelRunner, SimCache, record_model
+from repro.tensors.sparse import BitmapMatrix, CsrMatrix
 
 GOLDEN = json.loads(
     (Path(__file__).parent.parent / "regression" / "golden.json")
@@ -109,6 +110,50 @@ def test_serial_parallel_cached_identical(model_name, arch, jobs, tmp_path):
     else:
         assert warm.cache_hits == warm.layers
         assert warm.simulated == 0
+
+
+def _workload_fields(workload):
+    def operand_bytes(value):
+        if isinstance(value, (BitmapMatrix, CsrMatrix)):
+            value = value.to_dense()
+        return (str(value.dtype), value.shape, value.tobytes())
+
+    return (
+        workload.index, workload.kind, workload.name, workload.params,
+        {key: operand_bytes(v) for key, v in workload.operands.items()},
+        workload.data_dependent,
+    )
+
+
+@pytest.mark.parametrize("arch", ["tpu", "maeri", "sigma"])
+@pytest.mark.parametrize("model_name", MODEL_NAMES)
+def test_recorder_and_serial_run_build_the_same_workloads(
+    model_name, arch, monkeypatch
+):
+    """One front half: what ``record_model`` keeps for the runner is what
+    a serial ``simulate()`` hands ``Accelerator.time``, field for field."""
+    config = architecture_config(arch)
+    model, x = _workload(model_name)
+    recorded_output, recorded = record_model(model, x, config)
+
+    timed = []
+    real_time = Accelerator.time
+
+    def spying_time(self, workload):
+        timed.append(workload)
+        return real_time(self, workload)
+
+    monkeypatch.setattr(Accelerator, "time", spying_time)
+    acc = Accelerator(config)
+    simulate(model, acc)
+    output = model(x)
+    detach_context(model)
+
+    assert output.tobytes() == recorded_output.tobytes()
+    assert len(timed) == len(recorded) == len(acc.report.layers)
+    assert [_workload_fields(w) for w in timed] == \
+        [_workload_fields(w) for w in recorded]
+    assert all(w.data_dependent == (arch == "sigma") for w in recorded)
 
 
 @pytest.mark.parametrize("arch", ["tpu", "sigma"])

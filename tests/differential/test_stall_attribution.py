@@ -146,25 +146,36 @@ def test_stalls_on_off_payloads_byte_identical(model_name, arch):
     assert _payloads_without_stalls(on) == _payloads(off)
 
 
-def test_parallel_runner_threads_stalls_and_bypasses_cache(jobs, tmp_path):
+def test_parallel_runner_threads_stalls_through_cache(jobs, tmp_path):
     model = build_model("squeezenet", seed=0)
     x = model_input("squeezenet", batch=1, seed=1)
     config = architecture_config("tpu")
-    cache = SimCache(tmp_path / "cache")
+
+    def attributed(cache):
+        return ParallelModelRunner(
+            config, jobs=jobs, cache=cache,
+            observability=Observability.create(stalls=True),
+        ).run_model(model, x)
 
     _, serial = _run("tpu", "squeezenet", stalls=True)
-    run = ParallelModelRunner(
-        config, jobs=jobs, cache=cache,
-        observability=Observability.create(stalls=True),
-    ).run_model(model, x)
-    assert _payloads(run.report) == _payloads(serial)
-    # the cache was bypassed: nothing was stored under attribution, so a
-    # later ledger-free run cannot replay attributed payloads (or miss
-    # ledgers it expected)
-    assert len(cache) == 0 and cache.disk_bytes() == 0
+    cold = attributed(SimCache(tmp_path / "cache"))
+    assert _payloads(cold.report) == _payloads(serial)
+    assert cold.cache_hits == 0 and cold.simulated > 0
+    # a new object on the same directory: every hit is read back from
+    # disk, so the ledgers survive the JSON round trip byte for byte
+    cache = SimCache(tmp_path / "cache")
+    warm = attributed(cache)
+    assert _payloads(warm.report) == _payloads(serial)
+    assert warm.simulated == 0 and warm.cache_hits == warm.layers
+    assert warm.report.metadata["parallel_cache_hits"] == \
+        warm.report.metadata["parallel_layers"]
 
+    # the lens set is part of the key: a ledger-free run on the same
+    # cache replays none of the attributed payloads
     plain = ParallelModelRunner(config, jobs=jobs, cache=cache).run_model(
         model, x
     )
+    assert plain.cache_hits == 0 and plain.simulated > 0
     assert all("stalls" not in l.extra for l in plain.report.layers)
-    assert _payloads_without_stalls(run.report) == _payloads(plain.report)
+    assert _payloads(plain.report) == _payloads(_run("tpu", "squeezenet")[1])
+    assert _payloads_without_stalls(warm.report) == _payloads(plain.report)

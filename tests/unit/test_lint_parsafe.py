@@ -52,3 +52,33 @@ def test_global_statement_is_flagged(tmp_path):
     result = run_lint([tmp_path], select=["PAR-SAFE"])
     assert [f.rule for f in result.findings] == ["PAR-GLOBAL"]
     assert "_MODE" in result.findings[0].message
+
+
+def test_global_write_planted_in_accelerator_time_is_flagged(tmp_path):
+    """Every timing run — pool task, cache miss, serial fallback,
+    ``stonne sanitize`` — is ``_simulate_workload`` -> ``Accelerator.time``;
+    the pass must walk that edge on the real tree."""
+    import shutil
+
+    src = Path(__file__).resolve().parents[2] / "src" / "repro"
+    tree = tmp_path / "repro"
+    shutil.copytree(src, tree, ignore=shutil.ignore_patterns("__pycache__"))
+    accelerator = tree / "engine" / "accelerator.py"
+    text = accelerator.read_text(encoding="utf-8")
+    marker = "        kind, name = workload.kind, workload.name\n"
+    assert text.count(marker) == 1
+    accelerator.write_text(
+        text.replace(
+            marker,
+            "        global _LAST_TIMED\n"
+            "        _LAST_TIMED = workload.name\n" + marker,
+        ),
+        encoding="utf-8",
+    )
+    findings = run_lint([tree], select=["PAR-SAFE"]).findings
+    assert [f.rule for f in findings] == ["PAR-GLOBAL"]
+    (finding,) = findings
+    assert finding.path.endswith("engine/accelerator.py")
+    assert "_LAST_TIMED" in finding.message
+    # witness chain: worker entry point -> the one timing entry point
+    assert "via _simulate_workload -> Accelerator.time" in finding.message

@@ -167,6 +167,34 @@ def test_key_source_is_canonical_json(small_maeri):
     assert json.dumps(record, sort_keys=True) == source
 
 
+def test_key_names_only_the_payload_changing_lenses(small_maeri):
+    workload = _gemm_workload()
+    plain = canonical_key_source(workload, small_maeri)
+    # trace and metrics never reach a stored payload: lens-free key, and
+    # byte for byte the key source from before lenses were keyed
+    quiet = {"trace": True, "metrics_every": 64, "stalls": False,
+             "fabric": False}
+    assert canonical_key_source(workload, small_maeri, quiet) == plain
+    assert canonical_key_source(workload, small_maeri, {}) == plain
+    assert "lenses" not in json.loads(plain)
+
+    sources = {
+        lenses: canonical_key_source(
+            workload, small_maeri, dict.fromkeys(lenses, True)
+        )
+        for lenses in (("stalls",), ("fabric",), ("fabric", "stalls"),
+                       ("stalls", "fabric"))
+    }
+    assert json.loads(sources["stalls",])["lenses"] == ["stalls"]
+    assert json.loads(sources["fabric",])["lenses"] == ["fabric"]
+    assert sources["fabric", "stalls"] == sources["stalls", "fabric"]
+    assert len({plain, *sources.values()}) == 4
+    assert SimCache.key(workload, small_maeri, {"stalls": True}) == \
+        canonical_key(workload, small_maeri, {"stalls": True})
+    assert SimCache.key(workload, small_maeri, quiet) == \
+        SimCache.key(workload, small_maeri)
+
+
 # ---- SimCache storage --------------------------------------------------
 def test_cache_memory_roundtrip(small_maeri):
     cache = SimCache()
