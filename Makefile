@@ -1,6 +1,6 @@
 # Convenience targets for the STONNE reproduction.
 
-.PHONY: install test bench report examples validate trace-smoke \
+.PHONY: install test bench report examples validate \
 	sentinel-smoke telemetry-smoke lens-smoke \
 	sanitize-smoke differential differential-vector differential-sparse \
 	coverage \
@@ -84,21 +84,6 @@ report:
 validate:
 	stonne validate
 
-# run a tiny traced conv through the CLI and validate both exports
-trace-smoke:
-	PYTHONPATH=src python -m repro.ui.cli conv -R 3 -S 3 -C 4 -K 4 \
-		-X 6 -Y 6 --arch maeri --num-ms 16 --bw 8 \
-		--trace /tmp/stonne-trace-smoke.json --metrics-every 16 \
-		--metrics /tmp/stonne-metrics-smoke.json --metrics-format json \
-		--no-registry
-	PYTHONPATH=src python -m repro.observability.validate \
-		/tmp/stonne-trace-smoke.json \
-		--expect "layer:" --expect "DN:" --expect "MN:" --expect "RN:"
-	PYTHONPATH=src python -m repro.observability.validate \
-		/tmp/stonne-metrics-smoke.json \
-		--expect gb_reads --expect mn_multiplications
-	@echo "trace smoke OK"
-
 # register two Fig. 5 workloads and gate them against the committed baseline
 sentinel-smoke:
 	rm -rf /tmp/stonne-ci-runs
@@ -142,35 +127,47 @@ telemetry-smoke:
 # scratch registry; then `insight explain` re-validates the conservation
 # invariant and `insight fabric` the per-level consistency invariant
 # (each exits 2 on violation), writing the ledger JSON, fabric JSON and
-# report HTML that CI uploads as artifacts. The same invocation then runs
-# again on the now-warm `--cache`: it must simulate nothing and its
-# replayed ledgers must give the same explain / fabric documents
-LENS_RUN = PYTHONPATH=src python -m repro.ui.cli model squeezenet \
+# report HTML that CI uploads as artifacts from build/lens-smoke/. The
+# same invocation then runs again on the now-warm `--cache`: it must
+# simulate nothing and its replayed ledgers must give the same explain /
+# fabric documents. Last, the trace lens: the same model traced under the
+# per-tile walk and under the tile-class aggregate must export the same
+# Chrome trace byte for byte (bar the header's wall-clock timestamp), and
+# a tiny traced + sampled conv has both of its exports validated
+LENS_OUT = build/lens-smoke
+LENS_CLI = PYTHONPATH=src python -m repro.ui.cli
+LENS_RUN = $(LENS_CLI) model squeezenet \
 	--arch tpu --num-ms 16 --stalls --fabric \
 	--cache /tmp/stonne-lens-cache --registry-dir /tmp/stonne-lens-runs
+LENS_TRACED = $(LENS_CLI) model squeezenet \
+	--arch tpu --num-ms 16 --stalls --fabric --no-registry
 LENS_INSIGHT = PYTHONPATH=src python -m repro.observability.insight \
 	--registry-dir /tmp/stonne-lens-runs
+LENS_VALIDATE = PYTHONPATH=src python -m repro.observability.validate
 
 lens-smoke:
-	rm -rf /tmp/stonne-lens-runs /tmp/stonne-lens-cache
+	rm -rf /tmp/stonne-lens-runs /tmp/stonne-lens-cache $(LENS_OUT)
+	mkdir -p $(LENS_OUT)
 	$(LENS_RUN) > /dev/null
 	$(LENS_INSIGHT) explain latest
-	$(LENS_INSIGHT) explain latest --format json -o stonne-explain.json
+	$(LENS_INSIGHT) explain latest --format json \
+		-o $(LENS_OUT)/stonne-explain.json
 	PYTHONPATH=src python -c "import json; \
-		d = json.load(open('stonne-explain.json')); \
+		d = json.load(open('$(LENS_OUT)/stonne-explain.json')); \
 		assert d['conservation']['ok'], d['conservation']; \
 		assert sum(d['buckets'].values()) == d['total_cycles'], d; \
 		assert d['coverage'] == 1.0, d['coverage']"
 	$(LENS_INSIGHT) fabric latest
-	$(LENS_INSIGHT) fabric latest --format json -o stonne-fabric.json
-	$(LENS_INSIGHT) report latest -o stonne-fabric-report.html
+	$(LENS_INSIGHT) fabric latest --format json \
+		-o $(LENS_OUT)/stonne-fabric.json
+	$(LENS_INSIGHT) report latest -o $(LENS_OUT)/stonne-fabric-report.html
 	PYTHONPATH=src python -c "import json; \
-		d = json.load(open('stonne-fabric.json')); \
+		d = json.load(open('$(LENS_OUT)/stonne-fabric.json')); \
 		assert d['consistency']['ok'], d['consistency']; \
 		assert d['fabric']['tiers'], 'no fabric tier charged'; \
 		assert d['hottest_links'], 'no per-link detail'; \
 		assert d['coverage'] > 0.9, d['coverage']; \
-		html = open('stonne-fabric-report.html').read(); \
+		html = open('$(LENS_OUT)/stonne-fabric-report.html').read(); \
 		assert 'Fabric observatory' in html"
 	$(LENS_RUN) 2>&1 > /dev/null | grep -Eq "run: ([0-9]+) layers, 0 simulated, \1 cache hits" \
 		|| { echo "attributed warm run re-simulated layers"; exit 1; }
@@ -181,13 +178,32 @@ lens-smoke:
 	PYTHONPATH=src python -c "import json; \
 		load = lambda p: {k: v for k, v in json.load(open(p)).items() \
 			if k != 'run_id'}; \
-		cold, warm = load('stonne-explain.json'), \
+		cold, warm = load('$(LENS_OUT)/stonne-explain.json'), \
 			load('/tmp/stonne-explain-warm.json'); \
 		assert warm['conservation']['ok'] and warm == cold, 'explain'; \
-		cold, warm = load('stonne-fabric.json'), \
+		cold, warm = load('$(LENS_OUT)/stonne-fabric.json'), \
 			load('/tmp/stonne-fabric-warm.json'); \
 		assert warm['consistency']['ok'] and warm == cold, 'fabric'"
-	@echo "lens smoke OK (warm attributed rerun: 0 simulated, same ledgers)"
+	for mode in cycle vector; do \
+		STONNE_ENGINE_MODE=$$mode $(LENS_TRACED) \
+			--trace /tmp/stonne-lens-trace-$$mode.json > /dev/null || exit 1; \
+		grep -v '"timestamp":' /tmp/stonne-lens-trace-$$mode.json \
+			> /tmp/stonne-lens-trace-$$mode.txt; \
+	done
+	cmp /tmp/stonne-lens-trace-cycle.txt /tmp/stonne-lens-trace-vector.txt
+	$(LENS_VALIDATE) /tmp/stonne-lens-trace-vector.json \
+		--expect "layer:" --expect "PE:tile"
+	$(LENS_CLI) conv -R 3 -S 3 -C 4 -K 4 \
+		-X 6 -Y 6 --arch maeri --num-ms 16 --bw 8 \
+		--trace /tmp/stonne-trace-smoke.json --metrics-every 16 \
+		--metrics /tmp/stonne-metrics-smoke.json --metrics-format json \
+		--no-registry
+	$(LENS_VALIDATE) /tmp/stonne-trace-smoke.json \
+		--expect "layer:" --expect "DN:" --expect "MN:" --expect "RN:"
+	$(LENS_VALIDATE) /tmp/stonne-metrics-smoke.json \
+		--expect gb_reads --expect mn_multiplications
+	@echo "lens smoke OK (warm attributed rerun: 0 simulated, same ledgers;" \
+		"cycle and vector traces byte-identical)"
 
 examples:
 	@for script in examples/*.py; do \

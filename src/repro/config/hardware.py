@@ -99,10 +99,11 @@ class EngineMode(enum.Enum):
       ``(shape, count)`` classes per GEMM) whenever it can serve;
       metrics sampling forces the walk in any mode (samples snapshot
       intermediate counter state only the walk produces).
-    - ``AUTO`` — like ``VECTOR``, but additionally walks whenever event
-      tracing is active (vector mode places trace spans without per-tile
-      accounting; auto conservatively treats the walk as the
-      instrumentation ground truth).
+    - ``AUTO`` — the default, and the same behaviour as ``VECTOR``: an
+      attached tracer no longer selects the walk (the aggregate stores
+      its tile spans as span runs). The member and its ``"auto"``
+      spelling stay because the value is hashed into ``config_hash``,
+      cache keys and the committed registry baseline.
 
     Every mode produces byte-identical simulation reports; the
     differential suite (``tests/differential/test_vector_equivalence.py``)

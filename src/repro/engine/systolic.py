@@ -52,15 +52,20 @@ Why the two are byte-identical, per output:
   shared epilogue from ``(m, k, n)`` and the tile classes, whichever
   accounting ran.
 - **trace spans** — span boundaries are prefix sums of the per-tile
-  cycle counts. The one span site sits in the tile loop, which runs
-  whenever a tracer is attached; under the aggregate it only places
-  spans and accounts nothing.
+  cycle counts. The walk emits one ``PE:tile`` span per tile it visits;
+  the aggregate never visits the grid: the tiles of a tile row that
+  share a shape run back to back, so it stores one
+  :meth:`~repro.observability.tracer.Tracer.span_run` per (tile row x
+  n-axis class), which expands to the walk's spans wherever the trace
+  is read. An attached tracer therefore selects nothing.
 - **functional output** — none: the schedule follows from ``(m, k, n)``,
   so ``time_gemm`` never sees an operand. A layer's one product is the
   accelerator's functional path; ``run_gemm`` is ``a @ b`` + ``time_gemm``.
 - **grouped convolutions** — ``repeats`` identical GEMMs. The aggregate
-  scales the class counts and accounts them in one pass; the walk, or
-  any tracer, runs them one after another with ``start`` advancing.
+  scales the class counts and accounts them in one pass, traced or not
+  (a tracer gets ``repeats`` sets of span runs, each starting where the
+  group before it ended); the walk runs them one after another with
+  ``start`` advancing.
 
 ``tests/differential/test_vector_equivalence.py`` pins the equivalence
 over the model zoo and Hypothesis-drawn shapes, and
@@ -88,6 +93,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.observability.context import Observability
     from repro.observability.fabric import FabricLedger
     from repro.observability.stalls import StallLedger
+    from repro.observability.tracer import NullTracer
 
 #: fixed pipeline fill/drain cycles per tile (weight-feed setup, edge
 #: buffers, and the output drain handshake), calibrated against the
@@ -137,11 +143,6 @@ def use_vector_kernels(config: HardwareConfig, obs: "Observability") -> bool:
     if obs.metrics is not None:
         # metrics samples snapshot intermediate counter state at every
         # tile boundary; only the per-tile walk reproduces them
-        return False
-    if mode is EngineMode.AUTO and obs.tracer.enabled:
-        # span boundaries are closed-form, so ``vector`` places them
-        # without per-tile accounting; ``auto`` conservatively treats
-        # the walk as the instrumentation ground truth
         return False
     return True
 
@@ -287,11 +288,12 @@ class SystolicEngine(ClockedComponent):
         is the group count of a grouped convolution, whose groups are
         identical GEMMs: the counters, ledgers and clock advance by all
         of them while the returned summary describes one. Under the
-        tile-class aggregate with no tracer they are accounted in one
-        pass with the class counts scaled (DRAM still record by record:
-        its row-buffer hit/miss sequence is stateful within a layer);
-        otherwise they run one after another, so every span and metrics
-        sample of a group lands after the groups before it.
+        tile-class aggregate they are accounted in one pass with the
+        class counts scaled (DRAM still record by record: its row-buffer
+        hit/miss sequence is stateful within a layer, and a tracer gets
+        each group's spans in turn); under the walk they run one after
+        another. Either way every span and metrics sample of a group
+        lands after the groups before it.
         """
         if min(m, k, n, repeats) < 1:
             raise ConfigurationError(
@@ -301,7 +303,7 @@ class SystolicEngine(ClockedComponent):
         obs = self.obs
         tracer = obs.tracer
         walk = not use_vector_kernels(self.config, obs)
-        if repeats > 1 and (walk or tracer.enabled):
+        if repeats > 1 and walk:
             for _ in range(repeats):
                 result = self.time_gemm(m, k, n, start)
                 start += result.cycles
@@ -315,10 +317,10 @@ class SystolicEngine(ClockedComponent):
             ]
         scope = "engine.systolic" if walk else "engine.vector"
         with obs.profiler.phase("compute"), component_scope(scope):
-            cycles = LAYER_SETUP_CYCLES
-            tiles = 0
-            macs = 0
-            if walk or tracer.enabled:
+            if walk:
+                cycles = LAYER_SETUP_CYCLES
+                tiles = 0
+                macs = 0
                 for tm, tk, tn in self._tile_grid(m, k, n):
                     tile = self.tile_cycles(tm, tk, tn)
                     if tracer.enabled:
@@ -330,12 +332,9 @@ class SystolicEngine(ClockedComponent):
                     cycles += tile
                     tiles += 1
                     macs += tm * tk * tn
-                    if walk:
-                        self._account_tile(tm, tk, tn)
-                        obs.sample(start + cycles)
-            if not walk:
-                # the totals come from the classes; a loop run above only
-                # placed the tracer's spans
+                    self._account_tile(tm, tk, tn)
+                    obs.sample(start + cycles)
+            else:
                 cycles, tiles, macs = self._account_tile_classes(classes)
                 cycles = LAYER_SETUP_CYCLES + cycles // repeats
                 tiles //= repeats
@@ -343,12 +342,15 @@ class SystolicEngine(ClockedComponent):
 
         with obs.profiler.phase("drain"):
             for _ in range(repeats):
+                if tracer.enabled and not walk:
+                    self._trace_tile_runs(tracer, origin, m, k, n)
                 dram_stall = self._account_dram(m, k, n, cycles)
-            if tracer.enabled and dram_stall:
-                tracer.span(
-                    "DRAM:stall", self.dram.name, origin + cycles,
-                    origin + cycles + dram_stall,
-                )
+                if tracer.enabled and dram_stall:
+                    tracer.span(
+                        "DRAM:stall", self.dram.name, origin + cycles,
+                        origin + cycles + dram_stall,
+                    )
+                origin += cycles + dram_stall
             cycles += dram_stall
             obs.sample(start + cycles)
         ledger = obs.stalls
@@ -452,6 +454,29 @@ class SystolicEngine(ClockedComponent):
             macs += tm * tk * tn * count
             self._account_tile(tm, tk, tn, count)
         return cycles, tiles, macs
+
+    def _trace_tile_runs(
+        self, tracer: "NullTracer", origin: int, m: int, k: int, n: int
+    ) -> None:
+        """One GEMM's ``PE:tile`` spans, as the walk places them, from the
+        tile classes: tiles of a tile row that share a shape run back to
+        back, so each (tile row x n-axis class) is one span run."""
+        stationary = self.weight_stationary
+        n_classes = _axis_classes(n, self.dim)
+        cycle = origin + LAYER_SETUP_CYCLES
+        for extent, rows in _axis_classes(k if stationary else m, self.dim):
+            tm, tk = (m, extent) if stationary else (extent, k)
+            row = [
+                (tn, count, self.tile_cycles(tm, tk, tn))
+                for tn, count in n_classes
+            ]
+            for _ in range(rows):
+                for tn, count, tile in row:
+                    tracer.span_run(
+                        "PE:tile", self.name, cycle, tile, count,
+                        m=tm, k=tk, n=tn, macs=tm * tk * tn,
+                    )
+                    cycle += tile * count
 
     def _charge_stalls(
         self,

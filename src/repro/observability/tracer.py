@@ -8,6 +8,13 @@ them; :class:`NullTracer` is the always-installed no-op fast path, so an
 untraced simulation pays only an attribute lookup and a predictable
 ``if tracer.enabled`` branch per phase.
 
+A regular schedule — the systolic array's back-to-back tiles of one
+shape — is recorded as a :class:`SpanRun`: *one* stored record standing
+for ``count`` spans of ``period`` cycles each. It keeps its place in the
+event list and is expanded only where something reads the spans
+(:attr:`Tracer.events`, the exporters), so what a reader sees is what
+``count`` :meth:`Tracer.span` calls would have left.
+
 Timestamps are **accelerator clock cycles**, not wall time. The Chrome
 exporter writes cycles into the ``ts``/``dur`` microsecond fields, so in
 ``chrome://tracing`` / Perfetto one displayed microsecond equals one
@@ -28,9 +35,13 @@ Two exporters are provided:
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import (
+    Any, Callable, Dict, Iterator, List, Mapping, NamedTuple, Optional, Tuple,
+    Union,
+)
 
 from repro.errors import SimulationError
 
@@ -58,6 +69,102 @@ class TraceEvent:
         return self.start + self.duration
 
 
+def _plain(event: TraceEvent) -> Dict[str, object]:
+    """``dataclasses.asdict(event)`` without the deep copy."""
+    return {
+        "name": event.name, "component": event.component,
+        "phase": event.phase, "start": event.start,
+        "duration": event.duration, "depth": event.depth,
+        "args": dict(event.args),
+    }
+
+
+class SpanRun(NamedTuple):
+    """``count`` back-to-back spans of ``period`` cycles, stored once.
+
+    Span ``i`` covers ``[start + i * period, start + (i + 1) * period)``;
+    all share ``name``, ``component``, ``depth`` and ``args``.
+    """
+
+    name: str
+    component: str
+    start: int
+    period: int
+    count: int
+    depth: int
+    args: Mapping[str, object]
+
+    def starts(self) -> Iterator[int]:
+        """The start cycle of every span of the run, in order."""
+        return (self.start + i * self.period for i in range(self.count))
+
+    def expand(self) -> Iterator[TraceEvent]:
+        """The spans as individual events, each with its own ``args``."""
+        for start in self.starts():
+            yield TraceEvent(
+                name=self.name, component=self.component, phase=PHASE_SPAN,
+                start=start, duration=self.period, depth=self.depth,
+                args=dict(self.args),
+            )
+
+
+def _check_run(period: int, count: int, where: str) -> None:
+    if period < 0 or count < 0:
+        raise SimulationError(
+            f"{where}: a span run needs period >= 0 and count >= 0, "
+            f"got period={period!r}, count={count!r}"
+        )
+
+
+_REQUIRED = object()
+
+
+def _wire_field(
+    record: Mapping[str, Any], index: int, key: str,
+    convert: Callable[[Any], Any], default: Any = _REQUIRED,
+) -> Any:
+    """``convert(record[key])``, or a :class:`SimulationError` naming the
+    record and the field when it is missing or does not convert."""
+    try:
+        value = record[key]
+    except KeyError:
+        if default is not _REQUIRED:
+            return default
+        raise SimulationError(
+            f"trace record {index}: missing field {key!r}"
+        ) from None
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise SimulationError(
+            f"trace record {index}: field {key!r} has an unusable value "
+            f"{value!r}"
+        ) from None
+
+
+def _from_wire(
+    record: Mapping[str, Any], index: int
+) -> Union[TraceEvent, SpanRun]:
+    """One :meth:`Tracer.to_wire` mapping back into its record."""
+    name = _wire_field(record, index, "name", str)
+    component = _wire_field(record, index, "component", str)
+    start = _wire_field(record, index, "start", operator.index)
+    depth = _wire_field(record, index, "depth", operator.index, 0)
+    args = _wire_field(record, index, "args", dict, {})
+    if "count" in record:
+        period = _wire_field(record, index, "period", operator.index)
+        count = _wire_field(record, index, "count", operator.index)
+        _check_run(period, count, f"trace record {index}")
+        return SpanRun(name, component, start, period, count, depth, args)
+    return TraceEvent(
+        name=name, component=component,
+        phase=_wire_field(record, index, "phase", str),
+        start=start,
+        duration=_wire_field(record, index, "duration", operator.index, 0),
+        depth=depth, args=args,
+    )
+
+
 class NullTracer:
     """The disabled tracer: every operation is a no-op.
 
@@ -72,6 +179,10 @@ class NullTracer:
     events: Tuple[TraceEvent, ...] = ()
 
     def span(self, name: str, component: str, start: int, end: int, **args) -> None:
+        pass
+
+    def span_run(self, name: str, component: str, start: int, period: int,
+                 count: int, **args) -> None:
         pass
 
     def begin(self, name: str, component: str, cycle: int, **args) -> None:
@@ -90,6 +201,9 @@ class NullTracer:
     def extend(self, events, offset: int = 0) -> None:
         pass
 
+    def to_wire(self) -> List[Dict[str, object]]:
+        return []
+
 
 #: process-wide singleton — the default tracer of every component
 NULL_TRACER = NullTracer()
@@ -101,14 +215,25 @@ class Tracer(NullTracer):
     enabled = True
 
     def __init__(self) -> None:
-        self._events: List[TraceEvent] = []
+        # in emission order; a SpanRun stands where its spans would
+        self._events: List[Union[TraceEvent, SpanRun]] = []
+        self._has_runs = False
         # (name, component, start_cycle, args) of the open begin() spans
         self._stack: List[Tuple[str, str, int, Dict[str, object]]] = []
 
     # ---- emission -----------------------------------------------------
     @property
     def events(self) -> List[TraceEvent]:  # type: ignore[override]
-        return self._events
+        """Every event, one per span: reading this expands stored runs."""
+        if self._has_runs:
+            self._events = [
+                event for item in self._events
+                for event in (
+                    item.expand() if isinstance(item, SpanRun) else (item,)
+                )
+            ]
+            self._has_runs = False
+        return self._events  # type: ignore[return-value]
 
     @property
     def open_spans(self) -> int:
@@ -125,6 +250,18 @@ class Tracer(NullTracer):
             start=int(start), duration=int(end - start),
             depth=len(self._stack), args=dict(args),
         ))
+
+    def span_run(self, name: str, component: str, start: int, period: int,
+                 count: int, **args) -> None:
+        """Record ``count`` back-to-back spans of ``period`` cycles, the
+        first at ``start``, as one :class:`SpanRun` (nothing if 0)."""
+        _check_run(period, count, f"span run {name!r}")
+        if count:
+            self._events.append(SpanRun(
+                name, component, int(start), int(period), int(count),
+                len(self._stack), args,
+            ))
+            self._has_runs = True
 
     def begin(self, name: str, component: str, cycle: int, **args) -> None:
         """Open a nested span; close it with :meth:`end`."""
@@ -161,42 +298,72 @@ class Tracer(NullTracer):
         ))
 
     def extend(self, events, offset: int = 0) -> None:
-        """Merge foreign events, shifted by ``offset`` cycles.
+        """Merge foreign records, shifted by ``offset`` cycles.
 
         A worker process traces each layer on its own accelerator, whose
-        clock starts at zero; the parent rebases those events onto the
-        model timeline by passing the layer's absolute start cycle. Events
-        may be :class:`TraceEvent` records or their ``dataclasses.asdict``
-        dictionaries (the wire form workers return).
+        clock starts at zero; the parent rebases those records onto the
+        model timeline by passing the layer's absolute start cycle. A
+        record may be a :class:`TraceEvent`, a :class:`SpanRun` (rebased
+        by its ``start``, still one record) or the :meth:`to_wire`
+        mapping of either; a malformed mapping is a
+        :class:`~repro.errors.SimulationError` naming its index and field.
         """
-        for event in events:
-            if isinstance(event, Mapping):
-                event = TraceEvent(
-                    name=str(event["name"]),
-                    component=str(event["component"]),
-                    phase=str(event["phase"]),
-                    start=int(event["start"]),
-                    duration=int(event.get("duration", 0)),
-                    depth=int(event.get("depth", 0)),
-                    args=dict(event.get("args", {})),
-                )
+        offset = int(offset)
+        for index, record in enumerate(events):
+            if isinstance(record, Mapping):
+                record = _from_wire(record, index)
+            if isinstance(record, SpanRun):
+                if record.count:
+                    self._events.append(record._replace(
+                        start=record.start + offset, args=dict(record.args),
+                    ))
+                    self._has_runs = True
+                continue
             self._events.append(TraceEvent(
-                name=event.name, component=event.component, phase=event.phase,
-                start=event.start + int(offset), duration=event.duration,
-                depth=event.depth, args=dict(event.args),
+                name=record.name, component=record.component,
+                phase=record.phase, start=record.start + offset,
+                duration=record.duration, depth=record.depth,
+                args=dict(record.args),
             ))
 
     def clear(self) -> None:
         self._events = []
+        self._has_runs = False
         self._stack = []
 
     # ---- exporters ----------------------------------------------------
+    def to_wire(self) -> List[Dict[str, object]]:
+        """The stored records as plain picklable mappings, runs *not*
+        expanded: an event as its ``dataclasses.asdict`` form, a run as
+        its fields (told apart by the ``count`` key). :meth:`extend`
+        reads them back."""
+        return [
+            {**item._asdict(), "args": dict(item.args)}
+            if isinstance(item, SpanRun) else _plain(item)
+            for item in self._events
+        ]
+
+    def _plain_events(self) -> Iterator[Dict[str, object]]:
+        """Every event as its plain mapping, written straight from the
+        runs (the spans of one run share their ``args``)."""
+        for item in self._events:
+            if isinstance(item, SpanRun):
+                for start in item.starts():
+                    yield {
+                        "name": item.name, "component": item.component,
+                        "phase": PHASE_SPAN, "start": start,
+                        "duration": item.period, "depth": item.depth,
+                        "args": item.args,
+                    }
+            else:
+                yield _plain(item)
+
     def _thread_ids(self) -> Dict[str, int]:
         """Stable component → tid mapping in first-appearance order."""
         tids: Dict[str, int] = {}
-        for event in self._events:
-            if event.component not in tids:
-                tids[event.component] = len(tids)
+        for item in self._events:
+            if item.component not in tids:
+                tids[item.component] = len(tids)
         return tids
 
     def to_chrome(self, path: Optional[Union[str, Path]] = None,
@@ -216,19 +383,20 @@ class Tracer(NullTracer):
                 "name": "thread_name", "ph": PHASE_METADATA, "pid": 0,
                 "tid": tid, "args": {"name": component},
             })
-        for event in self._events:
+        for event in self._plain_events():
+            phase = event["phase"]
             record: Dict[str, object] = {
-                "name": event.name, "ph": event.phase, "pid": 0,
-                "tid": tids[event.component], "ts": event.start,
+                "name": event["name"], "ph": phase, "pid": 0,
+                "tid": tids[event["component"]], "ts": event["start"],
             }
-            if event.phase == PHASE_SPAN:
-                record["dur"] = event.duration
-            if event.phase == PHASE_INSTANT:
+            if phase == PHASE_SPAN:
+                record["dur"] = event["duration"]
+            if phase == PHASE_INSTANT:
                 record["s"] = "t"  # thread-scoped instant
-            args: Dict[str, object] = dict(event.args)
-            if event.phase == PHASE_SPAN and event.depth:
-                args.setdefault("depth", event.depth)
-            if args or event.phase == PHASE_COUNTER:
+            args: Dict[str, object] = dict(event["args"])
+            if phase == PHASE_SPAN and event["depth"]:
+                args.setdefault("depth", event["depth"])
+            if args or phase == PHASE_COUNTER:
                 record["args"] = args
             records.append(record)
         payload: Dict[str, object] = {
@@ -243,14 +411,9 @@ class Tracer(NullTracer):
 
     def to_jsonl(self, path: Optional[Union[str, Path]] = None) -> str:
         """Serialize to one JSON object per line."""
-        lines = []
-        for event in self._events:
-            lines.append(json.dumps({
-                "name": event.name, "component": event.component,
-                "phase": event.phase, "start": event.start,
-                "duration": event.duration, "depth": event.depth,
-                "args": dict(event.args),
-            }, sort_keys=True))
+        lines = [
+            json.dumps(event, sort_keys=True) for event in self._plain_events()
+        ]
         text = "\n".join(lines) + ("\n" if lines else "")
         if path is not None:
             Path(path).write_text(text, encoding="utf-8")

@@ -26,7 +26,6 @@ depends on worker scheduling.
 from __future__ import annotations
 
 import atexit
-import dataclasses
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
@@ -76,7 +75,7 @@ def _simulate_workload(
     payload["extra"].pop("metrics", None)
     return {
         "layer": payload,
-        "trace": [dataclasses.asdict(e) for e in obs.tracer.events],
+        "trace": obs.tracer.to_wire(),
         "metrics_samples": [
             {"cycle": s.cycle, "values": dict(s.values)}
             for s in (obs.metrics.samples if obs.metrics is not None else [])

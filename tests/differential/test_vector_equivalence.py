@@ -14,8 +14,8 @@ falsifiable:
 - Hypothesis-generated (geometry, tile, preset) triples for GEMMs and
   convolutions, so shapes nobody hand-picked get the same guarantee;
 - trace-span equality under the tracer (the aggregate places the
-  schedule's spans without per-tile accounting), grouped convolutions
-  included;
+  schedule's spans as span runs, never visiting the tile grid, in
+  ``auto`` and ``vector`` alike), grouped convolutions included;
 - refusal-path checks: sparse (SIGMA) and SNAPEA workloads must never
   reach the aggregate, metrics sampling must force the per-tile walk,
   and the ``STONNE_ENGINE_MODE`` override must win over the config.
@@ -240,16 +240,30 @@ def test_metrics_sampling_forces_reference_walk(mode, monkeypatch):
     assert obs.metrics is not None and len(obs.metrics)
 
 
-def test_auto_falls_back_under_tracing(monkeypatch):
+@pytest.mark.parametrize("mode", [EngineMode.VECTOR, EngineMode.AUTO])
+def test_traced_run_takes_the_aggregate(mode, monkeypatch):
+    """An attached tracer does not select the walk: ``auto`` and
+    ``vector`` place the tile spans from the tile classes, never visiting
+    the grid, and leave the walk's events — grouped convolution included."""
+    rng = np.random.default_rng(3)
+    weights = rng.standard_normal((16, 2, 3, 3)).astype(np.float32)
+    activations = rng.standard_normal((1, 16, 10, 10)).astype(np.float32)
+
+    ref_obs = Observability.create(trace=True)
+    _, ref_acc = _run_zoo("tpu", "squeezenet", EngineMode.CYCLE, ref_obs)
+    ref_acc.run_conv(weights, activations, groups=8, name="grouped")
+
     def boom(*args, **kwargs):  # pragma: no cover - must never run
-        raise AssertionError("vector kernel reached in AUTO under tracing")
+        raise AssertionError("the tile grid was walked under a tracer")
 
     monkeypatch.setattr(
-        "repro.engine.systolic.SystolicEngine._account_tile_classes", boom
+        "repro.engine.systolic.SystolicEngine._tile_grid", boom
     )
     obs = Observability.create(trace=True)
-    _, acc = _run_zoo("tpu", "squeezenet", EngineMode.AUTO, obs)
-    assert acc.report.total_cycles > 0
+    _, acc = _run_zoo("tpu", "squeezenet", mode, obs)
+    acc.run_conv(weights, activations, groups=8, name="grouped")
+    _assert_reports_identical(ref_acc, acc)
+    assert obs.tracer.events == ref_obs.tracer.events
 
 
 # ---------------------------------------------------------------------------
@@ -301,12 +315,15 @@ def test_predicate_mode_matrix():
     assert use_vector_kernels(_with_mode(tpu, EngineMode.VECTOR), off)
     assert use_vector_kernels(_with_mode(tpu, EngineMode.AUTO), off)
 
+    # a tracer selects nothing: ``auto`` and ``vector`` are one behaviour
     tracing = Observability.create(trace=True)
-    assert not use_vector_kernels(_with_mode(tpu, EngineMode.AUTO), tracing)
+    assert not use_vector_kernels(_with_mode(tpu, EngineMode.CYCLE), tracing)
+    assert use_vector_kernels(_with_mode(tpu, EngineMode.AUTO), tracing)
     assert use_vector_kernels(_with_mode(tpu, EngineMode.VECTOR), tracing)
 
     sampling = Observability.create(metrics_every=32)
     assert not use_vector_kernels(_with_mode(tpu, EngineMode.VECTOR), sampling)
+    assert not use_vector_kernels(_with_mode(tpu, EngineMode.AUTO), sampling)
 
     from repro.config import sigma_like
 

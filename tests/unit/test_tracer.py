@@ -24,7 +24,10 @@ def test_null_tracer_is_disabled_and_stateless():
     null.end(5)
     null.instant("c", "comp", 3)
     null.counter("d", "comp", 4, {"x": 1.0})
+    assert null.span_run("e", "comp", 0, 5, 1000, detail=1) is None
     assert null.events == ()
+    assert null.to_wire() == []
+    assert vars(null) == {}
 
 
 def test_null_tracer_singleton_records_nothing():
@@ -92,6 +95,95 @@ def test_clear_resets_events_and_stack():
     tracer.clear()
     assert tracer.events == []
     assert tracer.open_spans == 0
+
+
+# ---- span runs -------------------------------------------------------------
+def _run_and_spans():
+    """The same timeline twice: with a run, and with one span per window."""
+    runs, spans = Tracer(), Tracer()
+    for tracer in (runs, spans):
+        tracer.begin("layer", "acc", 0)
+        tracer.instant("GB:fill", "gb", 0)
+    runs.span_run("PE:tile", "pe", 3, 5, 4, m=2, macs=8)
+    for start in (3, 8, 13, 18):
+        spans.span("PE:tile", "pe", start, start + 5, m=2, macs=8)
+    for tracer in (runs, spans):
+        tracer.span("DRAM:stall", "dram", 23, 25)
+        tracer.end(25)
+    return runs, spans
+
+
+def test_span_run_is_one_stored_record_in_place():
+    runs, spans = _run_and_spans()
+    stored = runs.to_wire()
+    assert [r["name"] for r in stored] == [
+        "GB:fill", "PE:tile", "DRAM:stall", "layer"
+    ]
+    assert stored[1] == {
+        "name": "PE:tile", "component": "pe", "start": 3, "period": 5,
+        "count": 4, "depth": 1, "args": {"m": 2, "macs": 8},
+    }
+    assert len(spans.to_wire()) == 7
+
+
+def test_span_run_expands_to_what_span_calls_leave():
+    runs, spans = _run_and_spans()
+    # exporters first: they write straight from the run
+    assert runs.to_chrome() == spans.to_chrome()
+    assert runs.to_jsonl() == spans.to_jsonl()
+    assert len(runs.to_wire()) == 4
+    assert runs.events == spans.events
+    assert [e.depth for e in runs.events if e.name == "PE:tile"] == [1] * 4
+    # reading events expanded the run once and for all
+    assert runs.events is runs.events
+    assert len(runs.to_wire()) == 7
+    assert runs.to_chrome() == spans.to_chrome()
+    # each expanded span owns its args
+    first, second = [e for e in runs.events if e.name == "PE:tile"][:2]
+    assert first.args == second.args and first.args is not second.args
+
+
+def test_span_run_after_events_were_read_expands_too():
+    tracer = Tracer()
+    tracer.span_run("a", "c", 0, 2, 2)
+    assert len(tracer.events) == 2
+    tracer.span_run("b", "c", 4, 0, 3)  # zero-length spans are legal
+    assert [(e.name, e.start, e.duration) for e in tracer.events] == [
+        ("a", 0, 2), ("a", 2, 2), ("b", 4, 0), ("b", 4, 0), ("b", 4, 0),
+    ]
+
+
+def test_span_run_of_zero_spans_records_nothing():
+    tracer = Tracer()
+    tracer.span_run("a", "c", 0, 5, 0)
+    assert tracer.to_wire() == [] and tracer.events == []
+    assert "thread_name" not in tracer.to_chrome()
+
+
+@pytest.mark.parametrize("period,count", [(-1, 3), (4, -1)])
+def test_span_run_rejects_negative_period_and_count(period, count):
+    tracer = Tracer()
+    with pytest.raises(SimulationError, match="period=.*count="):
+        tracer.span_run("bad", "c", 0, period, count)
+    assert tracer.events == []
+
+
+def test_extend_rebases_a_run_by_its_start():
+    runs, spans = _run_and_spans()
+    merged, reference = Tracer(), Tracer()
+    merged.extend(runs.to_wire(), offset=100)
+    reference.extend(spans.events, offset=100)
+    assert len(merged.to_wire()) == 4
+    assert merged.to_wire()[1]["start"] == 103
+    assert merged.events == reference.events
+    assert runs.to_wire()[1]["start"] == 3  # the source is untouched
+
+
+def test_clear_forgets_runs():
+    tracer = Tracer()
+    tracer.span_run("a", "c", 0, 2, 2)
+    tracer.clear()
+    assert tracer.events == [] and tracer.to_jsonl() == ""
 
 
 # ---- Chrome exporter -------------------------------------------------------
