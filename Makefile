@@ -4,7 +4,7 @@
 	sentinel-smoke telemetry-smoke lens-smoke \
 	sanitize-smoke differential differential-vector differential-sparse \
 	coverage \
-	bench-parallel lint typecheck all clean
+	lint typecheck all clean
 
 install:
 	pip install -e .
@@ -51,11 +51,13 @@ differential:
 	pytest tests/differential/ --jobs 4 -q
 
 # cycle-stepped reference vs closed-form vector engine, byte for byte;
-# one unfold per conv and `time_gemm(repeats=G)` vs their per-group forms
+# one unfold per conv and `time_gemm(repeats=G)` vs their per-group forms;
+# the walk's tally vs one counter write per tile
 differential-vector:
 	PYTHONPATH=src python -m pytest \
 		tests/differential/test_vector_equivalence.py \
 		tests/differential/test_functional_equivalence.py \
+		tests/differential/test_tile_tally_equivalence.py \
 		tests/unit/test_vector_golden.py -q
 
 # the sparse controller has one timing path: its oracle is the payload
@@ -73,10 +75,6 @@ coverage:
 		&& PYTHONPATH=src python -m pytest -q --cov=repro \
 			--cov-report=term --cov-report=xml --cov-fail-under=85 \
 		|| echo "pytest-cov not installed; skipping coverage (CI runs it)"
-
-# three-way full-model sweep; writes BENCH_parallel.json at the repo root
-bench-parallel:
-	PYTHONPATH=src python benchmarks/bench_parallel.py --jobs 4
 
 report:
 	python -m repro.experiments.report evaluation_report.md
@@ -101,6 +99,8 @@ sentinel-smoke:
 
 # short --telemetry --live model run piped through a non-TTY (so the
 # live renderer degrades to plain lines), then a sampled hotspot profile
+# under the per-tile walk and under the aggregate: at least 95 % of either
+# run's samples must land on a named component
 telemetry-smoke:
 	PYTHONPATH=src python -m repro.ui.cli model squeezenet --arch tpu \
 		--num-ms 16 --live --telemetry \
@@ -118,9 +118,16 @@ telemetry-smoke:
 			'/tmp/stonne-progress-smoke.jsonl').read_text().splitlines()]; \
 		assert events[0]['event'] == 'model_start'; \
 		assert events[-1]['event'] == 'model_end', events[-1]"
-	PYTHONPATH=src python -m repro.observability.insight hotspots \
-		--model squeezenet --arch tpu --num-ms 16 --repeat 2 \
-		--format json -o stonne-hotspots.json
+	for mode in cycle vector; do \
+		STONNE_ENGINE_MODE=$$mode PYTHONPATH=src \
+			python -m repro.observability.insight hotspots \
+			--model squeezenet --arch tpu --num-ms 16 --repeat 5 \
+			--format json -o stonne-hotspots.json || exit 1; \
+		python -c "import json; \
+			d = json.load(open('stonne-hotspots.json')); \
+			assert d['top_component'] is not None, d; \
+			assert d['attributed_fraction'] >= 0.95, d" || exit 1; \
+	done
 	@echo "telemetry smoke OK"
 
 # one model run with the stall and fabric lenses both on, into one

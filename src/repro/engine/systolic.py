@@ -23,19 +23,23 @@ One schedule, two accountings
 emission, DRAM, stall/fabric charging, the result — inside which only
 the *accounting step* depends on the engine mode:
 
-- the **per-tile walk** visits every tile, charging
-  :meth:`SystolicEngine._account_tile` and offering a metrics sample at
-  each tile boundary. It is the reference the differential suite
-  compares against and the only accounting that can serve a metrics
-  recorder (samples snapshot the *live* counter file, so the counters
-  must mutate tile by tile);
+- the **per-tile walk** visits every tile in execution order, placing
+  its span and *tallying* its shape, and offers a metrics sample at each
+  tile boundary. The tally is written to the counter file — one
+  :meth:`SystolicEngine._account_tile` call per tallied shape — where the
+  file can be observed: before every sample when a metrics recorder is
+  attached (samples snapshot the *live* counter file, so under a recorder
+  the counters still mutate tile by tile), and once after the last tile
+  otherwise. The walk is the explicit enumeration the differential suite
+  holds :func:`tile_classes` to, and the only accounting that can serve
+  a metrics recorder;
 - the **tile-class aggregate** uses the regularity of the schedule:
   along each axis a tile is either *full* (``dim`` wide) or the single
   *remainder* tile, so the grid partitions into at most four
   ``(shape, count)`` classes (:func:`tile_classes`) and every per-tile
   quantity — a function of the tile shape alone — is a count-weighted
   sum over them. That is SCALE-Sim's observation that systolic timing
-  follows from the layer dimensions, and it is ~6x faster on a 4x4 array.
+  follows from the layer dimensions; it never visits the grid.
 
 Why the two are byte-identical, per output:
 
@@ -43,11 +47,13 @@ Why the two are byte-identical, per output:
   tile shape, so the sum over tiles equals ``sum(count * tile_cycles)``
   over classes; both accountings call that one method, so the
   validation errors (``k < 1``, stream dimension ``< 1``) raise alike.
-- **counters, GB** — both accountings call ``_account_tile``, the walk
-  once per tile and the aggregate once per class with its ``count``.
-  Each amount is a product of tile extents, :class:`CounterSet` holds
-  plain ints and serializes sorted, so only per-name totals are
-  observable; zero increments are dropped either way.
+- **counters, GB** — both accountings make one call shape,
+  ``_account_tile(tm, tk, tn, count)``: the aggregate once per class, the
+  walk once per tallied shape (``count == 1`` per tile under a
+  recorder). Each amount is ``count`` times a product of tile extents,
+  which equals the per-tile sum by grouping in integer arithmetic;
+  :class:`CounterSet` holds plain ints, drops zero increments and
+  serializes sorted, so only per-name totals are observable.
 - **DRAM, stall and fabric ledgers** — charged once per GEMM by the
   shared epilogue from ``(m, k, n)`` and the tile classes, whichever
   accounting ran.
@@ -68,17 +74,21 @@ Why the two are byte-identical, per output:
   ``start`` advancing.
 
 ``tests/differential/test_vector_equivalence.py`` pins the equivalence
-over the model zoo and Hypothesis-drawn shapes, and
-``tests/unit/test_vector_golden.py`` pins hand-computed tables so a
-regression points at the formula. See ``docs/VECTOR_ENGINE.md``.
+over the model zoo and Hypothesis-drawn shapes,
+``tests/differential/test_tile_tally_equivalence.py`` holds the tally to
+one counter write per tile, and ``tests/unit/test_vector_golden.py`` pins
+hand-computed tables so a regression points at the formula. See
+``docs/VECTOR_ENGINE.md``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import os
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, List, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Tuple
 
 import numpy as np
 
@@ -294,7 +304,23 @@ class SystolicEngine(ClockedComponent):
         each group's spans in turn); under the walk they run one after
         another. Either way every span and metrics sample of a group
         lands after the groups before it.
+
+        The walk writes the counters of the tiles it has visited before
+        each metrics sample, or after the last tile when no recorder is
+        attached. Every dimension must be an integer (NumPy integers
+        included) — anything else raises :class:`ConfigurationError`
+        before a counter is touched.
         """
+        dims = {"m": m, "k": k, "n": n, "start": start, "repeats": repeats}
+        for name, value in dims.items():
+            try:
+                dims[name] = operator.index(value)
+            except TypeError:
+                raise ConfigurationError(
+                    f"time_gemm: {name} must be an integer, "
+                    f"got {name}={value!r}"
+                ) from None
+        m, k, n, start, repeats = dims.values()
         if min(m, k, n, repeats) < 1:
             raise ConfigurationError(
                 f"time_gemm: m, k, n and repeats must be >= 1, got m={m!r}, "
@@ -318,10 +344,16 @@ class SystolicEngine(ClockedComponent):
         scope = "engine.systolic" if walk else "engine.vector"
         with obs.profiler.phase("compute"), component_scope(scope):
             if walk:
+                # only a metrics sample can read the counter file between
+                # two tiles: tally the visited shapes and write them where
+                # one looks, or once the grid is walked
+                sampling = obs.metrics is not None
+                tally: Dict[Tuple[int, int, int], int] = defaultdict(int)
                 cycles = LAYER_SETUP_CYCLES
                 tiles = 0
                 macs = 0
-                for tm, tk, tn in self._tile_grid(m, k, n):
+                for shape in self._tile_grid(m, k, n):
+                    tm, tk, tn = shape
                     tile = self.tile_cycles(tm, tk, tn)
                     if tracer.enabled:
                         tracer.span(
@@ -332,8 +364,11 @@ class SystolicEngine(ClockedComponent):
                     cycles += tile
                     tiles += 1
                     macs += tm * tk * tn
-                    self._account_tile(tm, tk, tn)
-                    obs.sample(start + cycles)
+                    tally[shape] += 1
+                    if sampling:
+                        self._commit_tally(tally)
+                        obs.sample(start + cycles)
+                self._commit_tally(tally)
             else:
                 cycles, tiles, macs = self._account_tile_classes(classes)
                 cycles = LAYER_SETUP_CYCLES + cycles // repeats
@@ -440,6 +475,12 @@ class SystolicEngine(ClockedComponent):
         # GB feeds the array edges once per tile
         self.gb.record_reads((tm * k + k * tn) * count)
         self.gb.record_writes(tm * tn * count)
+
+    def _commit_tally(self, tally: Dict[Tuple[int, int, int], int]) -> None:
+        """Write the walk's tallied tiles to the counter file and clear."""
+        for (tm, tk, tn), count in tally.items():
+            self._account_tile(tm, tk, tn, count)
+        tally.clear()
 
     def _account_tile_classes(
         self, classes: _TileClasses

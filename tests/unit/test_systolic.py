@@ -5,7 +5,7 @@ import pytest
 
 from repro.config import tpu_like
 from repro.engine.accelerator import Accelerator
-from repro.engine.systolic import PIPE_OVERHEAD
+from repro.engine.systolic import ENGINE_MODE_ENV, PIPE_OVERHEAD
 from repro.errors import ConfigurationError, MappingError
 
 
@@ -116,6 +116,7 @@ class TestRunGemm:
 
 
 class TestTimeGemm:
+    @pytest.mark.parametrize("mode", ["cycle", "vector"])
     @pytest.mark.parametrize(
         "args, offender",
         [
@@ -123,11 +124,19 @@ class TestTimeGemm:
             ((4, -3, 4), "k=-3,"),
             ((4, 8, 0), "n=0,"),
             ((4, 8, 4, 0, 0), "repeats=0"),
+            # non-integers: float cycles in the payload under the aggregate,
+            # a bare TypeError from range() under the walk, if let through
+            ((8.0, 3, 5), "m must be an integer, got m=8.0"),
+            ((8, np.float32(8), 5), "k must be an integer"),
+            ((8, 3, 5.5), "n must be an integer, got n=5.5"),
+            ((8, 3, 5, "8"), "start must be an integer, got start='8'"),
+            ((8, 3, 5, 0, 2.0), "repeats must be an integer"),
         ],
     )
     def test_rejects_non_positive_before_touching_counters(
-        self, args, offender
+        self, monkeypatch, mode, args, offender
     ):
+        monkeypatch.setenv(ENGINE_MODE_ENV, mode)
         acc = Accelerator(tpu_like(num_pes=16))
         acc.systolic.time_gemm(3, 5, 2)  # a non-empty counter file
         before = [c.counters.as_dict() for c in acc.components]
@@ -136,6 +145,14 @@ class TestTimeGemm:
             acc.systolic.time_gemm(*args)
         assert [c.counters.as_dict() for c in acc.components] == before
         assert acc.systolic.current_cycle == clock
+
+    def test_numpy_integers_stay_accepted(self):
+        plain = _engine(16).time_gemm(8, 3, 5, 2, 2)
+        numpy = _engine(16).time_gemm(
+            np.int64(8), np.int32(3), np.uint8(5), np.int64(2), np.int16(2)
+        )
+        assert numpy == plain
+        assert type(numpy.cycles) is int and type(numpy.macs) is int
 
     def test_run_gemm_rejects_empty_operands_alike(self):
         engine = _engine(16)
