@@ -1,7 +1,7 @@
 # Convenience targets for the STONNE reproduction.
 
 .PHONY: install test bench report examples validate \
-	sentinel-smoke telemetry-smoke lens-smoke \
+	sentinel-smoke lens-smoke \
 	sanitize-smoke differential differential-vector differential-sparse \
 	coverage \
 	lint typecheck all clean
@@ -16,9 +16,10 @@ test:
 # ratchets against the committed baseline and writes the JSON report
 # that CI uploads as an artifact
 lint:
+	mkdir -p build
 	PYTHONPATH=src python -m repro.analysis.lint src/repro \
 		--baseline tests/regression/lint_baseline.json \
-		--format json --output stonne-lint.json > /dev/null
+		--format json --output build/stonne-lint.json > /dev/null
 	PYTHONPATH=src python -m repro.analysis.lint src/repro
 
 # dual-run perturbation harness: a reference simulation and one with an
@@ -26,9 +27,10 @@ lint:
 # produce byte-identical payloads (with per-window conservation checked
 # in flight), and the seeded order-dependence mutant must be caught
 sanitize-smoke:
+	mkdir -p build
 	PYTHONPATH=src python -m repro.analysis.sanitize \
 		--model squeezenet --arch tpu --num-ms 16 \
-		--out stonne-sanitize.json
+		--out build/stonne-sanitize.json
 	@PYTHONPATH=src python -m repro.analysis.sanitize \
 		--model squeezenet --arch tpu --num-ms 16 \
 		--mutant float-order \
@@ -97,39 +99,6 @@ sentinel-smoke:
 		report latest -o /tmp/stonne-insight-report.html
 	@echo "sentinel smoke OK"
 
-# short --telemetry --live model run piped through a non-TTY (so the
-# live renderer degrades to plain lines), then a sampled hotspot profile
-# under the per-tile walk and under the aggregate: at least 95 % of either
-# run's samples must land on a named component
-telemetry-smoke:
-	PYTHONPATH=src python -m repro.ui.cli model squeezenet --arch tpu \
-		--num-ms 16 --live --telemetry \
-		--telemetry-out /tmp/stonne-telemetry-smoke.prom \
-		--progress-jsonl /tmp/stonne-progress-smoke.jsonl \
-		--no-registry 2>&1 | cat
-	PYTHONPATH=src python -c "import pathlib; \
-		from repro.observability.telemetry import parse_prometheus; \
-		families = parse_prometheus(pathlib.Path( \
-			'/tmp/stonne-telemetry-smoke.prom').read_text()); \
-		assert 'stonne_stage_seconds' in families, sorted(families); \
-		assert 'stonne_pool_tasks_total' in families, sorted(families)"
-	PYTHONPATH=src python -c "import json, pathlib; \
-		events = [json.loads(l) for l in pathlib.Path( \
-			'/tmp/stonne-progress-smoke.jsonl').read_text().splitlines()]; \
-		assert events[0]['event'] == 'model_start'; \
-		assert events[-1]['event'] == 'model_end', events[-1]"
-	for mode in cycle vector; do \
-		STONNE_ENGINE_MODE=$$mode PYTHONPATH=src \
-			python -m repro.observability.insight hotspots \
-			--model squeezenet --arch tpu --num-ms 16 --repeat 5 \
-			--format json -o stonne-hotspots.json || exit 1; \
-		python -c "import json; \
-			d = json.load(open('stonne-hotspots.json')); \
-			assert d['top_component'] is not None, d; \
-			assert d['attributed_fraction'] >= 0.95, d" || exit 1; \
-	done
-	@echo "telemetry smoke OK"
-
 # one model run with the stall and fabric lenses both on, into one
 # scratch registry; then `insight explain` re-validates the conservation
 # invariant and `insight fabric` the per-level consistency invariant
@@ -137,10 +106,16 @@ telemetry-smoke:
 # report HTML that CI uploads as artifacts from build/lens-smoke/. The
 # same invocation then runs again on the now-warm `--cache`: it must
 # simulate nothing and its replayed ledgers must give the same explain /
-# fabric documents. Last, the trace lens: the same model traced under the
+# fabric documents. Then the trace lens: the same model traced under the
 # per-tile walk and under the tile-class aggregate must export the same
 # Chrome trace byte for byte (bar the header's wall-clock timestamp), and
-# a tiny traced + sampled conv has both of its exports validated
+# a tiny traced + sampled conv has both of its exports validated. Last, the
+# host-side lenses: a --telemetry --live --profile model run with stderr
+# in a file (so the live renderer degrades to plain lines) must export the
+# stage and pool metric families, a model_start..model_end progress
+# stream and one --profile row per layer plus the stage line; and a
+# sampled hotspot profile under the per-tile walk and under the aggregate
+# must land at least 95 % of either run's samples on a named component
 LENS_OUT = build/lens-smoke
 LENS_CLI = PYTHONPATH=src python -m repro.ui.cli
 LENS_RUN = $(LENS_CLI) model squeezenet \
@@ -209,8 +184,45 @@ lens-smoke:
 		--expect "layer:" --expect "DN:" --expect "MN:" --expect "RN:"
 	$(LENS_VALIDATE) /tmp/stonne-metrics-smoke.json \
 		--expect gb_reads --expect mn_multiplications
+	$(LENS_CLI) model squeezenet --arch tpu --num-ms 16 \
+		--live --telemetry --profile \
+		--telemetry-out /tmp/stonne-telemetry-smoke.prom \
+		--progress-jsonl /tmp/stonne-progress-smoke.jsonl \
+		--no-registry 2> $(LENS_OUT)/stonne-profile.txt > /dev/null
+	cat $(LENS_OUT)/stonne-profile.txt
+	PYTHONPATH=src python -c "import pathlib; \
+		from repro.observability.telemetry import parse_prometheus; \
+		families = parse_prometheus(pathlib.Path( \
+			'/tmp/stonne-telemetry-smoke.prom').read_text()); \
+		assert 'stonne_stage_seconds' in families, sorted(families); \
+		assert 'stonne_pool_tasks_total' in families, sorted(families)"
+	PYTHONPATH=src python -c "import json, pathlib; \
+		events = [json.loads(l) for l in pathlib.Path( \
+			'/tmp/stonne-progress-smoke.jsonl').read_text().splitlines()]; \
+		assert events[0]['event'] == 'model_start'; \
+		assert events[-1]['event'] == 'model_end', events[-1]"
+	PYTHONPATH=src python -c "import pathlib, re; \
+		err = pathlib.Path('$(LENS_OUT)/stonne-profile.txt').read_text(); \
+		layers = int(re.search(r'run: (\d+) layers', err).group(1)); \
+		rows = re.findall(r'^\d+-\S+ +\w+ +\d+ +[\d.]+ +simulated$$', \
+			err, re.M); \
+		assert layers and len(rows) == layers, (layers, rows); \
+		assert re.search(r'^total .* ms wall clock$$', err, re.M), err; \
+		assert re.search(r'^stages: record .*, simulate .*, merge ', \
+			err, re.M), err"
+	for mode in cycle vector; do \
+		STONNE_ENGINE_MODE=$$mode PYTHONPATH=src \
+			python -m repro.observability.insight hotspots \
+			--model squeezenet --arch tpu --num-ms 16 --repeat 5 \
+			--format json -o $(LENS_OUT)/stonne-hotspots.json || exit 1; \
+		python -c "import json; \
+			d = json.load(open('$(LENS_OUT)/stonne-hotspots.json')); \
+			assert d['top_component'] is not None, d; \
+			assert d['attributed_fraction'] >= 0.95, d" || exit 1; \
+	done
 	@echo "lens smoke OK (warm attributed rerun: 0 simulated, same ledgers;" \
-		"cycle and vector traces byte-identical)"
+		"cycle and vector traces byte-identical; one --profile row per" \
+		"layer; hotspots attributed under both engine modes)"
 
 examples:
 	@for script in examples/*.py; do \

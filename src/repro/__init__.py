@@ -49,7 +49,7 @@ from repro.errors import (
     SimulationError,
     StonneError,
 )
-from repro.observability import MetricsRecorder, Observability, Profiler, Tracer
+from repro.observability import MetricsRecorder, Observability, Tracer
 from repro.version import __version__
 
 __all__ = [
@@ -63,7 +63,6 @@ __all__ = [
     "MappingError",
     "MetricsRecorder",
     "Observability",
-    "Profiler",
     "SimulationError",
     "SimulationReport",
     "StonneError",

@@ -38,8 +38,9 @@ CYCLE_LEVEL_PACKAGES = ("repro.engine", "repro.noc", "repro.memory")
 ORDER_SENSITIVE_PACKAGES = CYCLE_LEVEL_PACKAGES + ("repro.parallel",)
 
 #: provenance/observability code legitimately reads wall clocks
-#: (timestamps on reports, host-side telemetry instruments and the
-#: sampling hotspot profiler) and is whitelisted for DET-CLOCK; the
+#: (timestamps on reports, the per-layer host-time window, host-side
+#: telemetry instruments and the sampling hotspot profiler) and is
+#: whitelisted for DET-CLOCK; the
 #: telemetry subpackage is named explicitly so the whitelist survives
 #: even if the parent entry is ever narrowed
 CLOCK_WHITELISTED_PACKAGES = (

@@ -240,7 +240,8 @@ class StonneInstance:
 
     @property
     def observability(self) -> Observability:
-        """The instance's observability context (tracer/metrics/profiler)."""
+        """The instance's observability context (tracer, metrics, ledgers,
+        per-layer host time)."""
         return self.accelerator.obs
 
     @staticmethod

@@ -323,8 +323,13 @@ def save_config(config: HardwareConfig, path: Union[str, Path]) -> None:
         "row_buffer_bytes": str(config.dram.row_buffer_bytes),
         "row_hit_latency_cycles": str(config.dram.row_hit_latency_cycles),
     }
-    with open(path, "w", encoding="utf-8") as handle:
-        parser.write(handle)
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            parser.write(handle)
+    except OSError as exc:
+        raise ConfigurationError(
+            f"cannot write configuration file {path}: {exc}"
+        ) from exc
 
 
 def _enum_by_value(enum_cls, value: str, what: str):

@@ -199,10 +199,9 @@ class OperationFrontEnd:
             weights, activations, stride=stride, padding=padding,
             groups=groups, name=name,
         )
-        with self.obs.profiler.phase("functional"):
-            output, _ = conv_functional(
-                weights, activations, stride, padding, groups, layer
-            )
+        output, _ = conv_functional(
+            weights, activations, stride, padding, groups, layer
+        )
         self._offload(
             "conv", name,
             {"stride": stride, "padding": padding, "groups": groups,
@@ -227,8 +226,7 @@ class OperationFrontEnd:
             )
         # the returned output is always the functional product, whatever
         # engine times the layer — outputs are identical across engines
-        with self.obs.profiler.phase("functional"):
-            output = gemm_functional(a, b)
+        output = gemm_functional(a, b)
         self._offload("gemm", name, {"tile": tile}, {"weights": a, "inputs": b})
         return output
 
@@ -260,8 +258,7 @@ class OperationFrontEnd:
             raise ConfigurationError(
                 f"incompatible SpMM operands {dense_a.shape} @ {b.shape}"
             )
-        with self.obs.profiler.phase("functional"):
-            output = gemm_functional(dense_a.astype(np.float32, copy=False), b)
+        output = gemm_functional(dense_a.astype(np.float32, copy=False), b)
         self._offload(
             "spmm", name,
             {"round_builder": round_builder,
@@ -286,8 +283,7 @@ class OperationFrontEnd:
         if stride is None:
             stride = pool
         activations = np.asarray(activations, dtype=np.float32)
-        with self.obs.profiler.phase("functional"):
-            output, _ = maxpool_functional(activations, pool, stride)
+        output, _ = maxpool_functional(activations, pool, stride)
         self._offload(
             "maxpool", name, {"pool": pool, "stride": stride},
             {"inputs": activations},
@@ -409,7 +405,7 @@ class Accelerator(OperationFrontEnd):
                 cycles=cycles, macs=macs,
                 utilization=round(utilization, 6),
             )
-        self.obs.end_layer(cycles)
+        self.obs.end_layer(cycles, name, kind)
         if self.obs.metrics is not None:
             extra["metrics"] = [
                 {
@@ -509,8 +505,7 @@ class Accelerator(OperationFrontEnd):
             )
             return (sparse.cycles, sparse.effective_macs, layer.num_outputs,
                     sparse.multiplier_utilization, {})
-        with self.obs.profiler.phase("map"):
-            chosen = self.mapper.tile_for_conv(layer, params["tile"])
+        chosen = self.mapper.tile_for_conv(layer, params["tile"])
         dense = self.dense_controller.run_conv(layer, chosen)
         return (dense.cycles, dense.macs, layer.num_outputs,
                 dense.multiplier_utilization, {})
@@ -528,8 +523,7 @@ class Accelerator(OperationFrontEnd):
             return (sparse.cycles, sparse.effective_macs, gemm.num_outputs,
                     sparse.multiplier_utilization, {})
         else:
-            with self.obs.profiler.phase("map"):
-                chosen = self.mapper.tile_for_gemm(gemm, workload.params["tile"])
+            chosen = self.mapper.tile_for_gemm(gemm, workload.params["tile"])
             result = self.dense_controller.run_gemm(gemm, chosen)
         return (result.cycles, result.macs, gemm.num_outputs,
                 result.multiplier_utilization, {})

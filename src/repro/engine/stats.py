@@ -23,6 +23,7 @@ from typing import Dict, List, Optional, Union
 from repro.config.hardware import HardwareConfig
 from repro.engine.area import AreaBreakdown, area_report
 from repro.engine.energy import EnergyBreakdown, EnergyTable, energy_report
+from repro.errors import ConfigurationError
 from repro.noc.base import CounterSet
 from repro.observability.provenance import run_metadata
 
@@ -343,12 +344,21 @@ class SimulationReport:
 def parse_counter_file(text: str) -> CounterSet:
     """Read a counter file back into a :class:`CounterSet` (round-trip)."""
     counters = CounterSet()
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         key, _, value = line.partition("=")
+        try:
+            count = int(value)
+        except ValueError:
+            count = -1
+        if count < 0:
+            raise ConfigurationError(
+                f"counter file line {number}: expected 'component.event = "
+                f"<count>' with a non-negative integer count, got {line!r}"
+            )
         component, sep, event = key.strip().partition(".")
         name = f"{component}_{event}" if sep else component
-        counters.add(name, int(value.strip()))
+        counters.add(name, count)
     return counters

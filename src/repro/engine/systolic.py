@@ -342,7 +342,7 @@ class SystolicEngine(ClockedComponent):
                 (tm, tk, tn, count * repeats) for tm, tk, tn, count in classes
             ]
         scope = "engine.systolic" if walk else "engine.vector"
-        with obs.profiler.phase("compute"), component_scope(scope):
+        with component_scope(scope):
             if walk:
                 # only a metrics sample can read the counter file between
                 # two tiles: tally the visited shapes and write them where
@@ -375,19 +375,18 @@ class SystolicEngine(ClockedComponent):
                 tiles //= repeats
                 macs //= repeats
 
-        with obs.profiler.phase("drain"):
-            for _ in range(repeats):
-                if tracer.enabled and not walk:
-                    self._trace_tile_runs(tracer, origin, m, k, n)
-                dram_stall = self._account_dram(m, k, n, cycles)
-                if tracer.enabled and dram_stall:
-                    tracer.span(
-                        "DRAM:stall", self.dram.name, origin + cycles,
-                        origin + cycles + dram_stall,
-                    )
-                origin += cycles + dram_stall
-            cycles += dram_stall
-            obs.sample(start + cycles)
+        for _ in range(repeats):
+            if tracer.enabled and not walk:
+                self._trace_tile_runs(tracer, origin, m, k, n)
+            dram_stall = self._account_dram(m, k, n, cycles)
+            if tracer.enabled and dram_stall:
+                tracer.span(
+                    "DRAM:stall", self.dram.name, origin + cycles,
+                    origin + cycles + dram_stall,
+                )
+            origin += cycles + dram_stall
+        cycles += dram_stall
+        obs.sample(start + cycles)
         ledger = obs.stalls
         if ledger is not None:
             self._charge_stalls(ledger, classes, dram_stall * repeats)

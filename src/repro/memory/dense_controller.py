@@ -51,7 +51,7 @@ One timing path
 ``engine_mode``. A layer is at most four steady-phase segments of
 identical steps plus the stationary weight loads
 (:meth:`DenseController._plan`), and each segment is fast-forwarded
-through the live DN queue (``enqueue`` → ``_scale_last_delivery`` →
+through the live DN queue (``enqueue(..., times=repeats)`` →
 ``skip_cycles``). That sequencing is already closed-form:
 
 - **DN queue** — within one segment ``slots * repeats`` bandwidth slots
@@ -197,9 +197,7 @@ class DenseController(ClockedComponent):
     # ------------------------------------------------------------------
     def _run(self, layer: ConvLayerSpec, tile: TileConfig) -> DenseRunResult:
         obs = self.obs
-        prof = obs.profiler
-        with prof.phase("map"):
-            plan = self._plan(layer, tile)
+        plan = self._plan(layer, tile)
         cs = tile.cluster_size
         nc = tile.num_clusters
 
@@ -210,7 +208,7 @@ class DenseController(ClockedComponent):
         if tracer.enabled:
             tracer.span("CTRL:setup", self.name, base, base + cycles)
 
-        with prof.phase("distribute"), component_scope("noc.distribution"):
+        with component_scope("noc.distribution"):
             load_cycles = self._account_weight_loads(plan)
         if tracer.enabled and load_cycles:
             tracer.span(
@@ -222,7 +220,7 @@ class DenseController(ClockedComponent):
         obs.sample(cycles)
 
         stall_cycles = 0
-        with prof.phase("compute"), component_scope("engine"):
+        with component_scope("engine"):
             for cost, repeats, step_cycles in plan.segments:
                 segment = step_cycles * repeats
                 stall = (step_cycles - 1) * repeats
@@ -248,25 +246,24 @@ class DenseController(ClockedComponent):
                 stall_cycles += stall
                 obs.sample(cycles)
 
-        with prof.phase("drain"):
-            # Pipeline fill/drain: one DN traversal, the multiply stage and
-            # the deepest reduction still in flight at the end of the run.
-            drain = self.dn.pipeline_latency + 1 + self.rn.reduction_latency(cs)
-            if tracer.enabled:
-                tracer.span(
-                    "CTRL:pipeline-drain", self.name, base + cycles,
-                    base + cycles + drain,
-                )
-            cycles += drain
+        # Pipeline fill/drain: one DN traversal, the multiply stage and
+        # the deepest reduction still in flight at the end of the run.
+        drain = self.dn.pipeline_latency + 1 + self.rn.reduction_latency(cs)
+        if tracer.enabled:
+            tracer.span(
+                "CTRL:pipeline-drain", self.name, base + cycles,
+                base + cycles + drain,
+            )
+        cycles += drain
 
-            dram_stall = self._account_dram(layer, cycles)
-            if tracer.enabled and dram_stall:
-                tracer.span(
-                    "DRAM:stall", self.dram.name, base + cycles,
-                    base + cycles + dram_stall,
-                )
-            cycles += dram_stall
-            obs.sample(cycles)
+        dram_stall = self._account_dram(layer, cycles)
+        if tracer.enabled and dram_stall:
+            tracer.span(
+                "DRAM:stall", self.dram.name, base + cycles,
+                base + cycles + dram_stall,
+            )
+        cycles += dram_stall
+        obs.sample(cycles)
 
         ledger = obs.stalls
         if ledger is not None:
@@ -399,23 +396,10 @@ class DenseController(ClockedComponent):
         loads = plan.weight_loads
         if loads <= 0:
             return 0
-        self.dn.enqueue(plan.w_unique, plan.w_dests)
-        self._scale_last_delivery(plan.w_unique, plan.w_dests, loads - 1)
+        self.dn.enqueue(plan.w_unique, plan.w_dests, times=loads)
         self.dn.skip_cycles(plan.w_cycles * loads)
         self.gb.record_reads(plan.w_unique * loads)
         return plan.w_cycles * loads
-
-    def _scale_last_delivery(self, unique: int, destinations: int, extra: int) -> None:
-        """Replicate the activity of one recorded delivery ``extra`` times."""
-        if extra <= 0:
-            return
-        switches = self.dn._switch_traversals(unique, destinations)
-        wires = self.dn._wire_traversals(unique, destinations)
-        self.dn.counters.add("dn_switch_traversals", switches * extra)
-        self.dn.counters.add("dn_wire_traversals", wires * extra)
-        self.dn.counters.add("dn_elements_sent", unique * extra)
-        self.dn.record_fabric_traversals(unique, destinations, times=extra)
-        self.dn._pending_slots += self.dn._bandwidth_slots(unique, destinations) * extra
 
     def _step_cost(
         self,
@@ -484,9 +468,8 @@ class DenseController(ClockedComponent):
         self, cost: _StepCost, cs: int, nc: int, repeats: int, step_cycles: int
     ) -> None:
         """Record the activity of ``repeats`` identical steps."""
-        self.dn.enqueue(max(cost.dn_slots, 1), max(cost.destinations, 1))
-        self._scale_last_delivery(
-            max(cost.dn_slots, 1), max(cost.destinations, 1), repeats - 1
+        self.dn.enqueue(
+            max(cost.dn_slots, 1), max(cost.destinations, 1), times=repeats
         )
         self.dn.skip_cycles(step_cycles * repeats)
         self.gb.record_reads((cost.unique_values + cost.weight_unique) * repeats)
@@ -499,7 +482,7 @@ class DenseController(ClockedComponent):
         self.mn.record_multiplications(cs * nc * repeats)
         if cost.forwarded:
             self.mn.record_forwarding(cost.forwarded * repeats)
-        with self.obs.profiler.phase("reduce"), component_scope("noc.reduction"):
+        with component_scope("noc.reduction"):
             self.rn.record_cluster_reductions(cs, repeats * nc)
             if cost.psum_writebacks:
                 self.mn.record_psum_injections(nc * repeats)

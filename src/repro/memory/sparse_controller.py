@@ -285,17 +285,16 @@ class SparseController(ClockedComponent):
                     f"with n_cols={n_cols}"
                 )
         obs = self.obs
-        with obs.profiler.phase("map"):
-            csr = self._as_csr(stationary)
-            if streaming is not None and streaming.shape[0] != csr.shape[1]:
-                raise MappingError(
-                    f"streaming operand has {streaming.shape[0]} rows but the "
-                    f"stationary K dimension is {csr.shape[1]}"
-                )
-            row_nnz = csr.row_nnz()
-            builder = round_builder or natural_order_rounds
-            plan = self._plan_rounds(csr, builder(row_nnz, self.mn.num_ms))
-            num_rounds = len(plan.nnz)
+        csr = self._as_csr(stationary)
+        if streaming is not None and streaming.shape[0] != csr.shape[1]:
+            raise MappingError(
+                f"streaming operand has {streaming.shape[0]} rows but the "
+                f"stationary K dimension is {csr.shape[1]}"
+            )
+        row_nnz = csr.row_nnz()
+        builder = round_builder or natural_order_rounds
+        plan = self._plan_rounds(csr, builder(row_nnz, self.mn.num_ms))
+        num_rounds = len(plan.nnz)
 
         m_rows, k_dim = csr.shape
         dense_macs = m_rows * k_dim * n_cols
@@ -348,30 +347,29 @@ class SparseController(ClockedComponent):
             mapped_nnz_total += stats.nnz
             obs.sample(cycles)
 
-        with obs.profiler.phase("drain"):
-            # final pipeline drain of the deepest in-flight reduction
-            if num_rounds:
-                drain = (self.dn.pipeline_latency + 1
-                         + self.rn.reduction_latency(plan.max_cluster))
-                if tracer.enabled:
-                    tracer.span(
-                        "CTRL:pipeline-drain", self.name, base + cycles,
-                        base + cycles + drain,
-                    )
-                cycles += drain
-                if ledger is not None:
-                    ledger.charge("controller", "pipeline_drain", drain)
-
-            dram_stall = self._account_dram(csr, n_cols, cycles)
-            if tracer.enabled and dram_stall:
+        # final pipeline drain of the deepest in-flight reduction
+        if num_rounds:
+            drain = (self.dn.pipeline_latency + 1
+                     + self.rn.reduction_latency(plan.max_cluster))
+            if tracer.enabled:
                 tracer.span(
-                    "DRAM:stall", self.dram.name, base + cycles,
-                    base + cycles + dram_stall,
+                    "CTRL:pipeline-drain", self.name, base + cycles,
+                    base + cycles + drain,
                 )
-            cycles += dram_stall
+            cycles += drain
             if ledger is not None:
-                ledger.charge("controller", "dram_stall", dram_stall)
-            obs.sample(cycles)
+                ledger.charge("controller", "pipeline_drain", drain)
+
+        dram_stall = self._account_dram(csr, n_cols, cycles)
+        if tracer.enabled and dram_stall:
+            tracer.span(
+                "DRAM:stall", self.dram.name, base + cycles,
+                base + cycles + dram_stall,
+            )
+        cycles += dram_stall
+        if ledger is not None:
+            ledger.charge("controller", "dram_stall", dram_stall)
+        obs.sample(cycles)
 
         mapping_util = (
             mapped_nnz_total / (self.mn.num_ms * num_rounds) if num_rounds else 0.0
@@ -412,7 +410,7 @@ class SparseController(ClockedComponent):
         resumed = plan.resumed[index]
 
         # stationary load of the round's weights (plus compressed metadata)
-        with obs.profiler.phase("distribute"), component_scope("noc.distribution"):
+        with component_scope("noc.distribution"):
             load_cycles = self.dn.record_delivery(nnz, nnz)
             self.gb.record_reads(nnz)
             self.counters.add("ctrl_stationary_loads", nnz)
@@ -424,7 +422,7 @@ class SparseController(ClockedComponent):
         clock += load_cycles
 
         # column streaming
-        with obs.profiler.phase("compute"), component_scope("engine"):
+        with component_scope("engine"):
             drain = self.rn.output_cycles(rows)
             dual_sided = b_mask is not None and unique > 0
             if dual_sided:
@@ -457,8 +455,7 @@ class SparseController(ClockedComponent):
                 self.rn.record_accumulations(merge_reads)
 
             # batched activity for all column steps of the round
-            self.dn.enqueue(max(slots, 1), max(slots, 1))
-            self._scale_delivery(max(slots, 1), n_cols - 1)
+            self.dn.enqueue(max(slots, 1), max(slots, 1), times=n_cols)
             self.dn.skip_cycles(stream_cycles)
             self.gb.record_reads(unique * n_cols)
             if b_mask is not None:
@@ -466,7 +463,7 @@ class SparseController(ClockedComponent):
             else:
                 round_mults = nnz * n_cols
             self.mn.record_multiplications(round_mults)
-        with obs.profiler.phase("reduce"), component_scope("noc.reduction"):
+        with component_scope("noc.reduction"):
             for size in cluster_sizes:
                 self.rn.record_cluster_reductions(int(size), n_cols)
             self.rn.record_outputs(rows * n_cols)
@@ -560,17 +557,6 @@ class SparseController(ClockedComponent):
             cycles=total,
             utilization=nnz / self.mn.num_ms,
         )
-
-    def _scale_delivery(self, slots: int, extra: int) -> None:
-        if extra <= 0:
-            return
-        switches = self.dn._switch_traversals(slots, slots)
-        wires = self.dn._wire_traversals(slots, slots)
-        self.dn.counters.add("dn_switch_traversals", switches * extra)
-        self.dn.counters.add("dn_wire_traversals", wires * extra)
-        self.dn.counters.add("dn_elements_sent", slots * extra)
-        self.dn.record_fabric_traversals(slots, slots, times=extra)
-        self.dn._pending_slots += self.dn._bandwidth_slots(slots, slots) * extra
 
     # ------------------------------------------------------------------
     def _as_csr(self, matrix) -> CsrMatrix:

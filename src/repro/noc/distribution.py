@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, List
 if TYPE_CHECKING:
     from repro.config.hardware import DistributionKind
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.noc.base import ClockedComponent
 
 
@@ -100,13 +100,8 @@ class DistributionNetwork(ClockedComponent):
     def record_fabric_traversals(
         self, unique_values: int, destinations: int, times: int = 1
     ) -> None:
-        """Charge ``times`` deliveries' spatial split to the fabric ledger.
-
-        :meth:`enqueue` calls this once per delivery; the dense
-        controller's repeat scaling (weight loads, steady-phase segments)
-        calls it with the same (unique, destinations) arguments and the
-        repeat count.
-        """
+        """Charge ``times`` deliveries' spatial split to the fabric ledger
+        (:meth:`enqueue` calls this with its repeat count)."""
         fabric = self.obs.fabric
         if fabric is None:
             return
@@ -119,15 +114,22 @@ class DistributionNetwork(ClockedComponent):
         )
 
     # ---- queue/cycle protocol ----------------------------------------
-    def enqueue(self, unique_values: int, destinations: int) -> None:
-        """Queue a delivery of ``unique_values`` distinct elements that
-        together reach ``destinations`` multiplier switches."""
+    def enqueue(
+        self, unique_values: int, destinations: int, times: int = 1
+    ) -> None:
+        """Queue ``times`` identical deliveries of ``unique_values``
+        distinct elements that together reach ``destinations`` multiplier
+        switches (the controllers batch a plan segment's repeats)."""
         self._validate(unique_values, destinations)
-        self._pending_slots += self._bandwidth_slots(unique_values, destinations)
-        self.counters.add("dn_switch_traversals", self._switch_traversals(unique_values, destinations))
-        self.counters.add("dn_wire_traversals", self._wire_traversals(unique_values, destinations))
-        self.counters.add("dn_elements_sent", unique_values)
-        self.record_fabric_traversals(unique_values, destinations)
+        if times < 1:
+            raise SimulationError(
+                f"a delivery is queued at least once, got times={times}"
+            )
+        self._pending_slots += self._bandwidth_slots(unique_values, destinations) * times
+        self.counters.add("dn_switch_traversals", self._switch_traversals(unique_values, destinations) * times)
+        self.counters.add("dn_wire_traversals", self._wire_traversals(unique_values, destinations) * times)
+        self.counters.add("dn_elements_sent", unique_values * times)
+        self.record_fabric_traversals(unique_values, destinations, times=times)
 
     @property
     def pending_slots(self) -> int:

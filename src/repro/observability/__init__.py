@@ -1,15 +1,17 @@
-"""Observability: tracing, metrics time-series and profiling hooks.
+"""Observability: tracing, metrics time-series and per-layer host time.
 
-Three coordinated instruments over one simulation:
+Coordinated instruments over one simulation:
 
 - :mod:`repro.observability.tracer` — span/instant/counter events on the
   simulated-cycle timeline, exported as Chrome ``trace_event`` JSON
   (``chrome://tracing`` / Perfetto) or JSONL;
 - :mod:`repro.observability.metrics` — periodic sampling of activity
   counters into a ring-buffered time series (CSV / JSON);
-- :mod:`repro.observability.profiler` — wall-clock phase timers over the
-  simulator itself (``map`` / ``distribute`` / ``compute`` / ``reduce``
-  / ``drain``);
+- the per-layer host-time record (:attr:`Observability.host_time`): one
+  :class:`LayerHostTime` per layer of the report — host wall seconds and
+  how the layer was obtained — read by the layer window on the serial
+  path and by the per-task clock under the parallel runner, so
+  ``--profile`` prints the same rows on every execution path;
 
 plus :mod:`repro.observability.stalls` (cycle-exact stall attribution:
 every simulated cycle of every component classified into a closed
@@ -30,17 +32,23 @@ Usage::
     from repro import Accelerator, maeri_like
     from repro.observability import Observability
 
-    obs = Observability.create(trace=True, metrics_every=64, profile=True)
+    obs = Observability.create(trace=True, metrics_every=64)
     acc = Accelerator(maeri_like(num_ms=64, bandwidth=16), observability=obs)
     acc.run_gemm(a, b)
     obs.tracer.to_chrome("trace.json")     # load in chrome://tracing
     obs.metrics.to_csv("metrics.csv")
-    print(obs.profiler.format_summary())
+    for row in obs.host_time:              # host seconds per layer
+        print(row.name, row.cycles, row.seconds, row.mode)
 
 See ``docs/OBSERVABILITY.md`` for the full workflow.
 """
 
-from repro.observability.context import DISABLED, TRACE_COUNTER_SERIES, Observability
+from repro.observability.context import (
+    DISABLED,
+    TRACE_COUNTER_SERIES,
+    LayerHostTime,
+    Observability,
+)
 from repro.observability.fabric import (
     FABRIC_COUNTERS,
     FABRIC_TIERS,
@@ -58,7 +66,6 @@ from repro.observability.metrics import (
     MetricsSample,
     utilization_series,
 )
-from repro.observability.profiler import NULL_PROFILER, NullProfiler, Profiler
 from repro.observability.provenance import config_hash, run_metadata
 from repro.observability.registry import (
     RunRecord,
@@ -103,14 +110,12 @@ __all__ = [
     "HEADLINE_COUNTERS",
     "HotspotReport",
     "HotspotSampler",
+    "LayerHostTime",
     "MetricsRecorder",
     "MetricsSample",
-    "NULL_PROFILER",
     "NULL_TRACER",
-    "NullProfiler",
     "NullTracer",
     "Observability",
-    "Profiler",
     "ProgressEmitter",
     "RunRecord",
     "RunRegistry",

@@ -1,22 +1,29 @@
 """The per-accelerator observability context.
 
-One :class:`Observability` object bundles the three instruments —
+One :class:`Observability` object bundles the instruments —
 :class:`~repro.observability.tracer.Tracer` (simulated-cycle events),
 :class:`~repro.observability.metrics.MetricsRecorder` (counter time
-series) and :class:`~repro.observability.profiler.Profiler` (simulator
-wall-clock) — and owns the piece of state they share: the absolute cycle
-``base`` of the layer currently executing. Engine components emit with
-layer-relative cycles (the only clock they know); the context translates
-to the absolute timeline the exporters use.
+series), the stall and fabric ledgers — and owns the piece of state they
+share: the absolute cycle ``base`` of the layer currently executing.
+Engine components emit with layer-relative cycles (the only clock they
+know); the context translates to the absolute timeline the exporters
+use.
 
-The default-constructed context is fully disabled: the null tracer and
-profiler singletons plus no metrics recorder, so instrumented code paths
+The layer window is also where host time is read: :meth:`start_layer`
+and :meth:`end_layer` bracket every simulated layer on every path, so
+the context keeps one :class:`LayerHostTime` per layer (``--profile``
+prints them). This package is the DET-CLOCK-whitelisted one; the
+engine, NoC and memory packages never read a wall clock.
+
+The default-constructed context is fully disabled: the null tracer
+singleton plus no metrics recorder or ledger, so instrumented code paths
 cost one attribute lookup and a branch.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+import time
+from typing import Callable, List, NamedTuple, Optional
 
 from repro.noc.base import CounterSet
 from repro.observability.metrics import (
@@ -25,7 +32,6 @@ from repro.observability.metrics import (
     MetricsSample,
 )
 from repro.observability.fabric import FabricLedger
-from repro.observability.profiler import NULL_PROFILER, NullProfiler, Profiler
 from repro.observability.stalls import StallLedger
 from repro.observability.tracer import NULL_TRACER, NullTracer, Tracer
 
@@ -34,20 +40,31 @@ from repro.observability.tracer import NULL_TRACER, NullTracer, Tracer
 TRACE_COUNTER_SERIES = HEADLINE_COUNTERS
 
 
+class LayerHostTime(NamedTuple):
+    """What one layer of the report cost the host."""
+
+    name: str
+    kind: str
+    cycles: int
+    #: wall seconds of the layer's simulation; ``None`` when nothing was
+    #: simulated for it (cache hit, deduplicated shape)
+    seconds: Optional[float]
+    #: ``simulated`` | ``cached`` | ``deduplicated`` | ``fallback``
+    mode: str
+
+
 class Observability:
-    """Tracer + metrics + profiler wired to one accelerator instance."""
+    """Tracer + metrics + ledgers wired to one accelerator instance."""
 
     def __init__(
         self,
         tracer: Optional[NullTracer] = None,
         metrics: Optional[MetricsRecorder] = None,
-        profiler: Optional[NullProfiler] = None,
         stalls: Optional[StallLedger] = None,
         fabric: Optional[FabricLedger] = None,
     ) -> None:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics
-        self.profiler = profiler if profiler is not None else NULL_PROFILER
         #: stall-attribution ledger; ``None`` keeps every charging site a
         #: single attribute test (attribution is off by default)
         self.stalls = stalls
@@ -56,18 +73,21 @@ class Observability:
         self.fabric = fabric
         #: absolute cycle at which the current layer started
         self.base = 0
+        #: one entry per layer, in report order: appended by
+        #: :meth:`end_layer`, or by the parallel runner's merge with the
+        #: seconds the layer's simulation task reported
+        self.host_time: List[LayerHostTime] = []
+        self._layer_started = 0.0
         self._snapshot: Optional[Callable[[], CounterSet]] = None
         self._emitted_at_layer_start = 0
 
     @classmethod
     def create(cls, trace: bool = False, metrics_every: int = 0,
-               profile: bool = False, stalls: bool = False,
-               fabric: bool = False) -> "Observability":
+               stalls: bool = False, fabric: bool = False) -> "Observability":
         """Convenience factory from the CLI-flag view of the options."""
         return cls(
             tracer=Tracer() if trace else None,
             metrics=MetricsRecorder(every=metrics_every) if metrics_every else None,
-            profiler=Profiler() if profile else None,
             stalls=StallLedger() if stalls else None,
             fabric=FabricLedger() if fabric else None,
         )
@@ -75,8 +95,7 @@ class Observability:
     @property
     def enabled(self) -> bool:
         return (self.tracer.enabled or self.metrics is not None
-                or self.profiler.enabled or self.stalls is not None
-                or self.fabric is not None)
+                or self.stalls is not None or self.fabric is not None)
 
     # ---- accelerator protocol -----------------------------------------
     def bind(self, snapshot: Callable[[], CounterSet]) -> None:
@@ -85,6 +104,7 @@ class Observability:
 
     def start_layer(self, base_cycle: int) -> None:
         self.base = base_cycle
+        self._layer_started = time.perf_counter()
         if self.metrics is not None:
             self._emitted_at_layer_start = self.metrics.total_emitted
         if self.stalls is not None:
@@ -124,9 +144,14 @@ class Observability:
                     self.tracer.counter("activity", "metrics", sample.cycle, values)
         return new
 
-    def end_layer(self, rel_end_cycle: int) -> None:
-        """Anchor the metrics interpolation at the layer boundary."""
+    def end_layer(self, rel_end_cycle: int, name: str, kind: str) -> None:
+        """Anchor the metrics interpolation at the layer boundary and
+        close the layer's host-time window."""
         self.sample(rel_end_cycle)
+        self.host_time.append(LayerHostTime(
+            name, kind, rel_end_cycle,
+            time.perf_counter() - self._layer_started, "simulated",
+        ))
 
 
 #: shared disabled context — the default of every ClockedComponent until

@@ -38,7 +38,7 @@ from repro.config.hardware import HardwareConfig, load_config
 from repro.engine.accelerator import Accelerator
 from repro.engine.stats import LayerReport, SimulationReport
 from repro.observability import Observability
-from repro.observability.context import TRACE_COUNTER_SERIES
+from repro.observability.context import TRACE_COUNTER_SERIES, LayerHostTime
 from repro.observability.metrics import MetricsSample
 from repro.observability.telemetry.facade import telemetry
 from repro.observability.telemetry.progress import ProgressEmitter
@@ -80,8 +80,9 @@ def _simulate_workload(
             {"cycle": s.cycle, "values": dict(s.values)}
             for s in (obs.metrics.samples if obs.metrics is not None else [])
         ],
-        # host wall seconds of this one simulation; the parent feeds it
-        # to telemetry (never the cache — only "layer" is ever stored)
+        # host wall seconds of this one simulation; the parent keeps it
+        # as the merged layer's host time and feeds it to telemetry
+        # (never the cache — only "layer" is ever stored)
         "host_seconds": time.perf_counter() - started,
     }
 
@@ -138,6 +139,7 @@ class ModelRunResult:
     cache_hits: int
     deduplicated: int     # repeated shapes folded onto one simulation
     fallbacks: int        # workloads that fell back to serial in-process
+    stage_seconds: Dict[str, float]  # host seconds: record/simulate/merge
 
 
 class ParallelModelRunner:
@@ -180,14 +182,12 @@ class ParallelModelRunner:
             "fabric": obs.fabric is not None,
         }
 
-    def _emit_progress(self, workload: LayerWorkload, mode: str) -> None:
-        if self.progress is not None:
-            self.progress.layer_done(
-                workload.index, workload.name, workload.kind, mode
-            )
-
-    def _note_task(self, bundle: Dict, mode: str) -> None:
-        """Feed one finished simulation task into the telemetry facade."""
+    def _task_done(
+        self, workload: LayerWorkload, bundle: Dict, mode: str
+    ) -> None:
+        """One layer's result is in: stamp how it was obtained, feed the
+        telemetry facade and the progress stream."""
+        bundle["mode"] = mode
         registry = telemetry()
         registry.counter(
             "stonne_pool_tasks_total",
@@ -199,6 +199,10 @@ class ParallelModelRunner:
                 "stonne_pool_task_seconds",
                 "Host wall seconds per simulated layer task",
             ).observe(float(seconds), mode=mode)
+        if self.progress is not None:
+            self.progress.layer_done(
+                workload.index, workload.name, workload.kind, mode
+            )
 
     def _simulate_misses(
         self, misses: List[LayerWorkload], lenses: Dict[str, Any]
@@ -212,8 +216,7 @@ class ParallelModelRunner:
                 results[workload.index] = _simulate_workload(
                     self.config, workload, lenses
                 )
-                self._note_task(results[workload.index], "simulated")
-                self._emit_progress(workload, "simulated")
+                self._task_done(workload, results[workload.index], "simulated")
             return results, fallbacks
 
         executor = self._executor
@@ -259,11 +262,10 @@ class ParallelModelRunner:
             results[workload.index] = bundle
             pending -= 1
             queue_gauge.set(float(pending))
-            self._note_task(bundle, mode)
+            self._task_done(workload, bundle, mode)
             seconds = bundle.get("host_seconds")
             if isinstance(seconds, (int, float)):
                 task_seconds.append(float(seconds))
-            self._emit_progress(workload, mode)
         self._note_batch(task_seconds, time.perf_counter() - batch_started)
         return results, fallbacks
 
@@ -285,104 +287,103 @@ class ParallelModelRunner:
         ).set(busy)
 
     # ---- the whole-model run ------------------------------------------
-    def _stage_seconds(self, stage: str, started: float) -> None:
+    def _close_stage(
+        self, stage_seconds: Dict[str, float], stage: str, started: float
+    ) -> float:
+        """Book the stage that began at ``started``: one clock reading,
+        which telemetry and the :class:`ModelRunResult` both get and
+        which is returned as the start of the next stage."""
+        now = time.perf_counter()
+        stage_seconds[stage] = now - started
         telemetry().histogram(
             "stonne_stage_seconds",
             "Host wall seconds per model-run stage",
-        ).observe(time.perf_counter() - started, stage=stage)
+        ).observe(now - started, stage=stage)
+        return now
 
     def run_model(self, model, x: np.ndarray, base_cycle: int = 0) -> ModelRunResult:
         """Simulate ``model(x)``; returns output + merged report."""
-        profiler = self.obs.profiler
-        stage_started = time.perf_counter()
-        with profiler.phase("record"):
-            output, workloads = record_model(
-                model, x, self.config,
-                round_builder=self.round_builder, tiles=self.tiles,
-            )
-        self._stage_seconds("record", stage_started)
+        stage_seconds: Dict[str, float] = {}
+        clock = time.perf_counter()
+        output, workloads = record_model(
+            model, x, self.config,
+            round_builder=self.round_builder, tiles=self.tiles,
+        )
+        clock = self._close_stage(stage_seconds, "record", clock)
 
         if self.progress is not None:
             self.progress.total = len(workloads)
             self.progress.model_start()
 
-        stage_started = time.perf_counter()
-        with profiler.phase("simulate"):
-            # the lens set is part of the key: ledgers ride in the layer
-            # extras the cache stores verbatim, so attributed and
-            # ledger-free payloads must never share an entry
-            lenses = self._worker_lenses()
-            cache = self.cache
-            keys: Dict[int, Optional[str]] = {
-                w.index: (
-                    cache.key(w, self.config, lenses)
-                    if cache is not None else None
-                )
-                for w in workloads
-            }
-            bundles: Dict[int, Dict] = {}
-            cache_hits = 0
-            for workload in workloads:
-                key = keys[workload.index]
-                if key is None:
-                    continue
-                payload = cache.get(key, self.config)
-                if payload is not None:
-                    bundles[workload.index] = {"layer": payload, "cached": True}
-                    cache_hits += 1
-                    self._note_task(bundles[workload.index], "cached")
-                    self._emit_progress(workload, "cached")
+        # the lens set is part of the key: ledgers ride in the layer
+        # extras the cache stores verbatim, so attributed and
+        # ledger-free payloads must never share an entry
+        lenses = self._worker_lenses()
+        cache = self.cache
+        keys: Dict[int, Optional[str]] = {
+            w.index: (
+                cache.key(w, self.config, lenses)
+                if cache is not None else None
+            )
+            for w in workloads
+        }
+        bundles: Dict[int, Dict] = {}
+        cache_hits = 0
+        for workload in workloads:
+            key = keys[workload.index]
+            if key is None:
+                continue
+            payload = cache.get(key, self.config)
+            if payload is not None:
+                bundles[workload.index] = {"layer": payload}
+                cache_hits += 1
+                self._task_done(workload, bundles[workload.index], "cached")
 
-            # fold repeated shapes onto one simulation each
-            first_for_key: Dict[str, int] = {}
-            shared_from: Dict[int, int] = {}
-            misses: List[LayerWorkload] = []
-            for workload in workloads:
-                if workload.index in bundles:
-                    continue
+        # fold repeated shapes onto one simulation each
+        first_for_key: Dict[str, int] = {}
+        shared_from: Dict[int, int] = {}
+        misses: List[LayerWorkload] = []
+        for workload in workloads:
+            if workload.index in bundles:
+                continue
+            key = keys[workload.index]
+            if key is not None and key in first_for_key:
+                shared_from[workload.index] = first_for_key[key]
+                continue
+            if key is not None:
+                first_for_key[key] = workload.index
+            misses.append(workload)
+
+        simulated, fallbacks = self._simulate_misses(misses, lenses)
+        bundles.update(simulated)
+        by_index = {w.index: w for w in workloads}
+        for index, source in shared_from.items():
+            bundles[index] = {"layer": simulated[source]["layer"]}
+            self._task_done(by_index[index], bundles[index], "deduplicated")
+
+        if cache is not None:
+            for workload in misses:
                 key = keys[workload.index]
-                if key is not None and key in first_for_key:
-                    shared_from[workload.index] = first_for_key[key]
-                    continue
                 if key is not None:
-                    first_for_key[key] = workload.index
-                misses.append(workload)
+                    cache.put(
+                        key, simulated[workload.index]["layer"], self.config
+                    )
+        clock = self._close_stage(stage_seconds, "simulate", clock)
 
-            simulated, fallbacks = self._simulate_misses(misses, lenses)
-            bundles.update(simulated)
-            by_index = {w.index: w for w in workloads}
-            for index, source in shared_from.items():
-                bundles[index] = {
-                    "layer": simulated[source]["layer"], "cached": True,
-                }
-                self._note_task(bundles[index], "deduplicated")
-                self._emit_progress(by_index[index], "deduplicated")
-
-            if cache is not None:
-                for workload in misses:
-                    key = keys[workload.index]
-                    if key is not None:
-                        cache.put(
-                            key, simulated[workload.index]["layer"], self.config
-                        )
-        self._stage_seconds("simulate", stage_started)
-
-        stage_started = time.perf_counter()
-        with profiler.phase("merge"):
-            report = self._merge(workloads, bundles, base_cycle)
-            report.metadata.update({
-                "parallel_jobs": self.jobs,
-                "parallel_layers": len(workloads),
-                "parallel_simulated": len(misses),
-                "parallel_cache_hits": cache_hits,
-                "parallel_deduplicated": len(shared_from),
-                "parallel_fallbacks": fallbacks,
-                # run-registry consumers mark fully cache-served runs as
-                # cached; carried in metadata (never in layer payloads,
-                # which must stay byte-identical to a serial run)
-                "parallel_all_cached": bool(workloads) and not misses,
-            })
-        self._stage_seconds("merge", stage_started)
+        report = self._merge(workloads, bundles, base_cycle)
+        report.metadata.update({
+            "parallel_jobs": self.jobs,
+            "parallel_layers": len(workloads),
+            "parallel_simulated": len(misses),
+            "parallel_cache_hits": cache_hits,
+            "parallel_deduplicated": len(shared_from),
+            "parallel_fallbacks": fallbacks,
+            # run-registry consumers mark fully cache-served runs as
+            # cached; carried in metadata (never in layer payloads,
+            # which must stay byte-identical to a serial run)
+            "parallel_all_cached": bool(workloads) and not misses,
+        })
+        self._close_stage(stage_seconds, "merge", clock)
         if self.progress is not None:
             self.progress.model_end()
         return ModelRunResult(
@@ -393,6 +394,7 @@ class ParallelModelRunner:
             cache_hits=cache_hits,
             deduplicated=len(shared_from),
             fallbacks=fallbacks,
+            stage_seconds=stage_seconds,
         )
 
     def _merge(
@@ -439,10 +441,16 @@ class ParallelModelRunner:
                         f"layer:{workload.name}", "accelerator",
                         base, base + layer.cycles,
                         kind=layer.kind, cycles=layer.cycles,
-                        cached=bool(bundle.get("cached")),
+                        cached=bundle["mode"] in ("cached", "deduplicated"),
                     )
             for name, value in layer.counters.as_dict().items():
                 running_totals[name] = running_totals.get(name, 0.0) + value
             base += layer.cycles
             report.append(layer)
+            # cache hits and deduplicated layers carry no task clock:
+            # nothing was simulated for them
+            self.obs.host_time.append(LayerHostTime(
+                layer.name, layer.kind, layer.cycles,
+                bundle.get("host_seconds"), bundle["mode"],
+            ))
         return report

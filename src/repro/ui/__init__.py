@@ -6,6 +6,14 @@ executions, facilitating rapid prototyping and debugging" — plus
 full-model and experiment subcommands.
 """
 
-from repro.ui.cli import main
-
 __all__ = ["main"]
+
+
+def __getattr__(name):
+    # lazy so `python -m repro.ui.cli` does not find the module already
+    # imported by its own package (runpy warns about that)
+    if name == "main":
+        from repro.ui.cli import main
+
+        return main
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

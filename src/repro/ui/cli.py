@@ -25,7 +25,7 @@ import json
 import sqlite3
 import sys
 import time
-from typing import Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -104,7 +104,9 @@ def _add_hw_args(parser: argparse.ArgumentParser) -> None:
                         help="sample counters every N cycles "
                              "(default 64 when --metrics is given)")
     parser.add_argument("--profile", action="store_true",
-                        help="print a wall-clock phase profile of the simulator")
+                        help="print host time per simulated layer (and per "
+                             "record/simulate/merge stage under --jobs, "
+                             "--cache or --live) to stderr")
     parser.add_argument("--stalls", action="store_true",
                         help="attribute every simulated cycle to a stall "
                              "bucket; inspect with 'stonne insight explain'")
@@ -138,11 +140,21 @@ def _add_registry_args(parser: argparse.ArgumentParser) -> None:
                              "or $STONNE_RUNS_DIR)")
 
 
+def _parse_ints(text: str, what: str) -> List[int]:
+    """Parse a comma-separated integer list typed on the command line."""
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise StonneError(
+            f"{what} must be comma-separated integers, got {text!r}"
+        ) from None
+
+
 def _parse_tile(text: Optional[str]) -> Optional[TileConfig]:
     """Parse ``T_R,T_S,T_C,T_G,T_K,T_N,T_X,T_Y`` (paper tile notation)."""
     if not text:
         return None
-    values = [int(v) for v in text.split(",")]
+    values = _parse_ints(text, "--tile")
     if len(values) != 8:
         raise StonneError(
             "tile must have 8 comma-separated values: T_R,T_S,T_C,T_G,T_K,T_N,T_X,T_Y"
@@ -197,13 +209,45 @@ def _make_observability(args: argparse.Namespace) -> Observability:
     return Observability.create(
         trace=bool(args.trace),
         metrics_every=metrics_every,
-        profile=args.profile,
         stalls=bool(getattr(args, "stalls", False)),
         fabric=bool(getattr(args, "fabric", False)),
     )
 
 
-def _finish_observability(acc: Accelerator, args: argparse.Namespace) -> None:
+def _print_profile(
+    obs: Observability,
+    wall_clock_s: float,
+    stage_seconds: Optional[Dict[str, float]],
+) -> None:
+    """``--profile``: one row per layer, a total against the run's wall
+    clock, and the runner's stage line when it ran."""
+    rows = obs.host_time
+    width = max([len("layer")] + [len(row.name) for row in rows])
+    print(f"{'layer':<{width}s}  {'kind':<8s} {'cycles':>12s} "
+          f"{'host ms':>10s}  mode", file=sys.stderr)
+    total = 0.0
+    for row in rows:
+        host = "-"
+        if row.seconds is not None:
+            host = f"{row.seconds * 1e3:.3f}"
+            total += row.seconds
+        print(f"{row.name:<{width}s}  {row.kind:<8s} {row.cycles:>12d} "
+              f"{host:>10s}  {row.mode}", file=sys.stderr)
+    print(f"{'total':<{width}s}  {'':<8s} {'':>12s} {total * 1e3:>10.3f}  "
+          f"of {wall_clock_s * 1e3:.3f} ms wall clock", file=sys.stderr)
+    if stage_seconds:
+        print("stages: " + ", ".join(
+            f"{stage} {seconds * 1e3:.3f} ms"
+            for stage, seconds in stage_seconds.items()
+        ), file=sys.stderr)
+
+
+def _finish_observability(
+    acc: Accelerator,
+    args: argparse.Namespace,
+    wall_clock_s: float,
+    stage_seconds: Optional[Dict[str, float]] = None,
+) -> None:
     """Export the traces/metrics/profile an instrumented run collected."""
     obs = acc.obs
     acc.report.metadata["seed"] = args.seed
@@ -229,7 +273,7 @@ def _finish_observability(acc: Accelerator, args: argparse.Namespace) -> None:
               f"({len(obs.metrics)} samples, every "
               f"{obs.metrics.every} cycles)", file=sys.stderr)
     if args.profile:
-        print(obs.profiler.format_summary(), file=sys.stderr)
+        _print_profile(obs, wall_clock_s, stage_seconds)
     _finish_telemetry(args)
 
 
@@ -302,7 +346,7 @@ def _cmd_conv(args: argparse.Namespace) -> int:
         tile=_parse_tile(args.tile), name="cli-conv",
     )
     wall = time.perf_counter() - started
-    _finish_observability(acc, args)
+    _finish_observability(acc, args, wall)
     _finish_registry(
         acc, args,
         workload=(f"conv:{args.R}x{args.S}x{args.C}x{args.K}g{args.G}"
@@ -328,7 +372,7 @@ def _cmd_gemm(args: argparse.Namespace) -> int:
     else:
         acc.run_gemm(a, b, name="cli-gemm")
     wall = time.perf_counter() - started
-    _finish_observability(acc, args)
+    _finish_observability(acc, args, wall)
     _finish_registry(
         acc, args,
         workload=f"gemm:{args.M}x{args.N}x{args.K}s{args.sparsity:g}",
@@ -372,6 +416,7 @@ def _cmd_model(args: argparse.Namespace) -> int:
     acc = Accelerator(_build_config(args), observability=_make_observability(args))
     progress = _make_progress(args, acc.config)
     cached_run = False
+    stage_seconds = None
     started = time.perf_counter()
     # --live routes through the parallel runner even at jobs=1: it is
     # the surface that reports per-layer completion, and the
@@ -385,6 +430,7 @@ def _cmd_model(args: argparse.Namespace) -> int:
             progress=progress,
         )
         cached_run = result.layers > 0 and result.simulated == 0
+        stage_seconds = result.stage_seconds
         print(
             f"parallel run: {result.layers} layers, "
             f"{result.simulated} simulated, {result.cache_hits} cache hits, "
@@ -397,7 +443,7 @@ def _cmd_model(args: argparse.Namespace) -> int:
         model(x)
         detach_context(model)
     wall = time.perf_counter() - started
-    _finish_observability(acc, args)
+    _finish_observability(acc, args, wall, stage_seconds)
     _finish_registry(
         acc, args,
         workload=f"model:{args.name}:b{args.batch}",
@@ -666,7 +712,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     points = sweep(
         layer,
         architectures=tuple(a.strip() for a in args.architectures.split(",")),
-        sizes=tuple(int(v) for v in args.sizes.split(",")),
+        sizes=tuple(_parse_ints(args.sizes, "--sizes")),
     )
     print(format_table(as_rows(points)))
     if args.pareto:

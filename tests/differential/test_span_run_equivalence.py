@@ -25,7 +25,7 @@ from repro.frontend.models import build_model, model_input
 from repro.frontend.simulated import detach_context, simulate, simulate_parallel
 from repro.observability import Observability
 from repro.observability.tracer import Tracer
-from repro.parallel import record_model
+from repro.parallel import record_model, shutdown_pools
 from repro.parallel.runner import _simulate_workload
 
 
@@ -136,7 +136,18 @@ def _trace_of(model_name, config, jobs=None):
     return acc, obs.tracer
 
 
-def test_parallel_merge_equals_serial_and_ships_runs():
+@pytest.fixture
+def _fresh_pool_workers():
+    """Pool workers keep the environment they were forked with, so a
+    shared pool started under a ``STONNE_ENGINE_MODE`` override still
+    obeys it after the parent's variable is cleared: re-fork them, and
+    leave none behind that lack an override later tests run under."""
+    shutdown_pools()
+    yield
+    shutdown_pools()
+
+
+def test_parallel_merge_equals_serial_and_ships_runs(_fresh_pool_workers):
     """Runs cross the process boundary as runs: the merged timeline is
     the serial one and a worker bundle is smaller than its per-tile form."""
     config = tpu_like(16).with_updates(engine_mode=EngineMode.VECTOR)

@@ -10,6 +10,7 @@ differential next door.
 """
 
 import io
+import json
 
 import pytest
 
@@ -24,6 +25,7 @@ from repro.observability.telemetry import (
     telemetry,
 )
 from repro.parallel import ParallelModelRunner, SimCache
+from repro.ui import cli
 
 CASES = [
     (model, arch)
@@ -124,3 +126,48 @@ def test_telemetry_on_off_identical_parallel(model_name, arch, jobs, tmp_path):
         arch, model_name, jobs, cache=SimCache(tmp_path / "on")
     )
     _assert_identical(off.report, warm.report, off.output, warm.output)
+
+
+def test_profile_flag_is_invisible_in_report_payloads_and_cache(
+    tmp_path, capsys, monkeypatch
+):
+    """``--profile`` prints the per-layer host-time record; the record
+    itself never reaches the report, a layer payload or a cache entry."""
+    accelerators = []
+    real_report = cli._report
+
+    def capturing_report(acc, as_json):
+        accelerators.append(acc)
+        real_report(acc, as_json)
+
+    monkeypatch.setattr(cli, "_report", capturing_report)
+    argv = ["model", "squeezenet", "--arch", "tpu", "--num-ms", "16",
+            "--json", "--no-registry"]
+
+    def run(extra, cache_dir):
+        assert cli.main(argv + ["--cache", str(cache_dir)] + extra) == 0
+        stdout = capsys.readouterr().out
+        timestamp = json.loads(stdout)["metadata"]["timestamp"]
+        acc = accelerators.pop()
+        return (
+            stdout.replace(timestamp, "<timestamp>"),
+            [layer.to_payload() for layer in acc.report.layers],
+            {path.name: path.read_bytes()
+             for path in sorted(cache_dir.rglob("*.json"))},
+            acc.obs.host_time,
+        )
+
+    off_out, off_payloads, off_entries, off_host = run([], tmp_path / "off")
+    on_out, on_payloads, on_entries, on_host = run(
+        ["--profile"], tmp_path / "on"
+    )
+    assert on_out == off_out
+    assert on_payloads == off_payloads
+    assert on_entries == off_entries and on_entries
+    # the record is kept either way (the flag only prints it) ...
+    assert len(on_host) == len(off_host) == len(on_payloads)
+    # ... and none of it leaks into what is stored or reported
+    for text in (on_out, json.dumps(on_payloads),
+                 *(entry.decode("utf-8") for entry in on_entries.values())):
+        assert "host_seconds" not in text and "host_time" not in text
+        assert '"mode"' not in text

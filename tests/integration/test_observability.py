@@ -1,6 +1,6 @@
 """Observability is arithmetically neutral and usable end to end.
 
-The tentpole contract: enabling tracing/metrics/profiling must not change
+The tentpole contract: enabling tracing/metrics must not change
 a single simulated number — cycle counts, counters, and functional
 outputs are byte-identical with and without instrumentation — while a
 traced CLI run produces a valid Chrome trace with the DN/MN/RN (or
@@ -40,7 +40,7 @@ def test_traced_run_is_identical_to_untraced(config_fixture, request):
     plain = Accelerator(config)
     plain_out = _run_layers(plain, np.random.default_rng(7))
 
-    obs = Observability.create(trace=True, metrics_every=16, profile=True)
+    obs = Observability.create(trace=True, metrics_every=16)
     traced = Accelerator(config, observability=obs)
     traced_out = _run_layers(traced, np.random.default_rng(7))
 
@@ -59,7 +59,14 @@ def test_traced_run_is_identical_to_untraced(config_fixture, request):
     assert len(obs.tracer.events) > 0
     assert obs.tracer.open_spans == 0
     assert len(obs.metrics) > 0
-    assert obs.profiler.total_seconds() > 0.0
+    # one host-time entry per layer, lenses on or off
+    for acc in (plain, traced):
+        assert [(row.name, row.kind, row.cycles, row.mode)
+                for row in acc.obs.host_time] == [
+            (layer.name, layer.kind, layer.cycles, "simulated")
+            for layer in acc.report.layers
+        ]
+        assert all(row.seconds > 0.0 for row in acc.obs.host_time)
 
 
 def test_trace_covers_network_phases(small_maeri):
@@ -163,8 +170,9 @@ def test_cli_traced_conv_end_to_end(tmp_path, capsys):
     lines = metrics.read_text(encoding="utf-8").strip().splitlines()
     assert lines[0].startswith("cycle,")
     assert len(lines) > 1
-    # the profile table went to stderr
-    assert "phase" in captured.err and "total" in captured.err
+    # the per-layer host-time table went to stderr
+    assert "host ms" in captured.err and "cli-conv" in captured.err
+    assert "ms wall clock" in captured.err
 
 
 def test_cli_jsonl_trace(tmp_path):
@@ -201,3 +209,74 @@ def test_validate_cli_tool(tmp_path, capsys):
                           "--expect", "RN:"]) == 0
     assert "valid trace" in capsys.readouterr().out
     assert validate_main([str(trace), "--expect", "nope:"]) == 1
+
+
+# ---- --profile: one host clock per layer, on every path -------------------
+def _profile_table(err):
+    """Parse ``--profile``'s stderr table: rows, total ms, wall ms, stages."""
+    lines = err.splitlines()
+    start = next(i for i, line in enumerate(lines)
+                 if line.split()[:2] == ["layer", "kind"])
+    rows = []
+    for index, line in enumerate(lines[start + 1:], start + 1):
+        fields = line.split()
+        if fields[0] == "total":
+            total_ms, wall_ms = float(fields[1]), float(fields[3])
+            assert fields[2] == "of" and fields[4:] == ["ms", "wall", "clock"]
+            stages = [l for l in lines[index + 1:] if l.startswith("stages: ")]
+            return rows, total_ms, wall_ms, stages
+        name, kind, cycles, host, mode = fields
+        rows.append((name, kind, int(cycles),
+                     None if host == "-" else float(host), mode))
+    raise AssertionError(f"no total row in {err!r}")
+
+
+def test_cli_profile_rows_are_the_same_on_every_path(tmp_path, capsys):
+    argv = ["model", "squeezenet", "--arch", "tpu", "--num-ms", "16",
+            "--json", "--no-registry", "--profile"]
+    cache = str(tmp_path / "cache")
+    paths = {
+        "serial": [],
+        "jobs": ["--jobs", "2"],
+        "cold": ["--cache", cache],
+        "warm": ["--cache", cache],
+        "live": ["--live"],
+    }
+    tables = {}
+    for label, extra in paths.items():
+        assert main(argv + extra) == 0
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        rows, total_ms, wall_ms, stages = _profile_table(captured.err)
+        tables[label] = rows
+        # one row per report layer: same names, kinds, cycles, same order
+        assert [row[:3] for row in rows] == [
+            (layer["name"], layer["kind"], layer["cycles"])
+            for layer in report["layers"]
+        ]
+        for _, _, _, host_ms, mode in rows:
+            # a simulated layer cost host time; a replayed one cost none
+            assert (host_ms is not None and host_ms > 0.0) == (
+                mode in ("simulated", "fallback")
+            ), (label, rows)
+        assert total_ms == pytest.approx(
+            sum(row[3] for row in rows if row[3] is not None), abs=0.02
+        )
+        # two workers' task clocks overlap; one process's cannot
+        workers = 2 if label == "jobs" else 1
+        assert total_ms <= wall_ms * workers, (label, total_ms, wall_ms)
+        # the stage line is there exactly when the runner ran
+        assert len(stages) == (0 if label == "serial" else 1), captured.err
+        if stages:
+            assert [part.split()[0] for part in
+                    stages[0][len("stages: "):].split(", ")] == [
+                "record", "simulate", "merge"]
+    assert len(tables["serial"]) == 16
+    for label, rows in tables.items():
+        assert [row[:3] for row in rows] == [
+            row[:3] for row in tables["serial"]], label
+    assert {row[4] for row in tables["serial"]} == {"simulated"}
+    assert {row[4] for row in tables["jobs"]} == {"simulated"}
+    assert {row[4] for row in tables["live"]} == {"simulated"}
+    assert {row[4] for row in tables["cold"]} == {"simulated", "deduplicated"}
+    assert {row[4] for row in tables["warm"]} == {"cached"}

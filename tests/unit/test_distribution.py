@@ -3,13 +3,14 @@
 import pytest
 
 from repro.config.hardware import DistributionKind
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.noc.distribution import (
     BenesNetwork,
     PointToPointNetwork,
     TreeNetwork,
     build_distribution_network,
 )
+from repro.observability import Observability
 
 
 class TestTreeNetwork:
@@ -134,3 +135,41 @@ class TestCommon:
     )
     def test_factory(self, kind, cls):
         assert isinstance(build_distribution_network(kind, 16, 4), cls)
+
+
+class TestRepeatedEnqueue:
+    """``enqueue(u, d, times=n)`` is ``n`` single enqueues, booked once."""
+
+    @staticmethod
+    def _network(cls):
+        dn = cls(16, 4)
+        dn.obs = Observability.create(fabric=True)
+        return dn
+
+    @staticmethod
+    def _state(dn):
+        fabric = dn.obs.fabric.finalize(dn.counters.as_dict(), 0)
+        return dn.counters.as_dict(), dn.pending_slots, fabric["tiers"]
+
+    @pytest.mark.parametrize(
+        "cls", [TreeNetwork, BenesNetwork, PointToPointNetwork]
+    )
+    @pytest.mark.parametrize("unique, destinations", [(1, 8), (3, 12), (4, 4)])
+    @pytest.mark.parametrize("times", [1, 2, 7])
+    def test_equals_single_enqueues(self, cls, unique, destinations, times):
+        batched, looped = self._network(cls), self._network(cls)
+        batched.enqueue(unique, destinations, times=times)
+        for _ in range(times):
+            looped.enqueue(unique, destinations)
+        assert self._state(batched) == self._state(looped)
+        assert batched.counters["dn_elements_sent"] == unique * times
+
+    @pytest.mark.parametrize(
+        "cls", [TreeNetwork, BenesNetwork, PointToPointNetwork]
+    )
+    @pytest.mark.parametrize("times", [0, -1])
+    def test_rejects_fewer_than_one_before_any_counter_moves(self, cls, times):
+        dn = self._network(cls)
+        with pytest.raises(SimulationError, match=f"times={times}"):
+            dn.enqueue(2, 8, times=times)
+        assert self._state(dn) == ({}, 0, {})

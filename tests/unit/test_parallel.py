@@ -325,6 +325,10 @@ def test_runner_falls_back_per_layer_on_worker_failure(small_maeri, executor):
     assert result.fallbacks == result.simulated == result.layers
     assert np.array_equal(result.output, ref_out)
     assert result.report.total_cycles == ref_report.total_cycles
+    # the parent keeps each task's clock for the merged layer
+    assert [(row.name, row.cycles, row.mode) for row in runner.obs.host_time] \
+        == [(l.name, l.cycles, "fallback") for l in result.report.layers]
+    assert all(row.seconds > 0.0 for row in runner.obs.host_time)
 
 
 def test_runner_real_pool_matches_serial(small_maeri):
@@ -348,6 +352,27 @@ def test_runner_metadata_accounting(small_maeri):
     assert meta["parallel_layers"] == 4
     assert meta["parallel_simulated"] == 4
     assert meta["parallel_fallbacks"] == 0
+
+
+def test_runner_clocks_each_stage_once(small_maeri):
+    """Telemetry and the result get the same reading, not two."""
+    from repro.observability.telemetry import enable_telemetry, telemetry
+
+    enable_telemetry(True)
+    telemetry().reset()
+    try:
+        result = ParallelModelRunner(small_maeri).run_model(
+            _tiny_model(), _tiny_input()
+        )
+        stages = telemetry().get("stonne_stage_seconds")
+        assert list(result.stage_seconds) == ["record", "simulate", "merge"]
+        for stage, seconds in result.stage_seconds.items():
+            assert seconds > 0.0
+            assert stages.count(stage=stage) == 1
+            assert stages.sum(stage=stage) == seconds
+    finally:
+        enable_telemetry(False)
+        telemetry().reset()
 
 
 def test_runner_sparse_model_never_caches(small_sigma):
