@@ -63,12 +63,15 @@ differential-vector:
 		tests/unit/test_vector_golden.py -q
 
 # the sparse controller has one timing path: its oracle is the payload
-# pin taken before the round-plan refactor, plus the two suites that hold
-# the array-built plan and the O(blocks) ART proof to their slow forms
+# pin taken before the round-plan and round-column refactors, plus the
+# suites that hold the array-built plan, the ART proofs (per cluster and
+# over a whole round table) and the batched DN entry / one commit per
+# GEMM to their slow forms
 differential-sparse:
 	PYTHONPATH=src python -m pytest \
 		tests/regression/test_sigma_payload_pin.py \
 		tests/differential/test_round_plan_equivalence.py \
+		tests/differential/test_round_columns_equivalence.py \
 		tests/differential/test_art_verifier_equivalence.py -q
 
 # line-coverage gate; skips gracefully when pytest-cov is absent
@@ -106,7 +109,9 @@ sentinel-smoke:
 # report HTML that CI uploads as artifacts from build/lens-smoke/. The
 # same invocation then runs again on the now-warm `--cache`: it must
 # simulate nothing and its replayed ledgers must give the same explain /
-# fabric documents. Then the trace lens: the same model traced under the
+# fabric documents. Then one sparse run — the same lenses on the sparse
+# controller's round table — through the same explain / fabric
+# assertions. Then the trace lens: the same model traced under the
 # per-tile walk and under the tile-class aggregate must export the same
 # Chrome trace byte for byte (bar the header's wall-clock timestamp), and
 # a tiny traced + sampled conv has both of its exports validated. Last, the
@@ -123,6 +128,9 @@ LENS_RUN = $(LENS_CLI) model squeezenet \
 	--cache /tmp/stonne-lens-cache --registry-dir /tmp/stonne-lens-runs
 LENS_TRACED = $(LENS_CLI) model squeezenet \
 	--arch tpu --num-ms 16 --stalls --fabric --no-registry
+LENS_SPARSE = $(LENS_CLI) model squeezenet \
+	--arch sigma --num-ms 64 --trace /tmp/stonne-lens-sparse-trace.json \
+	--stalls --fabric --registry-dir /tmp/stonne-lens-runs
 LENS_INSIGHT = PYTHONPATH=src python -m repro.observability.insight \
 	--registry-dir /tmp/stonne-lens-runs
 LENS_VALIDATE = PYTHONPATH=src python -m repro.observability.validate
@@ -166,6 +174,23 @@ lens-smoke:
 		cold, warm = load('$(LENS_OUT)/stonne-fabric.json'), \
 			load('/tmp/stonne-fabric-warm.json'); \
 		assert warm['consistency']['ok'] and warm == cold, 'fabric'"
+	$(LENS_SPARSE) > /dev/null
+	$(LENS_INSIGHT) explain latest --format json \
+		-o $(LENS_OUT)/stonne-explain-sparse.json
+	$(LENS_INSIGHT) fabric latest --format json \
+		-o $(LENS_OUT)/stonne-fabric-sparse.json
+	PYTHONPATH=src python -c "import json; \
+		d = json.load(open('$(LENS_OUT)/stonne-explain-sparse.json')); \
+		assert d['conservation']['ok'], d['conservation']; \
+		assert sum(d['buckets'].values()) == d['total_cycles'], d; \
+		assert d['coverage'] == 1.0, d['coverage']; \
+		d = json.load(open('$(LENS_OUT)/stonne-fabric-sparse.json')); \
+		assert d['consistency']['ok'], d['consistency']; \
+		assert set(d['fabric']['tiers']) == {'dn', 'mn', 'rn'}, d['fabric']; \
+		assert d['fabric']['fifos'], 'no FIFO window recorded'; \
+		assert d['coverage'] > 0.9, d['coverage']"
+	$(LENS_VALIDATE) /tmp/stonne-lens-sparse-trace.json \
+		--expect "layer:" --expect "round[" --expect "DN:stream"
 	for mode in cycle vector; do \
 		STONNE_ENGINE_MODE=$$mode $(LENS_TRACED) \
 			--trace /tmp/stonne-lens-trace-$$mode.json > /dev/null || exit 1; \
@@ -221,6 +246,7 @@ lens-smoke:
 			assert d['attributed_fraction'] >= 0.95, d" || exit 1; \
 	done
 	@echo "lens smoke OK (warm attributed rerun: 0 simulated, same ledgers;" \
+		"sparse run conserved and consistent;" \
 		"cycle and vector traces byte-identical; one --profile row per" \
 		"layer; hotspots attributed under both engine modes)"
 

@@ -41,7 +41,7 @@ from repro.noc.distribution import build_distribution_network
 from repro.noc.multiplier import build_multiplier_network
 from repro.noc.reduction import build_reduction_network
 from repro.tensors.im2col import col2im_output, conv2d_output_shape, im2col
-from repro.tensors.sparse import BitmapMatrix, CsrMatrix
+from repro.tensors.sparse import BitmapMatrix, CsrMatrix, block_diagonal_csr
 
 # re-exported for convenience
 __all__ = [
@@ -494,14 +494,10 @@ class Accelerator(OperationFrontEnd):
         if self.sparse_controller is not None:
             # one block-diagonal GEMM, so filters from every group can
             # pack into the same rounds
-            k = layer.k
-            dot = layer.filter_size
-            block = np.zeros((k * groups, dot * groups), dtype=np.float32)
-            for g in range(groups):
-                w2d = weights[g * k : (g + 1) * k].reshape(k, -1)
-                block[g * k : (g + 1) * k, g * dot : (g + 1) * dot] = w2d
+            filters = weights.reshape(layer.k * groups, layer.filter_size)
             sparse = self.sparse_controller.run_spmm(
-                block, layer.to_gemm().n, params.get("round_builder")
+                block_diagonal_csr(filters.astype(np.float32, copy=False), groups),
+                layer.to_gemm().n, params.get("round_builder"),
             )
             return (sparse.cycles, sparse.effective_macs, layer.num_outputs,
                     sparse.multiplier_utilization, {})

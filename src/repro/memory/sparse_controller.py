@@ -28,30 +28,41 @@ Rows larger than the fabric fold across consecutive rounds; their partial
 sums round-trip through the Global Buffer and are re-injected, adding one
 DN slot and one write per continued row per column.
 
-Round plan
-----------
+Rounds as columns
+-----------------
 
 Everything a round's timing needs beyond ``n_cols`` depends on the
 nonzero *pattern* alone, so :meth:`SparseController._plan_rounds` works
 it out once per GEMM, for all rounds at once, with array operations: one
 gather of the scheduled CSR slices, one sort-and-deduplicate of
-``round * K + column`` keys. The resulting :class:`_RoundPlan` holds, per
-round, the cluster sizes, the mapped nonzeros, the sorted union support
-and its size, and the counts of continued / resumed (folded) rows, plus
-the largest cluster of the GEMM for the final drain. Schedule validation
-reads the same table.
+``round * K + column`` keys. The resulting :class:`_RoundPlan` holds, as
+int64 columns with one entry per round, the cluster sizes, the mapped
+nonzeros, the sorted union support and its size, and the counts of
+continued / resumed (folded) rows, plus the largest cluster of the GEMM
+for the final drain. Schedule validation reads the same table.
 
-The plan is *not* an aggregate: there is still exactly one round loop,
-and every counter add, ledger charge, FIFO record, trace span and
-metrics sample stays at its per-round site, because the metrics
-recorder samples the live counters at every round boundary and the
-tracer places one span set per round. The plan only moves how the inputs
-to those calls are computed.
+``run_spmm`` then goes plan -> time -> check -> commit, a table at a
+time. :meth:`SparseController._time_rounds` turns the plan into a second
+set of columns (load / step / stream / merge cycles, the start of every
+round, the per-step activity); the MN and RN check every round's
+clusters in one call each (capacity, and the ART non-blocking proof for
+all rounds at once); and :meth:`SparseController._commit_rounds` writes
+counters, stall-ledger charges and fabric levels from sums over column
+slices. It is the only place they are written, and it is one accounting,
+not two: every amount is linear in the rounds it covers (the DN queue,
+which is not, is solved across the slice by the DN itself), so
+``(0, R)`` in one call and ``(i, i + 1)`` in ``R`` calls leave the same
+state. What picks the slicing is whether anything can read the counter
+file mid-GEMM: a metrics recorder samples it at every round boundary, so
+under one each round is committed just before its sample; otherwise all
+rounds go at once. Observers that keep one record per round — the
+tracer's ``round[i]`` span sets, the fabric lens's FIFO windows,
+``round_stats`` — iterate the finished columns.
 """
 
 from __future__ import annotations
 
-import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -61,8 +72,8 @@ from repro.config.hardware import HardwareConfig
 from repro.errors import MappingError
 from repro.memory.dram import Dram
 from repro.memory.global_buffer import GlobalBuffer
-from repro.noc.base import ClockedComponent
-from repro.noc.distribution import DistributionNetwork
+from repro.noc.base import ClockedComponent, run_offsets, run_sums
+from repro.noc.distribution import DeliverySchedule, DistributionNetwork
 from repro.noc.multiplier import MultiplierNetwork
 from repro.noc.reduction import ReductionNetwork
 from repro.observability.telemetry.scopes import component_scope
@@ -181,31 +192,44 @@ class SparseRunResult:
 
 
 class _RoundPlan(NamedTuple):
-    """The schedule of one GEMM as a table, one entry per round.
+    """The schedule of one GEMM as a table: one int64 column entry per
+    round (per chunk, for ``sizes``).
 
-    Built once by :meth:`SparseController._plan_rounds`; the round loop,
-    the final drain and schedule validation all read it. Per-round
-    entries are plain Python ints (they feed counters and payloads).
+    Built once by :meth:`SparseController._plan_rounds` from the nonzero
+    pattern alone; timing, the batched fabric check, the commit and
+    schedule validation all read it. The entries stay NumPy integers:
+    whatever leaves the controller (counters, results, spans) is
+    converted where it leaves, a column or a sum at a time.
     """
 
-    #: nonzeros per packed row chunk — the FAN/ART cluster sizes
-    cluster_sizes: List[List[int]]
+    #: nonzeros per packed row chunk — the FAN/ART cluster sizes — round
+    #: after round; round ``i`` owns
+    #: ``sizes[chunk_offsets[i]:chunk_offsets[i + 1]]``
+    sizes: np.ndarray
+    chunk_offsets: np.ndarray
+    #: packed chunks (one output per column step each)
+    rows: np.ndarray
     #: mapped nonzeros (the sum of the cluster sizes)
-    nnz: List[int]
+    nnz: np.ndarray
     #: size of the union of the packed chunks' column supports
-    unique: List[int]
+    unique: np.ndarray
     #: chunks whose row continues in a later round / resumes an earlier one
-    continued: List[int]
-    resumed: List[int]
+    continued: np.ndarray
+    resumed: np.ndarray
     #: largest cluster of the whole GEMM (deepest in-flight reduction)
     max_cluster: int
     #: column of every mapped nonzero, round by round in chunk order;
     #: round ``i`` owns ``columns[column_offsets[i]:column_offsets[i + 1]]``
     columns: np.ndarray
-    column_offsets: List[int]
+    column_offsets: np.ndarray
     #: the sorted union supports, concatenated the same way
     support: np.ndarray
-    support_offsets: List[int]
+    support_offsets: np.ndarray
+
+    def cluster_sizes(self, index: int) -> np.ndarray:
+        return self.sizes[
+            self.chunk_offsets[index] : self.chunk_offsets[index + 1]
+        ]
 
     def round_columns(self, index: int) -> np.ndarray:
         return self.columns[
@@ -218,16 +242,37 @@ class _RoundPlan(NamedTuple):
         ]
 
 
-def _offsets(counts: np.ndarray) -> np.ndarray:
-    """Segment boundaries ``[0, c0, c0 + c1, ...]`` of consecutive runs."""
-    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    return offsets
+class _RoundTimes(NamedTuple):
+    """What every round of a plan costs for ``n_cols`` streamed columns:
+    its cycles, and the per-step activity the commit multiplies out —
+    int64 columns beside the plan's, from :meth:`SparseController._time_rounds`.
+    """
 
-
-def _segment_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Sum of each consecutive run of ``values`` (empty runs give 0)."""
-    return np.diff(_offsets(values)[offsets])
+    n_cols: int
+    #: first cycle of the round, counted from the start of the GEMM
+    start: np.ndarray
+    #: fabric reconfiguration (first round only) + stationary load
+    fill: np.ndarray
+    load: np.ndarray
+    #: cycles of the slowest column step, and of all ``n_cols`` of them
+    step: np.ndarray
+    stream: np.ndarray
+    #: folded-row psum merge closing the round
+    merge: np.ndarray
+    total: np.ndarray
+    #: DN slots per column step (at least one) and streamed inputs read
+    #: per step (under dual-sided sparsity: the rounded per-column mean)
+    slots: np.ndarray
+    unique: np.ndarray
+    multiplications: np.ndarray
+    #: what a round adds to the counter file and the stall ledger, already
+    #: multiplied out over its ``n_cols`` column steps: one row per round,
+    #: the columns in the order :meth:`SparseController._commit_rounds`
+    #: unpacks their sums
+    charges: np.ndarray
+    #: the rounds' DN deliveries, costed: round ``i`` owns entries ``2i``
+    #: (stationary load) and ``2i + 1`` (its column steps)
+    deliveries: DeliverySchedule
 
 
 class SparseController(ClockedComponent):
@@ -275,6 +320,12 @@ class SparseController(ClockedComponent):
         effective compute). With ``streaming=None`` the KN operand is
         assumed dense, the Table V validation configuration.
         """
+        try:
+            n_cols = operator.index(n_cols)
+        except TypeError:
+            raise MappingError(
+                f"n_cols must be an integer, got n_cols={n_cols!r}"
+            ) from None
         if n_cols < 1:
             raise MappingError("the streaming matrix needs at least one column")
         if streaming is not None:
@@ -293,12 +344,8 @@ class SparseController(ClockedComponent):
             )
         row_nnz = csr.row_nnz()
         builder = round_builder or natural_order_rounds
-        plan = self._plan_rounds(csr, builder(row_nnz, self.mn.num_ms))
-        num_rounds = len(plan.nnz)
-
         m_rows, k_dim = csr.shape
         dense_macs = m_rows * k_dim * n_cols
-        total_nnz = int(row_nnz.sum())
         outputs = m_rows * n_cols
 
         b_mask = None
@@ -310,42 +357,37 @@ class SparseController(ClockedComponent):
             effective_macs = int((a_mask.astype(np.int64) @
                                   b_mask.astype(np.int64)).sum())
         else:
-            effective_macs = total_nnz * n_cols
+            effective_macs = int(row_nnz.sum()) * n_cols
+
+        # plan -> time -> check: nothing below has touched a counter yet
+        plan = self._plan_rounds(csr, builder(row_nnz, self.mn.num_ms))
+        num_rounds = len(plan.nnz)
+        with component_scope("engine"):
+            times = self._time_rounds(plan, n_cols, b_mask)
+        self.mn.verify_rounds(plan.sizes, plan.chunk_offsets)
+        self.rn.verify_rounds(plan.sizes, plan.chunk_offsets)
 
         tracer = obs.tracer
         base = obs.base
         ledger = obs.stalls
         self.counters.add("ctrl_gemms_run", 1)
         self.counters.add("ctrl_metadata_elements", csr.nnz)
-        cycles = GEMM_SETUP_CYCLES
         if ledger is not None:
             ledger.charge("controller", "weight_fill", GEMM_SETUP_CYCLES)
         if tracer.enabled:
-            tracer.span("CTRL:setup", self.name, base, base + cycles)
-        round_stats: List[SparseRoundStats] = []
-        busy_ms_cycles = 0
-        mapped_nnz_total = 0
+            tracer.span("CTRL:setup", self.name, base, base + GEMM_SETUP_CYCLES)
 
-        for index in range(num_rounds):
-            if tracer.enabled:
-                tracer.begin(
-                    f"round[{index}]", self.name, base + cycles,
-                    rows=len(plan.cluster_sizes[index]),
-                )
-            stats = self._run_round(
-                plan, index, n_cols, b_mask=b_mask, start=cycles,
-            )
-            round_stats.append(stats)
-            cycles += stats.cycles
-            if tracer.enabled:
-                tracer.end(
-                    base + cycles,
-                    nnz=stats.nnz,
-                    utilization=round(stats.utilization, 6),
-                )
-            busy_ms_cycles += stats.nnz * n_cols
-            mapped_nnz_total += stats.nnz
-            obs.sample(cycles)
+        # commit: all rounds at once, unless a metrics recorder samples the
+        # counter file at every round boundary — then round by round, each
+        # one written just before the sample that may read it
+        ends = (times.start + times.total).tolist()
+        batch = 1 if obs.metrics is not None else max(num_rounds, 1)
+        for lo in range(0, num_rounds, batch):
+            hi = lo + batch
+            self._commit_rounds(plan, times, lo, hi)
+            self._observe_rounds(plan, times, lo, hi)
+            obs.sample(ends[hi - 1])
+        cycles = ends[-1] if ends else GEMM_SETUP_CYCLES
 
         # final pipeline drain of the deepest in-flight reduction
         if num_rounds:
@@ -371,10 +413,10 @@ class SparseController(ClockedComponent):
             ledger.charge("controller", "dram_stall", dram_stall)
         obs.sample(cycles)
 
-        mapping_util = (
-            mapped_nnz_total / (self.mn.num_ms * num_rounds) if num_rounds else 0.0
-        )
-        ms_util = busy_ms_cycles / (self.mn.num_ms * cycles) if cycles else 0.0
+        num_ms = self.mn.num_ms
+        mapped_nnz = int(plan.nnz.sum())
+        mapping_util = mapped_nnz / (num_ms * num_rounds) if num_rounds else 0.0
+        ms_util = mapped_nnz * n_cols / (num_ms * cycles) if cycles else 0.0
         self._current_cycle += cycles
         self.counters.add("ctrl_cycles", cycles)
         return SparseRunResult(
@@ -385,178 +427,212 @@ class SparseController(ClockedComponent):
             rounds=num_rounds,
             mapping_utilization=mapping_util,
             multiplier_utilization=ms_util,
-            round_stats=tuple(round_stats),
+            round_stats=tuple(
+                SparseRoundStats(rows, nnz, unique, total, nnz / num_ms)
+                for rows, nnz, unique, total in zip(
+                    plan.rows.tolist(), plan.nnz.tolist(),
+                    times.unique.tolist(), times.total.tolist(),
+                )
+            ),
         )
 
     # ------------------------------------------------------------------
-    def _run_round(
-        self, plan: _RoundPlan, index: int, n_cols: int, b_mask=None,
-        start: int = 0,
-    ) -> SparseRoundStats:
-        obs = self.obs
-        tracer = obs.tracer
-        first = index == 0
-        clock = obs.base + start + (ROUND_RECONFIG_CYCLES if first else 0)
-        cluster_sizes = plan.cluster_sizes[index]
-        rows = len(cluster_sizes)
-        nnz = plan.nnz[index]
-        self.mn.configure_clusters(cluster_sizes)
-        self.rn.configure_clusters(cluster_sizes)
+    def _time_rounds(
+        self, plan: _RoundPlan, n_cols: int, b_mask: Optional[np.ndarray]
+    ) -> _RoundTimes:
+        """Cycles and per-step activity of every round, as array arithmetic.
 
-        # union of the packed rows' column supports = unique streaming
-        # elements needed per column step (multicast collapses sharing)
-        unique = plan.unique[index]
-        continued = plan.continued[index]
-        resumed = plan.resumed[index]
+        Per round: the stationary load of its nonzeros through the DN,
+        ``n_cols`` column steps each bound by the slower of the delivery
+        of the union support and the drain of one output per packed row,
+        and — for rows resumed from an earlier round — the merge of their
+        partial outputs (re-read from the GB, one add per column each).
+        """
+        bandwidth = self.dn.bandwidth
+        load = self.dn.delivery_cycles_of(plan.nnz, plan.nnz)
+        drain = self.rn.output_cycles(plan.rows)
+        if b_mask is None:
+            # union of the packed rows' column supports = unique streaming
+            # elements needed per column step (multicast collapses sharing)
+            unique = plan.unique
+            slots = np.maximum(unique, 1)
+            delivery = self.dn.delivery_cycles_of(slots, slots)
+            step = np.maximum(np.maximum(delivery, drain), 1)
+            stream = step * n_cols
+            multiplications = plan.nnz * n_cols
+            dn_stall = np.where(delivery >= drain, stream - n_cols, 0)
+        else:
+            # dual-sided sparsity: per column only the nonzero streamed
+            # values inside the round's support are delivered, so every
+            # column has its own step (rounds x n_cols; a round's support
+            # is never empty, which is what reduceat needs)
+            arriving = np.add.reduceat(
+                b_mask[plan.support], plan.support_offsets[:-1], axis=0,
+                dtype=np.int64,
+            )
+            per_col = np.maximum(-(-arriving // bandwidth), 1)
+            costs = np.maximum(per_col, drain[:, None])
+            step = costs.max(axis=1)
+            stream = costs.sum(axis=1)
+            unique = np.rint(arriving.mean(axis=1)).astype(np.int64)
+            slots = np.maximum(unique, 1)
+            multiplications = run_sums(
+                b_mask.sum(axis=1)[plan.columns], plan.column_offsets
+            )
+            # one useful cycle per column, the rest charged to whichever
+            # side bound that column
+            dn_stall = ((costs - 1) * (per_col >= drain[:, None])).sum(axis=1)
+        merge_reads = plan.resumed * n_cols
+        merge = -(-merge_reads // bandwidth) + -(-merge_reads // self.rn.bandwidth)
+        # reconfiguration shows only before the first round: the later
+        # ones overlap the previous round's streaming
+        fill = load.copy()
+        fill[:1] += ROUND_RECONFIG_CYCLES
+        total = fill + stream + merge
+        stall = stream - n_cols
+        # per round: the stationary load (weights plus compressed
+        # metadata), then the n_cols column steps as one delivery
+        # repeated, drained over the round's stream cycles
+        delivered = np.stack((plan.nnz, slots), axis=1).ravel()
+        deliveries = self.dn.schedule_deliveries(
+            delivered, delivered,
+            np.tile((1, n_cols), len(total)),
+            np.stack((load, stream), axis=1).ravel(),
+        )
+        return _RoundTimes(
+            n_cols=n_cols,
+            start=GEMM_SETUP_CYCLES + np.cumsum(total) - total,
+            fill=fill, load=load, step=step, stream=stream, merge=merge,
+            total=total, slots=slots, unique=unique,
+            multiplications=multiplications,
+            charges=np.stack(
+                (
+                    plan.nnz, plan.nnz + merge_reads + unique * n_cols,
+                    merge_reads, plan.rows * n_cols, slots * n_cols,
+                    plan.continued * n_cols, fill, dn_stall, stall - dn_stall,
+                    merge,
+                ),
+                axis=1,
+            ),
+            deliveries=deliveries,
+        )
 
-        # stationary load of the round's weights (plus compressed metadata)
+    def _commit_rounds(
+        self, plan: _RoundPlan, times: _RoundTimes, lo: int, hi: int
+    ) -> None:
+        """Charge rounds ``[lo, hi)``: counters, stall ledger, fabric levels.
+
+        The only place a SpMM's rounds are written anywhere. Every amount
+        is a sum over a slice of the tables (the DN queue, which does not
+        add up, was solved across all rounds by the DN's schedule), so
+        one call over all rounds and one call per round leave the same
+        counter file, ledgers and DN queue; which of the two runs is
+        decided by whether anything can read the counters in between
+        (see :meth:`run_spmm`).
+        """
+        n_cols = times.n_cols
+        (loads, reads, merged, outputs, pushes, spills,
+         fill, dn_stall, fifo_stall, merge) = (
+            times.charges[lo:hi].sum(axis=0).tolist()
+        )
+        configured = plan.cluster_sizes(hi - 1).tolist()
+        self.mn.record_reconfigurations(hi - lo, configured)
+        self.rn.record_reconfigurations(hi - lo, configured)
         with component_scope("noc.distribution"):
-            load_cycles = self.dn.record_delivery(nnz, nnz)
-            self.gb.record_reads(nnz)
-            self.counters.add("ctrl_stationary_loads", nnz)
-        if tracer.enabled and load_cycles:
-            tracer.span(
-                "DN:stationary-load", self.dn.name, clock, clock + load_cycles,
-                nonzeros=nnz,
-            )
-        clock += load_cycles
-
-        # column streaming
+            self.dn.record_scheduled(times.deliveries, 2 * lo, 2 * hi)
+            self.counters.add("ctrl_stationary_loads", loads)
         with component_scope("engine"):
-            drain = self.rn.output_cycles(rows)
-            dual_sided = b_mask is not None and unique > 0
-            if dual_sided:
-                # dual-sided sparsity: per column only the nonzero streamed
-                # values inside the round's support are delivered
-                unique_per_col = b_mask[plan.round_support(index), :].sum(axis=0)
-                per_col = np.maximum(
-                    np.ceil(unique_per_col / self.dn.bandwidth).astype(np.int64), 1
-                )
-                stream_cycles = int(np.maximum(per_col, drain).sum())
-                step_cycles = max(1, int(per_col.max(initial=1)), drain)
-                unique = int(round(float(unique_per_col.mean()))) if n_cols else 0
-                slots = max(unique, 1)
-            else:
-                slots = unique
-                delivery = self.dn.delivery_cycles(max(slots, 1), max(slots, 1))
-                step_cycles = max(1, delivery, drain)
-                stream_cycles = step_cycles * n_cols
-
-            # folded rows: the previous chunk's partial outputs are re-read
-            # from the GB and merged into this chunk's outputs at the round
-            # boundary (one add per column per resumed row)
-            merge_cycles = 0
-            if resumed:
-                merge_reads = resumed * n_cols
-                merge_cycles = math.ceil(merge_reads / self.dn.bandwidth) + math.ceil(
-                    merge_reads / self.rn.bandwidth
-                )
-                self.gb.record_reads(merge_reads)
-                self.rn.record_accumulations(merge_reads)
-
-            # batched activity for all column steps of the round
-            self.dn.enqueue(max(slots, 1), max(slots, 1), times=n_cols)
-            self.dn.skip_cycles(stream_cycles)
-            self.gb.record_reads(unique * n_cols)
-            if b_mask is not None:
-                round_mults = int(b_mask[plan.round_columns(index), :].sum())
-            else:
-                round_mults = nnz * n_cols
-            self.mn.record_multiplications(round_mults)
+            self.gb.record_reads(reads)
+            self.rn.record_accumulations(merged)
+            self.mn.record_round_multiplications(
+                times.multiplications[lo:hi], plan.nnz[lo:hi]
+            )
         with component_scope("noc.reduction"):
-            for size in cluster_sizes:
-                self.rn.record_cluster_reductions(int(size), n_cols)
-            self.rn.record_outputs(rows * n_cols)
-            self.gb.record_writes(rows * n_cols)
-        self.counters.add("ctrl_fifo_pushes", max(slots, 1) * n_cols)
-        self.counters.add("ctrl_fifo_pops", rows * n_cols)
-        fabric = obs.fabric
-        if fabric is not None:
-            # tier-boundary FIFO occupancy for the round's column stream
-            fabric.record_fifo(
-                "gb_dn", self.config.dn_fifo_depth,
-                max(slots, 1) * n_cols, max(slots, 1) * n_cols,
-                min(max(slots, 1), self.config.dn_fifo_depth) if n_cols else 0,
-                stream_cycles,
+            self.rn.record_cluster_table(
+                plan.sizes[plan.chunk_offsets[lo] : plan.chunk_offsets[hi]], n_cols
             )
-            fabric.record_fifo(
-                "rn_gb", self.config.rn_fifo_depth,
-                rows * n_cols, rows * n_cols,
-                min(rows, self.config.rn_fifo_depth) if n_cols else 0,
-                stream_cycles,
-            )
-        if continued:
-            self.counters.add("ctrl_psum_spills", continued * n_cols)
-
-        if tracer.enabled and stream_cycles:
-            stream_end = clock + stream_cycles
-            tracer.span(
-                "DN:stream", self.dn.name, clock, stream_end,
-                columns=n_cols, slots_per_step=slots, step_cycles=step_cycles,
-            )
-            tracer.span(
-                "MN:multiply", self.mn.name, clock, stream_end,
-                multiplications=round_mults,
-            )
-            tracer.span(
-                "RN:reduce", self.rn.name, clock, stream_end,
-                outputs=rows * n_cols,
-            )
-        clock += stream_cycles
-        if tracer.enabled and merge_cycles:
-            tracer.span(
-                "RN:merge", self.rn.name, clock, clock + merge_cycles,
-                resumed_rows=resumed,
-            )
-
-        ledger = obs.stalls
+            self.rn.record_outputs(outputs)
+            self.gb.record_writes(outputs)
+        self.counters.add("ctrl_fifo_pushes", pushes)
+        self.counters.add("ctrl_fifo_pops", outputs)
+        self.counters.add("ctrl_psum_spills", spills)
+        ledger = self.obs.stalls
         if ledger is not None:
             charge = ledger.charge
-            # reconfig + stationary fill open the round
-            charge(
-                "controller", "weight_fill",
-                (ROUND_RECONFIG_CYCLES if first else 0) + load_cycles,
-            )
-            if dual_sided:
-                # dual-sided streaming: per column the step is
-                # max(per_col delivery, output drain) — one useful cycle,
-                # the rest charged to whichever side bound the column
-                costs = np.maximum(per_col, drain)
-                dn_bound = per_col >= drain
-                charge("controller", "compute_busy", int(per_col.size))
-                charge(
-                    "controller", "noc_distribution",
-                    int((costs[dn_bound] - 1).sum()),
-                )
-                charge(
-                    "controller", "fifo_backpressure",
-                    int((costs[~dn_bound] - 1).sum()),
-                )
-            else:
-                charge("controller", "compute_busy", n_cols)
-                stall = (step_cycles - 1) * n_cols
-                if stall > 0:
-                    bucket = (
-                        "noc_distribution" if delivery >= drain
-                        else "fifo_backpressure"
-                    )
-                    charge("controller", bucket, stall)
-            # folded-row psum merge runs through the reduction tier
-            charge("controller", "noc_reduction", merge_cycles)
+            # reconfig + stationary fill open a round; each column step is
+            # one useful cycle, the rest of it charged to the side that
+            # bound it; the folded-row psum merge runs through the
+            # reduction tier
+            charge("controller", "weight_fill", fill)
+            charge("controller", "compute_busy", (hi - lo) * n_cols)
+            charge("controller", "noc_distribution", dn_stall)
+            charge("controller", "fifo_backpressure", fifo_stall)
+            charge("controller", "noc_reduction", merge)
 
-        total = (
-            (ROUND_RECONFIG_CYCLES if first else 0)
-            + load_cycles
-            + stream_cycles
-            + merge_cycles
+    def _observe_rounds(
+        self, plan: _RoundPlan, times: _RoundTimes, lo: int, hi: int
+    ) -> None:
+        """One record per round for the observers that keep one: the
+        tracer's ``round[i]`` span sets and the fabric lens's tier-boundary
+        FIFO windows, read off the finished columns."""
+        obs = self.obs
+        tracer, fabric = obs.tracer, obs.fabric
+        if not tracer.enabled and fabric is None:
+            return
+        n_cols = times.n_cols
+        rounds = slice(lo, hi)
+        table = zip(
+            plan.rows[rounds].tolist(), plan.nnz[rounds].tolist(),
+            plan.resumed[rounds].tolist(), times.slots[rounds].tolist(),
+            times.multiplications[rounds].tolist(), times.step[rounds].tolist(),
+            (obs.base + times.start[rounds]).tolist(), times.fill[rounds].tolist(),
+            times.load[rounds].tolist(), times.stream[rounds].tolist(),
+            times.merge[rounds].tolist(),
         )
-        return SparseRoundStats(
-            rows=rows,
-            nnz=nnz,
-            unique_inputs=unique,
-            cycles=total,
-            utilization=nnz / self.mn.num_ms,
-        )
+        dn_depth = self.config.dn_fifo_depth
+        rn_depth = self.config.rn_fifo_depth
+        for index, (rows, nnz, resumed, slots, multiplications, step, start,
+                    fill, load, stream, merge) in enumerate(table, lo):
+            if fabric is not None:
+                # tier-boundary FIFO occupancy for the round's column stream
+                fabric.record_fifo(
+                    "gb_dn", dn_depth, slots * n_cols, slots * n_cols,
+                    min(slots, dn_depth), stream,
+                )
+                fabric.record_fifo(
+                    "rn_gb", rn_depth, rows * n_cols, rows * n_cols,
+                    min(rows, rn_depth), stream,
+                )
+            if not tracer.enabled:
+                continue
+            tracer.begin(f"round[{index}]", self.name, start, rows=rows)
+            streaming = start + fill
+            tracer.span(
+                "DN:stationary-load", self.dn.name, streaming - load, streaming,
+                nonzeros=nnz,
+            )
+            merging = streaming + stream
+            tracer.span(
+                "DN:stream", self.dn.name, streaming, merging,
+                columns=n_cols, slots_per_step=slots, step_cycles=step,
+            )
+            tracer.span(
+                "MN:multiply", self.mn.name, streaming, merging,
+                multiplications=multiplications,
+            )
+            tracer.span(
+                "RN:reduce", self.rn.name, streaming, merging,
+                outputs=rows * n_cols,
+            )
+            if merge:
+                tracer.span(
+                    "RN:merge", self.rn.name, merging, merging + merge,
+                    resumed_rows=resumed,
+                )
+            tracer.end(
+                merging + merge, nnz=nnz,
+                utilization=round(nnz / self.mn.num_ms, 6),
+            )
 
     # ------------------------------------------------------------------
     def _as_csr(self, matrix) -> CsrMatrix:
@@ -576,25 +652,31 @@ class SparseController(ClockedComponent):
     ) -> _RoundPlan:
         """Validate a schedule and tabulate what each round's timing reads."""
         k_dim = csr.shape[1]
-        chunk_counts = np.fromiter(map(len, rounds), np.int64, len(rounds))
-        chunks = np.array(
-            [
-                (chunk.row, chunk.start, chunk.length, chunk.is_final)
-                for round_chunks in rounds for chunk in round_chunks
-            ],
-            dtype=np.int64,
-        ).reshape(-1, 4)
+        try:
+            chunk_counts = np.fromiter(map(len, rounds), np.int64, len(rounds))
+            chunks = np.array(
+                [
+                    (chunk.row, chunk.start, chunk.length, chunk.is_final)
+                    for round_chunks in rounds for chunk in round_chunks
+                ],
+                dtype=np.int64,
+            ).reshape(-1, 4)
+        except (TypeError, AttributeError, ValueError) as error:
+            raise MappingError(
+                "a RoundBuilder must return a list of rounds, each a list of "
+                f"RowChunk(row, start, length, is_final); got {rounds!r:.80}"
+            ) from error
         rows, starts, lengths, final = chunks.T
-        chunk_offsets = _offsets(chunk_counts)
-        nnz = _segment_sums(lengths, chunk_offsets)
+        chunk_offsets = run_offsets(chunk_counts)
+        nnz = run_sums(lengths, chunk_offsets)
         self._validate_rounds(
             chunk_counts, nnz, rows, starts, lengths, csr.row_nnz()
         )
 
         # gather every scheduled CSR slice in one indexing operation:
         # position i of the gather reads csr.indices[i + shift of its chunk]
-        column_offsets = _offsets(nnz)
-        shift = csr.indptr[rows] + starts - _offsets(lengths)[:-1]
+        column_offsets = run_offsets(nnz)
+        shift = csr.indptr[rows] + starts - run_offsets(lengths)[:-1]
         columns = csr.indices[
             np.arange(column_offsets[-1]) + np.repeat(shift, lengths)
         ]
@@ -607,23 +689,19 @@ class SparseController(ClockedComponent):
         keys = keys[np.diff(keys, prepend=-1) != 0]
         support_offsets = np.searchsorted(keys, round_base)
         support = keys - np.repeat(round_base[:-1], np.diff(support_offsets))
-        sizes = lengths.tolist()
-        bounds = chunk_offsets.tolist()
         return _RoundPlan(
-            cluster_sizes=[
-                sizes[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])
-            ],
-            nnz=nnz.tolist(),
-            unique=np.diff(support_offsets).tolist(),
-            continued=_segment_sums(1 - final, chunk_offsets).tolist(),
-            resumed=_segment_sums(
-                (starts > 0).astype(np.int64), chunk_offsets
-            ).tolist(),
+            sizes=lengths,
+            chunk_offsets=chunk_offsets,
+            rows=chunk_counts,
+            nnz=nnz,
+            unique=np.diff(support_offsets),
+            continued=run_sums(1 - final, chunk_offsets),
+            resumed=run_sums((starts > 0).astype(np.int64), chunk_offsets),
             max_cluster=int(lengths.max(initial=0)),
             columns=columns,
-            column_offsets=column_offsets.tolist(),
+            column_offsets=column_offsets,
             support=support,
-            support_offsets=support_offsets.tolist(),
+            support_offsets=support_offsets,
         )
 
     def _validate_rounds(

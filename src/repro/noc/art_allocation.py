@@ -15,8 +15,8 @@ and verifies the non-blocking property structurally: no physical adder is
 claimed by two clusters, and the block count per cluster never exceeds
 the ``2·log2(N)`` bound the decomposition guarantees.
 
-Two functions, one claim
-------------------------
+Three functions, one claim
+--------------------------
 
 :func:`allocate_virtual_trees` *constructs* the embedding — every
 physical adder of every virtual tree, as explicit ``(level, index)``
@@ -33,6 +33,16 @@ adder *iff* their leaf ranges overlap. Every block being aligned to its
 size and starting at or after the previous block's end therefore rules
 out a doubly-claimed adder without enumerating one.
 
+:func:`verify_non_blocking_rounds` is that proof for a whole table of
+reconfigurations at once — every round of a sparse GEMM — with the
+clusters as int64 columns. The greedy decomposition takes one block off
+every cluster per array step, so the ``2·log2(N)`` block bound is also
+the bound on the number of steps; the block table it leaves (one row
+per step, one column per cluster) then goes through the same three
+checks in a handful of array operations. It only decides: a round it
+rejects is handed to :func:`verify_non_blocking`, which names the
+cluster and raises, so the error types and messages have one home.
+
 The allocation also yields each virtual tree's latency (deepest block
 plus the horizontal merge chain); the calibrated engine keeps its simpler
 ``log2(size)`` figure (virtual trees pipeline, so the difference only
@@ -42,9 +52,12 @@ studies.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import FrozenSet, List, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import ConfigurationError, MappingError
 
@@ -134,6 +147,78 @@ def verify_non_blocking(cluster_sizes: Sequence[int], num_leaves: int) -> None:
     for cluster, size in enumerate(sizes):
         cursor = check_cluster_blocks(
             cluster, size, _aligned_blocks(cursor, size), bound, cursor
+        )
+
+
+@functools.lru_cache(maxsize=16)
+def _block_size_tables(num_leaves: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``_aligned_blocks``' two caps, tabulated over ``[0, num_leaves]``:
+    the largest power of two dividing a position (``num_leaves`` at zero)
+    and the largest power of two fitting a remainder (zero at zero)."""
+    span = np.arange(num_leaves + 1)
+    by_alignment = (span | num_leaves) & -(span | num_leaves)
+    by_size = (1 << np.frexp(span)[1].astype(np.int64)) >> 1
+    for table in (by_alignment, by_size):
+        table.setflags(write=False)
+    return by_alignment, by_size
+
+
+def verify_non_blocking_rounds(
+    sizes: np.ndarray, offsets: np.ndarray, num_leaves: int
+) -> None:
+    """:func:`verify_non_blocking` for every round of a table at once.
+
+    Round ``i`` holds the clusters ``sizes[offsets[i]:offsets[i + 1]]``.
+    Accepts exactly the tables whose every round the scalar proof
+    accepts; otherwise raises what the scalar proof raises for the first
+    round it rejects.
+    """
+    rounds = len(offsets) - 1
+    if rounds < 1:
+        return
+    _checked_sizes((), num_leaves)  # the substrate, as every round would
+    # each cluster's first leaf, counted from the start of its own round
+    ends = np.cumsum(sizes)
+    round_of = np.repeat(np.arange(rounds), np.diff(offsets))
+    start = ends - sizes - np.concatenate(([0], ends))[offsets[:-1]][round_of]
+    rejected = (sizes < 1) | (start < 0) | (start + sizes > num_leaves)
+
+    # the block table: step k takes block k off every unfinished cluster
+    # (row 0 is an empty block at the cluster's first leaf, so the table
+    # has a row even when no cluster needs a step)
+    by_alignment, by_size = _block_size_tables(num_leaves)
+    position = np.where(rejected, 0, start)
+    remaining = np.where(rejected, 0, sizes)
+    block_starts, block_sizes = [position], [np.zeros_like(position)]
+    for _ in range(_block_bound(num_leaves)):
+        if not remaining.any():
+            break
+        size = np.minimum(by_alignment[position], by_size[remaining])
+        block_starts.append(position)
+        block_sizes.append(size)
+        position = position + size
+        remaining = remaining - size
+    # check 1, the 2*log2(N) bound: no cluster needs a further step
+    rejected |= remaining > 0
+    # check 2: every block is one physical subtree (a power of two,
+    # aligned to its size) and starts at or after the end of the block
+    # before it, the previous cluster's last block included
+    first, length = np.stack(block_starts), np.stack(block_sizes)
+    mask = length - (length > 0)
+    rejected |= ((length & mask) | (first & mask)).any(axis=0)
+    rejected |= (first[1:] < first[:-1] + length[:-1]).any(axis=0)
+    covered = length.sum(axis=0)
+    same_round = round_of[1:] == round_of[:-1]
+    rejected[1:] |= same_round & (start[1:] < (start + covered)[:-1])
+    # check 3: the blocks cover the cluster's leaves
+    rejected |= covered != sizes
+
+    if rejected.any():
+        bad = int(round_of[np.flatnonzero(rejected)[0]])
+        verify_non_blocking(sizes[offsets[bad]:offsets[bad + 1]].tolist(), num_leaves)
+        raise MappingError(
+            f"round {bad}: the array-form non-blocking proof rejects "
+            "clusters the per-cluster proof accepts"
         )
 
 

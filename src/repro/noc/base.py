@@ -12,10 +12,30 @@ from __future__ import annotations
 
 import abc
 from collections import Counter
-from typing import TYPE_CHECKING, Dict, Iterator
+from typing import TYPE_CHECKING, Dict, Iterator, TypeVar
+
+import numpy as np
 
 if TYPE_CHECKING:
     from repro.observability.tracer import NullTracer
+
+#: a size or count: one ``int``, or an int64 column with one entry per
+#: delivery / round (the cost formulas read the same for both)
+Ints = TypeVar("Ints", int, np.ndarray)
+
+
+def run_offsets(counts: np.ndarray) -> np.ndarray:
+    """Boundaries ``[0, c0, c0 + c1, ...]`` of consecutive runs of a
+    concatenated table: run ``i`` owns ``[offsets[i], offsets[i + 1])``."""
+    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    return offsets
+
+
+def run_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Sum of each consecutive run of ``values`` (empty runs give 0)."""
+    sums: np.ndarray = np.diff(run_offsets(values)[offsets])
+    return sums
 
 
 class CounterSet:

@@ -19,24 +19,49 @@ charges one slot per destination.
 
 Deliveries are modeled with a pending-work queue drained by ``cycle()``.
 ``delivery_cycles``/``record_delivery`` provide the batched equivalent the
-engines use for cycle-exact fast-forwarding.
+engines use for cycle-exact fast-forwarding, and
+``delivery_cycles_of``/``schedule_deliveries``/``record_scheduled`` the
+same for a whole sequence of deliveries held as int64 columns (the
+sparse controller's round table). Each fabric's cost formulas are
+written once, in arithmetic that reads the same for one ``int`` and for
+a column.
 """
 
 from __future__ import annotations
 
 import abc
 import math
-from typing import TYPE_CHECKING, List
+from typing import TYPE_CHECKING, List, NamedTuple
+
+import numpy as np
 
 if TYPE_CHECKING:
     from repro.config.hardware import DistributionKind
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.noc.base import ClockedComponent
+from repro.noc.base import ClockedComponent, Ints
 
 
 def _log2_ceil(value: int) -> int:
     return max(1, math.ceil(math.log2(value))) if value > 1 else 0
+
+
+class DeliverySchedule(NamedTuple):
+    """A sequence of deliveries, costed but not yet accounted
+    (:meth:`DistributionNetwork.schedule_deliveries`)."""
+
+    #: one row per delivery: switch hops, wire hops, elements sent, busy
+    #: cycles, drain cycles — then, under a fabric ledger, one column
+    #: per fabric level
+    costs: np.ndarray
+    #: slots queued before the first delivery and after each one's drain
+    pending: np.ndarray
+
+
+def _at_least(value: Ints, floor: int) -> Ints:
+    """``max(value, floor)``, entry by entry when ``value`` is a column."""
+    lifted: Ints = value + (floor - value) * (value < floor)
+    return lifted
 
 
 class DistributionNetwork(ClockedComponent):
@@ -69,16 +94,18 @@ class DistributionNetwork(ClockedComponent):
     def pipeline_latency(self) -> int:
         """Cycles for one element to traverse GB → MS (pipeline depth)."""
 
+    # (each takes one delivery as ints or a column of deliveries; a
+    # delivery without values has no destinations either, see _validate)
     @abc.abstractmethod
-    def _bandwidth_slots(self, unique_values: int, destinations: int) -> int:
+    def _bandwidth_slots(self, unique_values: Ints, destinations: Ints) -> Ints:
         """GB read-port slots consumed by one delivery."""
 
     @abc.abstractmethod
-    def _switch_traversals(self, unique_values: int, destinations: int) -> int:
+    def _switch_traversals(self, unique_values: Ints, destinations: Ints) -> Ints:
         """Switch activations charged to the energy model."""
 
     @abc.abstractmethod
-    def _wire_traversals(self, unique_values: int, destinations: int) -> int:
+    def _wire_traversals(self, unique_values: Ints, destinations: Ints) -> Ints:
         """Link activations charged to the energy model."""
 
     # ---- spatial fabric decomposition --------------------------------
@@ -88,8 +115,8 @@ class DistributionNetwork(ClockedComponent):
 
     @abc.abstractmethod
     def fabric_level_traversals(
-        self, unique_values: int, destinations: int
-    ) -> List[int]:
+        self, unique_values: Ints, destinations: Ints
+    ) -> List[Ints]:
         """Per-level split of one delivery's :attr:`fabric_counter` charge.
 
         The entries sum *exactly* to what :meth:`enqueue` adds to the
@@ -178,6 +205,94 @@ class DistributionNetwork(ClockedComponent):
         if destinations > 0 and unique_values == 0:
             raise ValueError("a delivery with destinations needs values")
 
+    # ---- the same, for a sequence of deliveries held as columns ---------
+    def delivery_cycles_of(
+        self, unique_values: np.ndarray, destinations: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`delivery_cycles` of every delivery of a sequence."""
+        self._validate_columns(unique_values, destinations)
+        slots = self._bandwidth_slots(unique_values, destinations)
+        cycles: np.ndarray = -(-slots // self.bandwidth)
+        return cycles
+
+    def schedule_deliveries(
+        self,
+        unique_values: np.ndarray,
+        destinations: np.ndarray,
+        times: np.ndarray,
+        cycles: np.ndarray,
+    ) -> DeliverySchedule:
+        """Cost a sequence of deliveries from the current queue onwards.
+
+        Entry ``i`` stands for ``enqueue(unique_values[i], destinations[i],
+        times[i])`` followed by ``skip_cycles(cycles[i])``. Nothing is
+        written: :meth:`record_scheduled` accounts any run of consecutive
+        entries. The queue carries over from one entry to the next (and
+        in from what is pending now): ``pending' = max(0, pending + slots
+        - cycles * bandwidth)`` is solved for every entry with a running
+        minimum rather than stepped.
+        """
+        self._validate_columns(unique_values, destinations)
+        if times.size and times.min() < 1:
+            raise SimulationError(
+                f"a delivery is queued at least once, got times={int(times.min())}"
+            )
+        if cycles.size and cycles.min() < 0:
+            raise ValueError("cannot skip a negative number of cycles")
+        queued = self._bandwidth_slots(unique_values, destinations) * times
+        # the queue after each entry's drain if it could run negative; it
+        # cannot, so whatever deficit it has reached so far is forgiven
+        owed = self._pending_slots + np.cumsum(queued - cycles * self.bandwidth)
+        left = owed - np.minimum(np.minimum.accumulate(owed), 0)
+        pending = np.concatenate(([self._pending_slots], left))
+        busy = np.minimum(cycles, -(-(pending[:-1] + queued) // self.bandwidth))
+        costs = [
+            self._switch_traversals(unique_values, destinations) * times,
+            self._wire_traversals(unique_values, destinations) * times,
+            unique_values * times,
+            busy,
+            cycles,
+        ]
+        if self.obs.fabric is not None:
+            costs += [
+                hops * times
+                for hops in self.fabric_level_traversals(unique_values, destinations)
+            ]
+        return DeliverySchedule(np.stack(costs, axis=1), pending)
+
+    def record_scheduled(self, schedule: DeliverySchedule, lo: int, hi: int) -> None:
+        """Account entries ``[lo, hi)`` of a schedule: counters, fabric
+        levels, the pending queue and the clock end up exactly where the
+        scalar calls they stand for would leave them. Runs are recorded
+        in order, each from the queue the one before left."""
+        if self._pending_slots != schedule.pending[lo]:
+            raise SimulationError(
+                f"delivery schedule entry {lo} expects {int(schedule.pending[lo])} "
+                f"pending slots, the queue holds {self._pending_slots}"
+            )
+        switches, wires, elements, busy, cycles, *levels = (
+            schedule.costs[lo:hi].sum(axis=0).tolist()
+        )
+        self._pending_slots = int(schedule.pending[hi])
+        self.counters.add("dn_switch_traversals", switches)
+        self.counters.add("dn_wire_traversals", wires)
+        self.counters.add("dn_elements_sent", elements)
+        self.counters.add("dn_busy_cycles", busy)
+        self._current_cycle += cycles
+        fabric = self.obs.fabric
+        if fabric is not None:
+            fabric.charge_levels(
+                "dn", self.fabric_counter, levels, self.fabric_level_widths()
+            )
+
+    def _validate_columns(
+        self, unique_values: np.ndarray, destinations: np.ndarray
+    ) -> None:
+        if unique_values.size and min(unique_values.min(), destinations.min()) < 0:
+            raise ValueError("delivery sizes must be non-negative")
+        if ((destinations > 0) & (unique_values == 0)).any():
+            raise ValueError("a delivery with destinations needs values")
+
     def reset(self) -> None:
         super().reset()
         self._pending_slots = 0
@@ -208,18 +323,21 @@ class TreeNetwork(DistributionNetwork):
         """Switches in one tree replica (internal nodes of a binary tree)."""
         return self.num_leaves - 1
 
-    def _bandwidth_slots(self, unique_values: int, destinations: int) -> int:
+    def _bandwidth_slots(self, unique_values: Ints, destinations: Ints) -> Ints:
         return unique_values
 
-    def _switch_traversals(self, unique_values: int, destinations: int) -> int:
-        if unique_values == 0:
-            return 0
-        fanout = max(1, destinations // max(unique_values, 1))
-        return unique_values * (self.depth + max(0, fanout - 1))
+    def _fanout(self, unique_values: Ints, destinations: Ints) -> Ints:
+        return _at_least(destinations // _at_least(unique_values, 1), 1)
 
-    def _wire_traversals(self, unique_values: int, destinations: int) -> int:
+    def _switch_traversals(self, unique_values: Ints, destinations: Ints) -> Ints:
+        fanout = self._fanout(unique_values, destinations)
+        hops: Ints = unique_values * (self.depth + fanout - 1)
+        return hops
+
+    def _wire_traversals(self, unique_values: Ints, destinations: Ints) -> Ints:
         # One link per switch hop plus the final switch→MS links.
-        return self._switch_traversals(unique_values, destinations) + destinations
+        hops: Ints = self._switch_traversals(unique_values, destinations) + destinations
+        return hops
 
     def fabric_level_widths(self) -> List[int]:
         # Root-first tournament halving: [1, 2, 4, ...] for power-of-two
@@ -229,16 +347,14 @@ class TreeNetwork(DistributionNetwork):
         return list(reversed(tournament_levels(self.num_leaves)))
 
     def fabric_level_traversals(
-        self, unique_values: int, destinations: int
-    ) -> List[int]:
+        self, unique_values: Ints, destinations: Ints
+    ) -> List[Ints]:
         # Each unique value crosses one switch per level; the multicast
         # replication hops all land in the leaf-adjacent level, where the
         # covering subtree splits towards the destinations.
-        if unique_values == 0:
-            return [0] * self.depth
-        fanout = max(1, destinations // max(unique_values, 1))
+        fanout = self._fanout(unique_values, destinations)
         levels = [unique_values] * self.depth
-        levels[-1] += unique_values * max(0, fanout - 1)
+        levels[-1] = levels[-1] + unique_values * (fanout - 1)
         return levels
 
 
@@ -263,32 +379,32 @@ class BenesNetwork(DistributionNetwork):
         """2x2 switches in the fabric: N/2 per level."""
         return (self.num_leaves // 2) * self.levels
 
-    def _bandwidth_slots(self, unique_values: int, destinations: int) -> int:
+    def _bandwidth_slots(self, unique_values: Ints, destinations: Ints) -> Ints:
         return unique_values
 
-    def _switch_traversals(self, unique_values: int, destinations: int) -> int:
-        if unique_values == 0:
-            return 0
+    def _switch_traversals(self, unique_values: Ints, destinations: Ints) -> Ints:
         # Multicast replication happens progressively across levels; charge
         # the dominant term: each *delivered copy* exits through the last
         # level, and each unique value walks all levels once.
-        return unique_values * self.levels + max(0, destinations - unique_values)
+        hops: Ints = unique_values * self.levels + _at_least(
+            destinations - unique_values, 0
+        )
+        return hops
 
-    def _wire_traversals(self, unique_values: int, destinations: int) -> int:
-        return self._switch_traversals(unique_values, destinations) + destinations
+    def _wire_traversals(self, unique_values: Ints, destinations: Ints) -> Ints:
+        hops: Ints = self._switch_traversals(unique_values, destinations) + destinations
+        return hops
 
     def fabric_level_widths(self) -> List[int]:
         return [self.num_leaves // 2] * self.levels
 
     def fabric_level_traversals(
-        self, unique_values: int, destinations: int
-    ) -> List[int]:
+        self, unique_values: Ints, destinations: Ints
+    ) -> List[Ints]:
         # Every unique value walks all levels; the multicast copies exit
         # through the final level towards their destinations.
-        if unique_values == 0:
-            return [0] * self.levels
         levels = [unique_values] * self.levels
-        levels[-1] += max(0, destinations - unique_values)
+        levels[-1] = levels[-1] + _at_least(destinations - unique_values, 0)
         return levels
 
 
@@ -315,22 +431,24 @@ class PointToPointNetwork(DistributionNetwork):
     def num_switches(self) -> int:
         return 0
 
-    def _bandwidth_slots(self, unique_values: int, destinations: int) -> int:
-        return max(unique_values, destinations)
+    def _bandwidth_slots(self, unique_values: Ints, destinations: Ints) -> Ints:
+        slots: Ints = unique_values + _at_least(destinations - unique_values, 0)
+        return slots
 
-    def _switch_traversals(self, unique_values: int, destinations: int) -> int:
-        return 0
+    def _switch_traversals(self, unique_values: Ints, destinations: Ints) -> Ints:
+        none: Ints = unique_values * 0
+        return none
 
-    def _wire_traversals(self, unique_values: int, destinations: int) -> int:
-        return max(unique_values, destinations)
+    def _wire_traversals(self, unique_values: Ints, destinations: Ints) -> Ints:
+        return self._bandwidth_slots(unique_values, destinations)
 
     def fabric_level_widths(self) -> List[int]:
         return [self.num_leaves]
 
     def fabric_level_traversals(
-        self, unique_values: int, destinations: int
-    ) -> List[int]:
-        return [max(unique_values, destinations)]
+        self, unique_values: Ints, destinations: Ints
+    ) -> List[Ints]:
+        return [self._bandwidth_slots(unique_values, destinations)]
 
 
 def build_distribution_network(kind: DistributionKind, num_leaves: int, bandwidth: int) -> DistributionNetwork:

@@ -18,11 +18,13 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Sequence
 
+import numpy as np
+
 if TYPE_CHECKING:
     from repro.config.hardware import MultiplierKind
 
 from repro.errors import ConfigurationError, MappingError
-from repro.noc.base import ClockedComponent
+from repro.noc.base import ClockedComponent, run_sums
 
 
 class MultiplierNetwork(ClockedComponent):
@@ -62,6 +64,30 @@ class MultiplierNetwork(ClockedComponent):
         self._forwarder_count = forwarders
         self.counters.add("mn_reconfigurations", 1)
 
+    # ---- a table of configurations (the sparse controller's rounds) -----
+    def verify_rounds(self, sizes: np.ndarray, offsets: np.ndarray) -> None:
+        """Check a whole table of partitions, round ``i`` being
+        ``sizes[offsets[i]:offsets[i + 1]]``, as :meth:`configure_clusters`
+        would check each of them (no forwarders); nothing is configured."""
+        if sizes.size and sizes.min() < 1:
+            raise MappingError("cluster sizes must be positive")
+        used = run_sums(sizes, offsets)
+        over = np.flatnonzero(used > self.num_ms)
+        if over.size:
+            raise MappingError(
+                f"mapping needs {int(used[over[0]])} multiplier switches but "
+                f"only {self.num_ms} exist"
+            )
+
+    def record_reconfigurations(
+        self, count: int, cluster_sizes: Sequence[int]
+    ) -> None:
+        """``count`` reconfigurations in a row, through partitions
+        :meth:`verify_rounds` accepted, ending at ``cluster_sizes``."""
+        self._cluster_sizes = tuple(int(size) for size in cluster_sizes)
+        self._forwarder_count = 0
+        self.counters.add("mn_reconfigurations", count)
+
     @property
     def cluster_sizes(self) -> tuple:
         return self._cluster_sizes
@@ -94,6 +120,25 @@ class MultiplierNetwork(ClockedComponent):
                 [count],
                 [self.num_ms],
                 active=[self.multipliers_in_use or self.num_ms],
+            )
+
+    def record_round_multiplications(
+        self, counts: np.ndarray, in_use: np.ndarray
+    ) -> None:
+        """:meth:`record_multiplications` of ``counts[i]`` under a mapping
+        that uses ``in_use[i] >= 1`` multipliers, for every ``i``."""
+        if counts.size and counts.min() < 0:
+            raise ValueError("multiplication count must be non-negative")
+        total = int(counts.sum())
+        self.counters.add("mn_multiplications", total)
+        fabric = self.obs.fabric
+        if fabric is not None and total:
+            fabric.charge_levels(
+                "mn",
+                "mn_multiplications",
+                [total],
+                [self.num_ms],
+                active=[int(in_use[counts > 0].min())],
             )
 
     def record_forwarding(self, count: int) -> None:

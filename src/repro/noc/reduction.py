@@ -24,11 +24,13 @@ import abc
 import math
 from typing import TYPE_CHECKING, List, Sequence
 
+import numpy as np
+
 if TYPE_CHECKING:
     from repro.config.hardware import ReductionKind
 
 from repro.errors import ConfigurationError, MappingError
-from repro.noc.base import ClockedComponent
+from repro.noc.base import ClockedComponent, Ints, run_sums
 
 
 def _log2_ceil(value: int) -> int:
@@ -94,6 +96,37 @@ class ReductionNetwork(ClockedComponent):
                 f"got {sorted(set(sizes))}"
             )
 
+    # ---- a table of configurations (the sparse controller's rounds) -----
+    def verify_rounds(self, sizes: np.ndarray, offsets: np.ndarray) -> None:
+        """Check a whole table of partitions, round ``i`` being
+        ``sizes[offsets[i]:offsets[i + 1]]``, as :meth:`configure_clusters`
+        would check each of them; nothing is configured."""
+        if sizes.size and sizes.min() < 1:
+            raise MappingError("cluster sizes must be positive")
+        used = run_sums(sizes, offsets)
+        over = np.flatnonzero(used > self.num_inputs)
+        if over.size:
+            raise MappingError(
+                f"clusters need {int(used[over[0]])} RN inputs but only "
+                f"{self.num_inputs} exist"
+            )
+        if self.variable_clusters:
+            from repro.noc.art_allocation import verify_non_blocking_rounds
+
+            verify_non_blocking_rounds(sizes, offsets, self.num_inputs)
+            return
+        bounds = offsets.tolist()
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            self._validate_clusters(tuple(sizes[lo:hi].tolist()))
+
+    def record_reconfigurations(
+        self, count: int, cluster_sizes: Sequence[int]
+    ) -> None:
+        """``count`` reconfigurations in a row, through partitions
+        :meth:`verify_rounds` accepted, ending at ``cluster_sizes``."""
+        self._cluster_sizes = tuple(int(size) for size in cluster_sizes)
+        self.counters.add("rn_reconfigurations", count)
+
     @property
     def cluster_sizes(self) -> tuple:
         return self._cluster_sizes
@@ -108,9 +141,11 @@ class ReductionNetwork(ClockedComponent):
         """Whether a new wave of products can enter every cycle."""
         return True
 
-    def output_cycles(self, outputs: int) -> int:
-        """Cycles to push ``outputs`` completed psums to the write port."""
-        return math.ceil(outputs / self.bandwidth) if outputs else 0
+    def output_cycles(self, outputs: Ints) -> Ints:
+        """Cycles to push ``outputs`` completed psums to the write port
+        (one count, or a column of them)."""
+        cycles: Ints = -(-outputs // self.bandwidth)
+        return cycles
 
     # ---- spatial fabric decomposition -----------------------------------
     def fabric_level_widths(self) -> List[int]:
@@ -172,6 +207,13 @@ class ReductionNetwork(ClockedComponent):
         self.counters.add(self.adder_counter, waves * max(0, size - 1))
         self.counters.add("rn_wire_traversals", waves * (2 * size - 1))
         self._record_fabric_reductions(size, waves)
+
+    def record_cluster_table(self, sizes: np.ndarray, waves: int) -> None:
+        """:meth:`record_cluster_reductions` of ``waves`` waves for every
+        cluster of a table, charged once per distinct cluster size."""
+        clusters_of = np.bincount(sizes)
+        for size in np.flatnonzero(clusters_of).tolist():
+            self.record_cluster_reductions(size, waves * int(clusters_of[size]))
 
     def _wave_wires(self, cluster_size: int) -> int:
         # Every product and every intermediate psum travels one link.

@@ -129,6 +129,30 @@ def from_dense(dense: np.ndarray, fmt: str = "bitmap") -> SparseMatrix:
     raise ConfigurationError(f"unknown sparse format {fmt!r}; use 'bitmap' or 'csr'")
 
 
+def block_diagonal_csr(blocks: np.ndarray, groups: int) -> CsrMatrix:
+    """CSR of ``groups`` equal blocks laid along a diagonal.
+
+    ``blocks`` stacks them row-wise, ``(groups * k) x dot`` (a grouped
+    convolution's filters); the result is the ``(groups * k) x
+    (groups * dot)`` matrix with block ``g`` at column offset ``g * dot``
+    — what ``from_dense`` makes of that matrix, without building its
+    zeros.
+    """
+    stacked = from_dense(blocks, "csr")
+    rows, dot = blocks.shape
+    if groups < 1 or rows % groups:
+        raise ConfigurationError(
+            f"{rows} rows do not split into {groups} equal blocks"
+        )
+    block_of = np.repeat(np.arange(rows) // (rows // groups), stacked.row_nnz())
+    return CsrMatrix(
+        indptr=stacked.indptr,
+        indices=stacked.indices + block_of * dot,
+        values=stacked.values,
+        shape=(rows, dot * groups),
+    )
+
+
 def to_dense(matrix: SparseMatrix) -> np.ndarray:
     """Decompress back to a dense matrix."""
     return matrix.to_dense()

@@ -2,12 +2,15 @@
 
 The reduction networks prove the non-blocking property on every
 reconfiguration with :func:`verify_non_blocking`, which reads only the
-aligned-block table. :func:`allocate_virtual_trees` constructs every
-physical adder node and checks disjointness node by node; it is off the
-timing path and serves here as the oracle: both must accept and reject
-the same inputs with the same exception type.
+aligned-block table, and on a whole table of reconfigurations (the
+rounds of a sparse GEMM) with :func:`verify_non_blocking_rounds`, the
+same proof over int64 columns. :func:`allocate_virtual_trees` constructs
+every physical adder node and checks disjointness node by node; it is
+off the timing path and serves here as the oracle: all three must accept
+and reject the same inputs with the same exception type.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +24,9 @@ from repro.noc.art_allocation import (
     allocate_virtual_trees,
     check_cluster_blocks,
     verify_non_blocking,
+    verify_non_blocking_rounds,
 )
+from repro.noc.base import run_offsets
 
 
 def _outcome(function, sizes, num_leaves):
@@ -33,15 +38,37 @@ def _outcome(function, sizes, num_leaves):
     return None
 
 
+SUBSTRATES = [2, 4, 8, 16, 64, 256, 1, 0, 12, 48]
+
+
+def _cluster_sizes(num_leaves):
+    return st.lists(
+        st.integers(-1, max(2, num_leaves // 2)), min_size=0, max_size=12,
+    )
+
+
 @st.composite
 def cluster_inputs(draw):
     """Mostly valid partitions, with bad substrates, non-positive sizes
     and over-capacity totals mixed in."""
-    num_leaves = draw(st.sampled_from([2, 4, 8, 16, 64, 256, 1, 0, 12, 48]))
-    sizes = draw(st.lists(
-        st.integers(-1, max(2, num_leaves // 2)), min_size=0, max_size=12,
+    num_leaves = draw(st.sampled_from(SUBSTRATES))
+    return draw(_cluster_sizes(num_leaves)), num_leaves
+
+
+@st.composite
+def round_tables(draw):
+    """Several such partitions over one substrate — the rounds of a
+    GEMM — so a bad round can sit anywhere in the table; mostly valid
+    rounds, or nearly every table would be rejected at its first."""
+    num_leaves = draw(st.sampled_from(SUBSTRATES))
+    valid = st.lists(
+        st.integers(1, max(1, num_leaves // 4)), min_size=0, max_size=4,
+    )
+    rounds = draw(st.lists(
+        st.one_of(valid, valid, valid, _cluster_sizes(num_leaves)),
+        min_size=0, max_size=6,
     ))
-    return sizes, num_leaves
+    return rounds, num_leaves
 
 
 @given(cluster_inputs())
@@ -51,6 +78,52 @@ def test_verifier_and_constructor_agree(case):
     proved = _outcome(verify_non_blocking, sizes, num_leaves)
     constructed = _outcome(allocate_virtual_trees, sizes, num_leaves)
     assert proved is constructed
+
+
+def _table_outcome(rounds, num_leaves):
+    sizes = np.array([s for r in rounds for s in r], dtype=np.int64)
+    offsets = run_offsets(np.array([len(r) for r in rounds], dtype=np.int64))
+    try:
+        verify_non_blocking_rounds(sizes, offsets, num_leaves)
+    except StonneError as error:
+        return type(error)
+    return None
+
+
+def _round_by_round_outcome(function, rounds, num_leaves):
+    for sizes in rounds:
+        outcome = _outcome(function, sizes, num_leaves)
+        if outcome is not None:
+            return outcome
+    return None
+
+
+@given(round_tables())
+@settings(max_examples=400, deadline=None)
+def test_array_form_agrees_round_by_round(case):
+    """The table proof rejects iff some round is rejected, with the type
+    the first rejected round raises (a table without rounds configures
+    nothing, so not even a bad substrate is looked at)."""
+    rounds, num_leaves = case
+    proved = _table_outcome(rounds, num_leaves)
+    assert proved is _round_by_round_outcome(
+        verify_non_blocking, rounds, num_leaves
+    )
+    assert proved is _round_by_round_outcome(
+        allocate_virtual_trees, rounds, num_leaves
+    )
+
+
+def test_array_form_names_the_first_bad_round_like_the_scalar_proof():
+    sizes = np.array([3, 5, 4, 4, 9, 2], dtype=np.int64)
+    offsets = np.array([0, 2, 4, 6], dtype=np.int64)
+    with pytest.raises(MappingError) as table:
+        verify_non_blocking_rounds(sizes, offsets, 8)
+    with pytest.raises(MappingError) as scalar:
+        verify_non_blocking([9, 2], 8)
+    assert str(table.value) == str(scalar.value)
+    verify_non_blocking_rounds(sizes[:4], offsets[:3], 8)
+    verify_non_blocking_rounds(sizes[:0], offsets[:1], 12)  # no round, no check
 
 
 @st.composite
@@ -158,6 +231,11 @@ def test_reduction_networks_prove_without_constructing(config, monkeypatch):
     rn = Accelerator(config).rn
     rn.configure_clusters([3, 5, 1, 7])
     assert rn.cluster_sizes == (3, 5, 1, 7)
+    table = np.array([3, 5, 1, 7, 16, 2, 2], dtype=np.int64)
+    rn.verify_rounds(table, np.array([0, 4, 5, 7], dtype=np.int64))
+    assert rn.cluster_sizes == (3, 5, 1, 7)  # a check configures nothing
+    with pytest.raises(MappingError, match="RN inputs"):
+        rn.verify_rounds(table, np.array([0, 4, 6, 7], dtype=np.int64))
     with pytest.raises(MappingError):
         rn.configure_clusters([9, 8])
     with pytest.raises(MappingError, match="positive"):

@@ -127,7 +127,8 @@ def test_every_plan_row_equals_the_slow_definition(dense, capacity, order, seed)
     assert len(plan.nnz) == len(rounds)
     for index, chunks in enumerate(rounds):
         reference = _round_reference(csr, chunks)
-        assert plan.cluster_sizes[index] == reference["cluster_sizes"]
+        assert plan.cluster_sizes(index).tolist() == reference["cluster_sizes"]
+        assert plan.rows[index] == len(chunks)
         assert plan.nnz[index] == reference["nnz"]
         assert plan.unique[index] == reference["unique"]
         assert plan.round_support(index).tolist() == reference["support"]
@@ -137,12 +138,14 @@ def test_every_plan_row_equals_the_slow_definition(dense, capacity, order, seed)
     assert plan.max_cluster == max(
         (chunk.length for chunks in rounds for chunk in chunks), default=0
     )
-    # the per-round entries feed counters and JSON payloads: plain ints
-    for column in (plan.nnz, plan.unique, plan.continued, plan.resumed):
-        assert all(type(value) is int for value in column)
-    assert all(
-        type(size) is int for sizes in plan.cluster_sizes for size in sizes
-    )
+    # the per-round entries are int64 columns, one entry per round (they
+    # become plain ints where they leave the controller, see
+    # tests/regression/test_spmm_input_validation.py)
+    for column in (plan.rows, plan.nnz, plan.unique, plan.continued,
+                   plan.resumed):
+        assert column.dtype == np.int64 and column.shape == (len(rounds),)
+    assert plan.sizes.dtype == np.int64
+    assert plan.chunk_offsets.tolist()[-1] == len(plan.sizes)
     assert type(plan.max_cluster) is int
 
 
@@ -150,7 +153,8 @@ def test_plan_of_an_empty_schedule():
     ctrl = Accelerator(sigma_like(num_ms=16, bandwidth=8)).sparse_controller
     csr = from_dense(np.zeros((3, 5), dtype=np.float32), "csr")
     plan = ctrl._plan_rounds(csr, [])
-    assert plan.nnz == [] and plan.cluster_sizes == [] and plan.unique == []
+    assert plan.nnz.size == 0 and plan.sizes.size == 0 and plan.unique.size == 0
+    assert plan.chunk_offsets.tolist() == [0]
     assert plan.max_cluster == 0
     assert plan.columns.size == 0 and plan.support.size == 0
 

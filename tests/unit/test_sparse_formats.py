@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.tensors.sparse import BitmapMatrix, CsrMatrix, from_dense, to_dense
+from repro.tensors.sparse import (
+    BitmapMatrix,
+    CsrMatrix,
+    block_diagonal_csr,
+    from_dense,
+    to_dense,
+)
 
 
 @pytest.fixture
@@ -101,3 +107,39 @@ def test_unknown_format_rejected(sparse_dense):
 def test_non_2d_rejected(rng):
     with pytest.raises(ConfigurationError):
         from_dense(rng.standard_normal((2, 3, 4)), "bitmap")
+
+
+class TestBlockDiagonal:
+    """A grouped convolution's filters as one block-diagonal CSR, built
+    without the zeros between the blocks."""
+
+    def test_equals_the_densified_block_matrix_field_by_field(self, rng):
+        groups, k, c_per_group = 4, 3, 2
+        weights = rng.standard_normal((groups * k, c_per_group, 3, 3)).astype(
+            np.float32
+        )
+        weights[rng.random(weights.shape) < 0.5] = 0.0
+        weights[4] = 0.0  # an all-zero filter in the second group
+        dot = c_per_group * 9
+        block = np.zeros((k * groups, dot * groups), dtype=np.float32)
+        for g in range(groups):
+            block[g * k:(g + 1) * k, g * dot:(g + 1) * dot] = (
+                weights[g * k:(g + 1) * k].reshape(k, -1)
+            )
+        built = block_diagonal_csr(weights.reshape(groups * k, dot), groups)
+        reference = from_dense(block, "csr")
+        assert built.shape == reference.shape
+        for field in ("indptr", "indices", "values"):
+            got, want = getattr(built, field), getattr(reference, field)
+            assert got.dtype == want.dtype, field
+            assert got.tobytes() == want.tobytes(), field
+        assert built.row_nnz()[4] == 0
+
+    def test_one_group_is_the_plain_csr(self, sparse_dense):
+        built = block_diagonal_csr(sparse_dense, 1)
+        assert np.array_equal(built.to_dense(), sparse_dense)
+
+    @pytest.mark.parametrize("groups", [0, -1, 4])
+    def test_rows_must_split_into_equal_blocks(self, sparse_dense, groups):
+        with pytest.raises(ConfigurationError, match="equal blocks"):
+            block_diagonal_csr(sparse_dense, groups)
