@@ -8,6 +8,15 @@ Two ways in used to leak: ``n_cols`` was never normalised
 looking (``None`` -> bare ``TypeError``, a tuple in place of a chunk ->
 bare ``AttributeError`` from inside the plan). Both are ``MappingError``
 now, raised before a counter moves.
+
+A third (ISSUE 21): index arrays of the wrong dtype reached the plan's
+gather untyped — a ``CsrMatrix`` with float ``indptr`` died with a bare
+``IndexError`` inside ``_plan_rounds``, float ``indices`` were accepted
+silently (and would give ``structure_digest`` other bytes for the same
+structure), ``from_dense`` of a nested list raised ``AttributeError``.
+``CsrMatrix`` now rejects non-integer index arrays with
+``ConfigurationError`` and ``from_dense`` coerces; the new ``groups``
+parameter is normalised like ``n_cols``.
 """
 
 import dataclasses
@@ -19,8 +28,9 @@ import pytest
 from repro.analytical.sigma_model import uniform_sparse_matrix
 from repro.config import sigma_like
 from repro.engine.accelerator import Accelerator
-from repro.errors import MappingError
+from repro.errors import ConfigurationError, MappingError
 from repro.memory.sparse_controller import RowChunk, natural_order_rounds
+from repro.tensors.sparse import CsrMatrix, from_dense
 
 
 @pytest.fixture
@@ -112,3 +122,106 @@ def test_malformed_round_builder_result_is_a_mapping_error(
     result = ctrl.run_spmm(stationary, 4, round_builder=natural_order_rounds)
     assert ctrl.counters["ctrl_gemms_run"] == 1 and result.rounds > 1
 
+
+# ---------------------------------------------------------------------------
+# index arrays of the wrong dtype (ISSUE 21)
+# ---------------------------------------------------------------------------
+
+def _csr_fields(**overrides):
+    fields = dict(
+        indptr=np.array([0, 2], dtype=np.int64),
+        indices=np.array([3, 1], dtype=np.int64),
+        values=np.array([1.0, 2.0], dtype=np.float32),
+        shape=(1, 4),
+    )
+    fields.update(overrides)
+    return fields
+
+
+@pytest.mark.parametrize(
+    "field,array",
+    [
+        ("indptr", np.array([0.0, 2.0])),
+        ("indices", np.array([3.0, 1.0])),
+        ("indices", np.array([True, False])),
+        ("indptr", np.array(["0", "2"])),
+    ],
+    ids=["float-indptr", "float-indices", "bool-indices", "str-indptr"],
+)
+def test_non_integer_csr_index_arrays_are_a_configuration_error(field, array):
+    with pytest.raises(ConfigurationError, match=f"{field} must be an integer"):
+        CsrMatrix(**_csr_fields(**{field: array}))
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.uint16, np.int64])
+def test_any_integer_index_dtype_is_the_same_operand(accelerator, dtype):
+    from repro.tensors.sparse import structure_digest
+
+    reference = CsrMatrix(**_csr_fields())
+    narrow = CsrMatrix(**_csr_fields(
+        indptr=np.array([0, 2], dtype=dtype), indices=np.array([3, 1], dtype=dtype),
+    ))
+    assert structure_digest(narrow) == structure_digest(reference)
+    config = sigma_like(num_ms=32, bandwidth=8)
+    assert (
+        Accelerator(config).sparse_controller.run_spmm(narrow, 3)
+        == accelerator.sparse_controller.run_spmm(reference, 3)
+    )
+
+
+def test_unsorted_and_duplicate_columns_stay_accepted(accelerator):
+    # test_to_dense_last_duplicate_wins_like_the_row_loop pins the decode;
+    # the controller maps every stored entry
+    csr = CsrMatrix(**_csr_fields(
+        indptr=np.array([0, 3]), indices=np.array([3, 1, 1]),
+        values=np.array([1.0, 2.0, 7.0], dtype=np.float32),
+    ))
+    result = accelerator.sparse_controller.run_spmm(csr, 3)
+    assert result.effective_macs == 3 * 3
+
+
+def test_from_dense_coerces_a_nested_list():
+    csr = from_dense([[1, 0], [0, 1]], "csr")
+    assert csr.indptr.tolist() == [0, 1, 2] and csr.indices.tolist() == [0, 1]
+    assert from_dense([[1, 0], [0, 1]], "bitmap").nnz == 2
+    with pytest.raises(ConfigurationError, match="2-D"):
+        from_dense([1, 0, 1], "csr")
+
+
+@pytest.mark.parametrize(
+    "groups", [2.0, 1.5, "2", None, [2], np.float32(2)],
+    ids=["whole-float", "float", "str", "none", "list", "np-float"],
+)
+def test_non_integer_groups_is_a_mapping_error(accelerator, stationary, groups):
+    ctrl = accelerator.sparse_controller
+    with pytest.raises(MappingError, match="groups must be an integer") as caught:
+        ctrl.run_spmm(stationary, 4, groups=groups)
+    assert repr(groups) in str(caught.value)
+    assert ctrl.counters.as_dict() == {} and _untouched(accelerator)
+
+
+@pytest.mark.parametrize("groups", [0, -2, np.int64(0)])
+def test_groups_below_one_is_a_mapping_error(accelerator, stationary, groups):
+    ctrl = accelerator.sparse_controller
+    with pytest.raises(MappingError, match="groups must be at least 1"):
+        ctrl.run_spmm(stationary, 4, groups=groups)
+    assert ctrl.counters.as_dict() == {} and _untouched(accelerator)
+
+
+def test_groups_that_do_not_divide_the_rows_move_no_counter(accelerator, stationary):
+    ctrl = accelerator.sparse_controller
+    with pytest.raises(ConfigurationError, match="24 rows do not split into 5"):
+        ctrl.run_spmm(stationary, 4, groups=5)
+    assert ctrl.counters.as_dict() == {} and _untouched(accelerator)
+
+
+def test_numpy_integer_groups_is_the_plain_int_gemm(stationary):
+    config = sigma_like(num_ms=32, bandwidth=8)
+    result = Accelerator(config).sparse_controller.run_spmm(
+        stationary, 4, groups=np.int64(3)
+    )
+    assert result == Accelerator(config).sparse_controller.run_spmm(
+        stationary, 4, groups=3
+    )
+    json.dumps(dataclasses.asdict(result))
+    assert result.dense_macs == 24 * (64 * 3) * 4

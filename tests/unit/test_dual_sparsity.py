@@ -42,6 +42,23 @@ def test_effective_macs_counts_pairwise_nonzeros(rng):
     assert result.effective_macs == expected
 
 
+def test_dual_sided_timing_never_decompresses_the_stationary_operand(monkeypatch):
+    """``effective_macs`` is the sum of the rounds' multiplications; it
+    used to be an M x K x N integer product over ``csr.to_dense()``."""
+    from repro.tensors.sparse import CsrMatrix
+
+    def poisoned(self):
+        raise AssertionError("run_spmm(streaming=) decompressed its operand")
+
+    monkeypatch.setattr(CsrMatrix, "to_dense", poisoned)
+    stationary = uniform_sparse_matrix(6, 10, 0.4, seed=4)
+    streaming = uniform_sparse_matrix(10, 8, 0.6, seed=5)
+    result = _controller().run_spmm(stationary, 8, streaming=streaming)
+    assert result.effective_macs == int(
+        ((stationary != 0).astype(int) @ (streaming != 0).astype(int)).sum()
+    )
+
+
 def test_mn_activity_tracks_effective_macs(rng):
     ctrl = _controller()
     stationary = uniform_sparse_matrix(6, 16, 0.5, seed=6)
