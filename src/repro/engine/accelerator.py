@@ -41,7 +41,7 @@ from repro.noc.distribution import build_distribution_network
 from repro.noc.multiplier import build_multiplier_network
 from repro.noc.reduction import build_reduction_network
 from repro.tensors.im2col import col2im_output, conv2d_output_shape, im2col
-from repro.tensors.sparse import BitmapMatrix, CsrMatrix, block_diagonal_csr
+from repro.tensors.sparse import BitmapMatrix, CsrMatrix
 
 # re-exported for convenience
 __all__ = [
@@ -492,12 +492,12 @@ class Accelerator(OperationFrontEnd):
             utilization = util_acc / cycles if cycles else 0.0
             return cycles, macs, layer.num_outputs, utilization, {}
         if self.sparse_controller is not None:
-            # one block-diagonal GEMM, so filters from every group can
-            # pack into the same rounds
-            filters = weights.reshape(layer.k * groups, layer.filter_size)
+            # one block-diagonal GEMM (the controller lays the stacked
+            # filters out), so filters from every group can pack into the
+            # same rounds
             sparse = self.sparse_controller.run_spmm(
-                block_diagonal_csr(filters.astype(np.float32, copy=False), groups),
-                layer.to_gemm().n, params.get("round_builder"),
+                weights.reshape(layer.k * groups, layer.filter_size),
+                layer.to_gemm().n, params.get("round_builder"), groups=groups,
             )
             return (sparse.cycles, sparse.effective_macs, layer.num_outputs,
                     sparse.multiplier_utilization, {})

@@ -20,13 +20,22 @@ the spirit of Buffets, and advance the fabric cycle by cycle.
 from repro.memory.dense_controller import DenseController, DenseRunResult
 from repro.memory.dram import Dram
 from repro.memory.global_buffer import GlobalBuffer
-from repro.memory.sparse_controller import SparseController, SparseRunResult
+from repro.memory.sparse_controller import (
+    ScheduleMemoInfo,
+    SparseController,
+    SparseRunResult,
+    clear_schedule_memo,
+    schedule_memo_info,
+)
 
 __all__ = [
     "DenseController",
     "DenseRunResult",
     "Dram",
     "GlobalBuffer",
+    "ScheduleMemoInfo",
     "SparseController",
     "SparseRunResult",
+    "clear_schedule_memo",
+    "schedule_memo_info",
 ]

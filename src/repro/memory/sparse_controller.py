@@ -33,7 +33,7 @@ Rounds as columns
 
 Everything a round's timing needs beyond ``n_cols`` depends on the
 nonzero *pattern* alone, so :meth:`SparseController._plan_rounds` works
-it out once per GEMM, for all rounds at once, with array operations: one
+it out for all rounds of a GEMM at once, with array operations: one
 gather of the scheduled CSR slices, one sort-and-deduplicate of
 ``round * K + column`` keys. The resulting :class:`_RoundPlan` holds, as
 int64 columns with one entry per round, the cluster sizes, the mapped
@@ -41,30 +41,56 @@ nonzeros, the sorted union support and its size, and the counts of
 continued / resumed (folded) rows, plus the largest cluster of the GEMM
 for the final drain. Schedule validation reads the same table.
 
-``run_spmm`` then goes plan -> time -> check -> commit, a table at a
-time. :meth:`SparseController._time_rounds` turns the plan into a second
-set of columns (load / step / stream / merge cycles, the start of every
-round, the per-step activity); the MN and RN check every round's
-clusters in one call each (capacity, and the ART non-blocking proof for
-all rounds at once); and :meth:`SparseController._commit_rounds` writes
-counters, stall-ledger charges and fabric levels from sums over column
-slices. It is the only place they are written, and it is one accounting,
-not two: every amount is linear in the rounds it covers (the DN queue,
-which is not, is solved across the slice by the DN itself), so
-``(0, R)`` in one call and ``(i, i + 1)`` in ``R`` calls leave the same
-state. What picks the slicing is whether anything can read the counter
-file mid-GEMM: a metrics recorder samples it at every round boundary, so
-under one each round is committed just before its sample; otherwise all
-rounds go at once. Observers that keep one record per round — the
-tracer's ``round[i]`` span sets, the fabric lens's FIFO windows,
-``round_stats`` — iterate the finished columns.
+``run_spmm`` goes schedule -> time -> commit, a table at a time.
+
+*Schedule* (:meth:`SparseController._schedule`): compress the operand,
+run the round builder, plan the rounds as above, and have the MN and RN
+check every round's clusters in one call each (capacity, and the ART
+non-blocking proof for all rounds at once). All of it
+follows from where the stationary nonzeros are, ``groups``, the fabric
+size and the builder — not from the values, ``n_cols`` or a bandwidth —
+so it is done **once per (structure, groups, fabric, builder)**: the
+result is kept in a bounded, process-wide, least-recently-used memo keyed
+on :func:`repro.tensors.sparse.structure_digest` (a sha256 of the
+operand's ``!= 0`` bits, read off the content on every call, so an array
+edited in place is a different key) and those three. A miss runs the
+pipeline unchanged and stores the result only if nothing raised; a hit
+returns the same record; the rest of ``run_spmm`` cannot tell which
+happened, and neither can a payload — :func:`schedule_memo_info` is the
+only view of it. What is kept is the plan's per-round columns and the
+operand facts ``run_spmm`` reads (``nnz``, shape, metadata bits):
+O(rounds + chunks). The per-nonzero arrays (the plan's ``columns`` and
+``support``, the CSR itself) are not kept — only dual-sided timing reads
+them — so a call with ``streaming=`` neither reads nor writes the memo
+and schedules afresh; there the streamed values decide anyway.
+
+*Time*: :meth:`SparseController._time_rounds` turns the plan into a
+second set of columns (load / step / stream / merge cycles, the start of
+every round, the per-step activity). *Commit*:
+:meth:`SparseController._commit_rounds` writes counters, stall-ledger
+charges and fabric levels from sums over column slices. It is the only
+place they are written, and it is one accounting, not two: every amount
+is linear in the rounds it covers (the DN queue, which is not, is solved
+across the slice by the DN itself), so ``(0, R)`` in one call and
+``(i, i + 1)`` in ``R`` calls leave the same state. What picks the
+slicing is whether anything can read the counter file mid-GEMM: a
+metrics recorder samples it at every round boundary, so under one each
+round is committed just before its sample; otherwise all rounds go at
+once. Observers that keep one record per round — the tracer's
+``round[i]`` span sets, the fabric lens's FIFO windows, ``round_stats``
+— iterate the finished columns.
 """
 
 from __future__ import annotations
 
 import operator
+import sys
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import (
+    Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
@@ -77,7 +103,12 @@ from repro.noc.distribution import DeliverySchedule, DistributionNetwork
 from repro.noc.multiplier import MultiplierNetwork
 from repro.noc.reduction import ReductionNetwork
 from repro.observability.telemetry.scopes import component_scope
-from repro.tensors.sparse import BitmapMatrix, CsrMatrix, from_dense
+from repro.tensors.sparse import (
+    BitmapMatrix,
+    CsrMatrix,
+    block_diagonal_csr,
+    structure_digest,
+)
 
 #: fixed cycles for the Configuration Unit to program a GEMM's signals
 GEMM_SETUP_CYCLES = 4
@@ -86,6 +117,9 @@ GEMM_SETUP_CYCLES = 4
 #: streaming (the Benes fabric is non-blocking, so SIGMA prepares the next
 #: round's routes while the current one drains)
 ROUND_RECONFIG_CYCLES = 1
+#: bytes of round schedules one process keeps (see :class:`_Schedule`);
+#: past it the least recently used go first
+SCHEDULE_MEMO_BYTES = 16 * 2**20
 
 
 @dataclass(frozen=True)
@@ -107,7 +141,12 @@ class RowChunk:
             raise MappingError("a row chunk needs at least one nonzero")
 
 
-#: a round-builder maps (row_nnz, fabric capacity) -> rounds of chunks
+#: a round-builder maps (row_nnz, fabric capacity) -> rounds of chunks.
+#: It must be a pure function of those two arguments (NS, RDM with its
+#: seed bound, and LFF all are): the controller runs it once per
+#: (operand structure, fabric, builder) and reuses the schedule, keyed on
+#: the builder object itself — so pass the same callable to be recognised;
+#: a fresh lambda per call is correct but never reused.
 RoundBuilder = Callable[[np.ndarray, int], List[List[RowChunk]]]
 
 
@@ -241,6 +280,112 @@ class _RoundPlan(NamedTuple):
             self.support_offsets[index] : self.support_offsets[index + 1]
         ]
 
+    def per_round(self) -> "_RoundPlan":
+        """This plan without its two per-nonzero arrays, which only
+        dual-sided timing reads: O(rounds + chunks), frozen, owning its
+        memory — the form the schedule memo keeps."""
+        none = np.empty(0, dtype=np.int64)
+        kept = self._replace(
+            sizes=np.ascontiguousarray(self.sizes), columns=none, support=none
+        )
+        for column in kept:
+            if isinstance(column, np.ndarray):
+                column.setflags(write=False)
+        return kept
+
+
+class _Schedule(NamedTuple):
+    """A stationary operand, scheduled: its round table, checked against
+    the fabric, and the operand facts the rest of ``run_spmm`` reads.
+
+    Everything here follows from (nonzero structure, groups, fabric
+    size, round builder) and nothing else — not the values, not
+    ``n_cols``, not the bandwidths — which is what lets one be reused.
+    """
+
+    plan: _RoundPlan
+    nnz: int
+    shape: Tuple[int, int]
+    metadata: int
+
+    def metadata_bits(self) -> int:
+        return self.metadata
+
+    @property
+    def nbytes(self) -> int:
+        """What holding this costs: the columns with their array headers
+        (most of a small GEMM's entry) and the two records around them."""
+        return sum(
+            sys.getsizeof(part) for part in (self, self.plan, *self.plan)
+            if not isinstance(part, int)
+        )
+
+
+class ScheduleMemoInfo(NamedTuple):
+    """Host-side view of the schedule memo (never part of a payload)."""
+
+    hits: int
+    misses: int
+    entries: int
+    nbytes: int
+
+
+#: (structure digest, groups, MSs, RN inputs, round builder)
+_MemoKey = Tuple[bytes, int, int, int, RoundBuilder]
+
+# The schedule memo: process-wide, least recently used last out. Each pool
+# worker has its own; nothing read from it can differ from what the same
+# process would compute, so it is invisible in every payload.
+_SCHEDULES: "OrderedDict[_MemoKey, _Schedule]" = OrderedDict()
+_MEMO_COUNTS: Dict[str, int] = {"hits": 0, "misses": 0, "nbytes": 0}
+_MEMO_LOCK = threading.Lock()
+
+
+def _memoized_schedule(
+    key: _MemoKey, build: Callable[[], _Schedule]
+) -> _Schedule:
+    """The schedule under ``key`` — built now if the memo does not hold
+    it, and stored only once ``build`` has returned (one that raised was
+    rejected, and is built and rejected again next time). The memo's
+    only reader and writer: it then evicts down to
+    :data:`SCHEDULE_MEMO_BYTES`, least recently used first."""
+    with _MEMO_LOCK:
+        schedule = _SCHEDULES.get(key)
+        # stonne: lint-ok[PAR-GLOBAL] pure memo: a hit returns what the miss computed (tests/differential/test_schedule_memo_equivalence.py)
+        _MEMO_COUNTS["misses" if schedule is None else "hits"] += 1
+        if schedule is not None:
+            _SCHEDULES.move_to_end(key)
+            return schedule
+    schedule = build()
+    with _MEMO_LOCK:
+        if key not in _SCHEDULES:  # else another thread stored the same
+            # stonne: lint-ok[PAR-GLOBAL] pure memo: a hit returns what the miss computed (tests/differential/test_schedule_memo_equivalence.py)
+            _SCHEDULES[key] = schedule
+            # stonne: lint-ok[PAR-GLOBAL] pure memo: a hit returns what the miss computed (tests/differential/test_schedule_memo_equivalence.py)
+            _MEMO_COUNTS["nbytes"] += schedule.nbytes
+        while _MEMO_COUNTS["nbytes"] > SCHEDULE_MEMO_BYTES:
+            # stonne: lint-ok[PAR-GLOBAL] pure memo: a hit returns what the miss computed (tests/differential/test_schedule_memo_equivalence.py)
+            _, evicted = _SCHEDULES.popitem(last=False)
+            # stonne: lint-ok[PAR-GLOBAL] pure memo: a hit returns what the miss computed (tests/differential/test_schedule_memo_equivalence.py)
+            _MEMO_COUNTS["nbytes"] -= evicted.nbytes
+    return schedule
+
+
+def schedule_memo_info() -> ScheduleMemoInfo:
+    """Hits, misses, stored schedules and their bytes, this process."""
+    with _MEMO_LOCK:
+        return ScheduleMemoInfo(
+            _MEMO_COUNTS["hits"], _MEMO_COUNTS["misses"], len(_SCHEDULES),
+            _MEMO_COUNTS["nbytes"],
+        )
+
+
+def clear_schedule_memo() -> None:
+    """Forget every stored schedule and zero the hit / miss counts."""
+    with _MEMO_LOCK:
+        _SCHEDULES.clear()
+        _MEMO_COUNTS.update(hits=0, misses=0, nbytes=0)
+
 
 class _RoundTimes(NamedTuple):
     """What every round of a plan costs for ``n_cols`` streamed columns:
@@ -275,6 +420,17 @@ class _RoundTimes(NamedTuple):
     deliveries: DeliverySchedule
 
 
+def _as_index(name: str, value: Any) -> int:
+    """``value`` as a plain ``int`` (NumPy integers included), or a
+    :class:`MappingError` naming the parameter."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise MappingError(
+            f"{name} must be an integer, got {name}={value!r}"
+        ) from None
+
+
 class SparseController(ClockedComponent):
     """Bitmap/CSR GEMM orchestration with dynamic cluster packing."""
 
@@ -307,6 +463,7 @@ class SparseController(ClockedComponent):
         n_cols: int,
         round_builder: Optional[RoundBuilder] = None,
         streaming: Optional[np.ndarray] = None,
+        groups: int = 1,
     ) -> SparseRunResult:
         """Simulate ``stationary (M x K, sparse) @ streaming (K x n_cols)``.
 
@@ -319,15 +476,18 @@ class SparseController(ClockedComponent):
         multiplied (ReLU-sparse activations shrink both traffic and
         effective compute). With ``streaming=None`` the KN operand is
         assumed dense, the Table V validation configuration.
+
+        ``groups > 1`` reads ``stationary`` as that many equal blocks
+        stacked row-wise (a grouped convolution's ``(k * groups) x dot``
+        filters) and runs them as one block-diagonal ``(k * groups) x
+        (dot * groups)`` GEMM, so filters of every group share rounds.
         """
-        try:
-            n_cols = operator.index(n_cols)
-        except TypeError:
-            raise MappingError(
-                f"n_cols must be an integer, got n_cols={n_cols!r}"
-            ) from None
+        n_cols = _as_index("n_cols", n_cols)
         if n_cols < 1:
             raise MappingError("the streaming matrix needs at least one column")
+        groups = _as_index("groups", groups)
+        if groups < 1:
+            raise MappingError(f"groups must be at least 1, got groups={groups}")
         if streaming is not None:
             streaming = np.asarray(streaming)
             if streaming.ndim != 2 or streaming.shape[1] != n_cols:
@@ -335,43 +495,49 @@ class SparseController(ClockedComponent):
                     f"streaming operand shape {streaming.shape} disagrees "
                     f"with n_cols={n_cols}"
                 )
+        if not isinstance(stationary, (BitmapMatrix, CsrMatrix)):
+            stationary = np.asarray(stationary)
+            if stationary.ndim != 2:
+                raise MappingError(
+                    "the stationary operand must be a 2-D matrix, got shape "
+                    f"{stationary.shape}"
+                )
         obs = self.obs
-        csr = self._as_csr(stationary)
-        if streaming is not None and streaming.shape[0] != csr.shape[1]:
+        builder = round_builder or natural_order_rounds
+
+        # schedule: once per (structure, groups, fabric, builder). With a
+        # streaming operand the values decide and timing reads the plan's
+        # per-nonzero arrays, which the memo does not keep: scheduled afresh
+        if streaming is None:
+            schedule = self._recall_schedule(stationary, groups, builder)
+        else:
+            schedule = self._schedule(stationary, groups, builder)
+        plan = schedule.plan
+        m_rows, k_dim = schedule.shape
+        if streaming is not None and streaming.shape[0] != k_dim:
             raise MappingError(
                 f"streaming operand has {streaming.shape[0]} rows but the "
-                f"stationary K dimension is {csr.shape[1]}"
+                f"stationary K dimension is {k_dim}"
             )
-        row_nnz = csr.row_nnz()
-        builder = round_builder or natural_order_rounds
-        m_rows, k_dim = csr.shape
         dense_macs = m_rows * k_dim * n_cols
         outputs = m_rows * n_cols
 
-        b_mask = None
-        if streaming is not None:
-            b_mask = streaming != 0
-            # dual-sided sparsity: a multiply happens only where both the
-            # stationary weight and the streamed value are nonzero
-            a_mask = csr.to_dense() != 0
-            effective_macs = int((a_mask.astype(np.int64) @
-                                  b_mask.astype(np.int64)).sum())
-        else:
-            effective_macs = int(row_nnz.sum()) * n_cols
-
-        # plan -> time -> check: nothing below has touched a counter yet
-        plan = self._plan_rounds(csr, builder(row_nnz, self.mn.num_ms))
+        # time: nothing above or here has touched a counter yet
         num_rounds = len(plan.nnz)
         with component_scope("engine"):
-            times = self._time_rounds(plan, n_cols, b_mask)
-        self.mn.verify_rounds(plan.sizes, plan.chunk_offsets)
-        self.rn.verify_rounds(plan.sizes, plan.chunk_offsets)
+            times = self._time_rounds(
+                plan, n_cols, None if streaming is None else streaming != 0
+            )
+        # every mapped nonzero multiplies once per streamed column — under
+        # dual-sided sparsity, once per column whose streamed value is
+        # nonzero too
+        effective_macs = int(times.multiplications.sum())
 
         tracer = obs.tracer
         base = obs.base
         ledger = obs.stalls
         self.counters.add("ctrl_gemms_run", 1)
-        self.counters.add("ctrl_metadata_elements", csr.nnz)
+        self.counters.add("ctrl_metadata_elements", schedule.nnz)
         if ledger is not None:
             ledger.charge("controller", "weight_fill", GEMM_SETUP_CYCLES)
         if tracer.enabled:
@@ -402,7 +568,7 @@ class SparseController(ClockedComponent):
             if ledger is not None:
                 ledger.charge("controller", "pipeline_drain", drain)
 
-        dram_stall = self._account_dram(csr, n_cols, cycles)
+        dram_stall = self._account_dram(schedule, n_cols, cycles)
         if tracer.enabled and dram_stall:
             tracer.span(
                 "DRAM:stall", self.dram.name, base + cycles,
@@ -464,12 +630,18 @@ class SparseController(ClockedComponent):
         else:
             # dual-sided sparsity: per column only the nonzero streamed
             # values inside the round's support are delivered, so every
-            # column has its own step (rounds x n_cols; a round's support
-            # is never empty, which is what reduceat needs)
-            arriving = np.add.reduceat(
-                b_mask[plan.support], plan.support_offsets[:-1], axis=0,
+            # column has its own step (rounds x n_cols). Counted a round
+            # at a time: one round's gather stays in cache, the whole
+            # table's is a (total support x n_cols) temporary, ten times
+            # slower to reduce and the size of the GEMM itself
+            bounds = plan.support_offsets.tolist()
+            arriving = np.array(
+                [
+                    np.count_nonzero(b_mask[plan.support[lo:hi]], axis=0)
+                    for lo, hi in zip(bounds, bounds[1:])
+                ],
                 dtype=np.int64,
-            )
+            ).reshape(-1, n_cols)
             per_col = np.maximum(-(-arriving // bandwidth), 1)
             costs = np.maximum(per_col, drain[:, None])
             step = costs.max(axis=1)
@@ -635,17 +807,43 @@ class SparseController(ClockedComponent):
             )
 
     # ------------------------------------------------------------------
-    def _as_csr(self, matrix) -> CsrMatrix:
-        if isinstance(matrix, CsrMatrix):
-            return matrix
-        if isinstance(matrix, BitmapMatrix):
-            return from_dense(matrix.to_dense(), "csr")
-        array = np.asarray(matrix)
-        if array.ndim != 2:
-            raise MappingError(
-                f"the stationary operand must be a 2-D matrix, got shape {array.shape}"
-            )
-        return from_dense(array, "csr")
+    def _recall_schedule(
+        self,
+        stationary: Union[np.ndarray, BitmapMatrix, CsrMatrix],
+        groups: int,
+        builder: RoundBuilder,
+    ) -> _Schedule:
+        """The operand's schedule on this fabric through the process-wide
+        memo: :meth:`_schedule` runs the first time a (structure, groups,
+        fabric, builder) is seen, and the same record (less the plan's
+        per-nonzero arrays) comes back every time after."""
+
+        def build() -> _Schedule:
+            built = self._schedule(stationary, groups, builder)
+            return built._replace(plan=built.plan.per_round())
+
+        key = (
+            structure_digest(stationary), groups, self.mn.num_ms,
+            self.rn.num_inputs, builder,
+        )
+        return _memoized_schedule(key, build)
+
+    def _schedule(
+        self,
+        stationary: Union[np.ndarray, BitmapMatrix, CsrMatrix],
+        groups: int,
+        builder: RoundBuilder,
+    ) -> _Schedule:
+        """Compress -> pack -> plan -> check: all of a GEMM that follows
+        from where the stationary nonzeros are and how large the fabric is."""
+        if isinstance(stationary, BitmapMatrix):
+            stationary = stationary.to_dense()
+        csr = block_diagonal_csr(stationary, groups)
+        plan = self._plan_rounds(csr, builder(csr.row_nnz(), self.mn.num_ms))
+        self.mn.verify_rounds(plan.sizes, plan.chunk_offsets)
+        self.rn.verify_rounds(plan.sizes, plan.chunk_offsets)
+        rows, cols = csr.shape
+        return _Schedule(plan, csr.nnz, (rows, cols), csr.metadata_bits())
 
     def _plan_rounds(
         self, csr: CsrMatrix, rounds: Sequence[Sequence[RowChunk]]
@@ -752,14 +950,17 @@ class SparseController(ClockedComponent):
                 f"{int(row_nnz[rows[at]])} nonzeros"
             )
 
-    def _account_dram(self, csr: CsrMatrix, n_cols: int, compute_cycles: int) -> int:
+    def _account_dram(
+        self, operand: _Schedule, n_cols: int, compute_cycles: int
+    ) -> int:
         bpe = self.config.dtype.bytes_per_element
-        metadata_bytes = csr.metadata_bits() // 8
-        read_bytes = csr.nnz * bpe + csr.shape[1] * n_cols * bpe + metadata_bytes
-        write_bytes = csr.shape[0] * n_cols * bpe
+        metadata_bytes = operand.metadata_bits() // 8
+        rows, k_dim = operand.shape
+        read_bytes = operand.nnz * bpe + k_dim * n_cols * bpe + metadata_bytes
+        write_bytes = rows * n_cols * bpe
         self.dram.record_read(read_bytes)
         self.dram.record_write(write_bytes)
-        self.gb.record_fill(csr.nnz + csr.shape[1] * n_cols)
+        self.gb.record_fill(operand.nnz + k_dim * n_cols)
         transfer = self.dram.transfer_cycles(read_bytes + write_bytes)
         return self.gb.dram_stall_cycles(transfer, compute_cycles)
 

@@ -19,6 +19,15 @@ These run as *front-end* extensions: a prior-simulation pass reorders the
 filters, and a final reordering restores output order (output identity is
 preserved because each filter's dot products are independent — the
 controller validates full coverage).
+
+A ``RoundBuilder`` must be a pure function of ``(row_nnz, capacity)``, as
+all three policies are (RDM's shuffle is a function of its bound seed):
+the sparse controller schedules a stationary operand once per (nonzero
+structure, fabric, builder) and reuses the result, recognising a builder
+by the callable object itself. ``largest_filter_first_rounds`` is one
+object; ``policy_round_builder(RDM, seed)`` returns a new closure per
+call, which is correct but never reused — keep the callable across runs
+if its schedules should be.
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ the dense operand for functional checking.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Union
 
@@ -66,6 +67,12 @@ class CsrMatrix:
 
     def __post_init__(self) -> None:
         rows = self.shape[0]
+        for name in ("indptr", "indices"):
+            dtype = getattr(self, name).dtype
+            if not np.issubdtype(dtype, np.integer):
+                raise ConfigurationError(
+                    f"{name} must be an integer array, got dtype {dtype}"
+                )
         if self.indptr.shape != (rows + 1,):
             raise ConfigurationError(
                 f"indptr must have {rows + 1} entries, got {self.indptr.shape}"
@@ -108,6 +115,7 @@ SparseMatrix = Union[BitmapMatrix, CsrMatrix]
 
 def from_dense(dense: np.ndarray, fmt: str = "bitmap") -> SparseMatrix:
     """Compress a dense 2-D matrix into the requested format."""
+    dense = np.asarray(dense)
     if dense.ndim != 2:
         raise ConfigurationError(f"expected a 2-D matrix, got shape {dense.shape}")
     if fmt == "bitmap":
@@ -129,21 +137,25 @@ def from_dense(dense: np.ndarray, fmt: str = "bitmap") -> SparseMatrix:
     raise ConfigurationError(f"unknown sparse format {fmt!r}; use 'bitmap' or 'csr'")
 
 
-def block_diagonal_csr(blocks: np.ndarray, groups: int) -> CsrMatrix:
+def block_diagonal_csr(
+    blocks: Union[np.ndarray, CsrMatrix], groups: int
+) -> CsrMatrix:
     """CSR of ``groups`` equal blocks laid along a diagonal.
 
     ``blocks`` stacks them row-wise, ``(groups * k) x dot`` (a grouped
-    convolution's filters); the result is the ``(groups * k) x
-    (groups * dot)`` matrix with block ``g`` at column offset ``g * dot``
-    — what ``from_dense`` makes of that matrix, without building its
-    zeros.
+    convolution's filters), dense or already compressed; the result is
+    the ``(groups * k) x (groups * dot)`` matrix with block ``g`` at
+    column offset ``g * dot`` — what ``from_dense`` makes of that
+    matrix, without building its zeros.
     """
-    stacked = from_dense(blocks, "csr")
-    rows, dot = blocks.shape
+    stacked = blocks if isinstance(blocks, CsrMatrix) else from_dense(blocks, "csr")
+    rows, dot = stacked.shape
     if groups < 1 or rows % groups:
         raise ConfigurationError(
             f"{rows} rows do not split into {groups} equal blocks"
         )
+    if groups == 1:
+        return stacked
     block_of = np.repeat(np.arange(rows) // (rows // groups), stacked.row_nnz())
     return CsrMatrix(
         indptr=stacked.indptr,
@@ -151,6 +163,31 @@ def block_diagonal_csr(blocks: np.ndarray, groups: int) -> CsrMatrix:
         values=stacked.values,
         shape=(rows, dot * groups),
     )
+
+
+def structure_digest(matrix: Union[np.ndarray, BitmapMatrix, CsrMatrix]) -> bytes:
+    """sha256 of *where* a matrix's nonzeros are, never of what they are.
+
+    Operands with equal digests compress to CSR matrices of the same
+    shape, ``indptr`` and ``indices``; their values may differ. A
+    :class:`CsrMatrix` is digested as its ``indptr`` and ``indices``
+    (the stored entries, whatever their values; duplicates and order
+    included), a dense array or a :class:`BitmapMatrix` as the packed
+    bits of ``dense != 0``. The digest is read off the content on every
+    call, so editing an array in place changes it.
+    """
+    digest = hashlib.sha256()
+    if isinstance(matrix, CsrMatrix):
+        rows, cols = matrix.shape
+        digest.update(b"csr %d %d " % (rows, cols))
+        digest.update(matrix.indptr.astype(np.int64).tobytes())
+        digest.update(matrix.indices.astype(np.int64).tobytes())
+    else:
+        if isinstance(matrix, BitmapMatrix):
+            matrix = matrix.to_dense()
+        digest.update(b"mask %s " % " ".join(map(str, np.shape(matrix))).encode())
+        digest.update(np.packbits(np.asarray(matrix) != 0).tobytes())
+    return digest.digest()
 
 
 def to_dense(matrix: SparseMatrix) -> np.ndarray:

@@ -51,6 +51,7 @@ from repro.memory.sparse_controller import (
 from repro.noc.multiplier import MultiplierNetwork
 from repro.noc.reduction import ReductionNetwork
 from repro.opts import largest_filter_first_rounds
+from repro.tensors import sparse
 from repro.tensors.sparse import from_dense
 
 
@@ -351,7 +352,7 @@ def test_a_hit_enters_nothing_of_the_schedule_pipeline(groups, monkeypatch):
     builder = _ArmableBuilder()
     miss = _controller().run_spmm(w, 7, builder, groups=groups)
     builder.armed = True
-    _poison(monkeypatch, sparse_controller, "from_dense")
+    _poison(monkeypatch, sparse, "from_dense")
     _poison(monkeypatch, sparse_controller, "block_diagonal_csr")
     _poison(monkeypatch, SparseController, "_plan_rounds")
     _poison(monkeypatch, SparseController, "_validate_rounds")

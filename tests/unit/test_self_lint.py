@@ -22,11 +22,13 @@ def test_src_repro_lints_clean():
 
 def test_known_suppressions_carry_reasons():
     result = run_lint([SRC])
-    # the worker-fallback handlers in parallel/runner.py are the only
-    # intentionally suppressed findings in the tree
-    assert [f.rule for f in result.suppressed] == ["EXC-BROAD", "EXC-BROAD"]
-    assert all(
-        f.path.endswith("repro/parallel/runner.py") for f in result.suppressed
+    # the intentionally suppressed findings in the tree: the
+    # worker-fallback handlers in parallel/runner.py, and the writes of
+    # the sparse controller's schedule memo (one helper; a hit returns
+    # what the miss computed)
+    assert sorted((f.rule, f.path.split("repro/")[-1]) for f in result.suppressed) == (
+        [("EXC-BROAD", "parallel/runner.py")] * 2
+        + [("PAR-GLOBAL", "memory/sparse_controller.py")] * 5
     )
 
 
@@ -40,5 +42,5 @@ def test_report_schema():
         "summary",
     }
     assert report["summary"]["total"] == 0
-    assert report["summary"]["suppressed"] == 2
+    assert report["summary"]["suppressed"] == 7
     json.dumps(report)  # must be JSON-serializable as-is
