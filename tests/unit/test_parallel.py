@@ -297,6 +297,38 @@ def test_runner_deduplicates_repeated_shapes(small_maeri):
     assert len(set(names)) == 3  # shared timing, per-layer names
 
 
+def test_runner_deduplicates_repeated_shapes_without_a_cache(small_maeri):
+    """Folding repeated shapes needs the *key*, not a cache object."""
+    rng = np.random.default_rng(3)
+    model = Sequential(
+        Conv2d(2, 2, 3, padding=1, name="c1", rng=rng),
+        Conv2d(2, 2, 3, padding=1, name="c2", rng=rng),
+        Conv2d(2, 2, 3, padding=1, name="c3", rng=rng),
+    )
+    x = _tiny_input()
+    ref_out, ref_report = _run_serial(small_maeri, model, x)
+    result = ParallelModelRunner(small_maeri, cache=None).run_model(model, x)
+    assert (result.layers, result.simulated, result.deduplicated) == (3, 1, 2)
+    assert result.cache_hits == 0
+    assert np.array_equal(result.output, ref_out)
+    assert [l.to_payload() for l in result.report.layers] == \
+        [l.to_payload() for l in ref_report.layers]
+
+    # trace events and metrics samples are per layer and in no payload:
+    # with one of those lenses on and no cache, nothing is folded
+    from repro.observability import Observability
+
+    for lens in ({"trace": True}, {"metrics_every": 16}):
+        detailed = ParallelModelRunner(
+            small_maeri, observability=Observability.create(**lens)
+        ).run_model(model, x)
+        assert (detailed.simulated, detailed.deduplicated) == (3, 0)
+    ledgers = ParallelModelRunner(
+        small_maeri, observability=Observability.create(stalls=True)
+    ).run_model(model, x)
+    assert (ledgers.simulated, ledgers.deduplicated) == (1, 2)
+
+
 class _BrokenSubmitExecutor:
     def submit(self, fn, *args, **kwargs):
         raise RuntimeError("pool is broken")
