@@ -48,9 +48,13 @@ typecheck:
 bench:
 	pytest benchmarks/ --benchmark-only
 
-# serial vs parallel vs cached execution must be byte-identical
+# serial vs parallel vs cached execution must be byte-identical; the two
+# extra files hold the other cases that start a real pool (real-pool ==
+# serial; a pool whose workers are killed is replaced, sized by --jobs)
 differential:
-	pytest tests/differential/ --jobs 4 -q
+	PYTHONPATH=src python -m pytest tests/differential/ \
+		tests/unit/test_parallel.py \
+		tests/regression/test_pool_recovery.py --jobs 4 -q
 
 # cycle-stepped reference vs closed-form vector engine, byte for byte;
 # one unfold per conv and `time_gemm(repeats=G)` vs their per-group forms;
@@ -231,8 +235,8 @@ lens-smoke:
 	PYTHONPATH=src python -c "import pathlib, re; \
 		err = pathlib.Path('$(LENS_OUT)/stonne-profile.txt').read_text(); \
 		layers = int(re.search(r'run: (\d+) layers', err).group(1)); \
-		rows = re.findall(r'^\d+-\S+ +\w+ +\d+ +[\d.]+ +simulated$$', \
-			err, re.M); \
+		rows = re.findall(r'^\d+-\S+ +\w+ +\d+ +' \
+			r'(?:[\d.]+ +simulated|- +deduplicated)$$', err, re.M); \
 		assert layers and len(rows) == layers, (layers, rows); \
 		assert re.search(r'^total .* ms wall clock$$', err, re.M), err; \
 		assert re.search(r'^stages: record .*, simulate .*, merge ', \

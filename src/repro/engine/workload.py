@@ -2,12 +2,14 @@
 
 What the functional half of an operation hands the microarchitectural
 half (:meth:`repro.engine.accelerator.Accelerator.time`), and so also
-what the parallel runner records, pickles to pool workers and keys the
-simulation cache by.
+what the parallel runner records, keys the simulation cache by and —
+reduced to :meth:`LayerWorkload.timing_view` wherever values do not
+decide the timing — pickles to pool workers.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Dict, Tuple
 
@@ -22,6 +24,35 @@ DATA_DEPENDENT_KINDS = frozenset({"spmm", "snapea"})
 
 
 @dataclass(frozen=True)
+class OperandSpec:
+    """An operand reduced to what value-independent timing reads.
+
+    Stands in for the array in a :meth:`LayerWorkload.timing_view`: it
+    answers ``.shape``, ``.ndim`` and ``.dtype`` (the NumPy dtype *name*)
+    and holds no values, so it pickles in tens of bytes whatever the
+    tensor's size.
+    """
+
+    shape: Tuple[int, ...]
+    dtype: str
+
+    @property
+    def ndim(self) -> int:
+        return len(self.shape)
+
+    @classmethod
+    def of(cls, operand: Any) -> "OperandSpec":
+        """The spec of an array, a compressed matrix or a spec."""
+        if isinstance(operand, OperandSpec):
+            return operand
+        if isinstance(operand, (BitmapMatrix, CsrMatrix)):
+            # never densify just to read a shape
+            return cls(tuple(operand.shape), str(operand.values.dtype))
+        array = np.asarray(operand)
+        return cls(tuple(array.shape), str(array.dtype))
+
+
+@dataclass(frozen=True)
 class LayerWorkload:
     """One offloaded operation, detached from model execution order."""
 
@@ -29,6 +60,8 @@ class LayerWorkload:
     kind: str  # conv | gemm | spmm | maxpool | snapea
     name: str
     params: Dict[str, Any] = field(default_factory=dict)
+    #: operand name → array, compressed matrix or (in a timing view)
+    #: :class:`OperandSpec`
     operands: Dict[str, Any] = field(default_factory=dict)
     #: True when the timing model reads operand values (sparse rounds,
     #: SNAPEA early termination) — such results must never be cached
@@ -36,10 +69,26 @@ class LayerWorkload:
 
     def shapes(self) -> Dict[str, Tuple[int, ...]]:
         """Operand name → shape (the value-independent view)."""
-        result = {}
-        for key, value in self.operands.items():
-            if isinstance(value, (BitmapMatrix, CsrMatrix)):
-                result[key] = tuple(value.shape)
-            else:
-                result[key] = tuple(np.asarray(value).shape)
-        return result
+        return {
+            key: OperandSpec.of(value).shape
+            for key, value in self.operands.items()
+        }
+
+    def timing_view(self) -> "LayerWorkload":
+        """This workload with every operand reduced to its
+        :class:`OperandSpec` — same cache key, same
+        :meth:`Accelerator.time` payload wherever timing is
+        value-independent, and no tensor to pickle.
+
+        A ``data_dependent`` workload has no such view (its values *are*
+        the input of the timing model) and is returned as is. Whether a
+        view may stand in for a workload on a given hardware point is
+        :func:`repro.parallel.cache.cacheable`'s call, not this method's:
+        on a sparse fabric even a conv's timing reads its weights.
+        """
+        if self.data_dependent:
+            return self
+        return dataclasses.replace(self, operands={
+            key: OperandSpec.of(value)
+            for key, value in self.operands.items()
+        })

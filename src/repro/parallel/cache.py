@@ -43,12 +43,12 @@ import os
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-import numpy as np
-
 from repro.config.hardware import HardwareConfig
 from repro.observability.provenance import config_hash
 from repro.observability.telemetry.facade import telemetry
-from repro.engine.workload import DATA_DEPENDENT_KINDS, LayerWorkload
+from repro.engine.workload import (
+    DATA_DEPENDENT_KINDS, LayerWorkload, OperandSpec,
+)
 
 #: bump when the key layout or the stored payload schema changes — old
 #: on-disk entries become unreachable automatically (v2: HardwareConfig
@@ -204,8 +204,10 @@ def canonical_key_source(
         )
     operands = {}
     for key in sorted(workload.operands):
-        array = np.asarray(workload.operands[key])
-        operands[key] = {"shape": list(array.shape), "dtype": str(array.dtype)}
+        # an array and its OperandSpec (a timing view's operand) read the
+        # same here, so a view has its workload's key character for character
+        spec = OperandSpec.of(workload.operands[key])
+        operands[key] = {"shape": list(spec.shape), "dtype": spec.dtype}
     record = {
         "schema": CACHE_SCHEMA_VERSION,
         "config": config_hash(config),

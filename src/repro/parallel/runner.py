@@ -7,12 +7,18 @@
    plus one :class:`~repro.parallel.workload.LayerWorkload` per offloaded
    operation.
 2. **Simulate** — each distinct workload is timed exactly once:
-   cache-hit results are reused, duplicate shapes are deduplicated, and
-   the remaining misses run on a ``concurrent.futures`` process pool
-   (``jobs`` workers, one fresh accelerator per layer). Any failure to
-   simulate a layer remotely falls back to in-process serial simulation
-   of that layer, so a broken pool degrades to the classic path instead
-   of failing the run.
+   cache-hit results are reused, duplicate shapes are deduplicated (with
+   or without a cache object), and the remaining misses are dealt onto
+   ``min(misses, jobs)`` chunks, one ``concurrent.futures`` pool task
+   each: what crosses the process boundary is the config and the lens
+   set once per chunk plus, per layer, a shape-only
+   :meth:`~repro.engine.workload.LayerWorkload.timing_view` wherever
+   :func:`~repro.parallel.cache.cacheable` says values do not decide
+   the timing (the workload itself otherwise). A worker times its
+   layers one by one, a fresh accelerator each. Any failure to simulate
+   a layer remotely falls back to in-process serial simulation of that
+   layer, so a broken pool degrades to the classic path instead of
+   failing the run — and is replaced before the next batch.
 3. **Merge** — per-layer reports are assembled in framework execution
    order into one :class:`~repro.engine.stats.SimulationReport` that is
    byte-identical (cycles, counters, outputs) to a serial run; worker
@@ -26,8 +32,11 @@ depends on worker scheduling.
 from __future__ import annotations
 
 import atexit
+import operator
+import os
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
@@ -37,13 +46,23 @@ import numpy as np
 from repro.config.hardware import HardwareConfig, load_config
 from repro.engine.accelerator import Accelerator
 from repro.engine.stats import LayerReport, SimulationReport
+from repro.errors import ConfigurationError
 from repro.observability import Observability
 from repro.observability.context import TRACE_COUNTER_SERIES, LayerHostTime
 from repro.observability.metrics import MetricsSample
 from repro.observability.telemetry.facade import telemetry
 from repro.observability.telemetry.progress import ProgressEmitter
-from repro.parallel.cache import SimCache
+from repro.parallel.cache import SimCache, cacheable
 from repro.parallel.workload import LayerWorkload, record_model
+
+
+#: what a pool worker runs — where the PAR-SAFE lint pass starts its
+#: reachability walk (``repro.analysis.parsafe`` reads this literal)
+WORKER_ENTRY_POINTS = (
+    "_simulate_workload",
+    "_simulate_workload_in_worker",
+    "_simulate_chunk_in_worker",
+)
 
 
 # ----------------------------------------------------------------------
@@ -92,9 +111,40 @@ def _simulate_workload_in_worker(
     workload: LayerWorkload,
     lenses: Optional[Dict[str, Any]],
 ) -> Dict:
-    """The function submitted to the pool (separate name so tests can
-    fault-inject the remote path without touching the serial fallback)."""
+    """One layer of a pool task (separate name so tests can fault-inject
+    the remote path without touching the serial fallback)."""
     return _simulate_workload(config, workload, lenses)
+
+
+def _simulate_chunk_in_worker(
+    config: HardwareConfig,
+    workloads: List[LayerWorkload],
+    lenses: Optional[Dict[str, Any]],
+) -> List[Optional[Dict]]:
+    """The function submitted to the pool: one chunk of layers, timed
+    one by one; a layer that raised leaves a ``None`` slot (the parent
+    re-runs exactly that layer in-process) and the rest still count."""
+    bundles: List[Optional[Dict]] = []
+    for workload in workloads:
+        try:
+            bundles.append(
+                _simulate_workload_in_worker(config, workload, lenses)
+            )
+        # stonne: lint-ok[EXC-BROAD] one layer's failure must not cost its chunk; the parent's in-process rerun of the None slot raises the real error typed
+        except Exception:
+            bundles.append(None)
+    return bundles
+
+
+def _chunk_positions(count: int, jobs: int) -> List[List[int]]:
+    """Deal positions ``0 .. count-1`` onto ``min(count, jobs)`` chunks.
+
+    Position ``i`` lands in chunk ``i mod n``: neighbouring layers of a
+    model are similarly sized, so round-robin keeps the chunks — one per
+    worker — balanced where contiguous runs would not.
+    """
+    n = min(count, jobs)
+    return [list(range(first, count, n)) for first in range(n)]
 
 
 # ----------------------------------------------------------------------
@@ -107,12 +157,28 @@ def _get_pool(jobs: int) -> ProcessPoolExecutor:
     """A process pool with ``jobs`` workers, shared across runners.
 
     Pool startup dominates small runs, so pools are kept alive for the
-    process lifetime (shut down at interpreter exit)."""
+    process lifetime (shut down at interpreter exit) — unless they break,
+    see :func:`_discard_pool`."""
     pool = _POOLS.get(jobs)
     if pool is None:
         pool = ProcessPoolExecutor(max_workers=jobs)
         _POOLS[jobs] = pool
     return pool
+
+
+def _discard_pool(executor: Any) -> None:
+    """Forget a shared pool that raised ``BrokenProcessPool``.
+
+    A ``ProcessPoolExecutor`` never recovers from a dead worker: kept in
+    ``_POOLS``, it would make every later batch of the process fall back
+    layer by layer. Dropped (and shut down without waiting — its workers
+    are gone), the next batch starts a fresh one. An injected
+    ``executor=`` is not ours to replace and is left alone.
+    """
+    for jobs, pool in list(_POOLS.items()):
+        if pool is executor:
+            del _POOLS[jobs]
+            pool.shutdown(wait=False, cancel_futures=True)
 
 
 def shutdown_pools() -> None:
@@ -159,9 +225,18 @@ class ParallelModelRunner:
         if not isinstance(config, HardwareConfig):
             config = load_config(config)
         self.config = config
-        import os
-
-        self.jobs = max(1, jobs if jobs is not None else (os.cpu_count() or 1))
+        if jobs is None:
+            jobs = os.cpu_count() or 1
+        else:
+            try:
+                jobs = operator.index(jobs)
+            except TypeError:
+                raise ConfigurationError(
+                    f"jobs must be an integer (or None for one per CPU), "
+                    f"got {jobs!r}"
+                ) from None
+        #: worker processes; also the number of chunks a batch is cut into
+        self.jobs = max(1, jobs)
         self.cache = cache
         self.obs = observability if observability is not None else Observability()
         self.round_builder = round_builder
@@ -227,35 +302,44 @@ class ParallelModelRunner:
             "stonne_pool_queue_depth",
             "Simulation tasks submitted and not yet collected",
         )
-        futures: Dict[int, Optional[Future]] = {}
-        for workload in misses:
+        # values cross only where they decide the timing
+        shipped = [
+            w.timing_view() if cacheable(w, self.config) else w
+            for w in misses
+        ]
+        chunks = _chunk_positions(len(misses), self.jobs)
+        futures: List[Optional[Future]] = []
+        for chunk in chunks:
             try:
-                futures[workload.index] = executor.submit(
-                    _simulate_workload_in_worker,
-                    self.config, workload, lenses,
-                )
+                futures.append(executor.submit(
+                    _simulate_chunk_in_worker,
+                    self.config, [shipped[i] for i in chunk], lenses,
+                ))
+            except BrokenProcessPool:
+                _discard_pool(executor)
+                futures.append(None)
             # stonne: lint-ok[EXC-BROAD] submit fails with arbitrary types (pickling, pool state); the serial fallback below retypes real errors
             except Exception:
-                futures[workload.index] = None  # unpicklable / broken pool
+                futures.append(None)  # unpicklable / unusable executor
         pending = len(misses)
         queue_gauge.set(float(pending))
         batch_started = time.perf_counter()
         task_seconds: List[float] = []
-        for workload in misses:
-            future = futures[workload.index]
-            bundle: Optional[Dict] = None
-            if future is not None:
-                try:
-                    bundle = future.result()
-                # stonne: lint-ok[EXC-BROAD] a dead pool raises arbitrary types; the serial fallback below reproduces genuine simulation errors typed
-                except Exception:
-                    bundle = None
+        # a failed chunk leaves its layers' slots empty; collection stays
+        # per layer, in `misses` order
+        slots: List[Optional[Dict]] = [None] * len(misses)
+        for chunk, future in zip(chunks, futures):
+            arrived = self._chunk_bundles(executor, future)
+            for position, bundle in zip(chunk, arrived):
+                slots[position] = bundle
+        for workload, bundle in zip(misses, slots):
             mode = "simulated"
             if bundle is None:
                 # per-layer isolation: whatever went wrong out-of-process
                 # (pool death, pickling, a worker bug), the layer still
-                # simulates — serially, in-process. A genuine simulation
-                # error reproduces here and propagates with its real type.
+                # simulates — serially, in-process, from the recorded
+                # workload. A genuine simulation error reproduces here
+                # and propagates with its real type.
                 fallbacks += 1
                 mode = "fallback"
                 bundle = _simulate_workload(self.config, workload, lenses)
@@ -268,6 +352,25 @@ class ParallelModelRunner:
                 task_seconds.append(float(seconds))
         self._note_batch(task_seconds, time.perf_counter() - batch_started)
         return results, fallbacks
+
+    @staticmethod
+    def _chunk_bundles(
+        executor: Any, future: Optional[Future]
+    ) -> List[Optional[Dict]]:
+        """One chunk's bundles in submission order; none at all (every
+        layer of it falls back) when the task was never submitted or its
+        future failed."""
+        if future is None:
+            return []
+        try:
+            bundles: List[Optional[Dict]] = future.result()
+        except BrokenProcessPool:
+            _discard_pool(executor)
+            return []
+        # stonne: lint-ok[EXC-BROAD] a failed task raises arbitrary types; the serial fallback reproduces genuine simulation errors typed
+        except Exception:
+            return []
+        return bundles
 
     def _note_batch(self, task_seconds: List[float], wall_s: float) -> None:
         """Pool-health gauges for one parallel batch: how well the pool
@@ -320,18 +423,23 @@ class ParallelModelRunner:
         # ledger-free payloads must never share an entry
         lenses = self._worker_lenses()
         cache = self.cache
+        # keyed with or without a cache object: the key is also what
+        # folds a model's repeated shapes onto one simulation. Trace
+        # events and metrics samples are per layer and never part of a
+        # payload, so with one of those lenses on and no cache asked to
+        # replay from, nothing is folded: every layer keeps its detail.
+        keyed = cache is not None or not (
+            lenses["trace"] or lenses["metrics_every"]
+        )
         keys: Dict[int, Optional[str]] = {
-            w.index: (
-                cache.key(w, self.config, lenses)
-                if cache is not None else None
-            )
+            w.index: SimCache.key(w, self.config, lenses) if keyed else None
             for w in workloads
         }
         bundles: Dict[int, Dict] = {}
         cache_hits = 0
         for workload in workloads:
             key = keys[workload.index]
-            if key is None:
+            if cache is None or key is None:
                 continue
             payload = cache.get(key, self.config)
             if payload is not None:
