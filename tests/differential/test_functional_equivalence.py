@@ -216,6 +216,38 @@ def test_dram_bound_shape_stalls_every_group():
     assert dram["dram_row_hits"] == 2 * SHAPES[1][3] - 1
 
 
+@pytest.mark.parametrize("lens", ["plain", "stalls", "fabric"])
+@pytest.mark.parametrize(
+    "dataflow", [Dataflow.OUTPUT_STATIONARY, Dataflow.WEIGHT_STATIONARY]
+)
+def test_untraced_groups_make_a_constant_number_of_dram_records(
+    dataflow, lens, monkeypatch
+):
+    """Without a tracer the aggregate records a grouped GEMM's DRAM traffic
+    with ``times=repeats`` — one read and one write, whatever the group
+    count — while the walk still records each group's traffic in turn."""
+    calls = []
+    record = accelerator_module.Dram._record
+
+    def counting_record(self, *args, **kwargs):
+        calls.append(args)
+        return record(self, *args, **kwargs)
+
+    monkeypatch.setattr(accelerator_module.Dram, "_record", counting_record)
+    for mode, groups, expected in (
+        (EngineMode.VECTOR, 256, 2), (EngineMode.VECTOR, 3, 2),
+        (EngineMode.CYCLE, 256, 2 * 256),
+    ):
+        obs = Observability.create(**LENSES[lens])
+        engine = Accelerator(
+            tpu_like(16, dataflow=dataflow).with_updates(engine_mode=mode),
+            observability=obs,
+        ).systolic
+        calls.clear()
+        engine.time_gemm(6, 18, 25, repeats=groups)
+        assert len(calls) == expected, (mode, groups)
+
+
 # ---------------------------------------------------------------------------
 # (c) value-blindness
 # ---------------------------------------------------------------------------

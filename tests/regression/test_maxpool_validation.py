@@ -2,8 +2,9 @@
 
 It used to leak whatever the arithmetic underneath raised: a non-4-D
 input died unpacking its shape (bare ``ValueError``), ``pool=0`` divided
-by zero through ``stride = stride or pool``, and a negative ``pool`` or
-``stride`` was reported as a *convolution* with a "filter -2x-2". The
+by zero through ``stride = stride or pool``, a negative ``pool`` or
+``stride`` was reported as a *convolution* with a "filter -2x-2", and a
+non-integer one (``pool=2.0``) raised a bare ``TypeError``. The
 shared front half now validates once — before the layer window opens or
 a counter moves — so the accelerator and the parallel runner's recorder
 reject the same inputs with the same text.
@@ -35,6 +36,11 @@ BAD_INPUTS = [
     pytest.param((1, 2, 8, 8), 2, -2, "stride=-2", id="stride-negative"),
     pytest.param((1, 2, 8, 8), 2, 0, "stride=0", id="stride-0"),
     pytest.param((1, 2, 4, 3), 4, None, "4x4", id="window-too-large"),
+    # non-integer pool / stride used to escape as a bare TypeError
+    pytest.param((1, 2, 8, 8), 2.0, None, "pool=2.0", id="pool-float"),
+    pytest.param((1, 2, 8, 8), "2", None, "pool='2'", id="pool-str"),
+    pytest.param((1, 2, 8, 8), 2, 1.5, "stride=1.5", id="stride-float"),
+    pytest.param((1, 2, 8, 8), np.float32(2), None, "pool=", id="pool-np-float"),
 ]
 
 
@@ -69,3 +75,16 @@ def test_recorder_rejects_with_the_same_text(arch, shape, pool, stride, named):
         record_model(Sequential(layer), x, CONFIGS[arch])
     assert str(recorded.value) == str(direct.value)
     assert named in str(recorded.value)
+
+
+@pytest.mark.parametrize("arch", sorted(CONFIGS))
+def test_numpy_integer_pool_and_stride_are_the_plain_int_layer(arch):
+    x = np.arange(2 * 3 * 8 * 8, dtype=np.float32).reshape(2, 3, 8, 8)
+    reference = Accelerator(CONFIGS[arch])
+    expected = reference.run_maxpool(x, 2, 2)
+    acc = Accelerator(CONFIGS[arch])
+    output = acc.run_maxpool(x, np.int64(2), np.int32(2))
+    assert output.tobytes() == expected.tobytes()
+    assert [layer.to_payload() for layer in acc.report.layers] == [
+        layer.to_payload() for layer in reference.report.layers
+    ]

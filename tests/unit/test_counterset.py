@@ -1,7 +1,11 @@
 """CounterSet activity accounting."""
 
+import numpy as np
 import pytest
 
+from repro.config import tpu_like
+from repro.engine.accelerator import Accelerator
+from repro.errors import SimulationError
 from repro.noc.base import CounterSet
 
 
@@ -54,6 +58,39 @@ def test_diff_rejects_backwards_counters():
     after.add("x", 3)
     with pytest.raises(ValueError):
         after.diff(before)
+
+
+def _counters(**counts):
+    counters = CounterSet()
+    for name, value in counts.items():
+        counters.add(name, value)
+    return counters
+
+
+def test_union_of_disjoint_sets():
+    union = CounterSet.union([_counters(a=1, b=2), _counters(), _counters(c=3)])
+    assert union.as_dict() == {"a": 1, "b": 2, "c": 3}
+    union.add("a", 4)  # an independent file
+    assert union["a"] == 5
+
+
+def test_union_rejects_a_name_two_sets_record():
+    with pytest.raises(SimulationError, match=r"\['b'\]"):
+        CounterSet.union([_counters(a=1, b=2), _counters(b=1, c=3)])
+
+
+def test_accelerator_snapshot_enforces_disjoint_component_counters():
+    acc = Accelerator(tpu_like(num_pes=16))
+    acc.run_gemm(np.ones((4, 4), np.float32), np.ones((4, 4), np.float32))
+    acc.dram.counters.add("gb_reads", 1)  # a name the GB owns
+    with pytest.raises(SimulationError, match="gb_reads"):
+        acc.run_gemm(np.ones((4, 4), np.float32), np.ones((4, 4), np.float32))
+
+
+def test_diff_drops_unchanged_counters():
+    before = _counters(x=5, y=1)
+    after = _counters(x=5, y=4, z=2)
+    assert after.diff(before).as_dict() == {"y": 3, "z": 2}
 
 
 def test_copy_is_independent():
