@@ -10,7 +10,7 @@ install:
 	pip install -e .
 
 test:
-	pytest tests/
+	PYTHONPATH=src python -m pytest tests/
 
 # the in-repo static-analysis passes (see docs/STATIC_ANALYSIS.md);
 # ratchets against the committed baseline and writes the JSON report
@@ -46,7 +46,7 @@ typecheck:
 		|| echo "mypy not installed; skipping typecheck (CI runs it)"
 
 bench:
-	pytest benchmarks/ --benchmark-only
+	PYTHONPATH=src python -m pytest benchmarks/ --benchmark-only
 
 # serial vs parallel vs cached execution must be byte-identical; the two
 # extra files hold the other cases that start a real pool (real-pool ==
@@ -58,12 +58,16 @@ differential:
 
 # cycle-stepped reference vs closed-form vector engine, byte for byte;
 # one unfold per conv and `time_gemm(repeats=G)` vs their per-group forms;
-# the walk's tally vs one counter write per tile
+# the walk's tally vs one counter write per tile; the mapper's integer
+# scoring vs the object-based candidate loop; one `times=n` DRAM record
+# vs n single ones
 differential-vector:
 	PYTHONPATH=src python -m pytest \
 		tests/differential/test_vector_equivalence.py \
 		tests/differential/test_functional_equivalence.py \
 		tests/differential/test_tile_tally_equivalence.py \
+		tests/differential/test_mapper_oracle.py \
+		tests/unit/test_dram.py \
 		tests/unit/test_vector_golden.py -q
 
 # the sparse controller has one timing path: its oracle is the payload

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 from repro.config.layer import ConvLayerSpec, GemmSpec
 from repro.errors import ConfigurationError, MappingError
@@ -97,42 +98,158 @@ class TileConfig:
         )
 
 
-def _divisors_descending(value: int, limit: int) -> list:
-    """Divisors of ``value`` that are <= ``limit``, largest first."""
-    return [d for d in range(min(value, limit), 0, -1) if value % d == 0]
+def _candidate_channel_slices(c: int, budget: int) -> List[int]:
+    """Candidate ``t_c`` values, largest first: divisors of C that fit the
+    budget (fold-exact) plus the largest slice that fits (which may leave a
+    ragged final fold). Divisors come in pairs ``(d, c // d)`` with
+    ``d <= sqrt(c)``."""
+    limit = min(c, budget)
+    slices = {limit}
+    for d in range(1, math.isqrt(c) + 1):
+        if c % d == 0:
+            if d <= limit:
+                slices.add(d)
+            if c // d <= limit:
+                slices.add(c // d)
+    return sorted(slices, reverse=True)
 
 
-def _candidate_channel_slices(c: int, budget: int) -> list:
-    """Candidate ``t_c`` values: divisors of C (fold-exact) plus the largest
-    slice that fits (which may leave a ragged final fold)."""
-    candidates = set(_divisors_descending(c, budget))
-    candidates.add(min(c, budget))
-    return sorted(candidates, reverse=True)
+#: a tile's eight fields in :class:`TileConfig` order: what the mapper
+#: enumerates and scores, so that only the winner becomes an object
+_TileFields = Tuple[int, int, int, int, int, int, int, int]
 
 
-def _score_tile(
-    layer: ConvLayerSpec, tile: TileConfig, bandwidth: int, forwarding: bool
-) -> float:
-    """Estimated runtime of a tile: steps x per-step delivery stall.
+def _conv_candidates(
+    layer: ConvLayerSpec, num_ms: int, power_of_two_clusters: bool
+) -> List[_TileFields]:
+    """The candidate tiles for ``layer`` on ``num_ms >= 1`` multipliers.
 
-    This mirrors the dense controller's weight-stationary step model (the
-    mRNA-style mapper optimizes the same objective): a step must deliver
-    the fresh receptive-field slice of every *input-distinct* cluster
-    (the T_K filters of a group multicast and cost nothing extra), plus a
-    psum re-injection per cluster when folding.
+    Each fits by construction — every budget below is at least 1, so every
+    field is at least 1 and at most its layer dimension, and each budget is
+    what the fields before it left of ``num_ms`` — so none needs
+    :meth:`TileConfig.validate_for`.
     """
-    folds = tile.folds_for(layer)
-    steps = tile.iterations_for(layer) * folds
-    input_clusters = tile.t_g * tile.t_n * tile.t_x * tile.t_y
-    window = tile.cluster_size
-    if forwarding and layer.r * layer.s > 1:
-        fresh_cols = min(tile.t_y * layer.stride, tile.t_s)
-        fresh = min(tile.t_r * tile.t_c * fresh_cols, window)
+    r, s, c, k, g, n = layer.r, layer.s, layer.c, layer.k, layer.g, layer.n
+    y_out = layer.y_out
+    window = r * s
+    candidates: List[_TileFields] = []
+    if power_of_two_clusters:
+        # plain reduction trees only reduce power-of-two clusters: map the
+        # dot product along channels only, in power-of-two slices
+        t_c = 1
+        while t_c * 2 <= min(c, num_ms):
+            t_c *= 2
+        while t_c >= 1:
+            budget = num_ms // t_c
+            t_k = min(k, budget)
+            candidates.append(
+                (1, 1, t_c, 1, t_k, 1, 1, min(y_out, budget // t_k))
+            )
+            t_c //= 2
+            if len(candidates) >= 4:
+                break
+        return candidates
+
+    if window > num_ms:
+        # degenerate: the spatial window alone exceeds the fabric; slice rows
+        t_r = max(1, num_ms // s)
+        t_s = s if t_r * s <= num_ms else num_ms
+        t_r = t_r if t_r * t_s <= num_ms else 1
+        candidates.append((min(t_r, r), min(t_s, s), 1, 1, 1, 1, 1, 1))
     else:
-        fresh = window
-    slots = fresh * input_clusters + (tile.num_clusters if folds > 1 else 0)
-    step_cycles = max(1.0, math.ceil(slots / bandwidth))
-    return steps * step_cycles
+        x_out = layer.x_out
+        for t_c in _candidate_channel_slices(c, num_ms // window):
+            budget = num_ms // (window * t_c)
+            t_k = min(k, budget)
+            budget //= t_k
+            t_y = min(y_out, budget)
+            budget //= t_y
+            t_x = min(x_out, budget)
+            budget //= t_x
+            t_g = min(g, budget)
+            t_n = min(n, budget // t_g)
+            candidates.append((r, s, t_c, t_g, t_k, t_n, t_x, t_y))
+    # GEMM-style candidates: fold the spatial window and slice channels
+    # only (cluster = t_c). These win when the receptive-field window does
+    # not divide the fabric cleanly.
+    if window > 1:
+        for t_c in _candidate_channel_slices(c, num_ms):
+            budget = num_ms // t_c
+            t_k = min(k, budget)
+            budget //= t_k
+            t_y = min(y_out, budget)
+            t_g = min(g, budget // t_y)
+            candidates.append((1, 1, t_c, t_g, t_k, 1, 1, t_y))
+    return candidates
+
+
+def _best_tile(
+    layer: ConvLayerSpec,
+    candidates: List[_TileFields],
+    bandwidth: int,
+    forwarding: bool,
+    larger_cluster_wins: bool,
+) -> _TileFields:
+    """The candidate with the lowest estimated runtime.
+
+    The estimate is steps x per-step delivery stall, the dense
+    controller's weight-stationary step model (the mRNA-style mapper
+    optimizes the same objective): a step must deliver the fresh
+    receptive-field slice of every *input-distinct* cluster (the T_K
+    filters of a group multicast and cost nothing extra), plus a psum
+    re-injection per cluster when folding. A tie keeps the earlier
+    candidate, or the larger cluster with ``larger_cluster_wins``.
+    Every ``-(-a // b)`` below is ``ceil(a / b)`` in integer arithmetic.
+    """
+    r, s, c, stride = layer.r, layer.s, layer.c, layer.stride
+    g, k, n, x_out, y_out = layer.g, layer.k, layer.n, layer.x_out, layer.y_out
+    slide = forwarding and r * s > 1
+    best = candidates[0]
+    best_score: Optional[int] = None
+    best_cluster = 0
+    for fields in candidates:
+        t_r, t_s, t_c, t_g, t_k, t_n, t_x, t_y = fields
+        folds = -(-r // t_r) * -(-s // t_s) * -(-c // t_c)
+        steps = folds * (
+            -(-g // t_g) * -(-k // t_k) * -(-n // t_n)
+            * -(-x_out // t_x) * -(-y_out // t_y)
+        )
+        input_clusters = t_g * t_n * t_x * t_y
+        cluster = t_r * t_s * t_c
+        fresh = cluster
+        if slide:
+            fresh = min(t_r * t_c * min(t_y * stride, t_s), cluster)
+        slots = fresh * input_clusters
+        if folds > 1:
+            slots += t_k * input_clusters  # one psum per cluster
+        step_cycles = -(-slots // bandwidth)
+        score = steps * (step_cycles if step_cycles > 1 else 1)
+        if best_score is None or score < best_score or (
+            larger_cluster_wins and score == best_score
+            and cluster > best_cluster
+        ):
+            best, best_score, best_cluster = fields, score, cluster
+    return best
+
+
+def _choose_tile(
+    layer: ConvLayerSpec,
+    num_ms: int,
+    bandwidth: int,
+    forwarding: bool,
+    power_of_two_clusters: bool,
+) -> _TileFields:
+    if num_ms < 1:
+        raise MappingError("cannot tile onto an empty fabric")
+    # the power-of-two candidates are scored without the forwarding
+    # discount and keep the earliest of equal scores
+    return _best_tile(
+        layer,
+        _conv_candidates(layer, num_ms, power_of_two_clusters),
+        bandwidth or num_ms,
+        forwarding and not power_of_two_clusters,
+        larger_cluster_wins=not power_of_two_clusters,
+    )
 
 
 def generate_conv_tile(
@@ -150,87 +267,9 @@ def generate_conv_tile(
     then output pixels), scoring each candidate with the controller's
     step-delivery model. ``bandwidth`` defaults to the fabric width.
     """
-    if num_ms < 1:
-        raise MappingError("cannot tile onto an empty fabric")
-    bandwidth = bandwidth or num_ms
-
-    window = layer.r * layer.s
-    if power_of_two_clusters:
-        # plain reduction trees only reduce power-of-two clusters: map the
-        # dot product along channels only, in power-of-two slices
-        candidates = []
-        t_c = 1
-        while t_c * 2 <= min(layer.c, num_ms):
-            t_c *= 2
-        while t_c >= 1:
-            budget = num_ms // t_c
-            t_k = min(layer.k, budget)
-            budget //= max(t_k, 1)
-            t_y = min(layer.y_out, budget)
-            candidates.append(TileConfig(t_c=t_c, t_k=t_k, t_y=max(t_y, 1)))
-            t_c //= 2
-            if len(candidates) >= 4:
-                break
-        best = None
-        best_score = None
-        for tile in candidates:
-            tile.validate_for(layer, num_ms)
-            score = _score_tile(layer, tile, bandwidth, forwarding=False)
-            if best_score is None or score < best_score:
-                best, best_score = tile, score
-        return best
-
-    candidates = []
-    if window > num_ms:
-        # degenerate: the spatial window alone exceeds the fabric; slice rows
-        t_r = max(1, num_ms // layer.s)
-        t_s = layer.s if t_r * layer.s <= num_ms else num_ms
-        t_r = t_r if t_r * t_s <= num_ms else 1
-        candidates.append(TileConfig(t_r=min(t_r, layer.r), t_s=min(t_s, layer.s)))
-    else:
-        for t_c in _candidate_channel_slices(layer.c, num_ms // window):
-            cluster = window * t_c
-            budget = num_ms // cluster
-            t_k = min(layer.k, budget)
-            budget //= max(t_k, 1)
-            t_y = min(layer.y_out, budget)
-            budget //= max(t_y, 1)
-            t_x = min(layer.x_out, budget)
-            budget //= max(t_x, 1)
-            t_g = min(layer.g, budget)
-            budget //= max(t_g, 1)
-            t_n = min(layer.n, max(budget, 1))
-            candidates.append(
-                TileConfig(
-                    t_r=layer.r, t_s=layer.s, t_c=t_c, t_g=t_g,
-                    t_k=t_k, t_n=t_n, t_x=t_x, t_y=t_y,
-                )
-            )
-    # GEMM-style candidates: fold the spatial window and slice channels
-    # only (cluster = t_c). These win when the receptive-field window does
-    # not divide the fabric cleanly.
-    if window > 1:
-        for t_c in _candidate_channel_slices(layer.c, num_ms):
-            budget = num_ms // t_c
-            t_k = min(layer.k, budget)
-            budget //= max(t_k, 1)
-            t_y = min(layer.y_out, budget)
-            budget //= max(t_y, 1)
-            t_g = min(layer.g, max(budget, 1))
-            candidates.append(
-                TileConfig(t_c=t_c, t_g=t_g, t_k=t_k, t_y=t_y)
-            )
-
-    best = None
-    best_score = None
-    for tile in candidates:
-        tile.validate_for(layer, num_ms)
-        score = _score_tile(layer, tile, bandwidth, forwarding)
-        if best_score is None or score < best_score or (
-            score == best_score and tile.cluster_size > best.cluster_size
-        ):
-            best, best_score = tile, score
-    return best
+    return TileConfig(
+        *_choose_tile(layer, num_ms, bandwidth, forwarding, power_of_two_clusters)
+    )
 
 
 def save_tile_file(tiles: dict, path) -> None:
@@ -284,10 +323,10 @@ def generate_gemm_tile(
 ) -> TileConfig:
     """Tile a GEMM: the reduction dim maps to ``t_c`` (cluster size), the
     stationary rows to ``t_k`` and the streamed columns to ``t_y``."""
-    if num_ms < 1:
-        raise MappingError("cannot tile onto an empty fabric")
     layer = ConvLayerSpec(
         r=1, s=1, c=gemm.k, k=gemm.m, x=1, y=gemm.n, name=gemm.name or "gemm"
     )
-    tile = generate_conv_tile(layer, num_ms, bandwidth, forwarding=False)
-    return TileConfig(t_c=tile.cluster_size, t_k=tile.t_k, t_y=tile.t_y)
+    t_r, t_s, t_c, _, t_k, _, _, t_y = _choose_tile(
+        layer, num_ms, bandwidth, forwarding=False, power_of_two_clusters=False
+    )
+    return TileConfig(t_c=t_r * t_s * t_c, t_k=t_k, t_y=t_y)

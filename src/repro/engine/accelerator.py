@@ -19,6 +19,7 @@ sparse fabric): it computes no tensor.
 
 from __future__ import annotations
 
+import operator
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -107,6 +108,32 @@ def gemm_functional(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a @ b).astype(np.float32, copy=False)
 
 
+def _index_param(
+    operation: str, name: str, value: Any, minimum: Optional[int] = None
+) -> int:
+    """``value`` as a plain ``int`` (NumPy integers included), at least
+    ``minimum`` when given; anything else is a ConfigurationError that
+    names the parameter."""
+    try:
+        index = operator.index(value)
+    except TypeError:
+        raise ConfigurationError(
+            f"{operation} {name} must be an integer, got {name}={value!r}"
+        ) from None
+    if minimum is not None and index < minimum:
+        raise ConfigurationError(
+            f"{operation} needs {name} >= {minimum}, got {name}={value!r}"
+        )
+    return index
+
+
+def _check_tile(tile: Any) -> None:
+    if tile is not None and not isinstance(tile, TileConfig):
+        raise ConfigurationError(
+            f"tile must be a TileConfig or None, got tile={tile!r}"
+        )
+
+
 def maxpool_output_shape(
     shape: Tuple[int, ...], pool: int, stride: int
 ) -> Tuple[int, int, int, int]:
@@ -193,6 +220,9 @@ class OperationFrontEnd:
         ``weights``: (K_total, C/groups, R, S); ``activations``:
         (N, C_total, X, Y).
         """
+        stride = _index_param("conv", "stride", stride, minimum=1)
+        padding = _index_param("conv", "padding", padding, minimum=0)
+        _check_tile(tile)
         weights = np.asarray(weights, dtype=np.float32)
         activations = np.asarray(activations, dtype=np.float32)
         layer = conv_layer_spec(
@@ -218,6 +248,7 @@ class OperationFrontEnd:
         name: str = "gemm",
     ) -> np.ndarray:
         """Simulate a dense matrix multiplication ``a @ b``."""
+        _check_tile(tile)
         a = np.asarray(a, dtype=np.float32)
         b = np.asarray(b, dtype=np.float32)
         if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
@@ -280,8 +311,10 @@ class OperationFrontEnd:
         (paper Section III): windows stream through the multipliers
         configured as comparators, one window element per MS per cycle.
         """
-        if stride is None:
-            stride = pool
+        pool = _index_param("maxpool", "pool", pool)
+        stride = pool if stride is None else _index_param(
+            "maxpool", "stride", stride
+        )
         activations = np.asarray(activations, dtype=np.float32)
         output, _ = maxpool_functional(activations, pool, stride)
         self._offload(
@@ -370,10 +403,8 @@ class Accelerator(OperationFrontEnd):
         self._offloaded = 0
 
     def _snapshot(self) -> CounterSet:
-        merged = CounterSet()
-        for component in self._components:
-            merged.merge(component.counters)
-        return merged
+        # every counter name belongs to one component (union enforces it)
+        return CounterSet.union([c.counters for c in self._components])
 
     def _start_layer(self, name: str, kind: str) -> None:
         """Open the layer's observability window on the cycle timeline."""

@@ -34,21 +34,25 @@ class Mapper:
             )
         from repro.config.hardware import ReductionKind
 
-        chosen = tile or generate_conv_tile(
-            layer,
-            self.config.num_ms,
-            bandwidth=self.config.dn_bandwidth,
-            forwarding=self.config.multiplier.has_forwarding_links,
-            power_of_two_clusters=self.config.reduction is ReductionKind.RT,
-        )
-        chosen.validate_for(layer, self.config.num_ms)
+        if tile is None:
+            # a generated tile fits the layer and the fabric by construction
+            chosen = generate_conv_tile(
+                layer,
+                self.config.num_ms,
+                bandwidth=self.config.dn_bandwidth,
+                forwarding=self.config.multiplier.has_forwarding_links,
+                power_of_two_clusters=self.config.reduction is ReductionKind.RT,
+            )
+        else:
+            chosen = tile
+            chosen.validate_for(layer, self.config.num_ms)
         self._check_reduction(chosen)
         return chosen
 
     def tile_for_gemm(
         self, gemm: GemmSpec, tile: Optional[TileConfig] = None
     ) -> TileConfig:
-        chosen = tile or generate_gemm_tile(
+        chosen = tile if tile is not None else generate_gemm_tile(
             gemm, self.config.num_ms, bandwidth=self.config.dn_bandwidth
         )
         self._check_reduction(chosen)

@@ -68,10 +68,11 @@ Why the two are byte-identical, per output:
   so ``time_gemm`` never sees an operand. A layer's one product is the
   accelerator's functional path; ``run_gemm`` is ``a @ b`` + ``time_gemm``.
 - **grouped convolutions** — ``repeats`` identical GEMMs. The aggregate
-  scales the class counts and accounts them in one pass, traced or not
-  (a tracer gets ``repeats`` sets of span runs, each starting where the
-  group before it ended); the walk runs them one after another with
-  ``start`` advancing.
+  scales the class counts and accounts them in one pass, traced or not,
+  and records their DRAM traffic with ``times=repeats`` (a tracer gets
+  ``repeats`` sets of span runs and DRAM records, each group starting
+  where the one before it ended); the walk runs them one after another
+  with ``start`` advancing.
 
 ``tests/differential/test_vector_equivalence.py`` pins the equivalence
 over the model zoo and Hypothesis-drawn shapes,
@@ -299,11 +300,13 @@ class SystolicEngine(ClockedComponent):
         identical GEMMs: the counters, ledgers and clock advance by all
         of them while the returned summary describes one. Under the
         tile-class aggregate they are accounted in one pass with the
-        class counts scaled (DRAM still record by record: its row-buffer
-        hit/miss sequence is stateful within a layer, and a tracer gets
-        each group's spans in turn); under the walk they run one after
-        another. Either way every span and metrics sample of a group
-        lands after the groups before it.
+        class counts scaled, and their DRAM traffic is one
+        ``times=repeats`` record each way (only the first can miss the
+        row buffer); a tracer instead gets each group's span runs,
+        ``GB:fill`` and ``DRAM:stall`` in turn, from one DRAM record per
+        group. Under the walk they run one after another. Either way
+        every span and metrics sample of a group lands after the groups
+        before it.
 
         The walk writes the counters of the tiles it has visited before
         each metrics sample, or after the last tile when no recorder is
@@ -375,16 +378,21 @@ class SystolicEngine(ClockedComponent):
                 tiles //= repeats
                 macs //= repeats
 
-        for _ in range(repeats):
-            if tracer.enabled and not walk:
-                self._trace_tile_runs(tracer, origin, m, k, n)
-            dram_stall = self._account_dram(m, k, n, cycles)
-            if tracer.enabled and dram_stall:
-                tracer.span(
-                    "DRAM:stall", self.dram.name, origin + cycles,
-                    origin + cycles + dram_stall,
-                )
-            origin += cycles + dram_stall
+        if tracer.enabled:
+            # span runs, `GB:fill` instants and `DRAM:stall` spans are per
+            # group, each starting where the group before it ended
+            for _ in range(repeats):
+                if not walk:
+                    self._trace_tile_runs(tracer, origin, m, k, n)
+                dram_stall = self._account_dram(m, k, n, cycles)
+                if dram_stall:
+                    tracer.span(
+                        "DRAM:stall", self.dram.name, origin + cycles,
+                        origin + cycles + dram_stall,
+                    )
+                origin += cycles + dram_stall
+        else:
+            dram_stall = self._account_dram(m, k, n, cycles, repeats)
         cycles += dram_stall
         obs.sample(start + cycles)
         ledger = obs.stalls
@@ -576,7 +584,12 @@ class SystolicEngine(ClockedComponent):
         fabric.charge_levels("mn", "mn_multiplications", [macs], [grid])
         fabric.charge_levels("rn", "rn_accumulator_ops", [macs], [grid])
 
-    def _account_dram(self, m: int, k: int, n: int, compute_cycles: int) -> int:
+    def _account_dram(
+        self, m: int, k: int, n: int, compute_cycles: int, repeats: int = 1
+    ) -> int:
+        """Move ``repeats`` identical GEMMs' footprints through DRAM in one
+        record each way (every record after the first hits the row the
+        first opened); returns one GEMM's stall cycles."""
         with component_scope("memory.dram"):
             bpe = self.config.dtype.bytes_per_element
             working_set = m * k + k * n + m * n
@@ -587,9 +600,9 @@ class SystolicEngine(ClockedComponent):
                 )
             read_bytes = (m * k + k * n) * bpe * reload_factor
             write_bytes = m * n * bpe
-            self.dram.record_read(read_bytes)
-            self.dram.record_write(write_bytes)
-            self.gb.record_fill(m * k + k * n)
+            self.dram.record_read(read_bytes, times=repeats)
+            self.dram.record_write(write_bytes, times=repeats)
+            self.gb.record_fill((m * k + k * n) * repeats)
             transfer = self.dram.transfer_cycles(read_bytes + write_bytes)
             return self.gb.dram_stall_cycles(transfer, compute_cycles)
 

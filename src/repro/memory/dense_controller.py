@@ -112,8 +112,7 @@ class DenseRunResult:
         return self.macs / self.cycles if self.cycles else 0.0
 
 
-@dataclass(frozen=True)
-class _StepCost:
+class _StepCost(NamedTuple):
     """Deterministic cost of one pixel step inside a steady phase."""
 
     dn_slots: int

@@ -10,8 +10,10 @@ latency estimate for the statistics report.
 from __future__ import annotations
 
 import math
+import operator
 
 from repro.config.hardware import DramConfig
+from repro.errors import SimulationError
 from repro.noc.base import ClockedComponent
 
 
@@ -33,23 +35,44 @@ class Dram(ClockedComponent):
             return 0
         return max(1, math.ceil(num_bytes / self.bytes_per_cycle))
 
-    def record_read(self, num_bytes: int, address: int = 0) -> None:
-        self._record("dram_bytes_read", num_bytes, address)
+    def record_read(
+        self, num_bytes: int, address: int = 0, times: int = 1
+    ) -> None:
+        self._record("dram_bytes_read", num_bytes, address, times)
 
-    def record_write(self, num_bytes: int, address: int = 0) -> None:
-        self._record("dram_bytes_written", num_bytes, address)
+    def record_write(
+        self, num_bytes: int, address: int = 0, times: int = 1
+    ) -> None:
+        self._record("dram_bytes_written", num_bytes, address, times)
 
-    def _record(self, counter: str, num_bytes: int, address: int) -> None:
+    def _record(
+        self, counter: str, num_bytes: int, address: int, times: int = 1
+    ) -> None:
+        """``times`` identical records of ``num_bytes`` at ``address``.
+
+        Only the first can miss: it opens the address's row, so the other
+        ``times - 1`` hit. One call leaves the counters and the open row
+        that ``times`` single records would.
+        """
+        try:
+            valid = operator.index(times) >= 1
+        except TypeError:
+            valid = False
+        if not valid:
+            raise SimulationError(
+                f"a DRAM record is made at least once, got times={times!r}"
+            )
         if num_bytes < 0:
             raise ValueError("byte count must be non-negative")
         if num_bytes == 0:
             return
-        self.counters.add(counter, num_bytes)
+        self.counters.add(counter, num_bytes * times)
         row = address // self.config.row_buffer_bytes
         if row == self._last_row:
-            self.counters.add("dram_row_hits", 1)
+            self.counters.add("dram_row_hits", times)
         else:
             self.counters.add("dram_row_misses", 1)
+            self.counters.add("dram_row_hits", times - 1)
             self._last_row = row
 
     def new_layer(self) -> None:

@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import abc
 from collections import Counter
-from typing import TYPE_CHECKING, Dict, Iterator, TypeVar
+from typing import TYPE_CHECKING, Dict, Iterator, Optional, Sequence, TypeVar
 
 import numpy as np
+
+from repro.errors import SimulationError
 
 if TYPE_CHECKING:
     from repro.observability.tracer import NullTracer
@@ -47,14 +49,16 @@ class CounterSet:
     into per-model totals).
     """
 
-    def __init__(self) -> None:
-        self._counts: Counter = Counter()
+    def __init__(self, counts: Optional[Dict[str, int]] = None) -> None:
+        #: the counts themselves; a snapshot or delta adopts its dict
+        self._counts: Dict[str, int] = {} if counts is None else counts
 
     def add(self, name: str, amount: int = 1) -> None:
         if amount < 0:
             raise ValueError(f"cannot add negative activity {amount} to {name!r}")
         if amount:
-            self._counts[name] += int(amount)
+            counts = self._counts
+            counts[name] = counts.get(name, 0) + int(amount)
 
     def get(self, name: str) -> int:
         return int(self._counts.get(name, 0))
@@ -72,25 +76,48 @@ class CounterSet:
         return len(self._counts)
 
     def merge(self, other: "CounterSet") -> None:
-        self._counts.update(other._counts)
+        counts = self._counts
+        for name, value in other._counts.items():
+            counts[name] = counts.get(name, 0) + value
+
+    @classmethod
+    def union(cls, sets: Sequence["CounterSet"]) -> "CounterSet":
+        """One file holding every counter of ``sets``, whose names must be
+        disjoint — an accelerator's components each own their names, so
+        the union is a dict merge, not a sum. A name in two sets raises
+        :class:`~repro.errors.SimulationError`."""
+        merged: Dict[str, int] = {}
+        size = 0
+        for counters in sets:
+            merged.update(counters._counts)
+            size += len(counters._counts)
+        if len(merged) != size:
+            owners = Counter(name for counters in sets for name in counters._counts)
+            shared = sorted(name for name, count in owners.items() if count > 1)
+            raise SimulationError(
+                f"counter names {shared} are recorded by more than one "
+                "component"
+            )
+        return cls(merged)
 
     def diff(self, earlier: "CounterSet") -> "CounterSet":
         """Counters accumulated since the ``earlier`` snapshot."""
-        result = CounterSet()
-        for name, value in self._counts.items():
-            delta = value - earlier.get(name)
-            if delta < 0:
-                raise ValueError(
-                    f"counter {name!r} went backwards ({value} < {earlier.get(name)})"
-                )
-            if delta:
-                result.add(name, delta)
-        return result
+        before = earlier._counts
+        delta = {
+            name: change
+            for name, value in self._counts.items()
+            if (change := value - before.get(name, 0))
+        }
+        if delta and min(delta.values()) < 0:
+            name = next(name for name, change in delta.items() if change < 0)
+            raise ValueError(
+                f"counter {name!r} went backwards "
+                f"({self._counts[name]} < {earlier.get(name)})"
+            )
+        return CounterSet(delta)
 
     def copy(self) -> "CounterSet":
-        result = CounterSet()
-        result._counts = Counter(self._counts)
-        return result
+        return CounterSet(dict(self._counts))
 
     def scaled(self, factor: int) -> "CounterSet":
         """A copy with every counter multiplied by ``factor``."""

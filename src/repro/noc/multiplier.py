@@ -51,8 +51,8 @@ class MultiplierNetwork(ClockedComponent):
         product; ``forwarders`` MSs are set aside to inject psums for
         folding. The total must fit the physical row.
         """
-        sizes = tuple(int(size) for size in cluster_sizes)
-        if any(size < 1 for size in sizes):
+        sizes = tuple(map(int, cluster_sizes))
+        if min(sizes, default=1) < 1:
             raise MappingError("cluster sizes must be positive")
         used = sum(sizes) + forwarders
         if used > self.num_ms:

@@ -68,16 +68,19 @@ class ReductionNetwork(ClockedComponent):
 
     # ---- configuration --------------------------------------------------
     def configure_clusters(self, cluster_sizes: Sequence[int]) -> None:
-        sizes = tuple(int(size) for size in cluster_sizes)
-        if any(size < 1 for size in sizes):
-            raise MappingError("cluster sizes must be positive")
-        if sum(sizes) > self.num_inputs:
-            raise MappingError(
-                f"clusters need {sum(sizes)} RN inputs but only "
-                f"{self.num_inputs} exist"
-            )
-        self._validate_clusters(sizes)
-        self._cluster_sizes = sizes
+        sizes = tuple(map(int, cluster_sizes))
+        # the layout in place was checked when it was installed (here or
+        # through verify_rounds); only a different one needs the proof
+        if sizes != self._cluster_sizes or not sizes:
+            if min(sizes, default=1) < 1:
+                raise MappingError("cluster sizes must be positive")
+            if sum(sizes) > self.num_inputs:
+                raise MappingError(
+                    f"clusters need {sum(sizes)} RN inputs but only "
+                    f"{self.num_inputs} exist"
+                )
+            self._validate_clusters(sizes)
+            self._cluster_sizes = sizes
         self.counters.add("rn_reconfigurations", 1)
 
     def _validate_clusters(self, sizes: tuple) -> None:
