@@ -88,27 +88,12 @@ class Dataflow(enum.Enum):
 
 
 class EngineMode(enum.Enum):
-    """How the systolic engine accounts the tiles of a GEMM.
+    """Ignored; removed together with the hash regeneration in its own PR.
 
-    The mode reaches one place, :meth:`repro.engine.systolic.
-    SystolicEngine.time_gemm`; the dense controller has a single timing
-    path and the data-dependent paths (SpMM, SNAPEA) never consult it.
-
-    - ``CYCLE`` — the per-tile walk, the reference, always.
-    - ``VECTOR`` — the tile-class aggregate (at most four
-      ``(shape, count)`` classes per GEMM) whenever it can serve;
-      metrics sampling forces the walk in any mode (samples snapshot
-      intermediate counter state only the walk produces).
-    - ``AUTO`` — the default, and the same behaviour as ``VECTOR``: an
-      attached tracer no longer selects the walk (the aggregate stores
-      its tile spans as span runs). The member and its ``"auto"``
-      spelling stay because the value is hashed into ``config_hash``,
-      cache keys and the committed registry baseline.
-
-    Every mode produces byte-identical simulation reports; the
-    differential suite (``tests/differential/test_vector_equivalence.py``)
-    pins that equivalence. The environment variable ``STONNE_ENGINE_MODE``
-    overrides the configured mode at dispatch time.
+    Nothing in the simulator reads it. The field and its three members
+    stay only because ``HardwareConfig.engine_mode`` is hashed into
+    ``config_hash``, every cache key and the committed registry
+    baseline, and benchmark harnesses still set it.
     """
 
     CYCLE = "cycle"
@@ -190,6 +175,7 @@ class HardwareConfig:
     dn_fifo_depth: int = 4
     rn_fifo_depth: int = 2
     accumulation_buffer: bool = True
+    #: ignored; removed together with the hash regeneration in its own PR
     engine_mode: EngineMode = EngineMode.AUTO
     clock_ghz: float = 1.0
     technology_nm: int = 28

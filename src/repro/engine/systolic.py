@@ -16,84 +16,44 @@ through this deterministic schedule — producing exactly the cycle count
 the explicit per-cycle loop yields, as the test suite checks against
 :meth:`SystolicEngine.simulate_tile_cycle_by_cycle`.
 
-One schedule, two accountings
------------------------------
+One schedule, one accounting
+----------------------------
 
-:meth:`SystolicEngine.time_gemm` has one body — shape validation, span
-emission, DRAM, stall/fabric charging, the result — inside which only
-the *accounting step* depends on the engine mode:
+:meth:`SystolicEngine.time_gemm` never visits the tile grid. Along each
+axis a tile is either *full* (``dim`` wide) or the single *remainder*
+tile, so the grid partitions into at most four ``(shape, count)``
+classes (:func:`tile_classes`) and every per-tile quantity — a function
+of the tile shape alone — is a count-weighted sum over them (SCALE-Sim's
+observation that systolic timing follows from the layer dimensions).
+The counters are written class by class, ``count`` times one tile's
+increments (``_tile_counts``): all ``repeats`` groups of a grouped
+convolution at once, with one ``times=repeats`` DRAM record each way.
 
-- the **per-tile walk** visits every tile in execution order, placing
-  its span and *tallying* its shape, and offers a metrics sample at each
-  tile boundary. The tally is written to the counter file — one
-  :meth:`SystolicEngine._account_tile` call per tallied shape — where the
-  file can be observed: before every sample when a metrics recorder is
-  attached (samples snapshot the *live* counter file, so under a recorder
-  the counters still mutate tile by tile), and once after the last tile
-  otherwise. The walk is the explicit enumeration the differential suite
-  holds :func:`tile_classes` to, and the only accounting that can serve
-  a metrics recorder;
-- the **tile-class aggregate** uses the regularity of the schedule:
-  along each axis a tile is either *full* (``dim`` wide) or the single
-  *remainder* tile, so the grid partitions into at most four
-  ``(shape, count)`` classes (:func:`tile_classes`) and every per-tile
-  quantity — a function of the tile shape alone — is a count-weighted
-  sum over them. That is SCALE-Sim's observation that systolic timing
-  follows from the layer dimensions; it never visits the grid.
-
-Why the two are byte-identical, per output:
-
-- **cycles** — :meth:`SystolicEngine.tile_cycles` depends only on the
-  tile shape, so the sum over tiles equals ``sum(count * tile_cycles)``
-  over classes; both accountings call that one method, so the
-  validation errors (``k < 1``, stream dimension ``< 1``) raise alike.
-- **counters, GB** — both accountings make one call shape,
-  ``_account_tile(tm, tk, tn, count)``: the aggregate once per class, the
-  walk once per tallied shape (``count == 1`` per tile under a
-  recorder). Each amount is ``count`` times a product of tile extents,
-  which equals the per-tile sum by grouping in integer arithmetic;
-  :class:`CounterSet` holds plain ints, drops zero increments and
-  serializes sorted, so only per-name totals are observable.
-- **DRAM, stall and fabric ledgers** — charged once per GEMM by the
-  shared epilogue from ``(m, k, n)`` and the tile classes, whichever
-  accounting ran.
-- **trace spans** — span boundaries are prefix sums of the per-tile
-  cycle counts. The walk emits one ``PE:tile`` span per tile it visits;
-  the aggregate never visits the grid: the tiles of a tile row that
-  share a shape run back to back, so it stores one
-  :meth:`~repro.observability.tracer.Tracer.span_run` per (tile row x
-  n-axis class), which expands to the walk's spans wherever the trace
-  is read. An attached tracer therefore selects nothing.
-- **functional output** — none: the schedule follows from ``(m, k, n)``,
-  so ``time_gemm`` never sees an operand. A layer's one product is the
-  accelerator's functional path; ``run_gemm`` is ``a @ b`` + ``time_gemm``.
-- **grouped convolutions** — ``repeats`` identical GEMMs. The aggregate
-  scales the class counts and accounts them in one pass, traced or not,
-  and records their DRAM traffic with ``times=repeats`` (a tracer gets
-  ``repeats`` sets of span runs and DRAM records, each group starting
-  where the one before it ended); the walk runs them one after another
-  with ``start`` advancing.
-
-``tests/differential/test_vector_equivalence.py`` pins the equivalence
-over the model zoo and Hypothesis-drawn shapes,
-``tests/differential/test_tile_tally_equivalence.py`` holds the tally to
-one counter write per tile, and ``tests/unit/test_vector_golden.py`` pins
-hand-computed tables so a regression points at the formula. See
-``docs/VECTOR_ENGINE.md``.
+A tracer or a metrics recorder reads *when* each tile ran. Under one,
+the groups run in one loop: the tiles of a tile row that share a shape
+run back to back, so each group is a sequence of (tile row x n-axis
+class) runs, which :meth:`~repro.observability.context.Observability.
+sample_runs` turns into span runs and closed-form metrics samples before
+the group's counters, DRAM record, ``DRAM:stall`` span, closing sample
+and ``ctrl_cycles`` are written. Within a group nothing else writes the
+counter file, so its value at any tile boundary is its value before the
+group plus the deltas of the tiles so far, in exact integer arithmetic:
+the spans and samples are byte for byte those of one span, one counter
+write and one sample per tile — the per-tile walk that
+``tests/differential/test_tile_tally_equivalence.py`` keeps as its
+oracle. See ``docs/VECTOR_ENGINE.md``.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import os
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterator, List, Tuple
 
 import numpy as np
 
-from repro.config.hardware import Dataflow, EngineMode, HardwareConfig
+from repro.config.hardware import Dataflow, HardwareConfig
 from repro.errors import ConfigurationError, MappingError
 from repro.memory.dram import Dram
 from repro.memory.global_buffer import GlobalBuffer
@@ -101,10 +61,9 @@ from repro.noc.base import ClockedComponent
 from repro.observability.telemetry.scopes import component_scope
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from repro.observability.context import Observability
+    from repro.observability.context import TileRun
     from repro.observability.fabric import FabricLedger
     from repro.observability.stalls import StallLedger
-    from repro.observability.tracer import NullTracer
 
 #: fixed pipeline fill/drain cycles per tile (weight-feed setup, edge
 #: buffers, and the output drain handshake), calibrated against the
@@ -115,48 +74,6 @@ PIPE_OVERHEAD = 4
 #: streams tiles back-to-back with no inter-layer gap, and the per-tile
 #: PIPE_OVERHEAD already covers the initial fill
 LAYER_SETUP_CYCLES = 0
-
-#: environment variable overriding the configured engine mode at dispatch
-#: time (used by the CI matrix leg that re-runs tier-1 under ``vector``)
-ENGINE_MODE_ENV = "STONNE_ENGINE_MODE"
-
-
-def resolve_engine_mode(config: HardwareConfig) -> EngineMode:
-    """The effective engine mode: ``STONNE_ENGINE_MODE`` over the config."""
-    raw = os.environ.get(ENGINE_MODE_ENV)
-    if not raw:
-        return config.engine_mode
-    try:
-        return EngineMode(raw.strip().lower())
-    except ValueError:
-        valid = ", ".join(mode.value for mode in EngineMode)
-        raise ConfigurationError(
-            f"{ENGINE_MODE_ENV}={raw!r} is not a valid engine mode "
-            f"(expected one of: {valid})"
-        ) from None
-
-
-def use_vector_kernels(config: HardwareConfig, obs: "Observability") -> bool:
-    """Whether this GEMM takes the tile-class aggregate over the walk.
-
-    Consulted once per GEMM by :meth:`SystolicEngine.time_gemm`, its only
-    caller: the dense controller has a single timing path in every mode,
-    and the sparse controller and the SNAPEA context never run on the
-    systolic array, so data-dependent timing never sees an aggregate.
-    """
-    mode = resolve_engine_mode(config)
-    if mode is EngineMode.CYCLE:
-        return False
-    if config.is_sparse:
-        # unreachable from the systolic engine, but keep the predicate
-        # safe for external callers: sparse timing is data dependent
-        return False
-    if obs.metrics is not None:
-        # metrics samples snapshot intermediate counter state at every
-        # tile boundary; only the per-tile walk reproduces them
-        return False
-    return True
-
 
 #: ``(tm, tk, tn, count)`` rows: a tile shape and how many tiles have it
 _TileClasses = List[Tuple[int, int, int, int]]
@@ -259,24 +176,6 @@ class SystolicEngine(ClockedComponent):
             raise MappingError("tile reduction dimension must be >= 1")
         return k + m + n - 2 + PIPE_OVERHEAD
 
-    def _tile_grid(
-        self, m: int, k: int, n: int
-    ) -> Iterator[Tuple[int, int, int]]:
-        """Every tile's ``(tm, tk, tn)`` shape, in execution order.
-
-        Output-stationary tiles partition ``(m, n)``; weight-stationary
-        tiles partition the stationary ``(k, n)`` weight matrix while the
-        full ``m`` activation rows stream through each tile.
-        """
-        dim = self.dim
-        stationary = self.weight_stationary
-        outer = k if stationary else m
-        for lo in range(0, outer, dim):
-            extent = min(dim, outer - lo)
-            for n_lo in range(0, n, dim):
-                tn = min(dim, n - n_lo)
-                yield (m, extent, tn) if stationary else (extent, k, tn)
-
     def run_gemm(
         self, a: np.ndarray, b: np.ndarray, start: int = 0
     ) -> Tuple[np.ndarray, SystolicRunResult]:
@@ -298,21 +197,15 @@ class SystolicEngine(ClockedComponent):
         it only positions trace spans and metrics samples. ``repeats``
         is the group count of a grouped convolution, whose groups are
         identical GEMMs: the counters, ledgers and clock advance by all
-        of them while the returned summary describes one. Under the
-        tile-class aggregate they are accounted in one pass with the
-        class counts scaled, and their DRAM traffic is one
-        ``times=repeats`` record each way (only the first can miss the
-        row buffer); a tracer instead gets each group's span runs,
-        ``GB:fill`` and ``DRAM:stall`` in turn, from one DRAM record per
-        group. Under the walk they run one after another. Either way
-        every span and metrics sample of a group lands after the groups
-        before it.
+        of them while the returned summary describes one. With no tracer
+        and no metrics recorder they are accounted in one pass, class by
+        class, and their DRAM traffic is one ``times=repeats`` record
+        each way; otherwise group by group, each in tile runs, so every
+        span and sample of a group lands after the groups before it.
 
-        The walk writes the counters of the tiles it has visited before
-        each metrics sample, or after the last tile when no recorder is
-        attached. Every dimension must be an integer (NumPy integers
-        included) — anything else raises :class:`ConfigurationError`
-        before a counter is touched.
+        Every dimension must be an integer (NumPy integers included) —
+        anything else raises :class:`ConfigurationError` before a counter
+        is touched.
         """
         dims = {"m": m, "k": k, "n": n, "start": start, "repeats": repeats}
         for name, value in dims.items():
@@ -330,71 +223,44 @@ class SystolicEngine(ClockedComponent):
                 f"k={k!r}, n={n!r}, repeats={repeats!r}"
             )
         obs = self.obs
-        tracer = obs.tracer
-        walk = not use_vector_kernels(self.config, obs)
-        if repeats > 1 and walk:
-            for _ in range(repeats):
-                result = self.time_gemm(m, k, n, start)
-                start += result.cycles
-            return result
-
-        origin = obs.base + start
         classes = tile_classes(self, m, k, n)
+        cycles = LAYER_SETUP_CYCLES
+        tiles = 0
+        macs = 0
+        for tm, tk, tn, count in classes:
+            cycles += self.tile_cycles(tm, tk, tn) * count
+            tiles += count
+            macs += tm * tk * tn * count
+
+        if obs.tracer.enabled or obs.metrics is not None:
+            # a tracer or a recorder reads *when* each tile ran: place one
+            # group's tile runs, then write its counters, DRAM record,
+            # closing sample and control cycles where the group ended
+            runs = list(self._tile_runs(m, k, n))
+            for _ in range(repeats):
+                with component_scope("engine.systolic"):
+                    obs.sample_runs(start + LAYER_SETUP_CYCLES, runs)
+                    self._account_tile_classes(classes)
+                dram_stall = self._account_dram(m, k, n, cycles)
+                end = start + cycles
+                if dram_stall:
+                    obs.tracer.span(
+                        "DRAM:stall", self.dram.name, obs.base + end,
+                        obs.base + end + dram_stall,
+                    )
+                obs.sample(end + dram_stall)
+                self.counters.add("ctrl_cycles", cycles + dram_stall)
+                start = end + dram_stall
+        else:
+            with component_scope("engine.systolic"):
+                self._account_tile_classes(classes, repeats)
+            dram_stall = self._account_dram(m, k, n, cycles, repeats)
+            self.counters.add("ctrl_cycles", (cycles + dram_stall) * repeats)
+        cycles += dram_stall
         if repeats > 1:
             classes = [
                 (tm, tk, tn, count * repeats) for tm, tk, tn, count in classes
             ]
-        scope = "engine.systolic" if walk else "engine.vector"
-        with component_scope(scope):
-            if walk:
-                # only a metrics sample can read the counter file between
-                # two tiles: tally the visited shapes and write them where
-                # one looks, or once the grid is walked
-                sampling = obs.metrics is not None
-                tally: Dict[Tuple[int, int, int], int] = defaultdict(int)
-                cycles = LAYER_SETUP_CYCLES
-                tiles = 0
-                macs = 0
-                for shape in self._tile_grid(m, k, n):
-                    tm, tk, tn = shape
-                    tile = self.tile_cycles(tm, tk, tn)
-                    if tracer.enabled:
-                        tracer.span(
-                            "PE:tile", self.name, origin + cycles,
-                            origin + cycles + tile,
-                            m=tm, k=tk, n=tn, macs=tm * tk * tn,
-                        )
-                    cycles += tile
-                    tiles += 1
-                    macs += tm * tk * tn
-                    tally[shape] += 1
-                    if sampling:
-                        self._commit_tally(tally)
-                        obs.sample(start + cycles)
-                self._commit_tally(tally)
-            else:
-                cycles, tiles, macs = self._account_tile_classes(classes)
-                cycles = LAYER_SETUP_CYCLES + cycles // repeats
-                tiles //= repeats
-                macs //= repeats
-
-        if tracer.enabled:
-            # span runs, `GB:fill` instants and `DRAM:stall` spans are per
-            # group, each starting where the group before it ended
-            for _ in range(repeats):
-                if not walk:
-                    self._trace_tile_runs(tracer, origin, m, k, n)
-                dram_stall = self._account_dram(m, k, n, cycles)
-                if dram_stall:
-                    tracer.span(
-                        "DRAM:stall", self.dram.name, origin + cycles,
-                        origin + cycles + dram_stall,
-                    )
-                origin += cycles + dram_stall
-        else:
-            dram_stall = self._account_dram(m, k, n, cycles, repeats)
-        cycles += dram_stall
-        obs.sample(start + cycles)
         ledger = obs.stalls
         if ledger is not None:
             self._charge_stalls(ledger, classes, dram_stall * repeats)
@@ -402,7 +268,6 @@ class SystolicEngine(ClockedComponent):
         if fabric is not None:
             self._charge_fabric(fabric, classes)
         self._current_cycle += cycles * repeats
-        self.counters.add("ctrl_cycles", cycles * repeats)
         utilization = macs / (self.config.num_ms * cycles) if cycles else 0.0
         return SystolicRunResult(
             cycles=cycles,
@@ -464,67 +329,63 @@ class SystolicEngine(ClockedComponent):
         return acc, span + PIPE_OVERHEAD
 
     # ------------------------------------------------------------------
+    def _tile_counts(self, tm: int, k: int, tn: int) -> Dict[str, int]:
+        """One ``tm x k x tn`` tile's nonzero counter increments, by name."""
+        macs = tm * k * tn
+        edge_feeds = tm * k + k * tn
+        counts = {
+            "mn_multiplications": macs,
+            # operands hop PE-to-PE: each A value crosses tn PEs, each B tm
+            "mn_forwarding_hops": tm * k * (tn - 1) + k * tn * (tm - 1),
+            # output-stationary accumulate in the PE register file
+            "rn_accumulator_ops": macs,
+            "rn_outputs_written": tm * tn,
+            "dn_wire_traversals": edge_feeds,
+            # GB feeds the array edges once per tile
+            "gb_reads": edge_feeds,
+            "gb_writes": tm * tn,
+        }
+        return {name: amount for name, amount in counts.items() if amount}
+
     def _account_tile(
         self, tm: int, k: int, tn: int, count: int = 1
     ) -> None:
         """Record the activity of ``count`` tiles of one shape."""
-        macs = tm * k * tn * count
-        self.counters.add("mn_multiplications", macs)
-        # operands hop PE-to-PE: each A value crosses tn PEs, each B value tm
-        self.counters.add(
-            "mn_forwarding_hops",
-            (tm * k * (tn - 1) + k * tn * (tm - 1)) * count,
-        )
-        # output-stationary accumulate in the PE register file
-        self.counters.add("rn_accumulator_ops", macs)
-        self.counters.add("rn_outputs_written", tm * tn * count)
-        self.counters.add("dn_wire_traversals", (tm * k + k * tn) * count)
-        # GB feeds the array edges once per tile
-        self.gb.record_reads((tm * k + k * tn) * count)
-        self.gb.record_writes(tm * tn * count)
-
-    def _commit_tally(self, tally: Dict[Tuple[int, int, int], int]) -> None:
-        """Write the walk's tallied tiles to the counter file and clear."""
-        for (tm, tk, tn), count in tally.items():
-            self._account_tile(tm, tk, tn, count)
-        tally.clear()
+        counts = self._tile_counts(tm, k, tn)
+        self.gb.record_reads(counts.pop("gb_reads") * count)
+        self.gb.record_writes(counts.pop("gb_writes") * count)
+        add = self.counters.add
+        for name, amount in counts.items():
+            add(name, amount * count)
 
     def _account_tile_classes(
-        self, classes: _TileClasses
-    ) -> Tuple[int, int, int]:
-        """Account the whole grid class by class; (cycles, tiles, macs)."""
-        cycles = 0
-        tiles = 0
-        macs = 0
-        for tm, tk, tn, count in classes:
-            cycles += self.tile_cycles(tm, tk, tn) * count
-            tiles += count
-            macs += tm * tk * tn * count
-            self._account_tile(tm, tk, tn, count)
-        return cycles, tiles, macs
-
-    def _trace_tile_runs(
-        self, tracer: "NullTracer", origin: int, m: int, k: int, n: int
+        self, classes: _TileClasses, repeats: int = 1
     ) -> None:
-        """One GEMM's ``PE:tile`` spans, as the walk places them, from the
-        tile classes: tiles of a tile row that share a shape run back to
-        back, so each (tile row x n-axis class) is one span run."""
+        """Account ``repeats`` GEMMs' tiles in one pass, class by class."""
+        for tm, tk, tn, count in classes:
+            self._account_tile(tm, tk, tn, count * repeats)
+
+    def _tile_runs(self, m: int, k: int, n: int) -> Iterator["TileRun"]:
+        """One GEMM's tiles in execution order, as ``(period, count,
+        delta, span)`` runs: the tiles of a tile row that share a shape
+        run back to back, so each (tile row x n-axis class) is one run of
+        ``count`` tiles of ``period`` cycles, each adding ``delta`` to the
+        counters under one ``PE:tile`` span."""
         stationary = self.weight_stationary
         n_classes = _axis_classes(n, self.dim)
-        cycle = origin + LAYER_SETUP_CYCLES
         for extent, rows in _axis_classes(k if stationary else m, self.dim):
             tm, tk = (m, extent) if stationary else (extent, k)
             row = [
-                (tn, count, self.tile_cycles(tm, tk, tn))
+                (
+                    self.tile_cycles(tm, tk, tn), count,
+                    self._tile_counts(tm, tk, tn),
+                    ("PE:tile", self.name,
+                     {"m": tm, "k": tk, "n": tn, "macs": tm * tk * tn}),
+                )
                 for tn, count in n_classes
             ]
             for _ in range(rows):
-                for tn, count, tile in row:
-                    tracer.span_run(
-                        "PE:tile", self.name, cycle, tile, count,
-                        m=tm, k=tk, n=tn, macs=tm * tk * tn,
-                    )
-                    cycle += tile * count
+                yield from row
 
     def _charge_stalls(
         self,
@@ -534,9 +395,9 @@ class SystolicEngine(ClockedComponent):
     ) -> None:
         """Attribute one GEMM's cycles to stall buckets.
 
-        Charged from the ``(shape, count)`` tile classes whichever
-        accounting ran, so the engine modes produce byte-identical
-        ledgers by construction. Per tile the wavefront formula of
+        Charged once per GEMM (grouped ones included) from the
+        ``(shape, count)`` tile classes, however the tiles were cut into
+        counter writes, so attached lenses cannot move the ledger. Per tile the wavefront formula of
         :meth:`tile_cycles` decomposes exactly — useful MAC waves,
         stationary preload (WS only), the ``+tn-2``-style skew where
         edge PEs idle while the diagonal passes, and the fixed
@@ -564,8 +425,8 @@ class SystolicEngine(ClockedComponent):
     ) -> None:
         """Decompose one GEMM's activity across the array's fabric tiers.
 
-        Like :meth:`_charge_stalls`, charged from the tile classes in
-        every engine mode. The systolic topology is flat: the DN is the
+        Like :meth:`_charge_stalls`, charged from the tile classes. The
+        systolic topology is flat: the DN is the
         2 x ``dim`` edge-feed bus (west activations + north weights,
         anchored to ``dn_wire_traversals``), the MN is the ``dim x dim``
         PE grid (``mn_multiplications``), and the RN is the in-place

@@ -47,8 +47,7 @@ Dataflows
 One timing path
 ---------------
 
-:meth:`DenseController._run` is the only dense timing body, in every
-``engine_mode``. A layer is at most four steady-phase segments of
+:meth:`DenseController._run` is the only dense timing body. A layer is at most four steady-phase segments of
 identical steps plus the stationary weight loads
 (:meth:`DenseController._plan`), and each segment is fast-forwarded
 through the live DN queue (``enqueue(..., times=repeats)`` →

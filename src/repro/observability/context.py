@@ -23,7 +23,9 @@ cost one attribute lookup and a branch.
 from __future__ import annotations
 
 import time
-from typing import Callable, List, NamedTuple, Optional
+from typing import (
+    Callable, Iterable, List, Mapping, NamedTuple, Optional, Tuple,
+)
 
 from repro.noc.base import CounterSet
 from repro.observability.metrics import (
@@ -38,6 +40,11 @@ from repro.observability.tracer import NULL_TRACER, NullTracer, Tracer
 #: cumulative counter series mirrored into the Chrome trace as counter
 #: tracks (kept to the headline signals so traces stay viewer-friendly)
 TRACE_COUNTER_SERIES = HEADLINE_COUNTERS
+
+#: one run of identical back-to-back tiles, as :meth:`Observability.
+#: sample_runs` takes it: ``(period, count, delta, (span name, span
+#: component, span args))``
+TileRun = Tuple[int, int, Mapping[str, int], Tuple[str, str, Mapping[str, object]]]
 
 
 class LayerHostTime(NamedTuple):
@@ -136,13 +143,70 @@ class Observability:
         new = self.metrics.observe(self.base + rel_cycle, self._snapshot())
         if self.tracer.enabled:
             for sample in new:
-                values = {
-                    key: sample.values[key]
-                    for key in TRACE_COUNTER_SERIES if key in sample.values
-                }
-                if values:
-                    self.tracer.counter("activity", "metrics", sample.cycle, values)
+                self._mirror(sample)
         return new
+
+    def sample_runs(self, rel_start: int, runs: Iterable[TileRun]) -> None:
+        """Place back-to-back tile runs on the timeline before their
+        counters are written.
+
+        A run ``(period, count, delta, (name, component, args))`` is
+        ``count`` tiles of ``period`` cycles, each adding ``delta`` to
+        the counters, starting where the run before it ended (the first
+        at ``base + rel_start``). This records what one span and one
+        :meth:`sample` per tile would once the caller writes the runs'
+        counters — which it must before the next sample — in O(runs +
+        samples):
+
+        - the metrics recorder reads the counter file once, for the first
+          tile (counters outside the runs may have moved since the last
+          sample); every later tile follows from the deltas
+          (:meth:`MetricsRecorder.observe_run`);
+        - the tracer gets each run's spans as span runs, split where
+          samples land, so every mirrored counter event follows the span
+          of the tile it samples.
+        """
+        metrics = self.metrics if self._snapshot is not None else None
+        tracer = self.tracer
+        first = True
+        cycle = self.base + rel_start
+        for period, count, delta, (name, component, args) in runs:
+            new: List[MetricsSample] = []
+            if metrics is not None and count:
+                if first:
+                    first = False
+                    counts = self._snapshot().as_dict()
+                    for key, amount in delta.items():
+                        counts[key] = counts.get(key, 0) + amount
+                    new = metrics.observe(cycle + period, CounterSet(counts))
+                    new += metrics.observe_run(
+                        cycle + period, period, count - 1, delta
+                    )
+                else:
+                    new = metrics.observe_run(cycle, period, count, delta)
+            if tracer.enabled:
+                placed = 0
+                for sample in new:
+                    # the tile the sample lands in (a first-tile sample may
+                    # precede the run: it interpolates from the last one)
+                    tile = max(1, -(-(sample.cycle - cycle) // period))
+                    if tile > placed:
+                        tracer.span_run(name, component, cycle + placed * period,
+                                        period, tile - placed, **args)
+                        placed = tile
+                    self._mirror(sample)
+                tracer.span_run(name, component, cycle + placed * period,
+                                period, count - placed, **args)
+            cycle += period * count
+
+    def _mirror(self, sample: MetricsSample) -> None:
+        """Mirror one grid sample into the trace as a counter event."""
+        values = {
+            key: sample.values[key]
+            for key in TRACE_COUNTER_SERIES if key in sample.values
+        }
+        if values:
+            self.tracer.counter("activity", "metrics", sample.cycle, values)
 
     def end_layer(self, rel_end_cycle: int, name: str, kind: str) -> None:
         """Anchor the metrics interpolation at the layer boundary and

@@ -13,9 +13,9 @@ Charging follows the stall-ledger playbook exactly
 (:mod:`repro.observability.stalls`): the controllers charge at their
 existing ``counters.add`` sites (inside the NoC components' own
 recording methods) and from the dense segment table, the systolic
-engine from its tile classes whichever way it accounted the tiles, and
-addition commutes — so every engine mode produces byte-identical
-ledgers by construction. Per-link spreads are computed once at :meth:`finalize`
+engine from its tile classes however it cut the tiles into counter
+writes, and addition commutes — so the ledger does not depend on which
+other lenses are attached. Per-link spreads are computed once at :meth:`finalize`
 from the per-level totals (never at charge time), so charge batching
 cannot perturb the payload either.
 

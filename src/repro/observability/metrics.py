@@ -14,16 +14,21 @@ values onto the sampling grid. Within one steady phase the per-cycle
 activity really is uniform (that is what makes fast-forwarding exact),
 so the interpolation reconstructs precisely what per-cycle sampling
 would have recorded, phase boundaries excepted by less than one step.
+A run of identical phases — ``count`` systolic tiles of one shape — is
+one :meth:`MetricsRecorder.observe_run`: the samples of ``count``
+observations, written in closed form.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Deque, Dict, List, Mapping, Optional, Union
 
+from repro.errors import ConfigurationError, SimulationError
 from repro.noc.base import CounterSet
 
 #: the headline activity signals: mirrored into Chrome traces as counter
@@ -52,10 +57,21 @@ class MetricsRecorder:
     """Ring-buffered time series of counter samples every N cycles."""
 
     def __init__(self, every: int = 64, capacity: int = 65536) -> None:
+        try:
+            every, capacity = operator.index(every), operator.index(capacity)
+        except TypeError:
+            raise ConfigurationError(
+                f"metrics cadence and ring capacity must be integers, got "
+                f"every={every!r}, capacity={capacity!r}"
+            ) from None
         if every < 1:
-            raise ValueError("sampling cadence must be >= 1 cycle")
+            raise ConfigurationError(
+                f"sampling cadence must be >= 1 cycle, got every={every}"
+            )
         if capacity < 1:
-            raise ValueError("ring capacity must be >= 1")
+            raise ConfigurationError(
+                f"ring capacity must be >= 1, got capacity={capacity}"
+            )
         self.every = every
         self.capacity = capacity
         self._ring: Deque[MetricsSample] = deque(maxlen=capacity)
@@ -77,7 +93,7 @@ class MetricsRecorder:
         two observations.
         """
         if cycle < self._last_cycle:
-            raise ValueError(
+            raise SimulationError(
                 f"observation cycle went backwards ({cycle} < {self._last_cycle})"
             )
         values = dict(counters.as_dict()) if isinstance(counters, CounterSet) \
@@ -93,15 +109,76 @@ class MetricsRecorder:
                 + frac * (values.get(key, 0.0) - self._last_values.get(key, 0.0))
                 for key in sorted(keys)
             }
-            sample = MetricsSample(cycle=grid, values=point)
-            if len(self._ring) == self.capacity:
-                self.dropped += 1
-            self._ring.append(sample)
-            self.total_emitted += 1
-            new.append(sample)
+            new.append(self._emit(MetricsSample(cycle=grid, values=point)))
         self._last_cycle = cycle
         self._last_values = values
         return new
+
+    def observe_run(self, start: int, period: int, count: int,
+                    delta: Mapping[str, float]) -> List[MetricsSample]:
+        """Feed ``count`` uniform observations; returns the new samples.
+
+        A run is ``count`` back-to-back phases of ``period`` cycles, the
+        first starting at ``start``, each adding ``delta`` to the
+        cumulative values: what ``count`` :meth:`observe` calls at
+        ``start + i * period`` would record (for integer-valued counters,
+        which :class:`CounterSet` holds), at a cost of O(samples) — not
+        O(count). Only the first phase is a general observation: it
+        interpolates from the previous one, which may lie before
+        ``start`` and lack keys ``delta`` has. Every later phase spans
+        exactly ``period`` cycles from the values of the one before.
+        """
+        if period < 1 or count < 0:
+            raise SimulationError(
+                f"an observation run needs period >= 1 and count >= 0, "
+                f"got period={period!r}, count={count!r}"
+            )
+        if not count:
+            return []
+        first_end = start + period
+        if first_end < self._last_cycle:
+            raise SimulationError(
+                f"observation cycle went backwards "
+                f"({first_end} < {self._last_cycle})"
+            )
+        last = self._last_values
+        keys = sorted(last.keys() | delta.keys())
+        base = [last.get(key, 0) for key in keys]
+        step = [delta.get(key, 0) for key in keys]
+        end = start + period * count
+        new: List[MetricsSample] = []
+        # ``phase`` phases have ended before the grid cycle; the one it
+        # falls in runs from (lo_cycle, lo) over ``span`` cycles and rises
+        # by ``step`` — exactly ``values - last``, the values being integers
+        phase = -1
+        lo_cycle = span = 0
+        lo: List[float] = []
+        first_grid = (self._last_cycle // self.every + 1) * self.every
+        for grid in range(first_grid, end + 1, self.every):
+            at = 0 if grid <= first_end else (grid - start - 1) // period
+            if at != phase:
+                phase = at
+                lo_cycle = self._last_cycle if at == 0 else start + at * period
+                span = start + (at + 1) * period - lo_cycle
+                lo = [b + at * d for b, d in zip(base, step)]
+            frac = (grid - lo_cycle) / span if span else 1.0
+            point = dict(zip(keys, [
+                low + frac * d for low, d in zip(lo, step)
+            ]))
+            new.append(self._emit(MetricsSample(cycle=grid, values=point)))
+        self._last_cycle = end
+        self._last_values = {
+            key: b + count * d for key, b, d in zip(keys, base, step)
+        }
+        return new
+
+    def _emit(self, sample: MetricsSample) -> MetricsSample:
+        """Append one sample to the ring, counting what it pushes out."""
+        if len(self._ring) == self.capacity:
+            self.dropped += 1
+        self._ring.append(sample)
+        self.total_emitted += 1
+        return sample
 
     def ingest(
         self,
@@ -121,7 +198,7 @@ class MetricsRecorder:
         for sample in samples:
             cycle = sample.cycle + int(cycle_offset)
             if cycle < self._last_cycle:
-                raise ValueError(
+                raise SimulationError(
                     f"ingested cycle went backwards ({cycle} < {self._last_cycle})"
                 )
             keys = set(offsets) | set(sample.values)
@@ -129,11 +206,7 @@ class MetricsRecorder:
                 key: offsets.get(key, 0.0) + float(sample.values.get(key, 0.0))
                 for key in sorted(keys)
             }
-            rebased = MetricsSample(cycle=cycle, values=values)
-            if len(self._ring) == self.capacity:
-                self.dropped += 1
-            self._ring.append(rebased)
-            self.total_emitted += 1
+            self._emit(MetricsSample(cycle=cycle, values=values))
             self._last_cycle = cycle
             self._last_values = dict(values)
 
@@ -230,7 +303,7 @@ class MetricsRecorder:
 def utilization_series(recorder: MetricsRecorder, num_ms: int) -> List[Dict[str, float]]:
     """Multiplier-utilization-over-time derived from the recorded deltas."""
     if num_ms < 1:
-        raise ValueError("num_ms must be >= 1")
+        raise ConfigurationError(f"num_ms must be >= 1, got num_ms={num_ms!r}")
     rows: List[Dict[str, float]] = []
     for delta in recorder.deltas():
         mults = delta.values.get("mn_multiplications", 0.0)

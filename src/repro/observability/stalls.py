@@ -36,9 +36,8 @@ that enabling it leaves cycles/counters/energy payloads byte-identical.
 
 Both engine families charge the ledger from an aggregate form — the
 dense controller's one segment table, the systolic tile classes
-whichever way the tiles were accounted — so the ``cycle`` and
-``vector`` engine modes yield byte-identical ledgers by construction — also pinned by the
-differential suite.
+however the tiles were cut into counter writes — so a tracer or metrics
+recorder attached beside it cannot move the ledger.
 
 The per-bucket ``stall_*`` names below live in
 :data:`repro.engine.stats.KNOWN_COUNTERS` like every other activity

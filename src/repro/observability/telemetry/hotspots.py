@@ -1,6 +1,6 @@
 """Sampling hotspot profiler: host wall-clock per simulator component.
 
-``stonne insight attribute`` answers "which component costs the most
+``stonne insight explain`` answers "which component costs the most
 *simulated cycles*"; this module answers the ROADMAP-item-1 question —
 "which component costs the most *host seconds* to simulate". A daemon
 thread samples the target thread's stack via ``sys._current_frames()``

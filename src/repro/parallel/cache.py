@@ -95,9 +95,8 @@ KEY_COVERED_FIELDS = {
         "rn_fifo_depth": "via config_hash",
         "accumulation_buffer": "via config_hash",
         "engine_mode": (
-            "via config_hash (over-keys on purpose: modes are proven "
-            "byte-identical, but a cached cycle-mode entry must never "
-            "mask a vector-kernel regression)"
+            "via config_hash (ignored by the simulator; still hashed "
+            "until its removal regenerates the hashes)"
         ),
         "clock_ghz": "via config_hash",
         "technology_nm": "via config_hash",

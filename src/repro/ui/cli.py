@@ -30,7 +30,6 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.config import (
-    EngineMode,
     HardwareConfig,
     TileConfig,
     load_config,
@@ -47,12 +46,7 @@ from repro.version import __version__
 
 def _build_config(args: argparse.Namespace) -> HardwareConfig:
     if getattr(args, "config", None):
-        config = load_config(args.config)
-        if getattr(args, "engine_mode", None):
-            config = config.with_updates(
-                engine_mode=EngineMode(args.engine_mode)
-            )
-        return config
+        return load_config(args.config)
     presets = {"tpu": tpu_like, "maeri": maeri_like, "sigma": sigma_like}
     builder = presets[args.arch]
     kwargs = {}
@@ -63,10 +57,7 @@ def _build_config(args: argparse.Namespace) -> HardwareConfig:
     else:
         kwargs["num_ms"] = args.num_ms
         kwargs["bandwidth"] = args.bw or max(1, args.num_ms // 2)
-    config = builder(**kwargs)
-    if getattr(args, "engine_mode", None):
-        config = config.with_updates(engine_mode=EngineMode(args.engine_mode))
-    return config
+    return builder(**kwargs)
 
 
 def _add_hw_args(parser: argparse.ArgumentParser) -> None:
@@ -79,13 +70,6 @@ def _add_hw_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--bw", type=int, default=0,
                         help="GB bandwidth in elements/cycle (0 = preset default)")
     parser.add_argument("--config", help="hardware .cfg file (overrides presets)")
-    parser.add_argument(
-        "--engine-mode", choices=tuple(m.value for m in EngineMode),
-        default=None, dest="engine_mode",
-        help="dense hot-path implementation: the cycle-stepped reference, "
-             "the byte-identical closed-form kernels, or auto (default: "
-             "the preset's mode; STONNE_ENGINE_MODE also overrides)",
-    )
     parser.add_argument("--seed", type=int, default=0, help="tensor RNG seed")
     parser.add_argument("--json", action="store_true",
                         help="print the full JSON statistics report")

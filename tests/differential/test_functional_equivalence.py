@@ -41,19 +41,14 @@ from repro.engine.accelerator import (
     maxpool_functional,
     maxpool_output_shape,
 )
-from repro.engine.systolic import ENGINE_MODE_ENV, SystolicEngine
+from repro.engine.systolic import SystolicEngine
 from repro.experiments.fig5 import architecture_config
 from repro.frontend.models import MODEL_NAMES, build_model, model_input
 from repro.observability import Observability
+from repro.observability.tracer import Tracer
 from repro.parallel import record_model
 from repro.parallel.runner import _simulate_workload
 from repro.tensors.im2col import col2im_output, im2col
-
-
-@pytest.fixture(autouse=True)
-def _pin_configured_mode(monkeypatch):
-    """Both engine modes are driven explicitly via ``engine_mode``."""
-    monkeypatch.delenv(ENGINE_MODE_ENV, raising=False)
 
 
 # ---------------------------------------------------------------------------
@@ -223,9 +218,10 @@ def test_dram_bound_shape_stalls_every_group():
 def test_untraced_groups_make_a_constant_number_of_dram_records(
     dataflow, lens, monkeypatch
 ):
-    """Without a tracer the aggregate records a grouped GEMM's DRAM traffic
-    with ``times=repeats`` — one read and one write, whatever the group
-    count — while the walk still records each group's traffic in turn."""
+    """Without a tracer or a recorder a grouped GEMM's DRAM traffic is
+    recorded with ``times=repeats`` — one read and one write, whatever the
+    group count and whatever ``engine_mode`` says; a metrics recorder
+    records each group's traffic in turn, where the group ran."""
     calls = []
     record = accelerator_module.Dram._record
 
@@ -234,11 +230,13 @@ def test_untraced_groups_make_a_constant_number_of_dram_records(
         return record(self, *args, **kwargs)
 
     monkeypatch.setattr(accelerator_module.Dram, "_record", counting_record)
-    for mode, groups, expected in (
-        (EngineMode.VECTOR, 256, 2), (EngineMode.VECTOR, 3, 2),
-        (EngineMode.CYCLE, 256, 2 * 256),
+    for mode, groups, lenses, expected in (
+        (EngineMode.VECTOR, 256, LENSES[lens], 2),
+        (EngineMode.VECTOR, 3, LENSES[lens], 2),
+        (EngineMode.CYCLE, 256, LENSES[lens], 2),
+        (EngineMode.AUTO, 256, {**LENSES[lens], "metrics_every": 64}, 2 * 256),
     ):
-        obs = Observability.create(**LENSES[lens])
+        obs = Observability.create(**lenses)
         engine = Accelerator(
             tpu_like(16, dataflow=dataflow).with_updates(engine_mode=mode),
             observability=obs,
@@ -394,7 +392,13 @@ def test_time_alone_equals_run_and_computes_no_tensor(
             payload["extra"].pop("metrics", None)
             assert json.dumps(bundle["layer"], sort_keys=True) == \
                 json.dumps(payload, sort_keys=True)
-            assert bundle["trace"] == reference["trace"]
+            # the wire keeps span runs as runs; expanded, they are the
+            # serial events
+            shipped = Tracer()
+            shipped.extend(bundle["trace"])
+            assert [
+                dataclasses.asdict(e) for e in shipped.events
+            ] == reference["trace"]
             assert bundle["metrics_samples"] == reference["samples"]
             if label == "on":
                 assert "stalls" in payload["extra"]

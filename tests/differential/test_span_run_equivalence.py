@@ -1,12 +1,11 @@
 """Differential suite: span runs vs one ``Tracer.span`` per tile.
 
-Under the tile-class aggregate the systolic engine no longer visits the
-tile grid to place its ``PE:tile`` spans; it stores one
-:class:`~repro.observability.tracer.SpanRun` per (tile row x n-axis
-class). The oracle here is the loop that used to place them — one
-``tracer.span`` per tile of ``_tile_grid``, kept in this file only — and
-the per-tile walk of ``cycle`` mode for everything around the tiles
-(``GB:fill`` instants, ``DRAM:stall`` spans, the order between groups).
+The systolic engine never visits the tile grid to place its ``PE:tile``
+spans; it stores one :class:`~repro.observability.tracer.SpanRun` per
+(tile row x n-axis class). The oracle here is the loop that used to
+place them — one ``tracer.span`` per tile of the grid enumerated by the
+tally suite's ``_tile_grid``, the per-tile walk's own enumerator, kept
+in the tests only.
 """
 
 import dataclasses
@@ -20,19 +19,14 @@ from hypothesis import strategies as st
 from repro.config import EngineMode, tpu_like
 from repro.config.hardware import Dataflow, DramConfig
 from repro.engine.accelerator import Accelerator
-from repro.engine.systolic import ENGINE_MODE_ENV, LAYER_SETUP_CYCLES
+from repro.engine.systolic import LAYER_SETUP_CYCLES
 from repro.frontend.models import build_model, model_input
 from repro.frontend.simulated import detach_context, simulate, simulate_parallel
 from repro.observability import Observability
 from repro.observability.tracer import Tracer
 from repro.parallel import record_model, shutdown_pools
 from repro.parallel.runner import _simulate_workload
-
-
-@pytest.fixture(autouse=True)
-def _pin_configured_mode(monkeypatch):
-    """Both accountings are driven explicitly via ``engine_mode``."""
-    monkeypatch.delenv(ENGINE_MODE_ENV, raising=False)
+from test_tile_tally_equivalence import _tile_grid
 
 
 def _engine(dim, dataflow, mode, dram_gbps=512.0, base=0):
@@ -54,7 +48,7 @@ def _per_tile_spans(engine, m, k, n, start, repeats, group_cycles):
     for group in range(repeats):
         origin = engine.obs.base + start + group * group_cycles
         cycles = LAYER_SETUP_CYCLES
-        for tm, tk, tn in engine._tile_grid(m, k, n):
+        for tm, tk, tn in _tile_grid(engine, m, k, n):
             tile = engine.tile_cycles(tm, tk, tn)
             tracer.span(
                 "PE:tile", engine.name, origin + cycles,
@@ -93,7 +87,8 @@ def test_expanded_runs_equal_the_per_tile_span_loop(
     )
     assert len(tiles) == result.tiles * repeats
 
-    # and the whole event list — fills, stalls, group order — is the walk's
+    # and the whole event list — fills, stalls, group order — is the one
+    # every engine mode exports
     walker, walked = _engine(dim, dataflow, EngineMode.CYCLE, dram_gbps, base)
     assert walker.time_gemm(m, k, n, start, repeats) == result
     assert tracer.events == walked.events
@@ -138,10 +133,7 @@ def _trace_of(model_name, config, jobs=None):
 
 @pytest.fixture
 def _fresh_pool_workers():
-    """Pool workers keep the environment they were forked with, so a
-    shared pool started under a ``STONNE_ENGINE_MODE`` override still
-    obeys it after the parent's variable is cleared: re-fork them, and
-    leave none behind that lack an override later tests run under."""
+    """Start from freshly forked pool workers and leave none behind."""
     shutdown_pools()
     yield
     shutdown_pools()

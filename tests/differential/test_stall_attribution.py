@@ -21,20 +21,12 @@ import pytest
 
 from repro.config import EngineMode
 from repro.engine.accelerator import Accelerator
-from repro.engine.systolic import ENGINE_MODE_ENV
 from repro.experiments.fig5 import architecture_config
 from repro.frontend.models import MODEL_NAMES, build_model, model_input
 from repro.frontend.simulated import detach_context, simulate
 from repro.observability import Observability
 from repro.observability.stalls import STALL_BUCKETS, validate_ledger
 from repro.parallel import ParallelModelRunner, SimCache
-
-
-@pytest.fixture(autouse=True)
-def _pin_configured_mode(monkeypatch):
-    """Both engine modes are driven explicitly below; a CI-level
-    ``STONNE_ENGINE_MODE`` override would make the comparison vacuous."""
-    monkeypatch.delenv(ENGINE_MODE_ENV, raising=False)
 
 
 ZOO_ALL = [
@@ -113,8 +105,8 @@ def test_zoo_cycle_vector_ledgers_byte_identical(model_name, arch):
 
 
 def test_stalls_do_not_force_reference_walk(monkeypatch):
-    """Attribution must not silently disable the vector engine — the
-    closed-form kernels charge the same ledger through the shared code."""
+    """Attribution reads no timeline: the GEMM stays one class-by-class
+    pass, and the ledger is charged from the same tile classes."""
     calls = {"n": 0}
     from repro.engine.systolic import SystolicEngine
 

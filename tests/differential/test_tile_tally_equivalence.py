@@ -1,14 +1,18 @@
-"""Differential suite: the walk's tally vs one counter write per tile.
+"""Differential suite: ``time_gemm`` vs one counter write per tile.
 
-The per-tile walk of ``SystolicEngine.time_gemm`` still visits every tile,
-but it tallies the shapes it sees and writes the counter file where it can
-be observed — before each metrics sample, or once the grid is walked. The
-oracle here is the walk it replaced, kept in this file only: every tile
-calls ``_account_tile`` itself and then offers a sample.
+``SystolicEngine.time_gemm`` never visits the tile grid: it writes the
+counter file once per tile class and, under a tracer or a metrics
+recorder, hands the schedule's (tile row x n-axis class) runs to
+``Observability.sample_runs``, which places their spans and samples in
+closed form. The oracle
+here is the per-tile walk it replaced, kept in this file only: every
+tile of the grid, in execution order, places its span, calls
+``_account_tile`` itself and then offers a sample.
 """
 
 import collections
 import dataclasses
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +22,6 @@ from repro.config import EngineMode, tpu_like
 from repro.config.hardware import Dataflow, DramConfig
 from repro.engine.accelerator import Accelerator
 from repro.engine.systolic import (
-    ENGINE_MODE_ENV,
     LAYER_SETUP_CYCLES,
     SystolicEngine,
     SystolicRunResult,
@@ -27,12 +30,6 @@ from repro.engine.systolic import (
 from repro.observability import Observability
 
 DATAFLOWS = [Dataflow.OUTPUT_STATIONARY, Dataflow.WEIGHT_STATIONARY]
-
-
-@pytest.fixture(autouse=True)
-def _pin_configured_mode(monkeypatch):
-    """The accounting is chosen explicitly via ``engine_mode``."""
-    monkeypatch.delenv(ENGINE_MODE_ENV, raising=False)
 
 
 def _accelerator(dim, dataflow, mode, dram_gbps=512.0, base=0, **lenses):
@@ -48,13 +45,30 @@ def _accelerator(dim, dataflow, mode, dram_gbps=512.0, base=0, **lenses):
     return acc
 
 
+def _tile_grid(engine, m, k, n):
+    """Every tile's ``(tm, tk, tn)`` shape, in execution order.
+
+    Output-stationary tiles partition ``(m, n)``; weight-stationary tiles
+    partition the stationary ``(k, n)`` weight matrix while the full ``m``
+    activation rows stream through each tile.
+    """
+    dim = engine.dim
+    stationary = engine.weight_stationary
+    outer = k if stationary else m
+    for lo in range(0, outer, dim):
+        extent = min(dim, outer - lo)
+        for n_lo in range(0, n, dim):
+            tn = min(dim, n - n_lo)
+            yield (m, extent, tn) if stationary else (extent, k, tn)
+
+
 def _per_tile_walk(engine, m, k, n, start=0, repeats=1):
-    """``time_gemm`` under the walk as it was before the tally."""
+    """``time_gemm`` as the per-tile walk, before the tally."""
     obs, tracer = engine.obs, engine.obs.tracer
     for _ in range(repeats):
         origin = obs.base + start
         cycles, tiles, macs = LAYER_SETUP_CYCLES, 0, 0
-        for tm, tk, tn in engine._tile_grid(m, k, n):
+        for tm, tk, tn in _tile_grid(engine, m, k, n):
             tile = engine.tile_cycles(tm, tk, tn)
             tracer.span(
                 "PE:tile", engine.name, origin + cycles, origin + cycles + tile,
@@ -119,7 +133,7 @@ SHAPES = dict(
 @given(**SHAPES)
 def test_tile_grid_is_the_tile_classes_as_a_multiset(m, k, n, dim, dataflow):
     engine = _accelerator(dim, dataflow, EngineMode.CYCLE).systolic
-    assert collections.Counter(engine._tile_grid(m, k, n)) == {
+    assert collections.Counter(_tile_grid(engine, m, k, n)) == {
         (tm, tk, tn): count
         for tm, tk, tn, count in tile_classes(engine, m, k, n)
     }
@@ -161,28 +175,49 @@ def test_a_dram_bound_shape_is_among_the_drawn_bandwidths():
 
 
 @pytest.mark.parametrize("dataflow", DATAFLOWS)
-def test_the_walk_writes_once_per_shape_unless_a_recorder_watches(
-    dataflow, monkeypatch
-):
+def test_a_recorder_costs_runs_not_tiles(dataflow, monkeypatch):
     """A wide GEMM on a 4x4 array: thousands of tiles, at most four
-    counter writes — and one per tile again, each of ``count == 1``, the
-    moment a metrics recorder can see between two tiles."""
+    counter writes — with or without a recorder sampling every 64 cycles
+    — and under the recorder two counter snapshots (the first tile and
+    the closing sample) and O(runs) recorder calls, never one per tile."""
     m, k, n, dim = 64, 24, 4096, 4
     counts = []
     real = SystolicEngine._account_tile
 
     def counting(self, tm, tk, tn, count=1):
         counts.append(count)
-        real(self, tm, tk, tn, count)
+        return real(self, tm, tk, tn, count)
 
     monkeypatch.setattr(SystolicEngine, "_account_tile", counting)
-    engine = _accelerator(dim, dataflow, EngineMode.CYCLE).systolic
+    engine = _accelerator(dim, dataflow, EngineMode.AUTO).systolic
     result = engine.time_gemm(m, k, n)
     assert result.tiles > 1000
     assert len(counts) <= len(tile_classes(engine, m, k, n)) <= 4
     assert sum(counts) == result.tiles
 
     del counts[:]
-    watched = _accelerator(dim, dataflow, EngineMode.CYCLE, metrics_every=64)
+    watched = _accelerator(dim, dataflow, EngineMode.AUTO, metrics_every=64)
+    snapshots = []
+    snapshot = watched.obs._snapshot
+
+    def counting_snapshot():
+        snapshots.append(1)
+        return snapshot()
+
+    runs = []
+    recorder = watched.obs.metrics
+    observe_run = recorder.observe_run
+
+    def counting_run(*args):
+        runs.append(args)
+        return observe_run(*args)
+
+    watched.obs.bind(counting_snapshot)
+    monkeypatch.setattr(recorder, "observe_run", counting_run)
     assert watched.systolic.time_gemm(m, k, n) == result
-    assert counts == [1] * result.tiles
+    assert len(counts) <= 4 and sum(counts) == result.tiles
+    assert len(snapshots) == 2
+    rows = math.ceil((k if engine.weight_stationary else m) / dim)
+    assert len(runs) == rows * len(tile_classes(engine, dim, dim, n))
+    assert len(runs) < result.tiles // 100
+    assert len(recorder) == result.cycles // 64

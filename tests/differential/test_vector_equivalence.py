@@ -1,27 +1,22 @@
-"""Differential suite: the per-tile walk vs the tile-class aggregate.
+"""Differential suite: lenses on the timeline vs lenses off.
 
-``engine_mode`` is a pure execution strategy, not an approximation: for
-every dense workload every mode must produce *byte-identical* reports —
-same cycles, same activity counters, same energy, same trace spans.
-The systolic engine is where the modes differ (per-tile walk vs
-tile-class aggregate inside ``SystolicEngine.run_gemm``); the dense
-controller has a single timing path, so its cases pin that the mode is
-ignored there. This suite is the safety net that makes the claim
-falsifiable:
+The systolic engine has one accounting. Without a tracer or a metrics
+recorder it writes the counter file once per tile class; with one it
+visits the schedule run by run (tile row x n-axis class), placing span
+runs and metrics samples in closed form. ``engine_mode`` selects
+nothing. This suite holds the two cuts of the one accounting together
+where the per-GEMM oracles (``test_tile_tally_equivalence.py``,
+``test_span_run_equivalence.py``) do not reach:
 
-- every zoo model on every dense architecture, compared layer by layer
-  through the full ``to_payload()`` serialization;
+- every zoo model on both dense architectures, traced and sampled
+  against lens-free, layer by layer through the full ``to_payload()``
+  serialization and the functional output;
 - Hypothesis-generated (geometry, tile, preset) triples for GEMMs and
   convolutions, so shapes nobody hand-picked get the same guarantee;
-- trace-span equality under the tracer (the aggregate places the
-  schedule's spans as span runs, never visiting the tile grid, in
-  ``auto`` and ``vector`` alike), grouped convolutions included;
-- refusal-path checks: sparse (SIGMA) and SNAPEA workloads must never
-  reach the aggregate, metrics sampling must force the per-tile walk,
-  and the ``STONNE_ENGINE_MODE`` override must win over the config.
-
-The per-tile walk is the oracle; whenever the two disagree, the
-aggregate is the one that is wrong.
+- a recorder moves no trace span, grouped convolutions included, and
+  ``engine_mode`` moves nothing at all;
+- refusal-path checks: sparse (SIGMA) and SNAPEA workloads never reach
+  the systolic accounting.
 """
 
 import json
@@ -35,27 +30,15 @@ from repro.config import EngineMode, maeri_like, tpu_like
 from repro.config.hardware import Dataflow
 from repro.config.tile import TileConfig
 from repro.engine.accelerator import Accelerator
-from repro.engine.systolic import (
-    ENGINE_MODE_ENV,
-    resolve_engine_mode,
-    use_vector_kernels,
-)
-from repro.errors import ConfigurationError, MappingError
+from repro.errors import MappingError
 from repro.experiments.fig5 import architecture_config
 from repro.frontend.models import MODEL_NAMES, build_model, model_input
 from repro.frontend.simulated import attach_context, detach_context, simulate
 from repro.observability import Observability
+from repro.observability.tracer import PHASE_COUNTER
 
-@pytest.fixture(autouse=True)
-def _pin_configured_mode(monkeypatch):
-    """This file drives both engines explicitly via ``engine_mode``; a
-    CI-level ``STONNE_ENGINE_MODE`` override would make the comparisons
-    vacuous (both sides vector), so clear it for these tests."""
-    monkeypatch.delenv(ENGINE_MODE_ENV, raising=False)
-
-
-#: all zoo models on both dense Table IV architectures (sigma is sparse:
-#: the vector predicate refuses it, covered separately below)
+#: all zoo models on both dense Table IV architectures (sigma is sparse,
+#: covered separately below)
 ZOO_CASES = [
     (model, arch) for model in MODEL_NAMES for arch in ("tpu", "maeri")
 ]
@@ -77,14 +60,21 @@ def _with_mode(config, mode):
     return config.with_updates(engine_mode=mode)
 
 
+def _timeline():
+    """A tracer and a recorder: the lenses that read *when* a tile ran."""
+    return Observability.create(trace=True, metrics_every=64)
+
+
 def _payloads(report):
-    """The byte-exact serialization the output module writes to disk."""
-    return json.dumps(
-        [layer.to_payload() for layer in report.layers], sort_keys=True
-    )
+    """The byte-exact serialization the output module writes to disk,
+    less the samples a metrics recorder adds to a layer's ``extra``."""
+    payloads = [layer.to_payload() for layer in report.layers]
+    for payload in payloads:
+        payload["extra"].pop("metrics", None)
+    return json.dumps(payloads, sort_keys=True)
 
 
-def _run_zoo(arch, model_name, mode, observability=None):
+def _run_zoo(arch, model_name, mode=EngineMode.AUTO, observability=None):
     model = build_model(model_name, seed=0)
     x = model_input(model_name, batch=1, seed=1)
     acc = Accelerator(
@@ -102,16 +92,22 @@ def _assert_reports_identical(ref_acc, vec_acc):
     assert _payloads(vec_acc.report) == _payloads(ref_acc.report)
 
 
+def _spans(tracer):
+    return [e for e in tracer.events if e.phase != PHASE_COUNTER]
+
+
 # ---------------------------------------------------------------------------
 # zoo sweep: every dense layer in the model zoo, byte for byte
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("model_name,arch", ZOO_CASES)
 def test_zoo_layers_byte_identical(model_name, arch):
-    ref_out, ref_acc = _run_zoo(arch, model_name, EngineMode.CYCLE)
-    vec_out, vec_acc = _run_zoo(arch, model_name, EngineMode.VECTOR)
+    ref_out, ref_acc = _run_zoo(arch, model_name)
+    obs = Observability.create(trace=True, metrics_every=1000)
+    vec_out, vec_acc = _run_zoo(arch, model_name, observability=obs)
     assert vec_out.tobytes() == ref_out.tobytes()
     _assert_reports_identical(ref_acc, vec_acc)
+    assert len(obs.metrics) == vec_acc.report.total_cycles // 1000
 
 
 # ---------------------------------------------------------------------------
@@ -137,8 +133,8 @@ def test_random_gemm_byte_identical(triple):
     b = rng.standard_normal((k, n)).astype(np.float32)
     config = PRESETS[preset]()
 
-    ref = Accelerator(_with_mode(config, EngineMode.CYCLE))
-    vec = Accelerator(_with_mode(config, EngineMode.VECTOR))
+    ref = Accelerator(config)
+    vec = Accelerator(config, observability=_timeline())
     ref_out = ref.run_gemm(a, b)
     vec_out = vec.run_gemm(a, b)
 
@@ -190,8 +186,8 @@ def test_random_conv_byte_identical(triple):
             assume(False)
         tile = candidate
 
-    ref = Accelerator(_with_mode(config, EngineMode.CYCLE))
-    vec = Accelerator(_with_mode(config, EngineMode.VECTOR))
+    ref = Accelerator(config)
+    vec = Accelerator(config, observability=_timeline())
     ref_out = ref.run_conv(
         weights, activations, stride=stride, padding=padding, tile=tile
     )
@@ -204,78 +200,61 @@ def test_random_conv_byte_identical(triple):
 
 
 # ---------------------------------------------------------------------------
-# observability: traces replay exactly, metrics force the stepped walk
+# observability: a recorder moves no span, the engine mode nothing
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("arch", ["tpu", "maeri"])
-def test_vector_trace_spans_byte_identical(arch):
-    """VECTOR mode replays the reference schedule's spans closed-form."""
-    ref_obs = Observability.create(trace=True)
-    vec_obs = Observability.create(trace=True)
-    _, ref_acc = _run_zoo(arch, "squeezenet", EngineMode.CYCLE, ref_obs)
-    _, vec_acc = _run_zoo(arch, "squeezenet", EngineMode.VECTOR, vec_obs)
+def _grouped_conv(acc):
     # squeezenet has no grouped layer: the systolic array runs one GEMM
     # per group, each placed after the cycles of the groups before it
     rng = np.random.default_rng(3)
     weights = rng.standard_normal((16, 2, 3, 3)).astype(np.float32)
     activations = rng.standard_normal((1, 16, 10, 10)).astype(np.float32)
-    for acc in (ref_acc, vec_acc):
-        acc.run_conv(weights, activations, groups=8, name="grouped")
-    _assert_reports_identical(ref_acc, vec_acc)
-    assert list(vec_obs.tracer.events) == list(ref_obs.tracer.events)
-
-
-@pytest.mark.parametrize("mode", [EngineMode.VECTOR, EngineMode.AUTO])
-def test_metrics_sampling_forces_reference_walk(mode, monkeypatch):
-    """Metrics snapshots need the stepped walk's intermediate state."""
-    def boom(*args, **kwargs):  # pragma: no cover - must never run
-        raise AssertionError("vector kernel reached under metrics sampling")
-
-    monkeypatch.setattr(
-        "repro.engine.systolic.SystolicEngine._account_tile_classes", boom
-    )
-    obs = Observability.create(metrics_every=64)
-    _, acc = _run_zoo("tpu", "squeezenet", mode, obs)
-    assert acc.report.total_cycles > 0
-    assert obs.metrics is not None and len(obs.metrics)
-
-
-@pytest.mark.parametrize("mode", [EngineMode.VECTOR, EngineMode.AUTO])
-def test_traced_run_takes_the_aggregate(mode, monkeypatch):
-    """An attached tracer does not select the walk: ``auto`` and
-    ``vector`` place the tile spans from the tile classes, never visiting
-    the grid, and leave the walk's events — grouped convolution included."""
-    rng = np.random.default_rng(3)
-    weights = rng.standard_normal((16, 2, 3, 3)).astype(np.float32)
-    activations = rng.standard_normal((1, 16, 10, 10)).astype(np.float32)
-
-    ref_obs = Observability.create(trace=True)
-    _, ref_acc = _run_zoo("tpu", "squeezenet", EngineMode.CYCLE, ref_obs)
-    ref_acc.run_conv(weights, activations, groups=8, name="grouped")
-
-    def boom(*args, **kwargs):  # pragma: no cover - must never run
-        raise AssertionError("the tile grid was walked under a tracer")
-
-    monkeypatch.setattr(
-        "repro.engine.systolic.SystolicEngine._tile_grid", boom
-    )
-    obs = Observability.create(trace=True)
-    _, acc = _run_zoo("tpu", "squeezenet", mode, obs)
     acc.run_conv(weights, activations, groups=8, name="grouped")
+
+
+@pytest.mark.parametrize("arch", ["tpu", "maeri"])
+def test_vector_trace_spans_byte_identical(arch):
+    """A recorder splits span runs where its samples land; the spans
+    they expand to are the ones a tracer alone records."""
+    ref_obs = Observability.create(trace=True)
+    vec_obs = _timeline()
+    _, ref_acc = _run_zoo(arch, "squeezenet", observability=ref_obs)
+    _, vec_acc = _run_zoo(arch, "squeezenet", observability=vec_obs)
+    for acc in (ref_acc, vec_acc):
+        _grouped_conv(acc)
+    _assert_reports_identical(ref_acc, vec_acc)
+    assert _spans(vec_obs.tracer) == _spans(ref_obs.tracer)
+    assert len(vec_obs.metrics)
+
+
+@pytest.mark.parametrize("mode", [EngineMode.VECTOR, EngineMode.AUTO])
+def test_traced_run_takes_the_aggregate(mode):
+    """``engine_mode`` is inert: a traced and sampled run in ``mode``
+    records what one in ``cycle`` does, and stores its tile spans as
+    span runs — there is no per-tile walk left to select."""
+    ref_obs = _timeline()
+    _, ref_acc = _run_zoo("tpu", "squeezenet", EngineMode.CYCLE, ref_obs)
+    _grouped_conv(ref_acc)
+    obs = _timeline()
+    _, acc = _run_zoo("tpu", "squeezenet", mode, obs)
+    _grouped_conv(acc)
     _assert_reports_identical(ref_acc, acc)
-    assert obs.tracer.events == ref_obs.tracer.events
+    assert obs.tracer.to_wire() == ref_obs.tracer.to_wire()
+    assert obs.metrics.to_json() == ref_obs.metrics.to_json()
+    tiles = [r for r in obs.tracer.to_wire() if r["name"] == "PE:tile"]
+    assert tiles and all("count" in r for r in tiles)
 
 
 # ---------------------------------------------------------------------------
-# refusal paths: sparse and SNAPEA never reach a vector kernel
+# refusal paths: sparse and SNAPEA never reach the systolic accounting
 # ---------------------------------------------------------------------------
 
 def test_sparse_sigma_never_reaches_vector_kernels(monkeypatch):
     def boom(*args, **kwargs):  # pragma: no cover - must never run
-        raise AssertionError("vector kernel reached on the sparse path")
+        raise AssertionError("systolic accounting reached on the sparse path")
 
     monkeypatch.setattr(
-        "repro.engine.systolic.SystolicEngine._account_tile_classes", boom
+        "repro.engine.systolic.SystolicEngine._account_tile", boom
     )
     _, acc = _run_zoo("sigma", "bert", EngineMode.VECTOR)
     assert acc.report.total_cycles > 0
@@ -286,12 +265,11 @@ def test_snapea_never_reaches_vector_kernels(monkeypatch):
     from repro.opts.snapea import SnapeaContext
 
     def boom(*args, **kwargs):  # pragma: no cover - must never run
-        raise AssertionError("vector kernel reached on the SNAPEA path")
+        raise AssertionError("systolic accounting reached on the SNAPEA path")
 
     monkeypatch.setattr(
-        "repro.engine.systolic.SystolicEngine._account_tile_classes", boom
+        "repro.engine.systolic.SystolicEngine._account_tile", boom
     )
-    monkeypatch.setenv(ENGINE_MODE_ENV, "vector")
     rng = np.random.default_rng(7)
     conv = Conv2d(4, 8, 3, rng=rng)
     x = np.abs(rng.standard_normal((1, 4, 8, 8))).astype(np.float32)
@@ -300,48 +278,3 @@ def test_snapea_never_reaches_vector_kernels(monkeypatch):
     conv(x)
     detach_context(conv)
     assert ctx.layers and ctx.layers[0].ops > 0
-
-
-# ---------------------------------------------------------------------------
-# predicate unit checks (mode resolution and env override)
-# ---------------------------------------------------------------------------
-
-def test_predicate_mode_matrix():
-    off = Observability()
-    tpu = tpu_like(num_pes=16)
-    assert not use_vector_kernels(
-        _with_mode(tpu, EngineMode.CYCLE), off
-    )
-    assert use_vector_kernels(_with_mode(tpu, EngineMode.VECTOR), off)
-    assert use_vector_kernels(_with_mode(tpu, EngineMode.AUTO), off)
-
-    # a tracer selects nothing: ``auto`` and ``vector`` are one behaviour
-    tracing = Observability.create(trace=True)
-    assert not use_vector_kernels(_with_mode(tpu, EngineMode.CYCLE), tracing)
-    assert use_vector_kernels(_with_mode(tpu, EngineMode.AUTO), tracing)
-    assert use_vector_kernels(_with_mode(tpu, EngineMode.VECTOR), tracing)
-
-    sampling = Observability.create(metrics_every=32)
-    assert not use_vector_kernels(_with_mode(tpu, EngineMode.VECTOR), sampling)
-    assert not use_vector_kernels(_with_mode(tpu, EngineMode.AUTO), sampling)
-
-    from repro.config import sigma_like
-
-    assert not use_vector_kernels(
-        _with_mode(sigma_like(num_ms=16, bandwidth=8), EngineMode.VECTOR), off
-    )
-
-
-def test_env_override_wins(monkeypatch):
-    tpu = tpu_like(num_pes=16)
-    monkeypatch.setenv(ENGINE_MODE_ENV, "cycle")
-    assert resolve_engine_mode(
-        _with_mode(tpu, EngineMode.VECTOR)
-    ) is EngineMode.CYCLE
-    monkeypatch.setenv(ENGINE_MODE_ENV, "vector")
-    assert resolve_engine_mode(
-        _with_mode(tpu, EngineMode.CYCLE)
-    ) is EngineMode.VECTOR
-    monkeypatch.setenv(ENGINE_MODE_ENV, "warp-speed")
-    with pytest.raises(ConfigurationError):
-        resolve_engine_mode(tpu)

@@ -13,19 +13,11 @@ import pytest
 
 from repro.config import EngineMode, tpu_like
 from repro.engine.accelerator import Accelerator
-from repro.engine.systolic import ENGINE_MODE_ENV
 from repro.frontend.models import build_model, model_input
 from repro.frontend.simulated import simulate_parallel
 from repro.observability import Observability
 
 MODES = (EngineMode.CYCLE, EngineMode.VECTOR)
-
-
-@pytest.fixture(autouse=True)
-def _pin_configured_mode(monkeypatch):
-    """Both modes are driven explicitly; a ``STONNE_ENGINE_MODE``
-    override would collapse them into one."""
-    monkeypatch.delenv(ENGINE_MODE_ENV, raising=False)
 
 
 def _run_grouped_conv(mode, **lenses):

@@ -1,8 +1,8 @@
 """Sample pin for the systolic array under a metrics recorder.
 
-A metrics sample snapshots the *live* counter file at a tile boundary, so
-it is the one output that depends on *when* the per-tile walk writes its
-counters, not only on what it writes. ``metrics_sample_pin.json`` is the
+A metrics sample reads the counter file at a tile boundary, so it is the
+one output that depends on *when* the engine writes its counters, not
+only on what it writes. ``metrics_sample_pin.json`` is the
 oracle for restructuring that: the sha256 of ``MetricsRecorder.to_json()``,
 of the tracer's ``counter`` events (the samples mirrored into the trace)
 and of every layer payload, for
@@ -12,8 +12,8 @@ and of every layer payload, for
 - on ``tpu_like(16)`` output-stationary, ``tpu_like(16)``
   weight-stationary and ``tpu_like(256)``
 - sampled every 64 and every 1000 cycles, trace off and on
-- in engine mode ``cycle``, ``vector`` and ``auto`` (a recorder selects
-  the walk in all three)
+- in engine mode ``cycle``, ``vector`` and ``auto`` (the mode is inert:
+  all three must match one entry)
 - run serially and through ``simulate_parallel(jobs=2)`` (worker samples
   cross the process boundary and are rebased by ``MetricsRecorder.ingest``).
 
@@ -34,7 +34,6 @@ import pytest
 from repro.config import tpu_like
 from repro.config.hardware import Dataflow, EngineMode
 from repro.engine.accelerator import Accelerator
-from repro.engine.systolic import ENGINE_MODE_ENV
 from repro.frontend.models import build_model, model_input
 from repro.frontend.simulated import detach_context, simulate, simulate_parallel
 from repro.observability import Observability
@@ -103,9 +102,9 @@ def sample_digests(model_name, point, every, trace, mode, path):
 
 
 def _key(model_name, point, every, _trace, _mode, path):
-    """A recorder selects the walk whatever the mode and a tracer only
-    mirrors the samples, so neither is part of a pin's name: the six
-    (trace, mode) runs of a stream are held to one entry."""
+    """The engine mode is inert and a tracer only mirrors the samples,
+    so neither is part of a pin's name: the six (trace, mode) runs of a
+    stream are held to one entry."""
     return "/".join([model_name, point, f"every{every}", path])
 
 
@@ -122,13 +121,6 @@ def generate():
 @pytest.fixture(scope="module")
 def pins():
     return json.loads(PIN_PATH.read_text())
-
-
-@pytest.fixture(autouse=True)
-def _configured_engine_mode(monkeypatch):
-    """The pin is per configured mode; the CI leg that forces one through
-    the environment would make two thirds of the cases the same run."""
-    monkeypatch.delenv(ENGINE_MODE_ENV, raising=False)
 
 
 def test_pin_file_covers_exactly_these_cases(pins):

@@ -28,7 +28,6 @@ import pytest
 from repro.config import maeri_like, tpu_like
 from repro.config.hardware import Dataflow, EngineMode
 from repro.engine.accelerator import Accelerator
-from repro.engine.systolic import ENGINE_MODE_ENV
 from repro.frontend.models import build_model, model_input
 from repro.frontend.simulated import detach_context, simulate, simulate_parallel
 from repro.observability import Observability
@@ -94,13 +93,6 @@ def generate():
 @pytest.fixture(scope="module")
 def pins():
     return json.loads(PIN_PATH.read_text())
-
-
-@pytest.fixture(autouse=True)
-def _configured_engine_mode(monkeypatch):
-    """The pin is per configured mode; the CI leg that forces one through
-    the environment would make two thirds of the cases the same run."""
-    monkeypatch.delenv(ENGINE_MODE_ENV, raising=False)
 
 
 def test_pin_file_covers_exactly_these_cases(pins):

@@ -3,7 +3,10 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.errors import ConfigurationError, SimulationError
 from repro.noc.base import CounterSet
 from repro.observability.metrics import (
     HEADLINE_COUNTERS,
@@ -51,7 +54,7 @@ def test_observations_between_grid_points_emit_nothing():
 def test_backwards_cycle_raises():
     rec = MetricsRecorder(every=8)
     rec.observe(32, {"x": 1.0})
-    with pytest.raises(ValueError):
+    with pytest.raises(SimulationError):
         rec.observe(31, {"x": 2.0})
 
 
@@ -86,9 +89,9 @@ def test_ring_capacity_and_dropped():
 
 
 def test_invalid_construction():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError):
         MetricsRecorder(every=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError):
         MetricsRecorder(every=4, capacity=0)
 
 
@@ -159,7 +162,7 @@ def test_utilization_series():
     rec.observe(20, {"mn_multiplications": 80.0})
     rows = utilization_series(rec, num_ms=4)
     assert [r["utilization"] for r in rows] == [1.0]
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError):
         utilization_series(rec, num_ms=0)
 
 
@@ -167,3 +170,57 @@ def test_sample_is_frozen():
     sample = MetricsSample(cycle=1, values={"x": 1.0})
     with pytest.raises(AttributeError):
         sample.cycle = 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    every=st.sampled_from([1, 7, 64, 1000]),
+    capacity=st.integers(1, 40),
+    prior=st.dictionaries(
+        st.sampled_from("abcd"), st.integers(0, 10**6), max_size=3
+    ),
+    prior_cycle=st.integers(0, 2000),
+    gap=st.integers(0, 300),
+    period=st.integers(1, 400),
+    count=st.sampled_from([1, 2]) | st.integers(3, 300),
+    delta=st.dictionaries(
+        st.sampled_from("abcdef"), st.integers(0, 1000), max_size=5
+    ),
+)
+def test_observe_run_equals_one_observe_per_phase(
+    every, capacity, prior, prior_cycle, gap, period, count, delta
+):
+    """One ``observe_run`` records what ``count`` ``observe`` calls do:
+    the samples (bytes included), ``dropped``, ``total_emitted`` and the
+    interpolation anchor — across a gap before the run, keys the
+    previous observation lacks and a ring small enough to overflow."""
+    def recorder():
+        rec = MetricsRecorder(every=every, capacity=capacity)
+        rec.observe(prior_cycle, prior)
+        return rec
+
+    run, oracle = recorder(), recorder()
+    start = prior_cycle + gap
+    new = run.observe_run(start, period, count, delta)
+    expected = []
+    values = dict(oracle._last_values)
+    for phase in range(1, count + 1):
+        values = {
+            key: values.get(key, 0) + delta.get(key, 0)
+            for key in values.keys() | delta.keys()
+        }
+        expected += oracle.observe(start + phase * period, values)
+    assert new == expected
+    assert run.to_json() == oracle.to_json()
+    assert (run.dropped, run.total_emitted) == (
+        oracle.dropped, oracle.total_emitted
+    )
+    assert run._last_cycle == oracle._last_cycle
+    assert run._last_values == oracle._last_values
+
+
+def test_an_empty_run_observes_nothing():
+    rec = MetricsRecorder(every=4)
+    rec.observe(6, {"x": 3})
+    assert rec.observe_run(100, 10, 0, {"x": 1}) == []
+    assert (rec._last_cycle, rec._last_values) == (6, {"x": 3.0})

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.config import tpu_like
+from repro.config import EngineMode, tpu_like
 from repro.engine.accelerator import Accelerator
-from repro.engine.systolic import ENGINE_MODE_ENV, PIPE_OVERHEAD
+from repro.engine.systolic import PIPE_OVERHEAD
 from repro.errors import ConfigurationError, MappingError
 
 
@@ -134,10 +134,11 @@ class TestTimeGemm:
         ],
     )
     def test_rejects_non_positive_before_touching_counters(
-        self, monkeypatch, mode, args, offender
+        self, mode, args, offender
     ):
-        monkeypatch.setenv(ENGINE_MODE_ENV, mode)
-        acc = Accelerator(tpu_like(num_pes=16))
+        acc = Accelerator(
+            tpu_like(num_pes=16).with_updates(engine_mode=EngineMode(mode))
+        )
         acc.systolic.time_gemm(3, 5, 2)  # a non-empty counter file
         before = [c.counters.as_dict() for c in acc.components]
         clock = acc.systolic.current_cycle

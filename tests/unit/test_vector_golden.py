@@ -29,15 +29,6 @@ from repro.engine.systolic import tile_classes
 MODES = (EngineMode.CYCLE, EngineMode.VECTOR)
 
 
-@pytest.fixture(autouse=True)
-def _pin_configured_mode(monkeypatch):
-    """Both engines must hit the hand-computed tables; don't let a
-    CI-level ``STONNE_ENGINE_MODE`` override collapse the comparison."""
-    from repro.engine.systolic import ENGINE_MODE_ENV
-
-    monkeypatch.delenv(ENGINE_MODE_ENV, raising=False)
-
-
 def _accelerator(mode, **overrides):
     return Accelerator(tpu_like(num_pes=16, **overrides).with_updates(
         engine_mode=mode
