@@ -1,7 +1,7 @@
 # Convenience targets for the STONNE reproduction.
 
 .PHONY: install test bench report examples validate \
-	sentinel-smoke lens-smoke \
+	sentinel-smoke lens-smoke perf-smoke \
 	sanitize-smoke differential differential-vector differential-sparse \
 	coverage \
 	lint typecheck all clean
@@ -96,6 +96,12 @@ report:
 
 validate:
 	stonne validate
+
+# every benchmark workload once at its smoke size: the output, cycle and
+# ledger checks of benchmarks/perf/run.py, exit non-zero on any failure
+# (a correctness gate, not a timing one)
+perf-smoke:
+	PYTHONPATH=src python3 benchmarks/perf/run.py --smoke
 
 # register two Fig. 5 workloads and gate them against the committed baseline
 sentinel-smoke:

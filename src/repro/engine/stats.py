@@ -110,6 +110,10 @@ CHARGE_FAMILIES: Dict[str, List[str]] = {
 }
 
 
+_STR_ONLY = frozenset({str})
+_INT_ONLY = frozenset({int})
+
+
 @dataclass(frozen=True)
 class LayerReport:
     """Statistics of one simulated operation (layer / GEMM / SpMM)."""
@@ -161,9 +165,6 @@ class LayerReport:
         by (layer shape, tile, hardware) is shared between identically
         shaped layers with different names.
         """
-        counters = CounterSet()
-        for key, value in payload["counters"].items():
-            counters.add(key, int(value))
         return cls(
             name=name if name is not None else payload["name"],
             kind=payload["kind"],
@@ -171,8 +172,43 @@ class LayerReport:
             macs=int(payload["macs"]),
             outputs=int(payload["outputs"]),
             multiplier_utilization=float(payload["multiplier_utilization"]),
-            counters=counters,
+            counters=CounterSet.from_counts(payload["counters"]),
             extra=dict(payload.get("extra", {})),
+        )
+
+    @staticmethod
+    def is_payload(payload: object) -> bool:
+        """Whether ``payload`` has every field :meth:`from_payload` reads,
+        with the type :meth:`to_payload` writes: ``name`` / ``kind``
+        strings, ``cycles`` / ``macs`` / ``outputs`` ints, a numeric
+        ``multiplier_utilization``, ``counters`` mapping names to
+        non-negative ints and, when present, an ``extra`` dict.
+
+        Exact types, so a JSON ``true`` or ``1.0`` is refused where an
+        int belongs: what passes rebuilds into the report that was
+        stored, never a coerced neighbour of it.
+        """
+        if type(payload) is not dict:
+            return False
+        counters = payload.get("counters")
+        if (
+            type(payload.get("name")) is not str
+            or type(payload.get("kind")) is not str
+            or type(payload.get("cycles")) is not int
+            or type(payload.get("macs")) is not int
+            or type(payload.get("outputs")) is not int
+            or type(payload.get("multiplier_utilization")) not in (int, float)
+            or type(payload.get("extra", {})) is not dict
+            or type(counters) is not dict
+        ):
+            return False
+        if not counters:
+            return True
+        counts = counters.values()
+        return (
+            _STR_ONLY.issuperset(map(type, counters))
+            and _INT_ONLY.issuperset(map(type, counts))
+            and min(counts) >= 0
         )
 
     def as_dict(self, config: Optional[HardwareConfig] = None) -> Dict:

@@ -22,6 +22,20 @@ from repro.tensors.sparse import BitmapMatrix, CsrMatrix
 #: SNAPEA terminates dot products from the running partial sums
 DATA_DEPENDENT_KINDS = frozenset({"spmm", "snapea"})
 
+#: ``str(dtype)`` of the dtypes operands carry, precomputed: ``str`` of a
+#: NumPy dtype runs Python code on every call, a table read does not
+_DTYPE_NAMES = {
+    np.dtype(name): str(np.dtype(name))
+    for name in ("float16", "float32", "float64", "int8", "int16", "int32",
+                 "int64", "uint8", "bool")
+}
+
+
+def dtype_name(dtype: np.dtype) -> str:
+    """``str(dtype)``, read from a table for the common dtypes."""
+    name = _DTYPE_NAMES.get(dtype)
+    return name if name is not None else str(dtype)
+
 
 @dataclass(frozen=True)
 class OperandSpec:
@@ -47,9 +61,9 @@ class OperandSpec:
             return operand
         if isinstance(operand, (BitmapMatrix, CsrMatrix)):
             # never densify just to read a shape
-            return cls(tuple(operand.shape), str(operand.values.dtype))
+            return cls(tuple(operand.shape), dtype_name(operand.values.dtype))
         array = np.asarray(operand)
-        return cls(tuple(array.shape), str(array.dtype))
+        return cls(tuple(array.shape), dtype_name(array.dtype))
 
 
 @dataclass(frozen=True)

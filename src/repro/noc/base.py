@@ -12,7 +12,10 @@ from __future__ import annotations
 
 import abc
 from collections import Counter
-from typing import TYPE_CHECKING, Dict, Iterator, Optional, Sequence, TypeVar
+from typing import (
+    TYPE_CHECKING, Any, Dict, ItemsView, Iterator, Mapping, Optional,
+    Sequence, TypeVar,
+)
 
 import numpy as np
 
@@ -52,6 +55,22 @@ class CounterSet:
     def __init__(self, counts: Optional[Dict[str, int]] = None) -> None:
         #: the counts themselves; a snapshot or delta adopts its dict
         self._counts: Dict[str, int] = {} if counts is None else counts
+
+    @classmethod
+    def from_counts(cls, counts: Mapping[str, Any]) -> "CounterSet":
+        """A set holding ``counts``, each coerced with ``int``: the same
+        counters :meth:`add` called once per name would leave (zeros are
+        dropped, a negative count raises :class:`ValueError`)."""
+        adopted = {
+            name: count for name, value in counts.items()
+            if (count := int(value))
+        }
+        if adopted and min(adopted.values()) < 0:
+            name, count = next(
+                (name, count) for name, count in adopted.items() if count < 0
+            )
+            raise ValueError(f"cannot add negative activity {count} to {name!r}")
+        return cls(adopted)
 
     def add(self, name: str, amount: int = 1) -> None:
         if amount < 0:
@@ -125,6 +144,11 @@ class CounterSet:
         for name, value in self._counts.items():
             result.add(name, value * factor)
         return result
+
+    def items(self) -> ItemsView[str, int]:
+        """(name, count) pairs in insertion order — unsorted, unlike
+        :meth:`as_dict`, for callers that only sum them."""
+        return self._counts.items()
 
     def as_dict(self) -> Dict[str, int]:
         return {name: int(value) for name, value in sorted(self._counts.items())}

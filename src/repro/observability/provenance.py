@@ -36,21 +36,40 @@ def _jsonable(value):
     return value
 
 
+#: where :func:`config_hash` keeps a config's digest on the instance
+_DIGEST_ATTRIBUTE = "_config_hash"
+
+
 def config_digest_source(config: HardwareConfig) -> str:
     """The canonical JSON text the config hash is computed over."""
     return json.dumps(_jsonable(config), sort_keys=True)
 
 
 @functools.lru_cache(maxsize=256)
-def config_hash(config: HardwareConfig) -> str:
-    """Short stable digest identifying a hardware configuration.
-
-    Memoized: configs are frozen (hashable, compared by value) and the
-    simulation cache digests one per layer lookup.
-    """
+def _digest(config: HardwareConfig) -> str:
+    """The digest of ``config``'s fields, shared by equal configs."""
     return hashlib.sha256(
         config_digest_source(config).encode("utf-8")
     ).hexdigest()[:16]
+
+
+def config_hash(config: HardwareConfig) -> str:
+    """Short stable digest identifying a hardware configuration.
+
+    Looked up once per config object: configs are frozen, so the digest
+    is stored on the instance on first use and later calls read it back
+    (the simulation cache asks for it on every layer it keys, reads and
+    writes). The first call on an object finds the digest of an equal,
+    earlier config in a small value-keyed memo (sweeps rebuild the same
+    presets) and computes it only for a configuration not seen before.
+    """
+    digest = getattr(config, _DIGEST_ATTRIBUTE, None)
+    if digest is None:
+        digest = _digest(config)
+        # frozen dataclass: the digest bypasses __setattr__, and it is no
+        # field, so equality, hashing and asdict never see it
+        object.__setattr__(config, _DIGEST_ATTRIBUTE, digest)
+    return digest
 
 
 def run_metadata(config: Optional[HardwareConfig] = None,

@@ -23,7 +23,20 @@ under keys that name the lenses that were on (a lens-free key names none).
 Entries persist to disk (optional) under
 ``<dir>/v<schema>/<config-hash>/<key>.json``; both the schema version and
 the provenance config hash are part of the key *and* the path, so bumping
-either invalidates without any deletion logic.
+either invalidates without any deletion logic. An entry is read as bytes
+straight into ``json.loads`` and is a hit only if its schema and config
+hash match and its payload has every field
+:meth:`~repro.engine.stats.LayerReport.from_payload` reads, with the type
+:meth:`~repro.engine.stats.LayerReport.to_payload` writes; anything else
+(absent, truncated, malformed) is a miss, re-simulated and overwritten by
+``put``.
+
+A key is written out from one hashable signature of the workload
+(config hash, kind, operand shapes and dtype names, the JSON text of
+each mapping param, lens names), the only place the workload is read;
+:meth:`SimCache.keys_of` writes and digests each distinct signature of
+a run once, since a model repeats its layer shapes. The config hash itself is computed once
+per config object (:func:`~repro.observability.provenance.config_hash`).
 
 A disk cache can be bounded with ``max_bytes``: when a ``put`` pushes
 the on-disk footprint over the limit, least-recently-used entries
@@ -39,21 +52,36 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import operator
 import os
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
+import numpy as np
+
 from repro.config.hardware import HardwareConfig
+from repro.engine.stats import LayerReport
+from repro.engine.workload import (
+    DATA_DEPENDENT_KINDS, LayerWorkload, OperandSpec, dtype_name,
+)
+from repro.errors import ConfigurationError
 from repro.observability.provenance import config_hash
 from repro.observability.telemetry.facade import telemetry
-from repro.engine.workload import (
-    DATA_DEPENDENT_KINDS, LayerWorkload, OperandSpec,
-)
 
 #: bump when the key layout or the stored payload schema changes — old
 #: on-disk entries become unreachable automatically (v2: HardwareConfig
 #: grew ``engine_mode``, which flows into the config hash)
 CACHE_SCHEMA_VERSION = 2
+
+#: whether ``os.utime`` takes the descriptor of the entry just read
+#: (no second path lookup) on this platform
+_TOUCH_BY_FD = os.utime in os.supports_fd
+
+#: bytes asked of each ``os.read`` of an entry: an entry is a few kB, so
+#: one read takes it whole and a longer one reads on
+_READ_CHUNK = 1 << 16
+
+_INT_ONLY = frozenset({int})
 
 #: params that describe the *mapping*, per kind — anything else a
 #: workload carries (round_builder objects, flags) is not part of the key
@@ -110,8 +138,9 @@ KEY_COVERED_FIELDS = {
         "row_buffer_bytes": "via config_hash through HardwareConfig.dram",
         "row_hit_latency_cycles": "via config_hash through HardwareConfig.dram",
     },
-    # the tile travels in params["tile"]; _jsonable_param asdicts it, so
-    # all eight dimensions land in the key
+    # the tile travels in params["tile"]; _json_text writes it field by
+    # field (as dataclasses.asdict would), so all eight dimensions land in
+    # the key
     "TileConfig": {
         "t_r": "via params tile asdict",
         "t_s": "via params tile asdict",
@@ -171,14 +200,131 @@ def cacheable(workload: LayerWorkload, config: HardwareConfig) -> bool:
     return workload.kind in _KEY_PARAMS
 
 
-def _jsonable_param(value: Any) -> Any:
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return dataclasses.asdict(value)
-    raise TypeError(
-        f"cache key parameter of type {type(value).__name__} is not canonical"
+#: how ``json.dumps`` writes a string (``ensure_ascii``, quotes included)
+_JSON_STRING = json.encoder.encode_basestring_ascii
+
+_INF = float("inf")
+
+#: per kind, ``"<name>": `` of each mapping parameter in sorted order:
+#: the order ``sort_keys`` writes them in, and the order of a
+#: signature's parameter texts
+_PARAM_LABELS = {
+    kind: tuple(f"{_JSON_STRING(name)}: " for name in sorted(names))
+    for kind, names in _KEY_PARAMS.items()
+}
+_SORTED_PARAMS = {
+    kind: tuple(sorted(names)) for kind, names in _KEY_PARAMS.items()
+}
+
+#: dataclass type → (``"<field>": ``, field name) in sorted field order
+_FIELD_LABELS: Dict[type, Tuple[Tuple[str, str], ...]] = {}
+
+
+def _json_text(value: Any) -> str:
+    """What ``json.dumps(value)`` writes for one mapping parameter, with a
+    dataclass (a tile) written as its ``dataclasses.asdict`` with sorted
+    keys. Values that compare equal but serialise apart (``1`` /
+    ``True`` / ``1.0``, ``0.0`` / ``-0.0``) get their own texts. A value
+    the key cannot hold raises ``TypeError``, and so does a dataclass
+    field holding a container."""
+    kind = type(value)
+    if kind is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, str):
+        return _JSON_STRING(value)
+    if isinstance(value, int):  # an int subclass: JSON writes its int repr
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == _INF:
+            return "Infinity"
+        if value == -_INF:
+            return "-Infinity"
+        return float.__repr__(value)
+    labels = _FIELD_LABELS.get(kind)
+    if labels is None:
+        if not dataclasses.is_dataclass(kind):
+            raise TypeError(
+                f"cache key parameter of type {kind.__name__} is not canonical"
+            )
+        labels = _FIELD_LABELS[kind] = tuple(
+            (f"{_JSON_STRING(name)}: ", name)
+            for name in sorted(field.name for field in dataclasses.fields(kind))
+        )
+    fields = ", ".join(
+        label + _json_text(getattr(value, name)) for label, name in labels
     )
+    return f"{{{fields}}}"
+
+
+def _signature(
+    workload: LayerWorkload,
+    config: HardwareConfig,
+    lenses: Optional[Dict[str, Any]],
+) -> Tuple:
+    """Everything a cache key says, as one hashable value: the config
+    hash, the kind, each operand's (name, shape, dtype), the JSON text of
+    each mapping parameter of the kind and the payload lenses that are
+    on. It is the only reader of the workload; the key text is rendered
+    from it alone (:func:`_render`), so equal signatures are equal keys."""
+    operands = []
+    for name in sorted(workload.operands):
+        value = workload.operands[name]
+        # an array and its OperandSpec (a timing view's operand) read the
+        # same here, so a view has its workload's key character for character
+        if type(value) is np.ndarray:
+            operands.append((name, value.shape, dtype_name(value.dtype)))
+            continue
+        spec = OperandSpec.of(value)
+        shape = tuple(spec.shape)
+        if not _INT_ONLY.issuperset(map(type, shape)):
+            raise TypeError(
+                f"operand {name!r} has a shape of non-int extents: {shape!r}"
+            )
+        operands.append((name, shape, spec.dtype))
+    params = workload.params
+    return (
+        config_hash(config),
+        workload.kind,
+        tuple(operands),
+        tuple(_json_text(params.get(name))
+              for name in _SORTED_PARAMS[workload.kind]),
+        tuple(name for name in _PAYLOAD_LENSES if lenses and lenses.get(name)),
+    )
+
+
+def _render(signature: Tuple) -> str:
+    """The canonical key text of a signature, written out directly: the
+    bytes ``json.dumps(record, sort_keys=True)`` gives for the record a
+    cache key digests (``tests/property/test_prop_cache_key_oracle.py``
+    keeps that builder as the oracle)."""
+    config, kind, operands, params, ledgers = signature
+    operand_text = ", ".join(
+        f'{_JSON_STRING(name)}: {{"dtype": {_JSON_STRING(dtype)}, '
+        f'"shape": [{", ".join(map(str, shape))}]}}'
+        for name, shape, dtype in operands
+    )
+    param_text = ", ".join(map(str.__add__, _PARAM_LABELS[kind], params))
+    lens_text = (
+        f'"lenses": [{", ".join(map(_JSON_STRING, ledgers))}], '
+        if ledgers else ""
+    )
+    return (
+        f'{{"config": {_JSON_STRING(config)}, "kind": {_JSON_STRING(kind)}, '
+        f'{lens_text}"operands": {{{operand_text}}}, '
+        f'"params": {{{param_text}}}, "schema": {CACHE_SCHEMA_VERSION}}}'
+    )
+
+
+def _key_of(source: str) -> str:
+    return hashlib.sha256(source.encode("utf-8")).hexdigest()
 
 
 def canonical_key_source(
@@ -201,26 +347,7 @@ def canonical_key_source(
             f"workload {workload.name!r} ({workload.kind}) is data-dependent "
             "and has no cache key"
         )
-    operands = {}
-    for key in sorted(workload.operands):
-        # an array and its OperandSpec (a timing view's operand) read the
-        # same here, so a view has its workload's key character for character
-        spec = OperandSpec.of(workload.operands[key])
-        operands[key] = {"shape": list(spec.shape), "dtype": spec.dtype}
-    record = {
-        "schema": CACHE_SCHEMA_VERSION,
-        "config": config_hash(config),
-        "kind": workload.kind,
-        "operands": operands,
-        "params": {
-            name: _jsonable_param(workload.params.get(name))
-            for name in _KEY_PARAMS[workload.kind]
-        },
-    }
-    ledgers = [name for name in _PAYLOAD_LENSES if (lenses or {}).get(name)]
-    if ledgers:
-        record["lenses"] = ledgers
-    return json.dumps(record, sort_keys=True)
+    return _render(_signature(workload, config, lenses))
 
 
 def canonical_key(
@@ -229,9 +356,7 @@ def canonical_key(
     lenses: Optional[Dict[str, Any]] = None,
 ) -> str:
     """SHA-256 digest of :func:`canonical_key_source`."""
-    return hashlib.sha256(
-        canonical_key_source(workload, config, lenses).encode("utf-8")
-    ).hexdigest()
+    return _key_of(canonical_key_source(workload, config, lenses))
 
 
 class SimCache:
@@ -242,9 +367,21 @@ class SimCache:
         directory: Optional[Union[str, Path]] = None,
         max_bytes: Optional[int] = None,
     ) -> None:
-        if max_bytes is not None and max_bytes <= 0:
-            raise ValueError("max_bytes must be positive when set")
+        if max_bytes is not None:
+            try:
+                max_bytes = operator.index(max_bytes)
+            except TypeError:
+                raise ConfigurationError(
+                    f"max_bytes must be an integer number of bytes, "
+                    f"got {max_bytes!r}"
+                ) from None
+            if max_bytes < 1:
+                raise ConfigurationError(
+                    f"max_bytes must be at least 1 when set, got {max_bytes}"
+                )
         self.directory = Path(directory) if directory is not None else None
+        #: ``directory`` as a string, the prefix of every entry path
+        self._root = str(self.directory) if directory is not None else None
         self.max_bytes = max_bytes
         self._memory: Dict[str, Dict] = {}
         self.hits = 0
@@ -337,32 +474,78 @@ class SimCache:
         when uncacheable."""
         if not cacheable(workload, config):
             return None
-        return canonical_key(workload, config, lenses)
+        return _key_of(_render(_signature(workload, config, lenses)))
+
+    @staticmethod
+    def keys_of(
+        workloads: List[LayerWorkload],
+        config: HardwareConfig,
+        lenses: Optional[Dict[str, Any]] = None,
+    ) -> List[Optional[str]]:
+        """:meth:`key` of each workload, rendered and digested once per
+        distinct signature among them (a model repeats layer shapes)."""
+        derived: Dict[Tuple, str] = {}
+        keys: List[Optional[str]] = []
+        for workload in workloads:
+            if not cacheable(workload, config):
+                keys.append(None)
+                continue
+            signature = _signature(workload, config, lenses)
+            key = derived.get(signature)
+            if key is None:
+                key = derived[signature] = _key_of(_render(signature))
+            keys.append(key)
+        return keys
 
     # ---- storage ------------------------------------------------------
-    def _path(self, key: str, config: HardwareConfig) -> Path:
-        assert self.directory is not None
+    def _path(self, key: str, config: HardwareConfig) -> str:
+        assert self._root is not None
         return (
-            self.directory / f"v{CACHE_SCHEMA_VERSION}"
-            / config_hash(config) / f"{key}.json"
+            f"{self._root}/v{CACHE_SCHEMA_VERSION}/{config_hash(config)}"
+            f"/{key}.json"
         )
+
+    def _read(self, key: str, config: HardwareConfig) -> Optional[Dict]:
+        """The payload stored on disk under ``key``; ``None`` when the
+        entry is absent, unreadable, of another schema or config, or
+        holds anything :meth:`LayerReport.from_payload` could not rebuild
+        exactly (a miss: the layer re-simulates and ``put`` rewrites it)."""
+        path = self._path(key, config)
+        try:
+            fd = os.open(path, os.O_RDONLY)
+        except OSError:
+            return None  # absent: a miss
+        try:
+            # a short read is the end of a regular file; anywhere else it
+            # leaves a cut-off text, which does not parse: a miss
+            chunks = [os.read(fd, _READ_CHUNK)]
+            while len(chunks[-1]) == _READ_CHUNK:
+                chunks.append(os.read(fd, _READ_CHUNK))
+            # decoded here: json.loads would sniff the encoding of bytes
+            stored = json.loads(b"".join(chunks).decode("utf-8"))
+            if (
+                type(stored) is not dict
+                or stored.get("schema") != CACHE_SCHEMA_VERSION
+                or stored.get("config_hash") != config_hash(config)
+            ):
+                return None
+            payload = stored.get("payload")
+            if not LayerReport.is_payload(payload):
+                return None
+            # LRU touch: disk hits refresh recency
+            os.utime(fd if _TOUCH_BY_FD else path)
+        except (OSError, ValueError):
+            return None  # unreadable or corrupt: a miss
+        finally:
+            os.close(fd)
+        self._memory[key] = payload
+        return payload
 
     def get(self, key: str, config: HardwareConfig) -> Optional[Dict]:
         """Look up a payload; counts a hit or a miss."""
         entry = self._memory.get(key)
-        if entry is None and self.directory is not None:
-            path = self._path(key, config)
-            try:
-                stored = json.loads(path.read_text(encoding="utf-8"))
-                if (
-                    stored.get("schema") == CACHE_SCHEMA_VERSION
-                    and stored.get("config_hash") == config_hash(config)
-                ):
-                    entry = stored["payload"]
-                    self._memory[key] = entry
-                    os.utime(path)  # LRU touch: disk hits refresh recency
-            except (OSError, ValueError, KeyError):
-                entry = None  # absent or corrupt: treat as a miss
+        if entry is None and self._root is not None:
+            entry = self._read(key, config)
         registry = telemetry()
         if entry is None:
             self.misses += 1
@@ -380,29 +563,33 @@ class SimCache:
 
     def put(self, key: str, payload: Dict, config: HardwareConfig) -> None:
         self._memory[key] = payload
-        if self.directory is None:
+        if self._root is None:
             return
         self._ensure_disk_scan()
         path = self._path(key, config)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        record = {
+        data = json.dumps({
             "schema": CACHE_SCHEMA_VERSION,
             "config_hash": config_hash(config),
             "key": key,
             "payload": payload,
-        }
-        tmp = path.with_suffix(".json.tmp")
+        }, sort_keys=True).encode("utf-8")
         try:
-            previous = path.stat().st_size
+            previous = os.stat(path).st_size
         except OSError:
             previous = 0
-        tmp.write_text(json.dumps(record, sort_keys=True), encoding="utf-8")
-        tmp.replace(path)
+        tmp = f"{path}.tmp"
+        try:
+            handle = open(tmp, "wb")
+        except FileNotFoundError:  # the shard's first entry
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            handle = open(tmp, "wb")
+        with handle:
+            handle.write(data)
+        os.replace(tmp, path)
         shard = self._shard(config)
-        size = path.stat().st_size
-        self._disk_bytes += size - previous
+        self._disk_bytes += len(data) - previous
         self._shard_bytes[shard] = (
-            self._shard_bytes.get(shard, 0) + size - previous
+            self._shard_bytes.get(shard, 0) + len(data) - previous
         )
         if self.max_bytes is not None:
             self._evict_to_fit()

@@ -431,10 +431,11 @@ class ParallelModelRunner:
         keyed = cache is not None or not (
             lenses["trace"] or lenses["metrics_every"]
         )
-        keys: Dict[int, Optional[str]] = {
-            w.index: SimCache.key(w, self.config, lenses) if keyed else None
-            for w in workloads
-        }
+        keys: Dict[int, Optional[str]] = dict(zip(
+            (w.index for w in workloads),
+            SimCache.keys_of(workloads, self.config, lenses) if keyed
+            else [None] * len(workloads),
+        ))
         bundles: Dict[int, Dict] = {}
         cache_hits = 0
         for workload in workloads:
@@ -516,27 +517,33 @@ class ParallelModelRunner:
         tracer = self.obs.tracer
         metrics = self.obs.metrics
         base = base_cycle
+        # every earlier layer's counters, which a later layer's metrics
+        # series is rebased onto (summed only when there is a series)
         running_totals: Dict[str, float] = {}
         for workload in workloads:
             bundle = bundles[workload.index]
-            payload = dict(bundle["layer"])
-            payload["extra"] = dict(payload.get("extra", {}))
-            samples = [
-                MetricsSample(cycle=s["cycle"], values=s["values"])
-                for s in bundle.get("metrics_samples", [])
-            ]
-            if metrics is not None and samples:
+            payload = bundle["layer"]
+            raw_samples = bundle.get("metrics_samples")
+            if metrics is not None and raw_samples:
+                samples = [
+                    MetricsSample(cycle=s["cycle"], values=s["values"])
+                    for s in raw_samples
+                ]
                 metrics.ingest(
                     samples, cycle_offset=base, value_offsets=running_totals
                 )
-                payload["extra"]["metrics"] = [
-                    {
-                        "cycle": s.cycle + base,
-                        **{k: running_totals.get(k, 0.0) + s.values[k]
-                           for k in TRACE_COUNTER_SERIES if k in s.values},
-                    }
-                    for s in samples
-                ]
+                payload = {**payload, "extra": {
+                    **payload.get("extra", {}),
+                    "metrics": [
+                        {
+                            "cycle": s.cycle + base,
+                            **{k: running_totals.get(k, 0.0) + s.values[k]
+                               for k in TRACE_COUNTER_SERIES
+                               if k in s.values},
+                        }
+                        for s in samples
+                    ],
+                }}
             layer = LayerReport.from_payload(payload, name=workload.name)
             if tracer.enabled:
                 events = bundle.get("trace")
@@ -551,8 +558,9 @@ class ParallelModelRunner:
                         kind=layer.kind, cycles=layer.cycles,
                         cached=bundle["mode"] in ("cached", "deduplicated"),
                     )
-            for name, value in layer.counters.as_dict().items():
-                running_totals[name] = running_totals.get(name, 0.0) + value
+            if metrics is not None:
+                for name, value in layer.counters.items():
+                    running_totals[name] = running_totals.get(name, 0.0) + value
             base += layer.cycles
             report.append(layer)
             # cache hits and deduplicated layers carry no task clock:

@@ -2,9 +2,11 @@
 
 import os
 
+import numpy as np
 import pytest
 
 from repro.config import tpu_like
+from repro.errors import ConfigurationError
 from repro.observability.telemetry.facade import enable_telemetry, telemetry
 from repro.parallel import SimCache
 
@@ -12,7 +14,12 @@ CONFIG = tpu_like(num_pes=16)
 
 
 def _payload(tag):
-    return {"layer": {"name": tag}, "pad": "x" * 512}
+    # a layer payload (a disk read of anything else is a miss), padded
+    return {
+        "name": tag, "kind": "gemm", "cycles": 1, "macs": 1, "outputs": 1,
+        "multiplier_utilization": 0.0, "counters": {},
+        "extra": {"pad": "x" * 512},
+    }
 
 
 def _fill(directory, keys):
@@ -28,10 +35,20 @@ def _fill(directory, keys):
 
 
 def test_max_bytes_must_be_positive(tmp_path):
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError, match="max_bytes"):
         SimCache(tmp_path, max_bytes=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError, match="max_bytes"):
         SimCache(tmp_path, max_bytes=-5)
+
+
+@pytest.mark.parametrize("max_bytes", ["10", 1.5])
+def test_max_bytes_must_be_an_integer(tmp_path, max_bytes):
+    with pytest.raises(ConfigurationError, match="max_bytes"):
+        SimCache(tmp_path, max_bytes=max_bytes)
+
+
+def test_max_bytes_takes_integer_likes(tmp_path):
+    assert SimCache(tmp_path, max_bytes=np.int64(4096)).max_bytes == 4096
 
 
 def test_unbounded_cache_never_evicts(tmp_path):

@@ -33,6 +33,25 @@ def test_negative_add_rejected():
         CounterSet().add("bad", -1)
 
 
+def test_from_counts_equals_one_add_per_name():
+    counts = {"mults": 5, "idle": 0, "reads": 2.7, "writes": np.int64(3)}
+    one_by_one = CounterSet()
+    for name, value in counts.items():
+        one_by_one.add(name, int(value))
+    built = CounterSet.from_counts(counts)
+    assert built.as_dict() == one_by_one.as_dict() == {
+        "mults": 5, "reads": 2, "writes": 3,
+    }
+    assert "idle" not in built
+    counts["mults"] = 99  # the set holds its own dict
+    assert built.get("mults") == 5
+
+
+def test_from_counts_refuses_negative_counts():
+    with pytest.raises(ValueError, match="negative activity -4 to 'reads'"):
+        CounterSet.from_counts({"mults": 1, "reads": -4})
+
+
 def test_merge():
     a, b = CounterSet(), CounterSet()
     a.add("x", 1)

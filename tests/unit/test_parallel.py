@@ -1,6 +1,7 @@
 """Unit tests for ``repro.parallel``: recording, caching, runner."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -196,12 +197,21 @@ def test_key_names_only_the_payload_changing_lenses(small_maeri):
 
 
 # ---- SimCache storage --------------------------------------------------
+#: a stored entry must be a layer payload (a disk read that is not one is
+#: a miss, see tests/regression/test_cache_entry_validation.py)
+_PAYLOAD = {
+    "name": "g", "kind": "gemm", "cycles": 7, "macs": 128, "outputs": 16,
+    "multiplier_utilization": 0.5, "counters": {"gb_reads": 3},
+    "extra": {},
+}
+
+
 def test_cache_memory_roundtrip(small_maeri):
     cache = SimCache()
     key = SimCache.key(_gemm_workload(), small_maeri)
     assert cache.get(key, small_maeri) is None
-    cache.put(key, {"cycles": 7}, small_maeri)
-    assert cache.get(key, small_maeri) == {"cycles": 7}
+    cache.put(key, _PAYLOAD, small_maeri)
+    assert cache.get(key, small_maeri) == _PAYLOAD
     assert cache.stats() == {
         "entries": 1, "hits": 1, "misses": 1,
         "evictions": 0, "disk_bytes": 0,
@@ -210,23 +220,44 @@ def test_cache_memory_roundtrip(small_maeri):
 
 def test_cache_disk_roundtrip(tmp_path, small_maeri):
     key = SimCache.key(_gemm_workload(), small_maeri)
-    SimCache(tmp_path).put(key, {"cycles": 7}, small_maeri)
+    SimCache(tmp_path).put(key, _PAYLOAD, small_maeri)
     fresh = SimCache(tmp_path)
-    assert fresh.get(key, small_maeri) == {"cycles": 7}
+    assert fresh.get(key, small_maeri) == _PAYLOAD
+
+
+def test_cache_disk_roundtrip_of_an_entry_longer_than_one_read(
+    tmp_path, small_maeri
+):
+    # entries spanning several read chunks, one ending on a chunk edge
+    chunk = cache_module._READ_CHUNK
+    key = SimCache.key(_gemm_workload(), small_maeri)
+
+    def put(note):
+        payload = {**_PAYLOAD, "extra": {"note": note}}
+        writer = SimCache(tmp_path)
+        writer.put(key, payload, small_maeri)
+        return payload, os.path.getsize(writer._path(key, small_maeri))
+
+    _, bare = put("")
+    for length, size in ((3 * chunk, None), (2 * chunk - bare, 2 * chunk)):
+        payload, written = put("x" * length)
+        assert written > chunk and size in (None, written)
+        assert SimCache(tmp_path).get(key, small_maeri) == payload
 
 
 def test_cache_corrupt_entry_is_a_miss(tmp_path, small_maeri):
     cache = SimCache(tmp_path)
     key = SimCache.key(_gemm_workload(), small_maeri)
-    cache.put(key, {"cycles": 7}, small_maeri)
-    cache._path(key, small_maeri).write_text("{not json", encoding="utf-8")
+    cache.put(key, _PAYLOAD, small_maeri)
+    with open(cache._path(key, small_maeri), "w", encoding="utf-8") as handle:
+        handle.write("{not json")
     assert SimCache(tmp_path).get(key, small_maeri) is None
 
 
 def test_cache_schema_bump_invalidates(tmp_path, small_maeri, monkeypatch):
     cache = SimCache(tmp_path)
     key = SimCache.key(_gemm_workload(), small_maeri)
-    cache.put(key, {"cycles": 7}, small_maeri)
+    cache.put(key, _PAYLOAD, small_maeri)
     monkeypatch.setattr(cache_module, "CACHE_SCHEMA_VERSION",
                         CACHE_SCHEMA_VERSION + 1)
     fresh = SimCache(tmp_path)
@@ -240,7 +271,7 @@ def test_cache_other_config_is_a_miss(tmp_path, small_maeri):
     other = maeri_like(num_ms=64, bandwidth=8)
     cache = SimCache(tmp_path)
     key = SimCache.key(_gemm_workload(), small_maeri)
-    cache.put(key, {"cycles": 7}, small_maeri)
+    cache.put(key, _PAYLOAD, small_maeri)
     assert SimCache(tmp_path).get(key, other) is None
 
 
