@@ -103,13 +103,15 @@ validate:
 perf-smoke:
 	PYTHONPATH=src python3 benchmarks/perf/run.py --smoke
 
-# register two Fig. 5 workloads and gate them against the committed baseline
+# register two Fig. 5 workloads and gate them against the committed
+# baseline; --stalls records the ledgers the report's timeline colours by
 sentinel-smoke:
 	rm -rf /tmp/stonne-ci-runs
 	PYTHONPATH=src python -m repro.ui.cli model squeezenet --arch tpu \
-		--num-ms 256 --registry-dir /tmp/stonne-ci-runs > /dev/null
+		--num-ms 256 --stalls --registry-dir /tmp/stonne-ci-runs > /dev/null
 	PYTHONPATH=src python -m repro.ui.cli model squeezenet --arch maeri \
-		--num-ms 256 --bw 128 --registry-dir /tmp/stonne-ci-runs > /dev/null
+		--num-ms 256 --bw 128 --stalls --registry-dir /tmp/stonne-ci-runs \
+		> /dev/null
 	PYTHONPATH=src python -m repro.observability.insight \
 		--registry-dir /tmp/stonne-ci-runs \
 		check --baseline tests/regression/baseline_runs.json

@@ -2,11 +2,12 @@
 
 :class:`~repro.noc.base.CounterSet` creates counters lazily, which keeps
 components decoupled but means a typo'd increment (``gb_wrties``) or a
-read of a never-incremented name silently yields zero — and the insight
-/ bottleneck-attribution layer then divides by a phantom counter. The
-declared universe lives in ``repro.engine.stats.KNOWN_COUNTERS``; this
-pass checks every literal counter increment and read against it, and
-that no declared counter is dead.
+read of a never-incremented name silently yields zero — and whatever
+reads it (energy pricing, utilization, the fabric consistency check)
+then prices or divides by a phantom counter. The declared universe
+lives in ``repro.engine.stats.KNOWN_COUNTERS``; this pass checks every
+literal counter increment and read against it, and that no declared
+counter is dead.
 """
 
 from __future__ import annotations
@@ -39,8 +40,9 @@ RULES = (
         id="COUNTER-READ",
         summary="reads an activity counter not in KNOWN_COUNTERS",
         rationale=(
-            "reading an undeclared counter silently returns 0 — the "
-            "insight/attribution layer would divide by a phantom"
+            "reading an undeclared counter silently returns 0 — energy "
+            "pricing, utilization or a fabric consistency check would "
+            "then work from a phantom"
         ),
     ),
     Rule(

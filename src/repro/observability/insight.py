@@ -1,4 +1,4 @@
-"""Cross-run analysis over the run registry: diff, gate, attribute, report.
+"""Cross-run analysis over the run registry: diff, gate, explain, report.
 
 Three analyses over :mod:`repro.observability.registry` records:
 
@@ -6,13 +6,14 @@ Three analyses over :mod:`repro.observability.registry` records:
   compares the latest registry runs against a committed baseline file,
   keyed by (workload, config hash); deltas beyond the configured
   thresholds exit non-zero, which is what lets CI gate on them;
-- **bottleneck attribution** — each layer is classified as compute- /
-  distribution- / reduction- / memory-bound from its activity counters
-  and the hardware's port widths, with a top-N "where the cycles went"
-  table;
+- **stall attribution** — ``explain`` reads the cycle-exact stall
+  ledgers recorded with ``--stalls`` (:mod:`repro.observability.stalls`):
+  every cycle in one of nine buckets, and a compute- / bandwidth-bound
+  call per layer and per run. It is the only source of a bound;
 - **HTML report** — a self-contained page (inline SVG + CSS, no
-  JavaScript) with the run timeline, a per-layer utilization heatmap,
-  the attribution table, and — when a baseline is given — the
+  JavaScript) with the run timeline (layer windows coloured by their
+  ledger bound when the run has ledgers), the top layers by cycles, the
+  stall and fabric blocks, and — when a baseline is given — the
   regression table.
 
 Runnable as a module (also reachable as ``stonne insight ...``)::
@@ -20,6 +21,7 @@ Runnable as a module (also reachable as ``stonne insight ...``)::
     python -m repro.observability.insight list
     python -m repro.observability.insight diff <run> <run>
     python -m repro.observability.insight check --baseline baseline.json
+    python -m repro.observability.insight explain latest
     python -m repro.observability.insight report latest -o report.html
     python -m repro.observability.insight fabric latest
 
@@ -34,9 +36,9 @@ import argparse
 import html
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.observability.fabric import (
     FABRIC_TIERS,
@@ -52,101 +54,8 @@ from repro.observability.stalls import (
     validate_ledger,
 )
 
-#: bottleneck classes, in tie-breaking priority order
-BOUND_KINDS = ("compute", "distribution", "reduction", "memory")
-
-#: a layer whose busiest resource sits below this fraction is not
-#: meaningfully bound by anything — call it underutilized instead
-UNDERUTILIZED_BELOW = 0.05
-
 #: baseline file schema version
 BASELINE_SCHEMA = 1
-
-
-# ----------------------------------------------------------------------
-# bottleneck attribution
-# ----------------------------------------------------------------------
-def layer_utilization(layer: Mapping, config: Mapping) -> Dict[str, float]:
-    """Per-resource busy fractions of one recorded layer.
-
-    Mirrors :meth:`SimulationReport.component_utilization` at layer
-    granularity, extended with a DRAM-pressure axis so memory-bound
-    layers are attributable: each axis is activity divided by the
-    resource's capacity over the layer's cycle window.
-    """
-    cycles = int(layer.get("cycles", 0))
-    if cycles <= 0:
-        return {kind: 0.0 for kind in BOUND_KINDS}
-    counters = layer.get("counters", {})
-    num_ms = max(1, int(config.get("num_ms", 1)))
-    dn_bw = max(1, int(config.get("dn_bandwidth", 1)))
-    rn_bw = max(1, int(config.get("rn_bandwidth", 1)))
-    clock = float(config.get("clock_ghz", 1.0)) or 1.0
-    dram_bpc = float(config.get("dram_bandwidth_gbps", 0.0)) / clock
-
-    compute = float(layer.get("macs", 0)) / (num_ms * cycles)
-    distribution = max(
-        float(counters.get("dn_busy_cycles", 0.0)) / cycles,
-        min(1.0, float(counters.get("gb_reads", 0.0)) / (dn_bw * cycles)),
-    )
-    reduction = min(1.0, float(counters.get("gb_writes", 0.0)) / (rn_bw * cycles))
-    dram_bytes = (float(counters.get("dram_bytes_read", 0.0))
-                  + float(counters.get("dram_bytes_written", 0.0)))
-    memory = (min(1.0, dram_bytes / (dram_bpc * cycles)) if dram_bpc > 0
-              else 0.0)
-    return {
-        "compute": round(compute, 6),
-        "distribution": round(distribution, 6),
-        "reduction": round(reduction, 6),
-        "memory": round(memory, 6),
-    }
-
-
-def classify_layer(layer: Mapping, config: Mapping) -> Dict[str, object]:
-    """Utilization axes plus the bound classification of one layer."""
-    utilization = layer_utilization(layer, config)
-    if int(layer.get("cycles", 0)) <= 0:
-        bound = "idle"
-    else:
-        bound = max(BOUND_KINDS, key=lambda kind: utilization[kind])
-        if utilization[bound] < UNDERUTILIZED_BELOW:
-            bound = "underutilized"
-    return {"bound": bound, **utilization}
-
-
-def attribute(record: RunRecord) -> List[Dict[str, object]]:
-    """Per-layer bottleneck rows for one registered run, in layer order."""
-    config = record.payload.get("config", {})
-    total = record.total_cycles or 0
-    rows: List[Dict[str, object]] = []
-    for layer in record.layers:
-        row = {
-            "layer": layer.get("name", "?"),
-            "kind": layer.get("kind", "?"),
-            "cycles": int(layer.get("cycles", 0)),
-            "share": (int(layer.get("cycles", 0)) / total) if total else 0.0,
-            **classify_layer(layer, config),
-        }
-        rows.append(row)
-    return rows
-
-
-def top_layers(record: RunRecord, n: int = 10) -> List[Dict[str, object]]:
-    """The n most cycle-expensive layers — "where the cycles went"."""
-    rows = attribute(record)
-    rows.sort(key=lambda row: (-row["cycles"], row["layer"]))
-    return rows[:n]
-
-
-def bound_summary(record: RunRecord) -> Dict[str, float]:
-    """Fraction of total cycles spent in each bottleneck class."""
-    total = record.total_cycles or 0
-    shares: Dict[str, float] = {}
-    for row in attribute(record):
-        shares[row["bound"]] = shares.get(row["bound"], 0.0) + row["cycles"]
-    if total:
-        shares = {k: round(v / total, 6) for k, v in shares.items()}
-    return dict(sorted(shares.items(), key=lambda kv: -kv[1]))
 
 
 # ----------------------------------------------------------------------
@@ -488,8 +397,8 @@ def _format_fabric_text(result: Mapping, top: int) -> str:
 class Thresholds:
     """Relative-delta gates, in percent; ``None`` disables an axis."""
 
-    cycles_pct: float = 0.0
-    energy_pct: float = 0.5
+    cycles_pct: Optional[float] = 0.0
+    energy_pct: Optional[float] = 0.5
     wall_pct: Optional[float] = None
 
 
@@ -579,35 +488,67 @@ def diff_records(
     }
 
 
+#: the baseline-entry fields ``check`` reads and their JSON types; all
+#: but ``energy_total_uj`` are required
+_ENTRY_FIELDS: Dict[str, Union[type, Tuple[type, ...]]] = {
+    "workload": str,
+    "config_hash": str,
+    "total_cycles": (int, float),
+    "energy_total_uj": (int, float),
+}
+
+
 def load_baseline(path: Path) -> Dict:
-    """Read and structurally validate a committed baseline file."""
+    """Read and structurally validate a committed baseline file.
+
+    Every malformed shape is a :class:`ValueError` naming the field, so
+    ``check`` exits 2 with the message instead of failing mid-gate.
+    """
     payload = json.loads(path.read_text(encoding="utf-8"))
-    if not isinstance(payload, dict) or "baselines" not in payload:
+    if not isinstance(payload, dict) or not isinstance(
+            payload.get("baselines"), list):
         raise ValueError(f"{path}: baseline file needs a 'baselines' list")
-    if int(payload.get("schema", 0)) != BASELINE_SCHEMA:
+    if payload.get("schema") != BASELINE_SCHEMA:
         raise ValueError(
             f"{path}: baseline schema {payload.get('schema')!r} != "
             f"{BASELINE_SCHEMA}"
         )
+    thresholds = payload.get("thresholds", {})
+    if not isinstance(thresholds, dict) or not all(
+            value is None or isinstance(value, (int, float))
+            for value in thresholds.values()):
+        raise ValueError(
+            f"{path}: 'thresholds' must map each axis to a number or null"
+        )
     for index, entry in enumerate(payload["baselines"]):
-        for key in ("workload", "config_hash", "total_cycles"):
-            if key not in entry:
+        if not isinstance(entry, dict):
+            raise ValueError(f"{path}: baselines[{index}] is not an object")
+        for key, kind in _ENTRY_FIELDS.items():
+            if key not in entry and key != "energy_total_uj":
                 raise ValueError(
                     f"{path}: baselines[{index}] missing {key!r}"
+                )
+            if key in entry and not isinstance(entry[key], kind):
+                raise ValueError(
+                    f"{path}: baselines[{index}][{key!r}] must be a "
+                    f"{'string' if kind is str else 'number'}"
                 )
     return payload
 
 
 def baseline_thresholds(payload: Mapping,
                         override: Optional[Thresholds] = None) -> Thresholds:
+    """The gates a baseline file sets; ``null`` disables an axis."""
     if override is not None:
         return override
     raw = payload.get("thresholds", {})
-    return Thresholds(
-        cycles_pct=float(raw.get("cycles_pct", 0.0)),
-        energy_pct=float(raw.get("energy_pct", 0.5)),
-        wall_pct=raw.get("wall_pct"),
-    )
+
+    def gate(axis: str, default: float) -> Optional[float]:
+        value = raw.get(axis, default)
+        return None if value is None else float(value)
+
+    return Thresholds(cycles_pct=gate("cycles_pct", 0.0),
+                      energy_pct=gate("energy_pct", 0.5))
 
 
 def check_baseline(
@@ -639,7 +580,7 @@ def check_baseline(
             continue
         violations: List[str] = []
         cycles_pct = _pct(entry["total_cycles"], record.total_cycles)
-        if abs(cycles_pct) > gates.cycles_pct:
+        if gates.cycles_pct is not None and abs(cycles_pct) > gates.cycles_pct:
             violations.append(
                 f"cycles {entry['total_cycles']} -> {record.total_cycles} "
                 f"({cycles_pct:+.3f}%)"
@@ -665,6 +606,11 @@ def check_baseline(
     return results, ok
 
 
+#: the record fields one baseline entry pins, in file order
+_EXPORTED_FIELDS = ("workload", "config_name", "config_hash", "total_cycles",
+                    "total_macs", "energy_total_uj", "run_id", "created_utc")
+
+
 def export_baseline(records: Sequence[RunRecord],
                     thresholds: Thresholds = Thresholds()) -> Dict:
     """Baseline payload pinning the given runs (one entry per record)."""
@@ -675,16 +621,7 @@ def export_baseline(records: Sequence[RunRecord],
             "energy_pct": thresholds.energy_pct,
         },
         "baselines": [
-            {
-                "workload": record.workload,
-                "config_name": record.config_name,
-                "config_hash": record.config_hash,
-                "total_cycles": record.total_cycles,
-                "total_macs": record.total_macs,
-                "energy_total_uj": record.energy_total_uj,
-                "run_id": record.run_id,
-                "created_utc": record.created_utc,
-            }
+            {key: getattr(record, key) for key in _EXPORTED_FIELDS}
             for record in records
         ],
     }
@@ -693,18 +630,17 @@ def export_baseline(records: Sequence[RunRecord],
 # ----------------------------------------------------------------------
 # HTML report (inline SVG, no JavaScript)
 # ----------------------------------------------------------------------
-_BOUND_COLORS = {
-    "compute": "#4c78a8",
-    "distribution": "#f58518",
-    "reduction": "#54a24b",
-    "memory": "#e45756",
-    "underutilized": "#b5b5b5",
-    "idle": "#dddddd",
+#: timeline colors for the stall ledger's roofline call; a layer without
+#: a ledger gets the neutral grey and no call
+_ROOFLINE_COLORS = {
+    "compute-bound": "#4c78a8",
+    "bandwidth-bound": "#f58518",
 }
+_NO_CALL_COLOR = "#b5b5b5"
 
-#: the heatmap draws at most this many layers (largest first); the
-#: report states the truncation explicitly rather than hiding it
-HEATMAP_MAX_LAYERS = 48
+#: the stall breakdown draws at most this many layers (largest first);
+#: the report states the truncation explicitly rather than hiding it
+BREAKDOWN_MAX_LAYERS = 48
 
 #: stall-bucket colors for the stacked breakdown (compute-side blues and
 #: greens, data-movement-side warm tones, idle grey)
@@ -725,9 +661,32 @@ def _esc(value: object) -> str:
     return html.escape(str(value))
 
 
+def _layer_rows(record: RunRecord,
+                explained: Optional[Mapping]) -> List[Dict[str, object]]:
+    """Every layer in execution order, with its ledger call if it has one.
+
+    ``bound`` is the layer's row of :func:`explain_record` (which covers
+    exactly the layers that carry a stall ledger), ``None`` elsewhere.
+    """
+    calls = iter(row["bound"] for row in (explained or {}).get("layers", ()))
+    total = record.total_cycles or 0
+    rows: List[Dict[str, object]] = []
+    for layer in record.layers:
+        cycles = int(layer.get("cycles", 0))
+        rows.append({
+            "layer": layer.get("name", "?"),
+            "kind": layer.get("kind", "?"),
+            "cycles": cycles,
+            "share": (cycles / total) if total else 0.0,
+            "bound": (next(calls) if layer.get("stalls") is not None
+                      else None),
+        })
+    return rows
+
+
 def _timeline_svg(record: RunRecord, rows: List[Dict], width: int = 940,
                   height: int = 56) -> str:
-    """One horizontal bar: layer windows colored by bottleneck class."""
+    """One horizontal bar: layer windows colored by their ledger call."""
     total = record.total_cycles
     if not total or not rows:
         return "<p>(no cycles recorded)</p>"
@@ -738,9 +697,11 @@ def _timeline_svg(record: RunRecord, rows: List[Dict], width: int = 940,
     x = 0.0
     for row in rows:
         w = width * row["cycles"] / total
-        color = _BOUND_COLORS.get(row["bound"], "#888888")
+        color = _ROOFLINE_COLORS.get(row["bound"], _NO_CALL_COLOR)
         title = (f"{row['layer']} ({row['kind']}): {row['cycles']} cycles, "
-                 f"{row['share']:.1%}, {row['bound']}-bound")
+                 f"{row['share']:.1%}")
+        if row["bound"]:
+            title += f", {row['bound']}"
         parts.append(
             f'<rect x="{x:.2f}" y="8" width="{max(w, 0.5):.2f}" height="32" '
             f'fill="{color}" stroke="#ffffff" stroke-width="0.5">'
@@ -755,75 +716,26 @@ def _timeline_svg(record: RunRecord, rows: List[Dict], width: int = 940,
     return "".join(parts)
 
 
-def _heatmap_svg(rows: List[Dict], cell: int = 26, label_w: int = 220) -> str:
-    """Layers × bottleneck-axes utilization heatmap."""
-    if not rows:
-        return "<p>(no layers)</p>"
-    shown = sorted(rows, key=lambda r: -r["cycles"])[:HEATMAP_MAX_LAYERS]
-    shown.sort(key=lambda r: rows.index(r))  # back to execution order
-    width = label_w + cell * len(BOUND_KINDS) + 8
-    height = 22 + cell * len(shown)
-    parts = [
-        f'<svg viewBox="0 0 {width} {height}" width="{width}" '
-        f'height="{height}" role="img" aria-label="utilization heatmap">'
-    ]
-    for i, kind in enumerate(BOUND_KINDS):
-        parts.append(
-            f'<text x="{label_w + i * cell + cell / 2}" y="14" '
-            f'font-size="10" text-anchor="middle" fill="#333">'
-            f"{kind[:4]}</text>"
-        )
-    for j, row in enumerate(shown):
-        y = 22 + j * cell
-        parts.append(
-            f'<text x="{label_w - 6}" y="{y + cell / 2 + 4}" font-size="10" '
-            f'text-anchor="end" fill="#333">{_esc(row["layer"][:34])}</text>'
-        )
-        for i, kind in enumerate(BOUND_KINDS):
-            value = float(row[kind])
-            parts.append(
-                f'<rect x="{label_w + i * cell}" y="{y}" width="{cell - 2}" '
-                f'height="{cell - 2}" fill="{_BOUND_COLORS[kind]}" '
-                f'fill-opacity="{max(0.06, value):.3f}" stroke="#eee">'
-                f"<title>{_esc(row['layer'])} {kind}: {value:.1%}</title>"
-                f"</rect>"
-            )
-    parts.append("</svg>")
-    note = ""
-    if len(rows) > len(shown):
-        note = (f"<p class='note'>showing the {len(shown)} most "
-                f"cycle-expensive of {len(rows)} layers</p>")
-    return "".join(parts) + note
-
-
-def _attribution_table(rows: List[Dict], n: int) -> str:
+def _ranking_table(rows: List[Dict], n: int) -> str:
     ranked = sorted(rows, key=lambda r: (-r["cycles"], r["layer"]))[:n]
     body = "".join(
         "<tr>"
         f"<td>{_esc(row['layer'])}</td><td>{_esc(row['kind'])}</td>"
         f"<td class='num'>{row['cycles']}</td>"
         f"<td class='num'>{row['share']:.1%}</td>"
-        f"<td><span class='dot' style='background:"
-        f"{_BOUND_COLORS.get(row['bound'], '#888')}'></span>"
-        f"{_esc(row['bound'])}</td>"
-        f"<td class='num'>{row['compute']:.1%}</td>"
-        f"<td class='num'>{row['distribution']:.1%}</td>"
-        f"<td class='num'>{row['reduction']:.1%}</td>"
-        f"<td class='num'>{row['memory']:.1%}</td>"
         "</tr>"
         for row in ranked
     )
     return (
         "<table><thead><tr><th>layer</th><th>kind</th><th>cycles</th>"
-        "<th>share</th><th>bound</th><th>MN</th><th>DN</th><th>RN</th>"
-        "<th>DRAM</th></tr></thead><tbody>" + body + "</tbody></table>"
+        "<th>share</th></tr></thead><tbody>" + body + "</tbody></table>"
     )
 
 
 def _stall_breakdown_svg(layers: List[Dict], cell: int = 22,
                          label_w: int = 220, bar_w: int = 640) -> str:
     """Per-layer stacked bars: each layer's cycles split by stall bucket."""
-    shown = sorted(layers, key=lambda r: -r["cycles"])[:HEATMAP_MAX_LAYERS]
+    shown = sorted(layers, key=lambda r: -r["cycles"])[:BREAKDOWN_MAX_LAYERS]
     shown.sort(key=lambda r: layers.index(r))  # back to execution order
     width = label_w + bar_w + 8
     height = 6 + cell * len(shown)
@@ -861,11 +773,9 @@ def _stall_breakdown_svg(layers: List[Dict], cell: int = 22,
     return "".join(parts) + note
 
 
-def _stall_sections(record: RunRecord) -> List[str]:
+def _stall_sections(explained: Optional[Mapping]) -> List[str]:
     """The 'Stall attribution' report block (empty without ledgers)."""
-    try:
-        explained = explain_record(record)
-    except ValueError:
+    if explained is None:
         return []
     total = explained["attributed_cycles"] or 1
     legend = "".join(
@@ -897,8 +807,7 @@ def _stall_sections(record: RunRecord) -> List[str]:
     ]
 
 
-#: tier accent colors for the fabric tree heatmap — matched to the
-#: bottleneck palette (DN = distribution, MN = compute, RN = reduction)
+#: tier accent colors for the fabric tree heatmap
 _FABRIC_TIER_COLORS = {
     "dn": "#f58518",
     "mn": "#4c78a8",
@@ -1092,15 +1001,23 @@ def render_html(
     top: int = 15,
 ) -> str:
     """Self-contained HTML report for one registered run."""
-    rows = attribute(record)
+    try:
+        explained: Optional[Dict[str, object]] = explain_record(record)
+    except ValueError:
+        explained = None
+    rows = _layer_rows(record, explained)
     totals = record.payload.get("totals", {})
     metadata = record.payload.get("metadata", {})
     utilization = record.payload.get("utilization", {})
-    shares = bound_summary(record)
-    legend = "".join(
-        f"<span><span class='dot' style='background:{color}'></span>"
-        f"{kind}</span>"
-        for kind, color in _BOUND_COLORS.items()
+    legend = (
+        "<div class='legend'>" + "".join(
+            f"<span><span class='dot' style='background:{color}'></span>"
+            f"{bound}</span>"
+            for bound, color in _ROOFLINE_COLORS.items()
+        ) + "</div>"
+        if explained is not None else
+        "<p class='note'>no stall ledgers: record the run with --stalls "
+        "to colour each layer by its bound</p>"
     )
     meta_rows = "".join(
         f"<tr><th>{_esc(key)}</th><td>{_esc(value)}</td></tr>"
@@ -1126,24 +1043,18 @@ def render_html(
         f"<tr><th>{_esc(key)}</th><td class='num'>{value:.2%}</td></tr>"
         for key, value in utilization.items()
     )
-    share_line = ", ".join(f"{kind}: {value:.1%}"
-                           for kind, value in shares.items())
     sections = [
         f"<h1>STONNE run report — {_esc(record.workload)}</h1>",
         f"<table class='meta'>{meta_rows}</table>",
         "<h2>Timeline</h2>",
-        f"<div class='legend'>{legend}</div>",
+        legend,
         _timeline_svg(record, rows),
-        f"<p class='meta'>cycle share by bottleneck class: "
-        f"{_esc(share_line) or '-'}</p>",
         f"<h2>Where the cycles went (top {top})</h2>",
-        _attribution_table(rows, top),
-        "<h2>Utilization heatmap</h2>",
-        _heatmap_svg(rows),
+        _ranking_table(rows, top),
         "<h2>Run-level utilization</h2>",
         f"<table>{util_rows or '<tr><td>(none)</td></tr>'}</table>",
     ]
-    sections += _stall_sections(record)
+    sections += _stall_sections(explained)
     sections += _fabric_sections(record)
     if check_results is not None:
         sections += ["<h2>Regression check</h2>",
@@ -1163,47 +1074,39 @@ def _open_registry(args: argparse.Namespace) -> RunRegistry:
     return RunRegistry(args.registry_dir)
 
 
+def _emit(text: str, out: Optional[str], what: str) -> None:
+    """Print ``text``, or write it to ``out`` and say so."""
+    if out:
+        Path(out).write_text(text, encoding="utf-8")
+        print(f"{what} written to {out}")
+    else:
+        print(text, end="")
+
+
 def _threshold_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cycles-pct", type=float, default=None,
                         help="max |cycle delta| in percent (default 0)")
     parser.add_argument("--energy-pct", type=float, default=None,
                         help="max |energy delta| in percent (default 0.5)")
-    parser.add_argument("--wall-pct", type=float, default=None,
-                        help="max wall-clock increase in percent "
-                             "(default: not gated)")
 
 
 def _thresholds_from(args: argparse.Namespace,
                      base: Thresholds = Thresholds()) -> Thresholds:
-    return Thresholds(
-        cycles_pct=(args.cycles_pct if args.cycles_pct is not None
-                    else base.cycles_pct),
-        energy_pct=(args.energy_pct if args.energy_pct is not None
-                    else base.energy_pct),
-        wall_pct=args.wall_pct if args.wall_pct is not None else base.wall_pct,
-    )
+    """``base`` with every threshold flag given on the command line."""
+    return replace(base, **{
+        axis: getattr(args, axis)
+        for axis in ("cycles_pct", "energy_pct", "wall_pct")
+        if getattr(args, axis, None) is not None
+    })
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
     with _open_registry(args) as registry:
         records = registry.list_runs(workload=args.workload, limit=args.limit)
     if args.json:
-        rows = [
-            {
-                "run_id": record.run_id,
-                "created_utc": record.created_utc,
-                "workload": record.workload,
-                "source": record.source,
-                "config_name": record.config_name,
-                "config_hash": record.config_hash,
-                "total_cycles": record.total_cycles,
-                "total_macs": record.total_macs,
-                "energy_total_uj": record.energy_total_uj,
-                "wall_clock_s": record.wall_clock_s,
-                "cached": record.cached,
-            }
-            for record in records
-        ]
+        rows = [{field.name: getattr(record, field.name)
+                 for field in fields(record) if field.name != "payload"}
+                for record in records]
         print(json.dumps(rows, indent=2))
         return 0
     if not records:
@@ -1267,12 +1170,9 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     baseline = load_baseline(Path(args.baseline))
-    override = None
-    if (args.cycles_pct is not None or args.energy_pct is not None
-            or args.wall_pct is not None):
-        override = _thresholds_from(args, baseline_thresholds(baseline))
+    gates = _thresholds_from(args, baseline_thresholds(baseline))
     with _open_registry(args) as registry:
-        results, ok = check_baseline(registry, baseline, override)
+        results, ok = check_baseline(registry, baseline, gates)
     for result in results:
         status = result["status"]
         line = f"[{status:>9s}] {result['workload']} ({result['config_hash'][:8]})"
@@ -1297,35 +1197,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
         if args.baseline:
             baseline = load_baseline(Path(args.baseline))
             check_results, _ = check_baseline(registry, baseline)
-    text = render_html(record, check_results, top=args.top)
-    Path(args.out).write_text(text, encoding="utf-8")
-    print(f"report written to {args.out}")
-    return 0
-
-
-def _cmd_attribute(args: argparse.Namespace) -> int:
-    with _open_registry(args) as registry:
-        record = registry.resolve(args.run)
-    rows = top_layers(record, n=args.top)
-    if args.json:
-        print(json.dumps({
-            "run_id": record.run_id,
-            "workload": record.workload,
-            "layers": rows,
-            "bound_shares": bound_summary(record),
-        }, indent=2))
-        return 0
-    print(f"{'layer':<30s} {'kind':<8s} {'cycles':>10s} {'share':>7s} "
-          f"{'bound':<14s} {'MN':>6s} {'DN':>6s} {'RN':>6s} {'DRAM':>6s}")
-    for row in rows:
-        print(f"{row['layer'][:30]:<30s} {row['kind']:<8s} "
-              f"{row['cycles']:>10d} {row['share']:>6.1%} "
-              f"{row['bound']:<14s} {row['compute']:>6.1%} "
-              f"{row['distribution']:>6.1%} {row['reduction']:>6.1%} "
-              f"{row['memory']:>6.1%}")
-    shares = bound_summary(record)
-    print("cycle share by class: "
-          + (", ".join(f"{k}: {v:.1%}" for k, v in shares.items()) or "-"))
+    _emit(render_html(record, check_results, top=args.top), args.out,
+          "report")
     return 0
 
 
@@ -1360,11 +1233,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
             text = (json.dumps(result, indent=2) + "\n"
                     if args.format == "json"
                     else _format_explain_text(result, top=args.top))
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-        print(f"explanation written to {args.out}")
-    else:
-        print(text, end="")
+    _emit(text, args.out, "explanation")
     if not result["conservation"]["ok"]:
         for violation in result["conservation"]["violations"]:
             print(f"CONSERVATION VIOLATED: {violation}", file=sys.stderr)
@@ -1378,11 +1247,7 @@ def _cmd_fabric(args: argparse.Namespace) -> int:
     text = (json.dumps(result, indent=2) + "\n"
             if args.format == "json"
             else _format_fabric_text(result, top=args.top))
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-        print(f"fabric view written to {args.out}")
-    else:
-        print(text, end="")
+    _emit(text, args.out, "fabric view")
     if not result["consistency"]["ok"]:
         for violation in result["consistency"]["violations"]:
             print(f"CONSISTENCY VIOLATED: {violation}", file=sys.stderr)
@@ -1394,12 +1259,8 @@ def _cmd_export_baseline(args: argparse.Namespace) -> int:
     with _open_registry(args) as registry:
         records = [registry.resolve(ref) for ref in args.runs]
     payload = export_baseline(records, _thresholds_from(args))
-    text = json.dumps(payload, indent=2) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-        print(f"baseline with {len(records)} entr(ies) written to {args.out}")
-    else:
-        print(text, end="")
+    _emit(json.dumps(payload, indent=2) + "\n", args.out,
+          f"baseline with {len(records)} entr(ies)")
     return 0
 
 
@@ -1408,7 +1269,7 @@ def _cmd_hotspots(args: argparse.Namespace) -> int:
 
     This is the data source for ROADMAP item 1 (vectorizing the
     cycle-level hot paths): it answers "which simulator component costs
-    the most *host seconds*", the wall-clock dual of ``attribute``.
+    the most *host seconds*", the wall-clock dual of ``explain``.
     """
     from repro.engine.accelerator import Accelerator
     from repro.frontend.models import build_model, model_input
@@ -1419,12 +1280,9 @@ def _cmd_hotspots(args: argparse.Namespace) -> int:
 
     if args.arch == "tpu":
         config = tpu_like(num_pes=args.num_ms)
-    elif args.arch == "sigma":
-        config = sigma_like(num_ms=args.num_ms,
-                            bandwidth=max(1, args.num_ms // 2))
     else:
-        config = maeri_like(num_ms=args.num_ms,
-                            bandwidth=max(1, args.num_ms // 2))
+        preset = sigma_like if args.arch == "sigma" else maeri_like
+        config = preset(num_ms=args.num_ms, bandwidth=max(1, args.num_ms // 2))
 
     model = build_model(args.model, seed=0)
     x = model_input(args.model, batch=1, seed=1)
@@ -1444,11 +1302,7 @@ def _cmd_hotspots(args: argparse.Namespace) -> int:
         text = report.to_html()
     else:
         text = report.to_text() + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-        print(f"hotspot report written to {args.out}")
-    else:
-        print(text, end="")
+    _emit(text, args.out, "hotspot report")
     return 0
 
 
@@ -1480,6 +1334,9 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("new")
     cmd.add_argument("--json", action="store_true")
     _threshold_args(cmd)
+    cmd.add_argument("--wall-pct", type=float, default=None,
+                     help="max wall-clock increase in percent "
+                          "(default: not gated)")
     cmd.set_defaults(func=_cmd_diff)
 
     cmd = sub.add_parser(
@@ -1501,15 +1358,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="include a regression table against this baseline")
     cmd.add_argument("--top", type=int, default=15)
     cmd.set_defaults(func=_cmd_report)
-
-    cmd = sub.add_parser(
-        "attribute", help="per-layer bottleneck attribution table"
-    )
-    cmd.add_argument("run", help="run id, unique prefix, or 'latest'")
-    cmd.add_argument("--top", type=int, default=10)
-    cmd.add_argument("--json", action="store_true",
-                     help="machine-readable attribution rows")
-    cmd.set_defaults(func=_cmd_attribute)
 
     cmd = sub.add_parser(
         "explain",

@@ -22,8 +22,8 @@ Recording surfaces:
 - parallel workers never open a registry of their own — only the parent
   records, once, after the merged report exists.
 
-Cross-run analysis (diff, regression gating, bottleneck attribution,
-HTML reports) lives in :mod:`repro.observability.insight`.
+Cross-run analysis (diff, regression gating, stall attribution, HTML
+reports) lives in :mod:`repro.observability.insight`.
 """
 
 from __future__ import annotations

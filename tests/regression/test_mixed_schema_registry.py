@@ -7,7 +7,7 @@ keys as optional. This suite loads a *committed* fixture database —
 one pre-versioning v1 record and one v2 record — appends a fresh v3
 run next to them, and pins the reader contract:
 
-- ``list`` / ``show`` / ``attribute`` / ``report`` work on every record;
+- ``list`` / ``show`` / ``diff`` / ``report`` work on every record;
 - ``explain`` / ``fabric`` on a record without the ledger exit 2 with an
   actionable re-run hint, never a traceback;
 - :attr:`RunRecord.schema` reads 1 for pre-versioning payloads.
@@ -74,12 +74,14 @@ def test_list_spans_schemas(mixed_store, capsys):
     assert "gemm:fresh" in out
 
 
-@pytest.mark.parametrize("command", ["show", "attribute"])
+@pytest.mark.parametrize("command", ["show", "diff"])
 @pytest.mark.parametrize("run_id", [V1_RUN, V2_RUN])
 def test_readers_accept_legacy_records(mixed_store, capsys, command, run_id):
     runs_dir, _ = mixed_store
+    # `diff <run> <run>` walks every layer of the legacy record
+    runs = [run_id] * (2 if command == "diff" else 1)
     assert insight_main(
-        ["--registry-dir", str(runs_dir), command, run_id]
+        ["--registry-dir", str(runs_dir), command, *runs]
     ) == 0
     assert capsys.readouterr().out
 

@@ -1,4 +1,4 @@
-"""Insight: bottleneck attribution, regression sentinel, HTML report."""
+"""Insight: regression sentinel, HTML report, CLI."""
 
 import json
 
@@ -8,23 +8,15 @@ import pytest
 from repro.config import maeri_like
 from repro.engine.accelerator import Accelerator
 from repro.observability.insight import (
-    BOUND_KINDS,
     Thresholds,
-    attribute,
-    bound_summary,
     check_baseline,
-    classify_layer,
     diff_records,
     export_baseline,
-    layer_utilization,
     load_baseline,
     render_html,
 )
 from repro.observability.insight import main as insight_main
 from repro.observability.registry import RunRecord, RunRegistry
-
-CONFIG = {"num_ms": 4, "dn_bandwidth": 4, "rn_bandwidth": 4,
-          "clock_ghz": 1.0, "dram_bandwidth_gbps": 8.0}
 
 
 def _report(rng, name="ins-gemm"):
@@ -37,44 +29,6 @@ def _report(rng, name="ins-gemm"):
 
 def _record(rng, workload="gemm:ins", name="ins-gemm"):
     return RunRecord.from_report(_report(rng, name=name), workload=workload)
-
-
-# ---- attribution -----------------------------------------------------
-def test_layer_utilization_axes_bounded():
-    layer = {"cycles": 100, "macs": 200,
-             "counters": {"dn_busy_cycles": 60, "gb_reads": 300,
-                          "gb_writes": 100, "dram_bytes_read": 400,
-                          "dram_bytes_written": 0}}
-    utils = layer_utilization(layer, CONFIG)
-    assert set(utils) == set(BOUND_KINDS)
-    for value in utils.values():
-        assert 0.0 <= value <= 1.0
-    assert utils["compute"] == pytest.approx(0.5)
-    assert utils["distribution"] == pytest.approx(0.75)  # gb_reads / (4*100)
-    assert utils["reduction"] == pytest.approx(0.25)
-    assert utils["memory"] == pytest.approx(0.5)  # 400 / (8 * 100)
-
-
-def test_classify_zero_cycle_layer_is_idle():
-    result = classify_layer({"cycles": 0, "macs": 0, "counters": {}}, CONFIG)
-    assert result["bound"] == "idle"
-    assert all(result[kind] == 0.0 for kind in BOUND_KINDS)
-
-
-def test_classify_near_zero_activity_is_underutilized():
-    layer = {"cycles": 1000, "macs": 1, "counters": {"gb_reads": 1}}
-    assert classify_layer(layer, CONFIG)["bound"] == "underutilized"
-
-
-def test_attribute_real_run(rng):
-    record = _record(rng)
-    rows = attribute(record)
-    assert len(rows) == 1
-    assert rows[0]["layer"] == "ins-gemm"
-    assert rows[0]["share"] == pytest.approx(1.0)
-    assert rows[0]["bound"] in (*BOUND_KINDS, "underutilized")
-    shares = bound_summary(record)
-    assert sum(shares.values()) == pytest.approx(1.0)
 
 
 # ---- diff / sentinel -------------------------------------------------
@@ -178,6 +132,17 @@ def test_render_html_parses(rng):
     Strict().feed(render_html(_record(rng)))
 
 
+def test_render_html_without_ledgers_makes_no_bound_claim(rng):
+    page = render_html(_record(rng))
+    assert "-bound" not in page
+    for heuristic in ("distribution", "underutilized", "heatmap", "DRAM"):
+        assert heuristic not in page
+    assert "record the run with --stalls" in page
+    # the ranking table keeps layer / kind / cycles / share only
+    assert ("<th>layer</th><th>kind</th><th>cycles</th><th>share</th>"
+            "</tr></thead>") in page
+
+
 # ---- CLI -------------------------------------------------------------
 @pytest.fixture
 def populated(rng, tmp_path):
@@ -242,9 +207,12 @@ def test_cli_report_writes_html(populated, tmp_path, capsys):
 
 def test_cli_attribute_and_prune(populated, capsys):
     path, _, _ = populated
-    assert insight_main(["--registry-dir", str(path), "attribute",
-                         "latest"]) == 0
-    assert "cycle share by class" in capsys.readouterr().out
+    # the counter-heuristic `attribute` is gone: `explain` is the one
+    # bound, and the removed subcommand is a usage error
+    with pytest.raises(SystemExit) as excinfo:
+        insight_main(["--registry-dir", str(path), "attribute", "latest"])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'attribute'" in capsys.readouterr().err
     assert insight_main(["--registry-dir", str(path), "prune",
                          "--keep", "1"]) == 0
     assert "pruned 1 run(s)" in capsys.readouterr().out

@@ -2,12 +2,14 @@
 
 Unit coverage of :mod:`repro.observability.stalls` (the accumulator, the
 conservation invariant, the run-level merge, the roofline call) and of
-the ``insight explain`` layer built on top of it — including the CLI
-paths the satellite flags added (``explain --diff``, ``list --json``,
-``attribute --json``, ``prune --dry-run``).
+the ``insight explain`` layer built on top of it — the one source of a
+layer's bound, which the report's timeline colours by — including the
+CLI paths the satellite flags added (``explain --diff``, ``list --json``,
+``prune --dry-run``).
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -206,6 +208,27 @@ def test_render_html_includes_stall_section(rng, tmp_path):
     assert "Stall attribution" not in render_html(plain)
 
 
+def test_render_html_timeline_colours_by_ledger_bound(rng):
+    acc = Accelerator(maeri_like(num_ms=16, bandwidth=4),
+                      observability=Observability.create(stalls=True))
+    for name, (m, k, n) in (("wide", (16, 4, 16)), ("deep", (8, 32, 4))):
+        acc.run_gemm(rng.standard_normal((m, k)).astype(np.float32),
+                     rng.standard_normal((k, n)).astype(np.float32),
+                     name=name)
+    record = RunRecord.from_report(acc.report, workload="gemm:bounds")
+    calls = {row["layer"]: row["bound"]
+             for row in explain_record(record)["layers"]}
+    assert sorted(calls.values()) == ["bandwidth-bound", "compute-bound"]
+    timeline = render_html(record).split("<h2>Timeline</h2>")[1]
+    timeline = timeline.split("<h2>")[0]
+    for layer, bound in calls.items():
+        assert re.search(rf"<title>{layer} \(gemm\): [^<]*, {bound}</title>",
+                         timeline)
+    # both calls get their own colour in the legend
+    assert "compute-bound</span>" in timeline
+    assert "bandwidth-bound</span>" in timeline
+
+
 # ---- CLI: explain + satellite flags ----------------------------------
 @pytest.fixture
 def stalled_registry(rng, tmp_path):
@@ -271,15 +294,6 @@ def test_cli_list_json(stalled_registry, capsys):
     rows = json.loads(capsys.readouterr().out)
     assert {row["run_id"] for row in rows} == {first, second}
     assert all("total_cycles" in row for row in rows)
-
-
-def test_cli_attribute_json(stalled_registry, capsys):
-    path, _, _ = stalled_registry
-    assert insight_main([
-        "--registry-dir", str(path), "attribute", "latest", "--json",
-    ]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["layers"] and "bound_shares" in payload
 
 
 def test_cli_prune_dry_run_deletes_nothing(stalled_registry, rng, capsys):
