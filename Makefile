@@ -214,7 +214,7 @@ lens-smoke:
 	$(LENS_CLI) conv -R 3 -S 3 -C 4 -K 4 \
 		-X 6 -Y 6 --arch maeri --num-ms 16 --bw 8 \
 		--trace /tmp/stonne-trace-smoke.json --metrics-every 16 \
-		--metrics /tmp/stonne-metrics-smoke.json --metrics-format json \
+		--metrics /tmp/stonne-metrics-smoke.json \
 		--no-registry
 	$(LENS_VALIDATE) /tmp/stonne-trace-smoke.json \
 		--expect "layer:" --expect "DN:" --expect "MN:" --expect "RN:"
@@ -226,12 +226,10 @@ lens-smoke:
 		--progress-jsonl /tmp/stonne-progress-smoke.jsonl \
 		--no-registry 2> $(LENS_OUT)/stonne-profile.txt > /dev/null
 	cat $(LENS_OUT)/stonne-profile.txt
-	PYTHONPATH=src python -c "import pathlib; \
-		from repro.observability.telemetry import parse_prometheus; \
-		families = parse_prometheus(pathlib.Path( \
-			'/tmp/stonne-telemetry-smoke.prom').read_text()); \
-		assert 'stonne_stage_seconds' in families, sorted(families); \
-		assert 'stonne_pool_tasks_total' in families, sorted(families)"
+	grep -qx '# TYPE stonne_stage_seconds histogram' \
+		/tmp/stonne-telemetry-smoke.prom
+	grep -qx '# TYPE stonne_pool_tasks_total counter' \
+		/tmp/stonne-telemetry-smoke.prom
 	PYTHONPATH=src python -c "import json, pathlib; \
 		events = [json.loads(l) for l in pathlib.Path( \
 			'/tmp/stonne-progress-smoke.jsonl').read_text().splitlines()]; \

@@ -20,7 +20,7 @@ fate is a lint failure instead of a stale-cache bug.
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.analysis.core import (
     Finding,
@@ -28,6 +28,7 @@ from repro.analysis.core import (
     Rule,
     dataclass_field_names,
     is_dataclass_def,
+    literal_assignment,
     register_pass,
 )
 
@@ -86,29 +87,6 @@ RULES = (
 )
 
 
-def _manifest(
-    tree: ast.AST, name: str
-) -> Tuple[Optional[Dict[str, Dict[str, str]]], int]:
-    """A module-level dict-of-dicts literal plus its line number."""
-    for node in getattr(tree, "body", []):
-        if isinstance(node, ast.Assign):
-            targets = node.targets
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            targets = [node.target]
-        else:
-            continue
-        for target in targets:
-            if isinstance(target, ast.Name) and target.id == name:
-                try:
-                    value = ast.literal_eval(node.value)
-                except ValueError:
-                    return None, node.lineno
-                if not isinstance(value, dict):
-                    return None, node.lineno
-                return value, node.lineno
-    return None, 0
-
-
 def _config_classes(project: Project) -> Dict[str, Tuple[str, int, Dict[str, int]]]:
     """class name → (file, class line, {field: line}) for config dataclasses."""
     classes: Dict[str, Tuple[str, int, Dict[str, int]]] = {}
@@ -151,13 +129,17 @@ def run(project: Project) -> List[Finding]:
             ))
         return findings
 
-    covered, covered_line = _manifest(cache_file.tree, "KEY_COVERED_FIELDS")
-    exempt, exempt_line = _manifest(cache_file.tree, "KEY_EXEMPT_FIELDS")
-    if covered is None or exempt is None:
+    covered, covered_line, _ = literal_assignment(
+        cache_file.tree, "KEY_COVERED_FIELDS"
+    )
+    exempt, exempt_line, _ = literal_assignment(
+        cache_file.tree, "KEY_EXEMPT_FIELDS"
+    )
+    if not isinstance(covered, dict) or not isinstance(exempt, dict):
         missing = []
-        if covered is None:
+        if not isinstance(covered, dict):
             missing.append("KEY_COVERED_FIELDS")
-        if exempt is None:
+        if not isinstance(exempt, dict):
             missing.append("KEY_EXEMPT_FIELDS")
         findings.append(Finding(
             rule="CACHE-KEY-MISSING", path=cache_file.relpath,

@@ -15,7 +15,16 @@ import ast
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 #: matches one inline suppression comment; group 1 is the rule id (or a
 #: rule-family prefix like ``EXC``), group 2 the mandatory reason
@@ -370,10 +379,20 @@ def dataclass_field_names(node: ast.ClassDef) -> List[str]:
     return names
 
 
-def literal_assignment(
-    tree: ast.AST, name: str
-) -> Optional[object]:
-    """Value of a module-level ``name = <literal>`` assignment, if any."""
+class ModuleLiteral(NamedTuple):
+    """A module-level ``name = <literal>``: its value and line span.
+
+    ``value`` is ``None`` when the right-hand side is not a literal;
+    ``line`` and ``end_line`` are 0 when there is no such assignment.
+    """
+
+    value: Optional[object]
+    line: int
+    end_line: int
+
+
+def literal_assignment(tree: ast.AST, name: str) -> ModuleLiteral:
+    """The first module-level ``name = <literal>`` assignment in ``tree``."""
     for node in getattr(tree, "body", []):
         targets: List[ast.expr] = []
         if isinstance(node, ast.Assign):
@@ -384,8 +403,9 @@ def literal_assignment(
             continue
         for target in targets:
             if isinstance(target, ast.Name) and target.id == name:
+                span = (node.lineno, node.end_lineno or node.lineno)
                 try:
-                    return ast.literal_eval(node.value)
+                    return ModuleLiteral(ast.literal_eval(node.value), *span)
                 except ValueError:
-                    return None
-    return None
+                    return ModuleLiteral(None, *span)
+    return ModuleLiteral(None, 0, 0)

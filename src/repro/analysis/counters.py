@@ -13,12 +13,13 @@ counter is dead.
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Set
 
 from repro.analysis.core import (
     Finding,
     Project,
     Rule,
+    literal_assignment,
     register_pass,
 )
 
@@ -65,33 +66,6 @@ RULES = (
 )
 
 
-def _registry(
-    project: Project,
-) -> Tuple[Optional[Dict[str, str]], str, int, int]:
-    """(registry dict, file, first line, last line) of KNOWN_COUNTERS."""
-    stats = project.module(STATS_MODULE)
-    if stats is None or stats.tree is None:
-        return None, "", 0, 0
-    for node in stats.tree.body:
-        if isinstance(node, ast.Assign):
-            targets = node.targets
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            targets = [node.target]
-        else:
-            continue
-        for target in targets:
-            if isinstance(target, ast.Name) and target.id == REGISTRY_NAME:
-                span = (node.lineno, node.end_lineno or node.lineno)
-                try:
-                    value = ast.literal_eval(node.value)
-                except ValueError:
-                    return None, stats.relpath, *span
-                if isinstance(value, dict):
-                    return value, stats.relpath, *span
-                return None, stats.relpath, *span
-    return None, stats.relpath, 1, 1
-
-
 def _is_counter_receiver(receiver: ast.expr) -> bool:
     """Heuristic: the object whose ``.add``/``.get`` names a counter.
 
@@ -114,10 +88,12 @@ def run(project: Project) -> List[Finding]:
     stats = project.module(STATS_MODULE)
     if stats is None:
         return []  # nothing to check outside the simulator tree
-    declared, registry_path, registry_line, registry_end = _registry(project)
-    if declared is None:
+    declared, registry_line, registry_end = literal_assignment(
+        stats.tree, REGISTRY_NAME
+    )
+    if not isinstance(declared, dict):
         return [Finding(
-            rule="COUNTER-MISSING", path=registry_path or stats.relpath,
+            rule="COUNTER-MISSING", path=stats.relpath,
             line=registry_line or 1,
             message=(
                 f"{REGISTRY_NAME} must be a module-level dict literal "
@@ -216,7 +192,7 @@ def run(project: Project) -> List[Finding]:
                 mentioned.add(node.value)
     for name in sorted(set(declared) - mentioned):
         findings.append(Finding(
-            rule="COUNTER-DEAD", path=registry_path, line=registry_line,
+            rule="COUNTER-DEAD", path=stats.relpath, line=registry_line,
             message=(
                 f"counter {name!r} is declared but never incremented or "
                 "read anywhere"

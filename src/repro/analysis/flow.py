@@ -81,10 +81,6 @@ class FunctionNode:
     def short(self) -> str:
         return self.qualname.split(":", 1)[1]
 
-    def calls_name(self, name: str) -> bool:
-        """Does the body contain a call to ``name`` (any receiver)?"""
-        return any(site.name == name for site in self.call_sites)
-
 
 class CallGraph:
     """Project-wide function index plus resolved call edges."""

@@ -80,8 +80,8 @@ def _manifests(
     if stats is None or stats.tree is None:
         return None, None, []
     findings: List[Finding] = []
-    bearing = literal_assignment(stats.tree, "CYCLE_BEARING_COUNTERS")
-    families = literal_assignment(stats.tree, "CHARGE_FAMILIES")
+    bearing = literal_assignment(stats.tree, "CYCLE_BEARING_COUNTERS").value
+    families = literal_assignment(stats.tree, "CHARGE_FAMILIES").value
     if not isinstance(bearing, dict) or not bearing:
         findings.append(Finding(
             rule="LEDGER-MANIFEST", path=stats.relpath, line=1,

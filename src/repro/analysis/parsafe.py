@@ -141,7 +141,7 @@ def _entry_points(project: Project) -> List[str]:
     runner = project.module(RUNNER_MODULE)
     if runner is None or runner.tree is None:
         return []
-    declared = literal_assignment(runner.tree, "WORKER_ENTRY_POINTS")
+    declared = literal_assignment(runner.tree, "WORKER_ENTRY_POINTS").value
     names = (
         [str(n) for n in declared]
         if isinstance(declared, (list, tuple))

@@ -56,19 +56,6 @@ RULES = (
 )
 
 
-def _assignment_line(tree: ast.AST, name: str) -> int:
-    for node in getattr(tree, "body", []):
-        targets = (
-            node.targets if isinstance(node, ast.Assign)
-            else [node.target] if isinstance(node, ast.AnnAssign)
-            else []
-        )
-        for target in targets:
-            if isinstance(target, ast.Name) and target.id == name:
-                return node.lineno
-    return 1
-
-
 def _find_function(tree: ast.AST, name: str) -> Optional[ast.FunctionDef]:
     for node in ast.walk(tree):
         if isinstance(node, ast.FunctionDef) and node.name == name:
@@ -182,9 +169,11 @@ def run(project: Project) -> List[Finding]:
         return []
     findings: List[Finding] = []
 
-    version = literal_assignment(registry.tree, "SCHEMA_VERSION")
-    manifest = literal_assignment(registry.tree, "REGISTRY_SCHEMA_MANIFEST")
-    version_line = _assignment_line(registry.tree, "SCHEMA_VERSION")
+    version, line, _ = literal_assignment(registry.tree, "SCHEMA_VERSION")
+    version_line = line or 1
+    manifest = literal_assignment(
+        registry.tree, "REGISTRY_SCHEMA_MANIFEST"
+    ).value
     if not isinstance(version, int) or not isinstance(manifest, dict):
         findings.append(Finding(
             rule="SCHEMA-VERSION", path=registry.relpath, line=version_line,

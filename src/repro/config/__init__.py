@@ -33,6 +33,7 @@ from repro.config.layer import ConvLayerSpec, GemmSpec, LayerKind
 from repro.config.presets import (
     eyeriss_like,
     maeri_like,
+    preset,
     sigma_like,
     snapea_like,
     tpu_like,
@@ -67,6 +68,7 @@ __all__ = [
     "load_config",
     "maeri_like",
     "parse_config",
+    "preset",
     "save_config",
     "save_tile_file",
     "sigma_like",

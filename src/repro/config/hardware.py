@@ -66,10 +66,6 @@ class ReductionKind(enum.Enum):
         """Fan-in of the adder switches (ART uses 3:1 adders, FAN 2:1)."""
         return 3 if self in (ReductionKind.ART, ReductionKind.ART_ACC) else 2
 
-    @property
-    def has_accumulation_buffer(self) -> bool:
-        return self is ReductionKind.ART_ACC
-
 
 class ControllerKind(enum.Enum):
     """Memory-controller building blocks (paper Section IV-B)."""

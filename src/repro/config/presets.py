@@ -12,7 +12,7 @@ Reduce Net           LRN       ART         FAN
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Dict, Optional
 
 from repro.config.hardware import (
     ControllerKind,
@@ -22,6 +22,7 @@ from repro.config.hardware import (
     MultiplierKind,
     ReductionKind,
 )
+from repro.errors import ConfigurationError
 
 
 def tpu_like(
@@ -130,3 +131,28 @@ def snapea_like(num_ms: int = 64, bandwidth: int = 64, **overrides) -> HardwareC
     )
     kwargs.update(overrides)
     return HardwareConfig(**kwargs)
+
+
+_PRESETS: Dict[str, Callable[..., HardwareConfig]] = {
+    "tpu": tpu_like,
+    "maeri": maeri_like,
+    "sigma": sigma_like,
+    "eyeriss": eyeriss_like,
+}
+
+
+def preset(
+    arch: str, num_ms: int = 256, bandwidth: Optional[int] = None
+) -> HardwareConfig:
+    """The named Table IV preset at ``num_ms`` multipliers.
+
+    ``bandwidth=None`` is full bandwidth on the TPU and half the
+    multipliers (at least 1) on every other fabric.
+    """
+    if arch not in _PRESETS:
+        raise ConfigurationError(
+            f"unknown architecture {arch!r}; choose from {sorted(_PRESETS)}"
+        )
+    if bandwidth is None and arch != "tpu":
+        bandwidth = max(1, num_ms // 2)
+    return _PRESETS[arch](num_ms, bandwidth)

@@ -58,7 +58,6 @@ from repro.errors import ConfigurationError, MappingError
 from repro.memory.dram import Dram
 from repro.memory.global_buffer import GlobalBuffer
 from repro.noc.base import ClockedComponent
-from repro.observability.telemetry.scopes import component_scope
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.observability.context import TileRun
@@ -238,9 +237,8 @@ class SystolicEngine(ClockedComponent):
             # closing sample and control cycles where the group ended
             runs = list(self._tile_runs(m, k, n))
             for _ in range(repeats):
-                with component_scope("engine.systolic"):
-                    obs.sample_runs(start + LAYER_SETUP_CYCLES, runs)
-                    self._account_tile_classes(classes)
+                obs.sample_runs(start + LAYER_SETUP_CYCLES, runs)
+                self._account_tile_classes(classes)
                 dram_stall = self._account_dram(m, k, n, cycles)
                 end = start + cycles
                 if dram_stall:
@@ -252,8 +250,7 @@ class SystolicEngine(ClockedComponent):
                 self.counters.add("ctrl_cycles", cycles + dram_stall)
                 start = end + dram_stall
         else:
-            with component_scope("engine.systolic"):
-                self._account_tile_classes(classes, repeats)
+            self._account_tile_classes(classes, repeats)
             dram_stall = self._account_dram(m, k, n, cycles, repeats)
             self.counters.add("ctrl_cycles", (cycles + dram_stall) * repeats)
         cycles += dram_stall
@@ -451,21 +448,20 @@ class SystolicEngine(ClockedComponent):
         """Move ``repeats`` identical GEMMs' footprints through DRAM in one
         record each way (every record after the first hits the row the
         first opened); returns one GEMM's stall cycles."""
-        with component_scope("memory.dram"):
-            bpe = self.config.dtype.bytes_per_element
-            working_set = m * k + k * n + m * n
-            reload_factor = 1
-            if not self.gb.fits(working_set):
-                reload_factor = math.ceil(
-                    working_set / self.gb.half_capacity_elements
-                )
-            read_bytes = (m * k + k * n) * bpe * reload_factor
-            write_bytes = m * n * bpe
-            self.dram.record_read(read_bytes, times=repeats)
-            self.dram.record_write(write_bytes, times=repeats)
-            self.gb.record_fill((m * k + k * n) * repeats)
-            transfer = self.dram.transfer_cycles(read_bytes + write_bytes)
-            return self.gb.dram_stall_cycles(transfer, compute_cycles)
+        bpe = self.config.dtype.bytes_per_element
+        working_set = m * k + k * n + m * n
+        reload_factor = 1
+        if not self.gb.fits(working_set):
+            reload_factor = math.ceil(
+                working_set / self.gb.half_capacity_elements
+            )
+        read_bytes = (m * k + k * n) * bpe * reload_factor
+        write_bytes = m * n * bpe
+        self.dram.record_read(read_bytes, times=repeats)
+        self.dram.record_write(write_bytes, times=repeats)
+        self.gb.record_fill((m * k + k * n) * repeats)
+        transfer = self.dram.transfer_cycles(read_bytes + write_bytes)
+        return self.gb.dram_stall_cycles(transfer, compute_cycles)
 
     def cycle(self) -> None:
         self._current_cycle += 1

@@ -17,16 +17,8 @@ import numpy as np
 
 from repro.analytical import maeri_analytical_cycles, scalesim_conv_cycles
 from repro.config import ConvLayerSpec, GemmSpec, HardwareConfig
-from repro.config.presets import eyeriss_like, maeri_like, sigma_like, tpu_like
+from repro.config.presets import preset
 from repro.engine.accelerator import Accelerator
-from repro.errors import ConfigurationError
-
-_PRESETS = {
-    "tpu": tpu_like,
-    "maeri": maeri_like,
-    "sigma": sigma_like,
-    "eyeriss": eyeriss_like,
-}
 
 
 @dataclass(frozen=True)
@@ -52,17 +44,6 @@ class DsePoint:
         if self.analytical_cycles is None:
             return None
         return 100.0 * (self.cycles - self.analytical_cycles) / self.cycles
-
-
-def _instantiate(arch: str, num_ms: int, bandwidth: int) -> HardwareConfig:
-    if arch not in _PRESETS:
-        raise ConfigurationError(
-            f"unknown architecture template {arch!r}; choose from "
-            f"{sorted(_PRESETS)}"
-        )
-    if arch == "tpu":
-        return tpu_like(num_pes=num_ms)
-    return _PRESETS[arch](num_ms=num_ms, bandwidth=bandwidth)
 
 
 def _run_workload(
@@ -118,7 +99,7 @@ def sweep(
                 bandwidth = max(1, int(num_ms * fraction))
                 if arch == "tpu" and fraction != 1.0:
                     continue  # the paper always runs the TPU at full bw
-                config = _instantiate(arch, num_ms, bandwidth)
+                config = preset(arch, num_ms, bandwidth)
                 acc = Accelerator(config)
                 _run_workload(acc, workload, seed)
                 energy = acc.report.total_energy()

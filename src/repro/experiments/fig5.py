@@ -20,7 +20,7 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-from repro.config import HardwareConfig, maeri_like, sigma_like, tpu_like
+from repro.config import HardwareConfig, preset
 from repro.engine.accelerator import Accelerator
 from repro.engine.area import area_report
 from repro.frontend.models import MODEL_NAMES, build_model, model_input
@@ -30,13 +30,8 @@ ARCHITECTURES = ("tpu", "maeri", "sigma")
 
 
 def architecture_config(arch: str) -> HardwareConfig:
-    if arch == "tpu":
-        return tpu_like(num_pes=256)  # full bandwidth, as the TPU requires
-    if arch == "maeri":
-        return maeri_like(num_ms=256, bandwidth=128)
-    if arch == "sigma":
-        return sigma_like(num_ms=256, bandwidth=128)
-    raise ValueError(f"unknown architecture {arch!r}")
+    """The Fig. 5 design point of ``arch``: its preset at 256 PEs."""
+    return preset(arch)
 
 
 def run_model_on(

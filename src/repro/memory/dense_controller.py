@@ -88,7 +88,6 @@ from repro.noc.multiplier import MultiplierNetwork
 from repro.noc.reduction import ReductionNetwork
 from repro.observability.fabric import FabricLedger
 from repro.observability.stalls import StallLedger
-from repro.observability.telemetry.scopes import component_scope
 
 #: fixed cycles for the Configuration Unit to program a layer's signals
 LAYER_SETUP_CYCLES = 4
@@ -206,8 +205,7 @@ class DenseController(ClockedComponent):
         if tracer.enabled:
             tracer.span("CTRL:setup", self.name, base, base + cycles)
 
-        with component_scope("noc.distribution"):
-            load_cycles = self._account_weight_loads(plan)
+        load_cycles = self._account_weight_loads(plan)
         if tracer.enabled and load_cycles:
             tracer.span(
                 "DN:weight-load", self.dn.name, base + cycles,
@@ -218,31 +216,30 @@ class DenseController(ClockedComponent):
         obs.sample(cycles)
 
         stall_cycles = 0
-        with component_scope("engine"):
-            for cost, repeats, step_cycles in plan.segments:
-                segment = step_cycles * repeats
-                stall = (step_cycles - 1) * repeats
-                self._account_steps(cost, cs, nc, repeats, step_cycles)
-                if tracer.enabled:
-                    start, end = base + cycles, base + cycles + segment
-                    tracer.span(
-                        "DN:deliver", self.dn.name, start, end,
-                        steps=repeats, slots_per_step=cost.dn_slots,
-                        stall_cycles=stall,
-                    )
-                    tracer.span(
-                        "MN:multiply", self.mn.name, start, end,
-                        multiplications=cs * nc * repeats,
-                        forwarded=cost.forwarded * repeats,
-                    )
-                    tracer.span(
-                        "RN:reduce", self.rn.name, start, end,
-                        outputs=cost.outputs_completed * repeats,
-                        psum_writebacks=cost.psum_writebacks * repeats,
-                    )
-                cycles += segment
-                stall_cycles += stall
-                obs.sample(cycles)
+        for cost, repeats, step_cycles in plan.segments:
+            segment = step_cycles * repeats
+            stall = (step_cycles - 1) * repeats
+            self._account_steps(cost, cs, nc, repeats, step_cycles)
+            if tracer.enabled:
+                start, end = base + cycles, base + cycles + segment
+                tracer.span(
+                    "DN:deliver", self.dn.name, start, end,
+                    steps=repeats, slots_per_step=cost.dn_slots,
+                    stall_cycles=stall,
+                )
+                tracer.span(
+                    "MN:multiply", self.mn.name, start, end,
+                    multiplications=cs * nc * repeats,
+                    forwarded=cost.forwarded * repeats,
+                )
+                tracer.span(
+                    "RN:reduce", self.rn.name, start, end,
+                    outputs=cost.outputs_completed * repeats,
+                    psum_writebacks=cost.psum_writebacks * repeats,
+                )
+            cycles += segment
+            stall_cycles += stall
+            obs.sample(cycles)
 
         # Pipeline fill/drain: one DN traversal, the multiply stage and
         # the deepest reduction still in flight at the end of the run.
@@ -480,17 +477,16 @@ class DenseController(ClockedComponent):
         self.mn.record_multiplications(cs * nc * repeats)
         if cost.forwarded:
             self.mn.record_forwarding(cost.forwarded * repeats)
-        with component_scope("noc.reduction"):
-            self.rn.record_cluster_reductions(cs, repeats * nc)
-            if cost.psum_writebacks:
-                self.mn.record_psum_injections(nc * repeats)
-                self.rn.record_outputs(cost.psum_writebacks * repeats)
-                self.gb.record_writes(cost.psum_writebacks * repeats)
-            elif self.rn.has_accumulators:
-                self.rn.record_accumulations(nc * repeats)
-            if cost.outputs_completed:
-                self.rn.record_outputs(cost.outputs_completed * repeats)
-                self.gb.record_writes(cost.outputs_completed * repeats)
+        self.rn.record_cluster_reductions(cs, repeats * nc)
+        if cost.psum_writebacks:
+            self.mn.record_psum_injections(nc * repeats)
+            self.rn.record_outputs(cost.psum_writebacks * repeats)
+            self.gb.record_writes(cost.psum_writebacks * repeats)
+        elif self.rn.has_accumulators:
+            self.rn.record_accumulations(nc * repeats)
+        if cost.outputs_completed:
+            self.rn.record_outputs(cost.outputs_completed * repeats)
+            self.gb.record_writes(cost.outputs_completed * repeats)
 
     def _charge_stalls(
         self,
@@ -566,24 +562,23 @@ class DenseController(ClockedComponent):
 
     def _account_dram(self, layer: ConvLayerSpec, compute_cycles: int) -> int:
         """Move the layer footprint through DRAM; returns stall cycles."""
-        with component_scope("memory.dram"):
-            bpe = self.config.dtype.bytes_per_element
-            weight_elems = layer.num_filters * layer.filter_size
-            input_elems = layer.n * layer.g * layer.c * layer.x * layer.y
-            output_elems = layer.num_outputs
-            working_set = weight_elems + input_elems + output_elems
-            reload_factor = 1
-            if not self.gb.fits(working_set):
-                reload_factor = math.ceil(
-                    working_set / self.gb.half_capacity_elements
-                )
-            read_bytes = (weight_elems + input_elems) * bpe * reload_factor
-            write_bytes = output_elems * bpe
-            self.dram.record_read(read_bytes)
-            self.dram.record_write(write_bytes)
-            self.gb.record_fill(weight_elems + input_elems)
-            transfer = self.dram.transfer_cycles(read_bytes + write_bytes)
-            return self.gb.dram_stall_cycles(transfer, compute_cycles)
+        bpe = self.config.dtype.bytes_per_element
+        weight_elems = layer.num_filters * layer.filter_size
+        input_elems = layer.n * layer.g * layer.c * layer.x * layer.y
+        output_elems = layer.num_outputs
+        working_set = weight_elems + input_elems + output_elems
+        reload_factor = 1
+        if not self.gb.fits(working_set):
+            reload_factor = math.ceil(
+                working_set / self.gb.half_capacity_elements
+            )
+        read_bytes = (weight_elems + input_elems) * bpe * reload_factor
+        write_bytes = output_elems * bpe
+        self.dram.record_read(read_bytes)
+        self.dram.record_write(write_bytes)
+        self.gb.record_fill(weight_elems + input_elems)
+        transfer = self.dram.transfer_cycles(read_bytes + write_bytes)
+        return self.gb.dram_stall_cycles(transfer, compute_cycles)
 
     def cycle(self) -> None:
         self._current_cycle += 1

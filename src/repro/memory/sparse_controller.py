@@ -102,7 +102,6 @@ from repro.noc.base import ClockedComponent, run_offsets, run_sums
 from repro.noc.distribution import DeliverySchedule, DistributionNetwork
 from repro.noc.multiplier import MultiplierNetwork
 from repro.noc.reduction import ReductionNetwork
-from repro.observability.telemetry.scopes import component_scope
 from repro.tensors.sparse import (
     BitmapMatrix,
     CsrMatrix,
@@ -524,10 +523,9 @@ class SparseController(ClockedComponent):
 
         # time: nothing above or here has touched a counter yet
         num_rounds = len(plan.nnz)
-        with component_scope("engine"):
-            times = self._time_rounds(
-                plan, n_cols, None if streaming is None else streaming != 0
-            )
+        times = self._time_rounds(
+            plan, n_cols, None if streaming is None else streaming != 0
+        )
         # every mapped nonzero multiplies once per streamed column — under
         # dual-sided sparsity, once per column whose streamed value is
         # nonzero too
@@ -710,21 +708,18 @@ class SparseController(ClockedComponent):
         configured = plan.cluster_sizes(hi - 1).tolist()
         self.mn.record_reconfigurations(hi - lo, configured)
         self.rn.record_reconfigurations(hi - lo, configured)
-        with component_scope("noc.distribution"):
-            self.dn.record_scheduled(times.deliveries, 2 * lo, 2 * hi)
-            self.counters.add("ctrl_stationary_loads", loads)
-        with component_scope("engine"):
-            self.gb.record_reads(reads)
-            self.rn.record_accumulations(merged)
-            self.mn.record_round_multiplications(
-                times.multiplications[lo:hi], plan.nnz[lo:hi]
-            )
-        with component_scope("noc.reduction"):
-            self.rn.record_cluster_table(
-                plan.sizes[plan.chunk_offsets[lo] : plan.chunk_offsets[hi]], n_cols
-            )
-            self.rn.record_outputs(outputs)
-            self.gb.record_writes(outputs)
+        self.dn.record_scheduled(times.deliveries, 2 * lo, 2 * hi)
+        self.counters.add("ctrl_stationary_loads", loads)
+        self.gb.record_reads(reads)
+        self.rn.record_accumulations(merged)
+        self.mn.record_round_multiplications(
+            times.multiplications[lo:hi], plan.nnz[lo:hi]
+        )
+        self.rn.record_cluster_table(
+            plan.sizes[plan.chunk_offsets[lo] : plan.chunk_offsets[hi]], n_cols
+        )
+        self.rn.record_outputs(outputs)
+        self.gb.record_writes(outputs)
         self.counters.add("ctrl_fifo_pushes", pushes)
         self.counters.add("ctrl_fifo_pops", outputs)
         self.counters.add("ctrl_psum_spills", spills)

@@ -9,7 +9,7 @@ occupancy, and the engines use fullness for backpressure.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, Optional
+from typing import Any, Deque, Optional
 
 from repro.errors import SimulationError
 
@@ -57,25 +57,6 @@ class Fifo:
 
     def peek(self) -> Optional[Any]:
         return self._items[0] if self._items else None
-
-    @property
-    def watermark_fraction(self) -> float:
-        """Peak occupancy as a fraction of capacity (1.0 = was full)."""
-        return self.peak_occupancy / self.depth
-
-    def occupancy_stats(self) -> Dict[str, int]:
-        """Occupancy summary in the fabric ledger's FIFO payload shape.
-
-        The keys mirror :data:`repro.observability.fabric.FIFO_ANCHORS`
-        records, so a real FIFO's lifetime stats and the synthetic
-        tier-boundary FIFO records render through the same surfaces.
-        """
-        return {
-            "capacity": self.depth,
-            "pushes": self.pushes,
-            "pops": self.pops,
-            "high_watermark": self.peak_occupancy,
-        }
 
     def reset(self) -> None:
         self._items.clear()

@@ -86,7 +86,6 @@ from repro.observability.telemetry import (
     HotspotSampler,
     ProgressEmitter,
     Telemetry,
-    component_scope,
     enable_telemetry,
     telemetry,
     to_prometheus,
@@ -127,7 +126,6 @@ __all__ = [
     "TraceEvent",
     "Tracer",
     "classify_bound",
-    "component_scope",
     "config_hash",
     "default_registry_dir",
     "enable_telemetry",

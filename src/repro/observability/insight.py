@@ -1267,22 +1267,16 @@ def _cmd_export_baseline(args: argparse.Namespace) -> int:
 def _cmd_hotspots(args: argparse.Namespace) -> int:
     """Profile a short in-process model run; report host-time hotspots.
 
-    This is the data source for ROADMAP item 1 (vectorizing the
-    cycle-level hot paths): it answers "which simulator component costs
-    the most *host seconds*", the wall-clock dual of ``explain``.
+    It answers "which simulator component costs the most *host
+    seconds*", the wall-clock dual of ``explain``.
     """
+    from repro.config import preset
     from repro.engine.accelerator import Accelerator
     from repro.frontend.models import build_model, model_input
     from repro.frontend.simulated import detach_context, simulate
     from repro.observability.telemetry import profile_call
 
-    from repro.config import maeri_like, sigma_like, tpu_like
-
-    if args.arch == "tpu":
-        config = tpu_like(num_pes=args.num_ms)
-    else:
-        preset = sigma_like if args.arch == "sigma" else maeri_like
-        config = preset(num_ms=args.num_ms, bandwidth=max(1, args.num_ms // 2))
+    config = preset(args.arch, args.num_ms)
 
     model = build_model(args.model, seed=0)
     x = model_input(args.model, batch=1, seed=1)

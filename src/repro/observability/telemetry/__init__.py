@@ -25,13 +25,7 @@ from repro.observability.telemetry.hotspots import (
     profile_call,
 )
 from repro.observability.telemetry.progress import EtaEstimator, ProgressEmitter
-from repro.observability.telemetry.scopes import (
-    activate_scopes,
-    component_scope,
-    current_component,
-)
 from repro.observability.telemetry.export import (
-    parse_prometheus,
     to_prometheus,
     write_snapshot,
     write_telemetry,
@@ -52,10 +46,6 @@ __all__ = [
     "profile_call",
     "EtaEstimator",
     "ProgressEmitter",
-    "activate_scopes",
-    "component_scope",
-    "current_component",
-    "parse_prometheus",
     "to_prometheus",
     "write_snapshot",
     "write_telemetry",

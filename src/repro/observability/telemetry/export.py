@@ -3,9 +3,8 @@
 :func:`to_prometheus` renders a :class:`Telemetry` registry in the
 Prometheus text exposition format (``# HELP``/``# TYPE`` headers,
 labelled samples, histogram ``_bucket``/``_sum``/``_count`` series with
-cumulative ``le`` bounds). :func:`parse_prometheus` reads that format
-back into plain dictionaries — used by the round-trip test and handy
-for ad-hoc analysis without a Prometheus server.
+cumulative ``le`` bounds) for a Prometheus server or any scraper to
+read; the project itself never parses it back.
 
 :func:`write_snapshot` appends one JSON object per call to a ``.jsonl``
 file, so long sweeps can leave a time series of registry states behind.
@@ -88,84 +87,6 @@ def to_prometheus(registry: Telemetry) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _parse_labels(text: str) -> Dict[str, str]:
-    labels: Dict[str, str] = {}
-    index = 0
-    while index < len(text):
-        eq = text.index("=", index)
-        key = text[index:eq].strip().lstrip(",").strip()
-        assert text[eq + 1] == '"'
-        cursor = eq + 2
-        value_chars: List[str] = []
-        while text[cursor] != '"':
-            if text[cursor] == "\\":
-                nxt = text[cursor + 1]
-                value_chars.append(
-                    {"n": "\n", "\\": "\\", '"': '"'}.get(nxt, nxt)
-                )
-                cursor += 2
-            else:
-                value_chars.append(text[cursor])
-                cursor += 1
-        labels[key] = "".join(value_chars)
-        index = cursor + 1
-    return labels
-
-
-def parse_prometheus(text: str) -> Dict[str, Dict[str, object]]:
-    """Parse exposition text back to ``name → {kind, help, samples}``.
-
-    ``samples`` maps the rendered sample name (including ``_bucket`` /
-    ``_sum`` / ``_count`` suffixes) plus its sorted label string to the
-    numeric value — enough structure for round-trip assertions.
-    """
-    result: Dict[str, Dict[str, object]] = {}
-
-    def _family(name: str) -> Dict[str, object]:
-        return result.setdefault(
-            name, {"kind": "untyped", "help": "", "samples": {}}
-        )
-
-    def _owner_of(sample_name: str) -> Dict[str, float]:
-        candidates = [n for n in result if sample_name.startswith(n)]
-        name = max(candidates, key=len) if candidates else sample_name
-        family_samples = _family(name)["samples"]
-        assert isinstance(family_samples, dict)
-        return family_samples
-
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("# HELP "):
-            _, _, rest = line.partition("# HELP ")
-            name, _, help_text = rest.partition(" ")
-            _family(name)["help"] = help_text
-            continue
-        if line.startswith("# TYPE "):
-            _, _, rest = line.partition("# TYPE ")
-            name, _, kind = rest.partition(" ")
-            _family(name)["kind"] = kind.strip()
-            continue
-        if line.startswith("#"):
-            continue
-        brace = line.find("{")
-        if brace >= 0:
-            close = line.rindex("}")
-            sample_name = line[:brace]
-            labels = _parse_labels(line[brace + 1:close])
-            value_text = line[close + 1:].strip()
-        else:
-            sample_name, _, value_text = line.partition(" ")
-            labels = {}
-        label_text = ",".join(
-            f"{k}={v}" for k, v in sorted(labels.items())
-        )
-        samples = _owner_of(sample_name)
-        samples[f"{sample_name}{{{label_text}}}"] = float(value_text)
-    return result
-
-
 def write_snapshot(
     registry: Telemetry,
     path: Union[str, Path],
@@ -185,15 +106,12 @@ def write_snapshot(
 def write_telemetry(
     registry: Telemetry,
     path: Union[str, Path],
-    format: str = "prom",
     context: Optional[Dict[str, object]] = None,
 ) -> Path:
-    """CLI entry: write the registry as ``prom`` text or a JSONL snapshot."""
-    if format == "prom":
-        target = Path(path)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(to_prometheus(registry), encoding="utf-8")
-        return target
-    if format == "jsonl":
-        return write_snapshot(registry, path, context=context)
-    raise ValueError(f"unknown telemetry format {format!r}")
+    """CLI entry: a ``.jsonl`` path gets a snapshot, any other Prometheus text."""
+    target = Path(path)
+    if target.suffix == ".jsonl":
+        return write_snapshot(registry, target, context=context)
+    target.parent.mkdir(parents=True, exist_ok=True)
+    target.write_text(to_prometheus(registry), encoding="utf-8")
+    return target

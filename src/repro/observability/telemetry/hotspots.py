@@ -1,18 +1,16 @@
 """Sampling hotspot profiler: host wall-clock per simulator component.
 
 ``stonne insight explain`` answers "which component costs the most
-*simulated cycles*"; this module answers the ROADMAP-item-1 question —
-"which component costs the most *host seconds* to simulate". A daemon
-thread samples the target thread's stack via ``sys._current_frames()``
-at a fixed interval and attributes each sample to a component:
+*simulated cycles*"; this module answers "which component costs the
+most *host seconds* to simulate". A daemon thread samples the target
+thread's stack via ``sys._current_frames()`` at a fixed interval and
+attributes each sample to a component:
 
-1. an explicit :func:`~repro.observability.telemetry.scopes.component_scope`
-   pushed by the sampled thread wins, else
-2. the innermost stack frame whose filename lives under ``repro/`` maps
+1. the innermost stack frame whose filename lives under ``repro/`` maps
    through :func:`component_of_path` (``repro/engine/systolic.py`` →
    ``engine.systolic``, ``repro/noc/distribution.py`` →
    ``noc.distribution``, …), else
-3. the sample is ``external`` (interpreter/numpy/stdlib with no repro
+2. the sample is ``external`` (interpreter/numpy/stdlib with no repro
    frame) or ``idle`` (thread gone).
 
 Samples also keep a per-``module:function`` breakdown so a report can
@@ -66,13 +64,6 @@ def component_of_path(filename: str) -> Optional[str]:
     sub = tail[0]
     stem = tail[1][:-3] if tail[1].endswith(".py") else tail[1]
     return _REFINED.get((sub, stem), sub)
-
-
-def _frame_site(frame: Any) -> str:
-    code = frame.f_code
-    component = component_of_path(code.co_filename)
-    module = component if component is not None else "external"
-    return f"{module}:{code.co_name}"
 
 
 class HotspotReport:
@@ -230,31 +221,19 @@ class HotspotSampler:
     # ---- attribution core ---------------------------------------------
     def record(self, frame: Any) -> str:
         """Attribute one sampled stack; returns the component charged."""
-        from repro.observability.telemetry.scopes import current_component
-
         self.samples += 1
-        component: Optional[str] = None
-        if frame is None:
-            component = "idle"
-        else:
-            component = current_component(self.thread_id)
-        site: Optional[str] = None
-        if component is None or component not in UNATTRIBUTED:
-            walker = frame
-            while walker is not None:
-                mapped = component_of_path(walker.f_code.co_filename)
-                if mapped is not None:
-                    if component is None:
-                        component = mapped
-                    site = _frame_site(walker)
-                    break
-                walker = walker.f_back
-        if component is None:
-            component = "external"
+        component = "idle" if frame is None else "external"
+        walker = frame
+        while walker is not None:
+            mapped = component_of_path(walker.f_code.co_filename)
+            if mapped is not None:
+                component = mapped
+                bucket = self.sites.setdefault(component, {})
+                site = f"{component}:{walker.f_code.co_name}"
+                bucket[site] = bucket.get(site, 0) + 1
+                break
+            walker = walker.f_back
         self.components[component] = self.components.get(component, 0) + 1
-        if site is not None and component not in UNATTRIBUTED:
-            bucket = self.sites.setdefault(component, {})
-            bucket[site] = bucket.get(site, 0) + 1
         return component
 
     # ---- lifecycle ----------------------------------------------------
@@ -266,9 +245,6 @@ class HotspotSampler:
     def start(self) -> "HotspotSampler":
         if self._thread is not None:
             raise StonneError("hotspot sampler already started")
-        from repro.observability.telemetry.scopes import activate_scopes
-
-        activate_scopes(True)
         self._stop.clear()
         self._thread = threading.Thread(
             target=self._loop, name="stonne-hotspot-sampler", daemon=True
@@ -277,13 +253,10 @@ class HotspotSampler:
         return self
 
     def stop(self) -> None:
-        from repro.observability.telemetry.scopes import activate_scopes
-
         if self._thread is not None:
             self._stop.set()
             self._thread.join(timeout=5.0)
             self._thread = None
-        activate_scopes(False)
 
     def __enter__(self) -> "HotspotSampler":
         return self.start()

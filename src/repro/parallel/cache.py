@@ -598,10 +598,6 @@ class SimCache:
     def __len__(self) -> int:
         return len(self._memory)
 
-    def clear_memory(self) -> None:
-        """Drop the in-process layer (disk entries survive)."""
-        self._memory.clear()
-
     def disk_bytes(self) -> int:
         """Bytes currently on disk (0 for a memory-only cache)."""
         self._ensure_disk_scan()

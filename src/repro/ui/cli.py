@@ -33,10 +33,8 @@ from repro.config import (
     HardwareConfig,
     TileConfig,
     load_config,
-    maeri_like,
+    preset,
     save_config,
-    sigma_like,
-    tpu_like,
 )
 from repro.engine.accelerator import Accelerator
 from repro.errors import StonneError
@@ -47,17 +45,7 @@ from repro.version import __version__
 def _build_config(args: argparse.Namespace) -> HardwareConfig:
     if getattr(args, "config", None):
         return load_config(args.config)
-    presets = {"tpu": tpu_like, "maeri": maeri_like, "sigma": sigma_like}
-    builder = presets[args.arch]
-    kwargs = {}
-    if args.arch == "tpu":
-        kwargs["num_pes"] = args.num_ms
-        if args.bw:
-            kwargs["bandwidth"] = args.bw
-    else:
-        kwargs["num_ms"] = args.num_ms
-        kwargs["bandwidth"] = args.bw or max(1, args.num_ms // 2)
-    return builder(**kwargs)
+    return preset(args.arch, args.num_ms, args.bw or None)
 
 
 def _add_hw_args(parser: argparse.ArgumentParser) -> None:
@@ -74,16 +62,13 @@ def _add_hw_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--json", action="store_true",
                         help="print the full JSON statistics report")
     parser.add_argument("--trace", metavar="PATH",
-                        help="write a cycle-level event trace to PATH")
-    parser.add_argument("--trace-format", choices=("chrome", "jsonl"),
-                        default="chrome",
-                        help="trace format: chrome://tracing JSON or JSONL")
+                        help="write a cycle-level event trace to PATH "
+                             "(JSONL if PATH ends in .jsonl, else "
+                             "chrome://tracing JSON)")
     parser.add_argument("--metrics", metavar="PATH",
-                        help="write the counter time series to PATH")
-    parser.add_argument("--metrics-format", choices=("csv", "json"),
-                        default="csv",
-                        help="metrics export format (json is validatable "
-                             "with repro.observability.validate)")
+                        help="write the counter time series to PATH (JSON, "
+                             "validatable with repro.observability.validate, "
+                             "if PATH ends in .json, else CSV)")
     parser.add_argument("--metrics-every", type=int, default=0, metavar="N",
                         help="sample counters every N cycles "
                              "(default 64 when --metrics is given)")
@@ -104,11 +89,8 @@ def _add_hw_args(parser: argparse.ArgumentParser) -> None:
                              "--telemetry-out is given")
     parser.add_argument("--telemetry-out", metavar="PATH", default=None,
                         help="write the telemetry snapshot to PATH "
-                             "(implies --telemetry)")
-    parser.add_argument("--telemetry-format", choices=("prom", "jsonl"),
-                        default="prom",
-                        help="telemetry output format: Prometheus text "
-                             "exposition or a JSONL snapshot")
+                             "(implies --telemetry; a JSONL snapshot if PATH "
+                             "ends in .jsonl, else Prometheus text)")
     _add_registry_args(parser)
 
 
@@ -174,7 +156,7 @@ def _finish_telemetry(args: argparse.Namespace) -> None:
     out = getattr(args, "telemetry_out", None)
     if out:
         try:
-            write_telemetry(telemetry(), out, format=args.telemetry_format)
+            write_telemetry(telemetry(), out)
         except OSError as exc:
             raise StonneError(f"cannot write telemetry to {out}: {exc}")
         print(f"telemetry written to {out}", file=sys.stderr)
@@ -237,7 +219,7 @@ def _finish_observability(
     acc.report.metadata["seed"] = args.seed
     if args.trace:
         try:
-            if args.trace_format == "jsonl":
+            if args.trace.endswith(".jsonl"):
                 obs.tracer.to_jsonl(args.trace)
             else:
                 obs.tracer.to_chrome(args.trace,
@@ -247,7 +229,7 @@ def _finish_observability(
         print(f"trace written to {args.trace}", file=sys.stderr)
     if args.metrics and obs.metrics is not None:
         try:
-            if args.metrics_format == "json":
+            if args.metrics.endswith(".json"):
                 obs.metrics.to_json(args.metrics)
             else:
                 obs.metrics.to_csv(args.metrics)

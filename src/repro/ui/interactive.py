@@ -37,9 +37,7 @@ from repro.config import (
     ConvLayerSpec,
     GemmSpec,
     TileConfig,
-    maeri_like,
-    sigma_like,
-    tpu_like,
+    preset,
 )
 from repro.engine.accelerator import Accelerator
 from repro.errors import StonneError
@@ -126,17 +124,9 @@ class InteractiveSession:
     def _cmd_arch(self, args: List[str]) -> None:
         if not args:
             raise ValueError("usage: arch <tpu|maeri|sigma> [num_ms] [bandwidth]")
-        kind = args[0].lower()
         num_ms = int(args[1]) if len(args) > 1 else 256
-        bandwidth = int(args[2]) if len(args) > 2 else max(1, num_ms // 2)
-        if kind == "tpu":
-            config = tpu_like(num_pes=num_ms)
-        elif kind == "maeri":
-            config = maeri_like(num_ms=num_ms, bandwidth=bandwidth)
-        elif kind == "sigma":
-            config = sigma_like(num_ms=num_ms, bandwidth=bandwidth)
-        else:
-            raise ValueError(f"unknown architecture {kind!r}")
+        bandwidth = int(args[2]) if len(args) > 2 else None
+        config = preset(args[0].lower(), num_ms, bandwidth)
         self.accelerator = Accelerator(config)
         self._print(f"instantiated {config.name} with {config.num_ms} MSs")
 

@@ -178,8 +178,7 @@ def test_cli_traced_conv_end_to_end(tmp_path, capsys):
 def test_cli_jsonl_trace(tmp_path):
     trace = tmp_path / "trace.jsonl"
     assert main(["gemm", "-M", "8", "-N", "8", "-K", "8", "--arch", "tpu",
-                 "--num-ms", "16", "--trace", str(trace),
-                 "--trace-format", "jsonl"]) == 0
+                 "--num-ms", "16", "--trace", str(trace)]) == 0
     lines = trace.read_text(encoding="utf-8").strip().splitlines()
     assert lines
     for line in lines:

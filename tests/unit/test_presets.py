@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro.config import eyeriss_like, maeri_like, sigma_like, snapea_like, tpu_like
+from repro.config import (
+    eyeriss_like,
+    maeri_like,
+    preset,
+    sigma_like,
+    snapea_like,
+    tpu_like,
+)
 from repro.config.hardware import (
     ControllerKind,
     DistributionKind,
@@ -79,3 +86,13 @@ def test_presets_accept_overrides():
 def test_tpu_rejects_non_square():
     with pytest.raises(ConfigurationError):
         tpu_like(num_pes=128).systolic_dim
+
+
+def test_preset_by_name():
+    assert preset("tpu", 64) == tpu_like(num_pes=64)
+    assert preset("tpu", 64, 16) == tpu_like(num_pes=64, bandwidth=16)
+    assert preset("maeri") == maeri_like(num_ms=256, bandwidth=128)
+    assert preset("sigma", 32, 8) == sigma_like(num_ms=32, bandwidth=8)
+    assert preset("eyeriss", 2) == eyeriss_like(num_ms=2, bandwidth=1)
+    with pytest.raises(ConfigurationError, match="npu9000"):
+        preset("npu9000")

@@ -1,19 +1,19 @@
 """Hotspot profiler: attribution on a synthetic call tree, renderers."""
 
+import ast
 import threading
 import time
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.errors import StonneError
 from repro.observability.telemetry.hotspots import (
     HotspotSampler,
     component_of_path,
     profile_call,
-)
-from repro.observability.telemetry.scopes import (
-    activate_scopes,
-    component_scope,
 )
 
 
@@ -83,22 +83,15 @@ def test_attribution_on_synthetic_call_tree():
     ]
 
 
-def test_idle_and_scope_override():
+def test_idle_sample():
     sampler = HotspotSampler(interval_s=0.001)
     assert sampler.record(None) == "idle"
-    # an active component scope on the sampled thread beats the stack walk
-    activate_scopes(True)
-    try:
-        with component_scope("memory.dram"):
-            frame = _Frame("/s/repro/engine/systolic.py", "step")
-            assert sampler.record(frame) == "memory.dram"
-        # scope popped: back to frame attribution
-        assert sampler.record(frame) == "engine.systolic"
-    finally:
-        activate_scopes(False)
+    assert sampler.record(_Frame("/s/repro/engine/systolic.py", "step")) == \
+        "engine.systolic"
     report = sampler.report()
     assert report.components["idle"] == 1
-    assert report.attributed_fraction() == pytest.approx(2 / 3)
+    assert report.attributed_fraction() == pytest.approx(1 / 2)
+    assert "idle" not in report.sites
 
 
 def test_renderers():
@@ -171,3 +164,25 @@ def test_sampler_targets_requested_thread():
     release.set()
     worker.join(timeout=5.0)
     assert sampler.samples >= 1
+
+
+def test_timing_model_imports_no_telemetry():
+    """The sampler reads frames: engine, NoC and memory carry no hooks."""
+    root = Path(repro.__file__).parent
+    offenders = []
+    for package in ("engine", "noc", "memory"):
+        for path in sorted((root / package).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    targets = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.module:
+                    targets = [f"{node.module}.{alias.name}"
+                               for alias in node.names]
+                else:
+                    continue
+                offenders += [
+                    f"{path.relative_to(root)}:{node.lineno} {target}"
+                    for target in targets
+                    if target.startswith("repro.observability.telemetry")
+                ]
+    assert not offenders, offenders
