@@ -59,13 +59,15 @@ differential:
 # lenses on the timeline (tracer + metrics recorder) vs off, byte for
 # byte; one unfold per conv and `time_gemm(repeats=G)` vs their per-group
 # forms; tile runs, span runs and sample runs vs one counter write, span
-# and sample per tile; the mapper's integer scoring vs the object-based
+# and sample per tile; a traced grouped GEMM's one-pass accounting vs
+# its per-group loop; the mapper's integer scoring vs the object-based
 # candidate loop; one `times=n` DRAM record vs n single ones
 differential-vector:
 	PYTHONPATH=src python -m pytest \
 		tests/differential/test_vector_equivalence.py \
 		tests/differential/test_functional_equivalence.py \
 		tests/differential/test_tile_tally_equivalence.py \
+		tests/differential/test_traced_group_accounting.py \
 		tests/differential/test_mapper_oracle.py \
 		tests/unit/test_dram.py \
 		tests/unit/test_vector_golden.py -q

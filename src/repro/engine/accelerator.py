@@ -148,6 +148,11 @@ def maxpool_output_shape(
             f"stride={stride}"
         )
     n, c, x, y = shape
+    if n < 1 or c < 1:
+        raise ConfigurationError(
+            f"maxpool needs a non-empty batch and channel axis, got shape "
+            f"{shape}"
+        )
     if pool > x or pool > y:
         raise ConfigurationError(
             f"maxpool window {pool}x{pool} is larger than the {x}x{y} input"
@@ -222,6 +227,7 @@ class OperationFrontEnd:
         """
         stride = _index_param("conv", "stride", stride, minimum=1)
         padding = _index_param("conv", "padding", padding, minimum=0)
+        groups = _index_param("conv", "groups", groups, minimum=1)
         _check_tile(tile)
         weights = np.asarray(weights, dtype=np.float32)
         activations = np.asarray(activations, dtype=np.float32)

@@ -29,19 +29,23 @@ The counters are written class by class, ``count`` times one tile's
 increments (``_tile_counts``): all ``repeats`` groups of a grouped
 convolution at once, with one ``times=repeats`` DRAM record each way.
 
-A tracer or a metrics recorder reads *when* each tile ran. Under one,
-the groups run in one loop: the tiles of a tile row that share a shape
-run back to back, so each group is a sequence of (tile row x n-axis
-class) runs, which :meth:`~repro.observability.context.Observability.
-sample_runs` turns into span runs and closed-form metrics samples before
-the group's counters, DRAM record, ``DRAM:stall`` span, closing sample
-and ``ctrl_cycles`` are written. Within a group nothing else writes the
-counter file, so its value at any tile boundary is its value before the
-group plus the deltas of the tiles so far, in exact integer arithmetic:
-the spans and samples are byte for byte those of one span, one counter
-write and one sample per tile — the per-tile walk that
-``tests/differential/test_tile_tally_equivalence.py`` keeps as its
-oracle. See ``docs/VECTOR_ENGINE.md``.
+A tracer or a metrics recorder reads *when* each tile ran: the tiles of
+a tile row that share a shape run back to back, so each group is a
+sequence of (tile row x n-axis class) runs, which :meth:`~repro.
+observability.context.Observability.sample_runs` turns into span runs
+and closed-form metrics samples. A tracer alone reads no counter, so the
+counters are still written once for all groups; the group loop only
+places each group's span runs, ``GB:fill`` instant and ``DRAM:stall``
+span (``tests/differential/test_traced_group_accounting.py`` keeps the
+per-group accounting as its oracle). Only a metrics recorder samples the
+counter file mid-GEMM, so under one each group's counters, DRAM record,
+closing sample and ``ctrl_cycles`` are written where the group ended.
+Within a group nothing else writes the counter file, so its value at any
+tile boundary is its value before the group plus the deltas of the tiles
+so far, in exact integer arithmetic: the spans and samples are byte for
+byte those of one span, one counter write and one sample per tile — the
+per-tile walk that ``tests/differential/test_tile_tally_equivalence.py``
+keeps as its oracle. See ``docs/VECTOR_ENGINE.md``.
 """
 
 from __future__ import annotations
@@ -196,11 +200,12 @@ class SystolicEngine(ClockedComponent):
         it only positions trace spans and metrics samples. ``repeats``
         is the group count of a grouped convolution, whose groups are
         identical GEMMs: the counters, ledgers and clock advance by all
-        of them while the returned summary describes one. With no tracer
-        and no metrics recorder they are accounted in one pass, class by
-        class, and their DRAM traffic is one ``times=repeats`` record
-        each way; otherwise group by group, each in tile runs, so every
-        span and sample of a group lands after the groups before it.
+        of them while the returned summary describes one. Without a
+        metrics recorder they are accounted in one pass, class by class,
+        and their DRAM traffic is one ``times=repeats`` record each way;
+        a tracer then gets each group's events in turn. Under a recorder
+        they are accounted group by group, each in tile runs, so every
+        sample of a group sees the groups before it.
 
         Every dimension must be an integer (NumPy integers included) —
         anything else raises :class:`ConfigurationError` before a counter
@@ -231,28 +236,35 @@ class SystolicEngine(ClockedComponent):
             tiles += count
             macs += tm * tk * tn * count
 
-        if obs.tracer.enabled or obs.metrics is not None:
-            # a tracer or a recorder reads *when* each tile ran: place one
-            # group's tile runs, then write its counters, DRAM record,
-            # closing sample and control cycles where the group ended
+        recorder = obs.metrics is not None
+        if not recorder:
+            # nothing reads the counter file mid-GEMM: account every
+            # group at once, one DRAM record each way
+            self._account_tile_classes(classes, repeats)
+            dram_stall = self._record_dram(m, k, n, cycles, repeats)
+            self.counters.add("ctrl_cycles", (cycles + dram_stall) * repeats)
+        if recorder or obs.tracer.enabled:
+            # place each group's tile runs, GB:fill instant and DRAM:stall
+            # span; a recorder also samples the counter file where the
+            # group ended, so its counters are written group by group
             runs = list(self._tile_runs(m, k, n))
             for _ in range(repeats):
                 obs.sample_runs(start + LAYER_SETUP_CYCLES, runs)
-                self._account_tile_classes(classes)
-                dram_stall = self._account_dram(m, k, n, cycles)
+                if recorder:
+                    self._account_tile_classes(classes)
+                    dram_stall = self._account_dram(m, k, n, cycles)
+                else:
+                    self.gb.mark_fill(m * k + k * n)
                 end = start + cycles
                 if dram_stall:
                     obs.tracer.span(
                         "DRAM:stall", self.dram.name, obs.base + end,
                         obs.base + end + dram_stall,
                     )
-                obs.sample(end + dram_stall)
-                self.counters.add("ctrl_cycles", cycles + dram_stall)
+                if recorder:
+                    obs.sample(end + dram_stall)
+                    self.counters.add("ctrl_cycles", cycles + dram_stall)
                 start = end + dram_stall
-        else:
-            self._account_tile_classes(classes, repeats)
-            dram_stall = self._account_dram(m, k, n, cycles, repeats)
-            self.counters.add("ctrl_cycles", (cycles + dram_stall) * repeats)
         cycles += dram_stall
         if repeats > 1:
             classes = [
@@ -443,11 +455,20 @@ class SystolicEngine(ClockedComponent):
         fabric.charge_levels("rn", "rn_accumulator_ops", [macs], [grid])
 
     def _account_dram(
+        self, m: int, k: int, n: int, compute_cycles: int
+    ) -> int:
+        """One GEMM's :meth:`_record_dram` and its ``GB:fill`` instant."""
+        stall = self._record_dram(m, k, n, compute_cycles)
+        self.gb.mark_fill(m * k + k * n)
+        return stall
+
+    def _record_dram(
         self, m: int, k: int, n: int, compute_cycles: int, repeats: int = 1
     ) -> int:
         """Move ``repeats`` identical GEMMs' footprints through DRAM in one
         record each way (every record after the first hits the row the
-        first opened); returns one GEMM's stall cycles."""
+        first opened) and count their GB fills; returns one GEMM's stall
+        cycles. Nothing is traced."""
         bpe = self.config.dtype.bytes_per_element
         working_set = m * k + k * n + m * n
         reload_factor = 1

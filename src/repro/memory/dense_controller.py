@@ -576,7 +576,9 @@ class DenseController(ClockedComponent):
         write_bytes = output_elems * bpe
         self.dram.record_read(read_bytes)
         self.dram.record_write(write_bytes)
-        self.gb.record_fill(weight_elems + input_elems)
+        fill = weight_elems + input_elems
+        self.gb.record_fill(fill)
+        self.gb.mark_fill(fill)
         transfer = self.dram.transfer_cycles(read_bytes + write_bytes)
         return self.gb.dram_stall_cycles(transfer, compute_cycles)
 

@@ -70,10 +70,14 @@ class GlobalBuffer(ClockedComponent):
         self.counters.add("gb_writes", elements)
 
     def record_fill(self, elements: int) -> None:
-        """Elements written into the GB by the DRAM prefetcher."""
+        """Elements written into the GB by the DRAM prefetcher (the
+        counter; :meth:`mark_fill` puts the prefetch on the trace)."""
         if elements < 0:
             raise ValueError("fill count must be non-negative")
         self.counters.add("gb_fills", elements)
+
+    def mark_fill(self, elements: int) -> None:
+        """Trace one prefetch of ``elements`` as a ``GB:fill`` instant."""
         tracer = self.obs.tracer
         if tracer.enabled:
             # the prefetch overlaps the layer (double buffering), so mark

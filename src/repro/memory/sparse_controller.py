@@ -955,7 +955,9 @@ class SparseController(ClockedComponent):
         write_bytes = rows * n_cols * bpe
         self.dram.record_read(read_bytes)
         self.dram.record_write(write_bytes)
-        self.gb.record_fill(operand.nnz + k_dim * n_cols)
+        fill = operand.nnz + k_dim * n_cols
+        self.gb.record_fill(fill)
+        self.gb.mark_fill(fill)
         transfer = self.dram.transfer_cycles(read_bytes + write_bytes)
         return self.gb.dram_stall_cycles(transfer, compute_cycles)
 

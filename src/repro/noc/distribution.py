@@ -30,8 +30,9 @@ a column.
 from __future__ import annotations
 
 import abc
+import functools
 import math
-from typing import TYPE_CHECKING, List, NamedTuple
+from typing import TYPE_CHECKING, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -113,6 +114,12 @@ class DistributionNetwork(ClockedComponent):
     def fabric_level_widths(self) -> List[int]:
         """Physical links per tree level, root-first."""
 
+    @functools.cached_property
+    def _fabric_widths(self) -> Tuple[int, ...]:
+        """:meth:`fabric_level_widths`, computed once: it depends only on
+        the instance, and the charging sites pass it on every charge."""
+        return tuple(self.fabric_level_widths())
+
     @abc.abstractmethod
     def fabric_level_traversals(
         self, unique_values: Ints, destinations: Ints
@@ -136,7 +143,7 @@ class DistributionNetwork(ClockedComponent):
             "dn",
             self.fabric_counter,
             self.fabric_level_traversals(unique_values, destinations),
-            self.fabric_level_widths(),
+            self._fabric_widths,
             times=times,
         )
 
@@ -282,7 +289,7 @@ class DistributionNetwork(ClockedComponent):
         fabric = self.obs.fabric
         if fabric is not None:
             fabric.charge_levels(
-                "dn", self.fabric_counter, levels, self.fabric_level_widths()
+                "dn", self.fabric_counter, levels, self._fabric_widths
             )
 
     def _validate_columns(

@@ -21,8 +21,9 @@ cycles of fill/drain; the linear RN serializes each cluster.
 from __future__ import annotations
 
 import abc
+import functools
 import math
-from typing import TYPE_CHECKING, List, Sequence
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -65,6 +66,9 @@ class ReductionNetwork(ClockedComponent):
         self.num_inputs = num_inputs
         self.bandwidth = bandwidth
         self._cluster_sizes: tuple = ()
+        #: :meth:`fabric_reduction_levels` by cluster size, filled as the
+        #: fabric ledger charges them
+        self._fabric_rows: Dict[int, Tuple[int, ...]] = {}
 
     # ---- configuration --------------------------------------------------
     def configure_clusters(self, cluster_sizes: Sequence[int]) -> None:
@@ -169,19 +173,24 @@ class ReductionNetwork(ClockedComponent):
         from repro.observability.fabric import tournament_levels
 
         counts = tournament_levels(cluster_size)
-        depth = len(self.fabric_level_widths())
-        return counts + [0] * (depth - len(counts))
+        return counts + [0] * (len(self._fabric_widths) - len(counts))
+
+    @functools.cached_property
+    def _fabric_widths(self) -> Tuple[int, ...]:
+        """:meth:`fabric_level_widths`, computed once: it depends only on
+        the instance, and every fabric charge passes it."""
+        return tuple(self.fabric_level_widths())
 
     def _record_fabric_reductions(self, cluster_size: int, waves: int) -> None:
         fabric = self.obs.fabric
         if fabric is None:
             return
+        row = self._fabric_rows.get(cluster_size)
+        if row is None:
+            row = tuple(self.fabric_reduction_levels(cluster_size))
+            self._fabric_rows[cluster_size] = row
         fabric.charge_levels(
-            "rn",
-            self.adder_counter,
-            self.fabric_reduction_levels(cluster_size),
-            self.fabric_level_widths(),
-            times=waves,
+            "rn", self.adder_counter, row, self._fabric_widths, times=waves
         )
 
     # ---- activity -----------------------------------------------------------

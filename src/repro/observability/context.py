@@ -168,11 +168,17 @@ class Observability:
         """
         metrics = self.metrics if self._snapshot is not None else None
         tracer = self.tracer
-        first = True
         cycle = self.base + rel_start
+        if metrics is None:
+            # nothing to sample: each run is one span run
+            for period, count, _, (name, component, args) in runs:
+                tracer.span_run(name, component, cycle, period, count, **args)
+                cycle += period * count
+            return
+        first = True
         for period, count, delta, (name, component, args) in runs:
             new: List[MetricsSample] = []
-            if metrics is not None and count:
+            if count:
                 if first:
                     first = False
                     counts = self._snapshot().as_dict()

@@ -316,10 +316,10 @@ def _spread(total: int, active: int, width: int) -> List[int]:
     """
     active = max(1, min(active, width))
     quotient, remainder = divmod(total, active)
-    return [
-        quotient + (1 if index < remainder else 0) if index < active else 0
-        for index in range(width)
-    ]
+    return (
+        [quotient + 1] * remainder + [quotient] * (active - remainder)
+        + [0] * (width - active)
+    )
 
 
 def _decimate(windows: List[List[int]]) -> List[List[int]]:

@@ -211,17 +211,18 @@ def test_dram_bound_shape_stalls_every_group():
     assert dram["dram_row_hits"] == 2 * SHAPES[1][3] - 1
 
 
-@pytest.mark.parametrize("lens", ["plain", "stalls", "fabric"])
+@pytest.mark.parametrize("lens", ["plain", "stalls", "fabric", "trace"])
 @pytest.mark.parametrize(
     "dataflow", [Dataflow.OUTPUT_STATIONARY, Dataflow.WEIGHT_STATIONARY]
 )
 def test_untraced_groups_make_a_constant_number_of_dram_records(
     dataflow, lens, monkeypatch
 ):
-    """Without a tracer or a recorder a grouped GEMM's DRAM traffic is
-    recorded with ``times=repeats`` — one read and one write, whatever the
-    group count and whatever ``engine_mode`` says; a metrics recorder
-    records each group's traffic in turn, where the group ran."""
+    """Without a metrics recorder — a tracer included — a grouped GEMM's
+    DRAM traffic is recorded with ``times=repeats``: one read and one
+    write, whatever the group count and whatever ``engine_mode`` says; a
+    metrics recorder records each group's traffic in turn, where the
+    group ran."""
     calls = []
     record = accelerator_module.Dram._record
 

@@ -42,6 +42,17 @@ BAD_CONV_PARAMS = [
     pytest.param(None, 0, "stride=None", id="stride-none"),
 ]
 
+#: (groups, what the message must name); a float group count used to be
+#: blamed on ``ConvLayerSpec.k``, the others on a "group mismatch"
+BAD_GROUPS = [
+    pytest.param(2.0, "groups=2.0", id="groups-float"),
+    pytest.param(np.float64(2), "groups=", id="groups-np-float"),
+    pytest.param("2", "groups='2'", id="groups-str"),
+    pytest.param(None, "groups=None", id="groups-none"),
+    pytest.param(0, "groups=0", id="groups-0"),
+    pytest.param(-2, "groups=-2", id="groups-negative"),
+]
+
 BAD_TILES = [
     pytest.param((1, 1, 2, 1, 2, 1, 1, 1), id="tuple"),
     pytest.param("x", id="str"),
@@ -71,6 +82,21 @@ def test_conv_rejects_bad_stride_or_padding_up_front(
     assert _untouched(acc, obs)
     # still usable: the rejected call left no half-open layer behind
     acc.run_conv(WEIGHTS, INPUTS, padding=1)
+    assert [layer.kind for layer in acc.report.layers] == ["conv"]
+
+
+@pytest.mark.parametrize("arch", sorted(CONFIGS))
+@pytest.mark.parametrize("groups,named", BAD_GROUPS)
+def test_conv_rejects_bad_groups_up_front(arch, groups, named):
+    obs = Observability.create(trace=True, stalls=True, fabric=True)
+    acc = Accelerator(CONFIGS[arch], observability=obs)
+    with pytest.raises(ConfigurationError) as caught:
+        acc.run_conv(WEIGHTS[:, :1], INPUTS, groups=groups)
+    message = str(caught.value)
+    assert message.startswith("conv ") and named in message
+    assert _untouched(acc, obs)
+    # still usable, and an integer group count is taken as before
+    acc.run_conv(WEIGHTS[:, :1], INPUTS, groups=np.int64(2))
     assert [layer.kind for layer in acc.report.layers] == ["conv"]
 
 

@@ -41,6 +41,10 @@ BAD_INPUTS = [
     pytest.param((1, 2, 8, 8), "2", None, "pool='2'", id="pool-str"),
     pytest.param((1, 2, 8, 8), 2, 1.5, "stride=1.5", id="stride-float"),
     pytest.param((1, 2, 8, 8), np.float32(2), None, "pool=", id="pool-np-float"),
+    # an empty batch or channel axis used to time a 4-cycle layer with
+    # no outputs, where run_conv rejects it
+    pytest.param((0, 4, 4, 4), 2, None, "(0, 4, 4, 4)", id="empty-batch"),
+    pytest.param((2, 0, 4, 4), 2, None, "(2, 0, 4, 4)", id="empty-channels"),
 ]
 
 

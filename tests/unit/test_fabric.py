@@ -11,11 +11,16 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.config import maeri_like
+from repro.config.hardware import DistributionKind, ReductionKind
 from repro.engine.accelerator import Accelerator
 from repro.engine.stats import KNOWN_COUNTERS
 from repro.errors import SimulationError
+from repro.noc.distribution import build_distribution_network
+from repro.noc.reduction import build_reduction_network
 from repro.observability import Observability
 from repro.observability.fabric import (
     FABRIC_COUNTERS,
@@ -25,6 +30,7 @@ from repro.observability.fabric import (
     LINK_DETAIL_LIMIT,
     FabricConsistencyError,
     FabricLedger,
+    _spread,
     hottest_links,
     merge_fabric,
     tournament_levels,
@@ -154,6 +160,87 @@ def test_reset_drops_previous_layer():
     ledger.reset()
     out = ledger.finalize({}, 5)
     assert out["tiers"] == {} and out["fifos"] == {}
+
+
+def _spread_per_link(total, active, width):
+    """The per-link comprehension ``_spread`` used to be."""
+    active = max(1, min(active, width))
+    quotient, remainder = divmod(total, active)
+    return [
+        quotient + (1 if index < remainder else 0) if index < active else 0
+        for index in range(width)
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    total=st.one_of(st.just(0), st.integers(0, 10**12)),
+    # active <= 0 and active > width are both clamped
+    active=st.integers(-3, 300),
+    width=st.integers(1, 260),
+)
+@example(total=0, active=4, width=4)
+@example(total=7, active=9, width=3)
+@example(total=7, active=0, width=3)
+@example(total=7, active=-2, width=3)
+@example(total=5, active=3, width=1)
+def test_spread_equals_the_per_link_comprehension(total, active, width):
+    row = _spread(total, active, width)
+    assert row == _spread_per_link(total, active, width)
+    assert all(type(count) is int for count in row)
+
+
+#: every DN and RN fabric, on a leaf count that is no power of two where
+#: the fabric allows one
+NETWORKS = [
+    *(pytest.param(build_distribution_network, kind, 13, id=kind.name)
+      for kind in DistributionKind),
+    *(pytest.param(build_reduction_network, kind,
+                   16 if kind is ReductionKind.RT else 13, id=kind.name)
+      for kind in ReductionKind),
+]
+
+
+@pytest.mark.parametrize("build,kind,inputs", NETWORKS)
+def test_a_caller_cannot_change_the_cached_geometry(build, kind, inputs):
+    """``fabric_level_widths()`` hands out a fresh list: mutating it
+    moves neither a later answer nor the widths the ledger is charged."""
+    network = build(kind, inputs, 4)
+    network.obs = Observability.create(fabric=True)
+    widths = network.fabric_level_widths()
+    expected = list(widths)
+    widths.append(99)
+    widths[0] = 7
+    assert network.fabric_level_widths() == expected
+    if hasattr(network, "record_cluster_reductions"):
+        network.record_cluster_reductions(5, 3)
+        tier, counter = "rn", network.adder_counter
+    else:
+        network.enqueue(2, 6, times=3)
+        tier, counter = "dn", network.fabric_counter
+    again = network.fabric_level_widths()
+    again.clear()
+    out = network.obs.fabric.finalize(network.counters.as_dict(), 10)
+    assert out["tiers"][tier]["counter"] == counter
+    assert out["tiers"][tier]["links_per_level"] == [
+        max(1, width) for width in expected
+    ]
+
+
+@pytest.mark.parametrize("kind", list(ReductionKind))
+def test_reduction_rows_are_charged_as_computed(kind):
+    """The per-cluster-size rows the RN memoises are what
+    ``fabric_reduction_levels`` computes, charge after charge."""
+    network = build_reduction_network(kind, 16, 4)
+    network.obs = Observability.create(fabric=True)
+    sizes = [2, 4, 8, 16] if kind is ReductionKind.RT else [3, 16, 5, 3, 1]
+    want = [0] * len(network.fabric_level_widths())
+    for waves, size in enumerate(sizes, start=1):
+        network.record_cluster_reductions(size, waves)
+        row = network.fabric_reduction_levels(size)
+        want = [a + b * waves for a, b in zip(want, row)]
+    out = network.obs.fabric.finalize(network.counters.as_dict(), 10)
+    assert out["tiers"]["rn"]["levels"] == want
 
 
 # ---- helpers: tournament, validate, merge, ranking --------------------
