@@ -76,15 +76,19 @@ differential-vector:
 # pin taken before the round-plan and round-column refactors, plus the
 # suites that hold the array-built plan, the ART proofs (per cluster and
 # over a whole round table) and the batched DN entry / one commit per
-# GEMM to their slow forms, and a schedule served from the process-wide
-# memo to one built afresh (the same pins, run cold and then warm)
+# GEMM to their slow forms, a schedule served from the process-wide
+# memo to one built afresh (the same pins, run cold and then warm), and
+# the preallocated round columns, in-place DN schedule, two-write
+# cluster charge and `time_spmm` (no per-round records) to the bodies
+# they replaced
 differential-sparse:
 	PYTHONPATH=src python -m pytest \
 		tests/regression/test_sigma_payload_pin.py \
 		tests/differential/test_round_plan_equivalence.py \
 		tests/differential/test_round_columns_equivalence.py \
 		tests/differential/test_art_verifier_equivalence.py \
-		tests/differential/test_schedule_memo_equivalence.py -q
+		tests/differential/test_schedule_memo_equivalence.py \
+		tests/differential/test_sparse_timing_oracle.py -q
 
 # line-coverage gate; skips gracefully when pytest-cov is absent
 coverage:

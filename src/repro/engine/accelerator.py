@@ -127,6 +127,21 @@ def _index_param(
     return index
 
 
+def _not_numeric(operation: str, **operands: Any) -> ConfigurationError:
+    """The error for the first of ``operands`` that NumPy cannot read as a
+    float32 array (a string, ragged or otherwise non-numeric operand),
+    naming it. Built only once a conversion has failed, so the operands'
+    normal path stays one ``np.asarray`` each."""
+    for name, value in operands.items():
+        try:
+            np.asarray(value, dtype=np.float32)
+        except (TypeError, ValueError) as error:
+            return ConfigurationError(
+                f"{operation} operand {name} must be a numeric array: {error}"
+            )
+    return ConfigurationError(f"{operation} operands must be numeric arrays")
+
+
 def _check_tile(tile: Any) -> None:
     if tile is not None and not isinstance(tile, TileConfig):
         raise ConfigurationError(
@@ -229,8 +244,13 @@ class OperationFrontEnd:
         padding = _index_param("conv", "padding", padding, minimum=0)
         groups = _index_param("conv", "groups", groups, minimum=1)
         _check_tile(tile)
-        weights = np.asarray(weights, dtype=np.float32)
-        activations = np.asarray(activations, dtype=np.float32)
+        try:
+            weights = np.asarray(weights, dtype=np.float32)
+            activations = np.asarray(activations, dtype=np.float32)
+        except (TypeError, ValueError):
+            raise _not_numeric(
+                "conv", weights=weights, activations=activations
+            ) from None
         layer = conv_layer_spec(
             weights, activations, stride=stride, padding=padding,
             groups=groups, name=name,
@@ -255,8 +275,11 @@ class OperationFrontEnd:
     ) -> np.ndarray:
         """Simulate a dense matrix multiplication ``a @ b``."""
         _check_tile(tile)
-        a = np.asarray(a, dtype=np.float32)
-        b = np.asarray(b, dtype=np.float32)
+        try:
+            a = np.asarray(a, dtype=np.float32)
+            b = np.asarray(b, dtype=np.float32)
+        except (TypeError, ValueError):
+            raise _not_numeric("gemm", a=a, b=b) from None
         if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
             raise ConfigurationError(
                 f"incompatible GEMM operands {a.shape} @ {b.shape}"
@@ -286,16 +309,17 @@ class OperationFrontEnd:
                 "this accelerator has no sparse controller; configure a "
                 "SIGMA-like instance for SpMM"
             )
-        b = np.asarray(b, dtype=np.float32)
-        dense_a = (
-            a.to_dense() if isinstance(a, (BitmapMatrix, CsrMatrix)) else
-            np.asarray(a, dtype=np.float32)
-        )
+        dense_a = a.to_dense() if isinstance(a, (BitmapMatrix, CsrMatrix)) else a
+        try:
+            b = np.asarray(b, dtype=np.float32)
+            dense_a = np.asarray(dense_a, dtype=np.float32)
+        except (TypeError, ValueError):
+            raise _not_numeric("spmm", b=b, a=dense_a) from None
         if dense_a.ndim != 2 or b.ndim != 2 or dense_a.shape[1] != b.shape[0]:
             raise ConfigurationError(
                 f"incompatible SpMM operands {dense_a.shape} @ {b.shape}"
             )
-        output = gemm_functional(dense_a.astype(np.float32, copy=False), b)
+        output = gemm_functional(dense_a, b)
         self._offload(
             "spmm", name,
             {"round_builder": round_builder,
@@ -321,7 +345,10 @@ class OperationFrontEnd:
         stride = pool if stride is None else _index_param(
             "maxpool", "stride", stride
         )
-        activations = np.asarray(activations, dtype=np.float32)
+        try:
+            activations = np.asarray(activations, dtype=np.float32)
+        except (TypeError, ValueError):
+            raise _not_numeric("maxpool", activations=activations) from None
         output, _ = maxpool_functional(activations, pool, stride)
         self._offload(
             "maxpool", name, {"pool": pool, "stride": stride},
@@ -532,7 +559,7 @@ class Accelerator(OperationFrontEnd):
             # one block-diagonal GEMM (the controller lays the stacked
             # filters out), so filters from every group can pack into the
             # same rounds
-            sparse = self.sparse_controller.run_spmm(
+            sparse = self.sparse_controller.time_spmm(
                 weights.reshape(layer.k * groups, layer.filter_size),
                 layer.to_gemm().n, params.get("round_builder"), groups=groups,
             )
@@ -552,7 +579,7 @@ class Accelerator(OperationFrontEnd):
         if self.systolic is not None:
             result = self.systolic.time_gemm(gemm.m, gemm.k, gemm.n)
         elif self.sparse_controller is not None:
-            sparse = self.sparse_controller.run_spmm(a, gemm.n)
+            sparse = self.sparse_controller.time_spmm(a, gemm.n)
             return (sparse.cycles, sparse.effective_macs, gemm.num_outputs,
                     sparse.multiplier_utilization, {})
         else:
@@ -564,7 +591,7 @@ class Accelerator(OperationFrontEnd):
     def _time_spmm(self, workload: LayerWorkload) -> _Timing:
         params = workload.params
         b = workload.operands["inputs"]
-        result = self.sparse_controller.run_spmm(
+        result = self.sparse_controller.time_spmm(
             workload.operands["weights"], b.shape[1],
             params.get("round_builder"),
             streaming=b if params.get("sparse_streaming") else None,

@@ -24,6 +24,7 @@ from repro.memory.sparse_controller import (
     ScheduleMemoInfo,
     SparseController,
     SparseRunResult,
+    SparseTiming,
     clear_schedule_memo,
     schedule_memo_info,
 )
@@ -36,6 +37,7 @@ __all__ = [
     "ScheduleMemoInfo",
     "SparseController",
     "SparseRunResult",
+    "SparseTiming",
     "clear_schedule_memo",
     "schedule_memo_info",
 ]

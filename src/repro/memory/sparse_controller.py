@@ -41,7 +41,9 @@ nonzeros, the sorted union support and its size, and the counts of
 continued / resumed (folded) rows, plus the largest cluster of the GEMM
 for the final drain. Schedule validation reads the same table.
 
-``run_spmm`` goes schedule -> time -> commit, a table at a time.
+``time_spmm`` goes schedule -> time -> commit, a table at a time;
+``run_spmm`` is the same call plus one :class:`SparseRoundStats` per
+round, which the accelerator does not build.
 
 *Schedule* (:meth:`SparseController._schedule`): compress the operand,
 run the round builder, plan the rounds as above, and have the MN and RN
@@ -55,10 +57,10 @@ on :func:`repro.tensors.sparse.structure_digest` (a sha256 of the
 operand's ``!= 0`` bits, read off the content on every call, so an array
 edited in place is a different key) and those three. A miss runs the
 pipeline unchanged and stores the result only if nothing raised; a hit
-returns the same record; the rest of ``run_spmm`` cannot tell which
+returns the same record; the rest of ``time_spmm`` cannot tell which
 happened, and neither can a payload — :func:`schedule_memo_info` is the
 only view of it. What is kept is the plan's per-round columns and the
-operand facts ``run_spmm`` reads (``nnz``, shape, metadata bits):
+operand facts ``time_spmm`` reads (``nnz``, shape, metadata bits):
 O(rounds + chunks). The per-nonzero arrays (the plan's ``columns`` and
 ``support``, the CSR itself) are not kept — only dual-sided timing reads
 them — so a call with ``streaming=`` neither reads nor writes the memo
@@ -66,7 +68,9 @@ and schedules afresh; there the streamed values decide anyway.
 
 *Time*: :meth:`SparseController._time_rounds` turns the plan into a
 second set of columns (load / step / stream / merge cycles, the start of
-every round, the per-step activity). *Commit*:
+every round, the per-step activity), written into preallocated arrays:
+its NumPy calls are a fixed number per GEMM, whatever the round count.
+*Commit*:
 :meth:`SparseController._commit_rounds` writes counters, stall-ledger
 charges and fabric levels from sums over column slices. It is the only
 place they are written, and it is one accounting, not two: every amount
@@ -77,8 +81,8 @@ slicing is whether anything can read the counter file mid-GEMM: a
 metrics recorder samples it at every round boundary, so under one each
 round is committed just before its sample; otherwise all rounds go at
 once. Observers that keep one record per round — the tracer's
-``round[i]`` span sets, the fabric lens's FIFO windows, ``round_stats``
-— iterate the finished columns.
+``round[i]`` span sets, the fabric lens's FIFO windows, ``run_spmm``'s
+``round_stats`` — iterate the finished columns.
 """
 
 from __future__ import annotations
@@ -199,7 +203,11 @@ def natural_order_rounds(row_nnz: np.ndarray, capacity: int) -> List[List[RowChu
 
 @dataclass(frozen=True)
 class SparseRoundStats:
-    """Per-round telemetry used by the scheduling study (Fig. 9)."""
+    """One round of a :meth:`SparseController.run_spmm` summary.
+
+    A record for callers that inspect rounds one at a time; nothing in
+    the simulator reads it (the accelerator times layers with
+    :meth:`SparseController.time_spmm`, which builds none)."""
 
     rows: int
     nnz: int
@@ -227,6 +235,19 @@ class SparseRunResult:
         if self.dense_macs == 0:
             return 0.0
         return 1.0 - self.effective_macs / self.dense_macs
+
+
+class SparseTiming(NamedTuple):
+    """One sparse GEMM as :meth:`SparseController.time_spmm` leaves it:
+    :class:`SparseRunResult`'s fields, in its order, less ``round_stats``."""
+
+    cycles: int
+    effective_macs: int
+    dense_macs: int
+    outputs: int
+    rounds: int
+    mapping_utilization: float
+    multiplier_utilization: float
 
 
 class _RoundPlan(NamedTuple):
@@ -295,7 +316,7 @@ class _RoundPlan(NamedTuple):
 
 class _Schedule(NamedTuple):
     """A stationary operand, scheduled: its round table, checked against
-    the fabric, and the operand facts the rest of ``run_spmm`` reads.
+    the fabric, and the operand facts the rest of ``time_spmm`` reads.
 
     Everything here follows from (nonzero structure, groups, fabric
     size, round builder) and nothing else — not the values, not
@@ -464,6 +485,31 @@ class SparseController(ClockedComponent):
         streaming: Optional[np.ndarray] = None,
         groups: int = 1,
     ) -> SparseRunResult:
+        """:meth:`time_spmm`, summarised with one :class:`SparseRoundStats`
+        per round."""
+        timing, plan, times = self._time_spmm(
+            stationary, n_cols, round_builder, streaming, groups
+        )
+        num_ms = self.mn.num_ms
+        return SparseRunResult(
+            *timing,
+            round_stats=tuple(
+                SparseRoundStats(rows, nnz, unique, total, nnz / num_ms)
+                for rows, nnz, unique, total in zip(
+                    plan.rows.tolist(), plan.nnz.tolist(),
+                    times.unique.tolist(), times.total.tolist(),
+                )
+            ),
+        )
+
+    def time_spmm(
+        self,
+        stationary: Union[np.ndarray, BitmapMatrix, CsrMatrix],
+        n_cols: int,
+        round_builder: Optional[RoundBuilder] = None,
+        streaming: Optional[np.ndarray] = None,
+        groups: int = 1,
+    ) -> SparseTiming:
         """Simulate ``stationary (M x K, sparse) @ streaming (K x n_cols)``.
 
         ``round_builder`` selects the filter-scheduling policy; ``None``
@@ -480,7 +526,24 @@ class SparseController(ClockedComponent):
         stacked row-wise (a grouped convolution's ``(k * groups) x dot``
         filters) and runs them as one block-diagonal ``(k * groups) x
         (dot * groups)`` GEMM, so filters of every group share rounds.
+
+        The counters, ledgers and clock advance exactly as under
+        :meth:`run_spmm`, which only adds the per-round records.
         """
+        return self._time_spmm(
+            stationary, n_cols, round_builder, streaming, groups
+        )[0]
+
+    def _time_spmm(
+        self,
+        stationary: Union[np.ndarray, BitmapMatrix, CsrMatrix],
+        n_cols: int,
+        round_builder: Optional[RoundBuilder],
+        streaming: Optional[np.ndarray],
+        groups: int,
+    ) -> Tuple[SparseTiming, _RoundPlan, _RoundTimes]:
+        """The one timing body: the summary, and the plan and round
+        columns it was read off."""
         n_cols = _as_index("n_cols", n_cols)
         if n_cols < 1:
             raise MappingError("the streaming matrix needs at least one column")
@@ -501,6 +564,11 @@ class SparseController(ClockedComponent):
                     "the stationary operand must be a 2-D matrix, got shape "
                     f"{stationary.shape}"
                 )
+        if 0 in stationary.shape:
+            raise MappingError(
+                "the stationary operand needs at least one row and one "
+                f"column, got shape {tuple(stationary.shape)}"
+            )
         obs = self.obs
         builder = round_builder or natural_order_rounds
 
@@ -518,18 +586,12 @@ class SparseController(ClockedComponent):
                 f"streaming operand has {streaming.shape[0]} rows but the "
                 f"stationary K dimension is {k_dim}"
             )
-        dense_macs = m_rows * k_dim * n_cols
-        outputs = m_rows * n_cols
 
         # time: nothing above or here has touched a counter yet
         num_rounds = len(plan.nnz)
         times = self._time_rounds(
             plan, n_cols, None if streaming is None else streaming != 0
         )
-        # every mapped nonzero multiplies once per streamed column — under
-        # dual-sided sparsity, once per column whose streamed value is
-        # nonzero too
-        effective_macs = int(times.multiplications.sum())
 
         tracer = obs.tracer
         base = obs.base
@@ -583,22 +645,19 @@ class SparseController(ClockedComponent):
         ms_util = mapped_nnz * n_cols / (num_ms * cycles) if cycles else 0.0
         self._current_cycle += cycles
         self.counters.add("ctrl_cycles", cycles)
-        return SparseRunResult(
+        timing = SparseTiming(
             cycles=cycles,
-            effective_macs=effective_macs,
-            dense_macs=dense_macs,
-            outputs=outputs,
+            # every mapped nonzero multiplies once per streamed column —
+            # under dual-sided sparsity, once per column whose streamed
+            # value is nonzero too
+            effective_macs=int(times.multiplications.sum()),
+            dense_macs=m_rows * k_dim * n_cols,
+            outputs=m_rows * n_cols,
             rounds=num_rounds,
             mapping_utilization=mapping_util,
             multiplier_utilization=ms_util,
-            round_stats=tuple(
-                SparseRoundStats(rows, nnz, unique, total, nnz / num_ms)
-                for rows, nnz, unique, total in zip(
-                    plan.rows.tolist(), plan.nnz.tolist(),
-                    times.unique.tolist(), times.total.tolist(),
-                )
-            ),
         )
+        return timing, plan, times
 
     # ------------------------------------------------------------------
     def _time_rounds(
@@ -613,18 +672,12 @@ class SparseController(ClockedComponent):
         partial outputs (re-read from the GB, one add per column each).
         """
         bandwidth = self.dn.bandwidth
-        load = self.dn.delivery_cycles_of(plan.nnz, plan.nnz)
+        num_rounds = len(plan.nnz)
         drain = self.rn.output_cycles(plan.rows)
         if b_mask is None:
             # union of the packed rows' column supports = unique streaming
             # elements needed per column step (multicast collapses sharing)
             unique = plan.unique
-            slots = np.maximum(unique, 1)
-            delivery = self.dn.delivery_cycles_of(slots, slots)
-            step = np.maximum(np.maximum(delivery, drain), 1)
-            stream = step * n_cols
-            multiplications = plan.nnz * n_cols
-            dn_stall = np.where(delivery >= drain, stream - n_cols, 0)
         else:
             # dual-sided sparsity: per column only the nonzero streamed
             # values inside the round's support are delivered, so every
@@ -640,51 +693,75 @@ class SparseController(ClockedComponent):
                 ],
                 dtype=np.int64,
             ).reshape(-1, n_cols)
+            unique = np.rint(arriving.mean(axis=1)).astype(np.int64)
+        slots = np.maximum(unique, 1)
+        # per round two DN deliveries, costed together: the stationary
+        # load (weights plus compressed metadata), then the column steps
+        # as one delivery repeated n_cols times
+        delivered = np.empty(2 * num_rounds, dtype=np.int64)
+        delivered[0::2] = plan.nnz
+        delivered[1::2] = slots
+        repeats = np.empty_like(delivered)
+        repeats[0::2] = 1
+        repeats[1::2] = n_cols
+        # each delivery's cycles, then (below) its drain window: the odd
+        # entries become the rounds' stream cycles once read
+        windows = self.dn.delivery_cycles_of(delivered, delivered)
+        load = windows[0::2]
+        if b_mask is None:
+            delivery = windows[1::2]
+            step = np.maximum(np.maximum(delivery, drain), 1)
+            stream = step * n_cols
+            multiplications = plan.nnz * n_cols
+            dn_stall = np.where(delivery >= drain, stream - n_cols, 0)
+        else:
             per_col = np.maximum(-(-arriving // bandwidth), 1)
             costs = np.maximum(per_col, drain[:, None])
             step = costs.max(axis=1)
             stream = costs.sum(axis=1)
-            unique = np.rint(arriving.mean(axis=1)).astype(np.int64)
-            slots = np.maximum(unique, 1)
             multiplications = run_sums(
                 b_mask.sum(axis=1)[plan.columns], plan.column_offsets
             )
             # one useful cycle per column, the rest charged to whichever
             # side bound that column
             dn_stall = ((costs - 1) * (per_col >= drain[:, None])).sum(axis=1)
-        merge_reads = plan.resumed * n_cols
-        merge = -(-merge_reads // bandwidth) + -(-merge_reads // self.rn.bandwidth)
+        windows[1::2] = stream
         # reconfiguration shows only before the first round: the later
         # ones overlap the previous round's streaming
         fill = load.copy()
         fill[:1] += ROUND_RECONFIG_CYCLES
+        # what each round charges, one column per amount in the order
+        # _commit_rounds unpacks them; columns 2-5 (merge reads, outputs,
+        # FIFO pushes, spills) are written per column step, then
+        # multiplied by n_cols in one go
+        charges = np.empty((num_rounds, 10), dtype=np.int64)
+        per_step = charges[:, 2:6]
+        charges[:, 0] = plan.nnz
+        per_step[:, 0] = plan.resumed
+        per_step[:, 1] = plan.rows
+        per_step[:, 2] = slots
+        per_step[:, 3] = plan.continued
+        per_step *= n_cols
+        merge_reads = charges[:, 2]
+        np.add(plan.nnz, merge_reads, out=charges[:, 1])
+        charges[:, 1] += unique * n_cols
+        merge = -(-merge_reads // bandwidth) + -(-merge_reads // self.rn.bandwidth)
+        charges[:, 6] = fill
+        charges[:, 7] = dn_stall
+        np.subtract(stream, n_cols, out=charges[:, 8])
+        charges[:, 8] -= dn_stall
+        charges[:, 9] = merge
         total = fill + stream + merge
-        stall = stream - n_cols
-        # per round: the stationary load (weights plus compressed
-        # metadata), then the n_cols column steps as one delivery
-        # repeated, drained over the round's stream cycles
-        delivered = np.stack((plan.nnz, slots), axis=1).ravel()
-        deliveries = self.dn.schedule_deliveries(
-            delivered, delivered,
-            np.tile((1, n_cols), len(total)),
-            np.stack((load, stream), axis=1).ravel(),
-        )
         return _RoundTimes(
             n_cols=n_cols,
-            start=GEMM_SETUP_CYCLES + np.cumsum(total) - total,
+            start=GEMM_SETUP_CYCLES + total.cumsum() - total,
             fill=fill, load=load, step=step, stream=stream, merge=merge,
             total=total, slots=slots, unique=unique,
             multiplications=multiplications,
-            charges=np.stack(
-                (
-                    plan.nnz, plan.nnz + merge_reads + unique * n_cols,
-                    merge_reads, plan.rows * n_cols, slots * n_cols,
-                    plan.continued * n_cols, fill, dn_stall, stall - dn_stall,
-                    merge,
-                ),
-                axis=1,
+            charges=charges,
+            deliveries=self.dn.schedule_deliveries(
+                delivered, delivered, repeats, windows
             ),
-            deliveries=deliveries,
         )
 
     def _commit_rounds(
@@ -698,7 +775,7 @@ class SparseController(ClockedComponent):
         one call over all rounds and one call per round leave the same
         counter file, ledgers and DN queue; which of the two runs is
         decided by whether anything can read the counters in between
-        (see :meth:`run_spmm`).
+        (see :meth:`time_spmm`).
         """
         n_cols = times.n_cols
         (loads, reads, merged, outputs, pushes, spills,

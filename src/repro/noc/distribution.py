@@ -61,7 +61,9 @@ class DeliverySchedule(NamedTuple):
 
 def _at_least(value: Ints, floor: int) -> Ints:
     """``max(value, floor)``, entry by entry when ``value`` is a column."""
-    lifted: Ints = value + (floor - value) * (value < floor)
+    if type(value) is int:
+        return value if value > floor else floor
+    lifted: Ints = np.maximum(value, floor)
     return lifted
 
 
@@ -246,26 +248,37 @@ class DistributionNetwork(ClockedComponent):
             )
         if cycles.size and cycles.min() < 0:
             raise ValueError("cannot skip a negative number of cycles")
+        levels = (
+            [] if self.obs.fabric is None
+            else self.fabric_level_traversals(unique_values, destinations)
+        )
+        # one preallocated table, written column by column
+        costs = np.empty((len(times), 5 + len(levels)), dtype=np.int64)
+        np.multiply(
+            self._switch_traversals(unique_values, destinations), times,
+            out=costs[:, 0],
+        )
+        np.multiply(
+            self._wire_traversals(unique_values, destinations), times,
+            out=costs[:, 1],
+        )
+        np.multiply(unique_values, times, out=costs[:, 2])
+        costs[:, 4] = cycles
+        for column, hops in enumerate(levels, 5):
+            np.multiply(hops, times, out=costs[:, column])
         queued = self._bandwidth_slots(unique_values, destinations) * times
         # the queue after each entry's drain if it could run negative; it
         # cannot, so whatever deficit it has reached so far is forgiven
-        owed = self._pending_slots + np.cumsum(queued - cycles * self.bandwidth)
-        left = owed - np.minimum(np.minimum.accumulate(owed), 0)
-        pending = np.concatenate(([self._pending_slots], left))
-        busy = np.minimum(cycles, -(-(pending[:-1] + queued) // self.bandwidth))
-        costs = [
-            self._switch_traversals(unique_values, destinations) * times,
-            self._wire_traversals(unique_values, destinations) * times,
-            unique_values * times,
-            busy,
-            cycles,
-        ]
-        if self.obs.fabric is not None:
-            costs += [
-                hops * times
-                for hops in self.fabric_level_traversals(unique_values, destinations)
-            ]
-        return DeliverySchedule(np.stack(costs, axis=1), pending)
+        pending = np.empty(len(times) + 1, dtype=np.int64)
+        pending[0] = self._pending_slots
+        owed = pending[1:]
+        np.add.accumulate(queued - cycles * self.bandwidth, out=owed)
+        owed += self._pending_slots
+        deficit = np.minimum.accumulate(owed)
+        owed -= np.minimum(deficit, 0, out=deficit)
+        queued += pending[:-1]
+        np.minimum(cycles, -(-queued // self.bandwidth), out=costs[:, 3])
+        return DeliverySchedule(costs, pending)
 
     def record_scheduled(self, schedule: DeliverySchedule, lo: int, hi: int) -> None:
         """Account entries ``[lo, hi)`` of a schedule: counters, fabric
@@ -295,6 +308,11 @@ class DistributionNetwork(ClockedComponent):
     def _validate_columns(
         self, unique_values: np.ndarray, destinations: np.ndarray
     ) -> None:
+        if destinations is unique_values:
+            # one value per destination: nothing can lack values
+            if unique_values.size and unique_values.min() < 0:
+                raise ValueError("delivery sizes must be non-negative")
+            return
         if unique_values.size and min(unique_values.min(), destinations.min()) < 0:
             raise ValueError("delivery sizes must be non-negative")
         if ((destinations > 0) & (unique_values == 0)).any():

@@ -84,7 +84,7 @@ class MultiplierNetwork(ClockedComponent):
     ) -> None:
         """``count`` reconfigurations in a row, through partitions
         :meth:`verify_rounds` accepted, ending at ``cluster_sizes``."""
-        self._cluster_sizes = tuple(int(size) for size in cluster_sizes)
+        self._cluster_sizes = tuple(map(int, cluster_sizes))
         self._forwarder_count = 0
         self.counters.add("mn_reconfigurations", count)
 

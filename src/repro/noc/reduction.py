@@ -131,7 +131,7 @@ class ReductionNetwork(ClockedComponent):
     ) -> None:
         """``count`` reconfigurations in a row, through partitions
         :meth:`verify_rounds` accepted, ending at ``cluster_sizes``."""
-        self._cluster_sizes = tuple(int(size) for size in cluster_sizes)
+        self._cluster_sizes = tuple(map(int, cluster_sizes))
         self.counters.add("rn_reconfigurations", count)
 
     @property
@@ -222,10 +222,23 @@ class ReductionNetwork(ClockedComponent):
 
     def record_cluster_table(self, sizes: np.ndarray, waves: int) -> None:
         """:meth:`record_cluster_reductions` of ``waves`` waves for every
-        cluster of a table, charged once per distinct cluster size."""
-        clusters_of = np.bincount(sizes)
-        for size in np.flatnonzero(clusters_of).tolist():
-            self.record_cluster_reductions(size, waves * int(clusters_of[size]))
+        cluster of a table (sizes are never negative: ``verify_rounds``
+        checked them). A cluster of ``s >= 1`` inputs costs ``s - 1``
+        adders and ``2s - 1`` wires a wave, so the table's charges are
+        two sums; only the fabric ledger is charged per distinct size."""
+        if waves <= 0:
+            return
+        total = int(sizes.sum())
+        clusters = np.count_nonzero(sizes)
+        self.counters.add(self.adder_counter, waves * (total - clusters))
+        self.counters.add("rn_wire_traversals", waves * (2 * total - clusters))
+        if self.obs.fabric is not None:
+            clusters_of = np.bincount(sizes)
+            for size in np.flatnonzero(clusters_of).tolist():
+                if size:
+                    self._record_fabric_reductions(
+                        size, waves * int(clusters_of[size])
+                    )
 
     def _wave_wires(self, cluster_size: int) -> int:
         # Every product and every intermediate psum travels one link.

@@ -225,3 +225,53 @@ def test_numpy_integer_groups_is_the_plain_int_gemm(stationary):
     )
     json.dumps(dataclasses.asdict(result))
     assert result.dense_macs == 24 * (64 * 3) * 4
+
+
+# ---------------------------------------------------------------------------
+# an empty stationary operand
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "operand",
+    [
+        np.zeros((0, 16), dtype=np.float32),
+        np.zeros((8, 0), dtype=np.float32),
+        from_dense(np.zeros((0, 16), dtype=np.float32), "csr"),
+        from_dense(np.zeros((8, 0), dtype=np.float32), "bitmap"),
+    ],
+    ids=["no-rows", "no-columns", "csr-no-rows", "bitmap-no-columns"],
+)
+@pytest.mark.parametrize("streaming", [False, True], ids=["dense-b", "dual"])
+def test_an_empty_stationary_operand_is_a_mapping_error(
+    accelerator, operand, streaming
+):
+    # it used to time a 4-cycle GEMM with DRAM traffic, where run_gemm
+    # rejects the same shapes
+    ctrl = accelerator.sparse_controller
+    b = np.ones((operand.shape[1], 3), dtype=np.float32) if streaming else None
+    with pytest.raises(MappingError, match="at least one row and one column") as caught:
+        ctrl.run_spmm(operand, 3, streaming=b)
+    assert str(tuple(operand.shape)) in str(caught.value)
+    assert _untouched(accelerator)
+    with pytest.raises(MappingError, match="at least one row and one column"):
+        ctrl.time_spmm(operand, 3, streaming=b)
+    assert _untouched(accelerator)
+
+
+def test_an_empty_stationary_operand_fails_the_accelerator_layer():
+    acc = Accelerator(sigma_like(num_ms=32, bandwidth=8))
+    with pytest.raises(MappingError, match="at least one row and one column"):
+        acc.run_spmm(np.zeros((0, 16), dtype=np.float32),
+                     np.ones((16, 3), dtype=np.float32))
+    assert not any(c.counters.as_dict() for c in acc.components)
+
+
+def test_all_zero_and_empty_csr_stay_accepted(accelerator):
+    # an all-zero (M, K > 0) operand has no rounds but a shape to time
+    result = accelerator.sparse_controller.run_spmm(
+        np.zeros((8, 16), dtype=np.float32), 3
+    )
+    assert result.rounds == 0 and result.dense_macs == 8 * 16 * 3
+    # and empty matrices still encode
+    assert from_dense(np.zeros((0, 4), dtype=np.float32), "csr").nnz == 0
+    assert from_dense(np.zeros((3, 0), dtype=np.float32), "bitmap").nnz == 0
