@@ -23,8 +23,9 @@ A function F containing an increment is *charge-paired* when any of:
 3. something forward-reachable from F contains a charge-family call
    (F delegates the attribution downward);
 4. F is reachable *from* a charged function (the attribution dominates
-   F on every modeled call path — e.g. ``skip_cycles`` reached only via
-   ``record_delivery``).
+   F on every modeled call path — e.g. the DN's closed-form
+   ``skip_cycles``, reached from ``record_delivery`` and from controller
+   helpers that call ``record_*`` themselves).
 
 Anything else is an uncharged timing path and is reported with the
 outermost caller chain that reaches it.

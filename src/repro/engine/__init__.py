@@ -1,14 +1,15 @@
 """The STONNE Simulation Engine (paper Sections III-IV).
 
 - :mod:`repro.engine.accelerator` — the top-level ``Accelerator`` class
-  that composes the configured building blocks, advances them cycle by
-  cycle and times one workload per layer (``Accelerator.time``), plus
+  that composes the configured building blocks and times one workload per
+  layer in closed form (``Accelerator.time``), plus
   the functional ``run_*`` front end it shares with the parallel
   runner's recorder.
 - :mod:`repro.engine.workload` — ``LayerWorkload``, the plain-data
   description of one offloaded operation the two halves exchange.
-- :mod:`repro.engine.systolic` — the cycle-by-cycle output-stationary
-  systolic array used by TPU-like (PoPN) configurations.
+- :mod:`repro.engine.systolic` — the output- or weight-stationary
+  systolic array used by TPU-like (PoPN) configurations, timed from its
+  tile classes.
 - :mod:`repro.engine.mapper` — layer/tile → configuration signals.
 - :mod:`repro.engine.stats` — the Output Module: JSON summary + counter
   file reporting.
@@ -20,7 +21,6 @@ from repro.engine.accelerator import Accelerator, LayerReport
 from repro.engine.area import AreaBreakdown, area_report
 from repro.engine.energy import EnergyBreakdown, EnergyTable, energy_report
 from repro.engine.mapper import Mapper
-from repro.engine.microsim import DenseMicroSim, MicroSimResult
 from repro.engine.stats import SimulationReport
 from repro.engine.systolic import SystolicEngine, SystolicRunResult
 
@@ -30,9 +30,7 @@ __all__ = [
     "EnergyBreakdown",
     "EnergyTable",
     "LayerReport",
-    "DenseMicroSim",
     "Mapper",
-    "MicroSimResult",
     "SimulationReport",
     "SystolicEngine",
     "SystolicRunResult",

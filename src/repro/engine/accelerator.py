@@ -418,16 +418,11 @@ class Accelerator(OperationFrontEnd):
             component.obs = self.obs
 
     # ------------------------------------------------------------------
-    # component iteration (the Fig. 4 cycle loop)
+    # the configured components (Fig. 4)
     # ------------------------------------------------------------------
     @property
     def components(self) -> List:
         return list(self._components)
-
-    def cycle(self) -> None:
-        """Advance every configured component by one clock."""
-        for component in self._components:
-            component.cycle()
 
     def reset(self) -> None:
         for component in self._components:

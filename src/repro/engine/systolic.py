@@ -13,8 +13,8 @@ pipeline adds a constant :data:`PIPE_OVERHEAD`; larger GEMMs run as a
 sequence of such tiles (the RTL of Table V executes tiles back-to-back,
 which the engine mirrors). :meth:`SystolicEngine.time_gemm` fast-forwards
 through this deterministic schedule — producing exactly the cycle count
-the explicit per-cycle loop yields, as the test suite checks against
-:meth:`SystolicEngine.simulate_tile_cycle_by_cycle`.
+the explicit per-cycle loop yields, as the test suite checks against the
+register-level OS and WS loops of ``tests/oracles/clock.py``.
 
 One schedule, one accounting
 ----------------------------
@@ -288,56 +288,6 @@ class SystolicEngine(ClockedComponent):
         )
 
     # ------------------------------------------------------------------
-    def simulate_tile_cycle_by_cycle(
-        self, a_tile: np.ndarray, b_tile: np.ndarray
-    ) -> Tuple[np.ndarray, int]:
-        """Explicit per-cycle simulation of one tile.
-
-        Moves the real operand values through the skewed pipelines one
-        clock at a time and returns ``(outputs, cycles)``; used to verify
-        that :meth:`tile_cycles` fast-forwarding is cycle-exact.
-        """
-        a_tile = np.asarray(a_tile, dtype=np.float32)
-        b_tile = np.asarray(b_tile, dtype=np.float32)
-        m, k = a_tile.shape
-        k2, n = b_tile.shape
-        if k != k2:
-            raise ConfigurationError("tile operand shapes disagree")
-        if m > self.dim or n > self.dim:
-            raise MappingError("tile exceeds the PE array")
-
-        a_reg = np.zeros((m, n), dtype=np.float32)
-        b_reg = np.zeros((m, n), dtype=np.float32)
-        a_valid = np.zeros((m, n), dtype=bool)
-        b_valid = np.zeros((m, n), dtype=bool)
-        acc = np.zeros((m, n), dtype=np.float32)
-
-        span = k + m + n - 2
-        rows = np.arange(m)
-        cols = np.arange(n)
-        for t in range(span):
-            # shift east / south (one PoPN hop per cycle)
-            a_reg[:, 1:] = a_reg[:, :-1]
-            a_valid[:, 1:] = a_valid[:, :-1]
-            b_reg[1:, :] = b_reg[:-1, :]
-            b_valid[1:, :] = b_valid[:-1, :]
-            # inject skewed operands at the edges
-            a_k = t - rows
-            a_mask = (a_k >= 0) & (a_k < k)
-            a_reg[:, 0] = np.where(a_mask, a_tile[rows, np.clip(a_k, 0, k - 1)], 0.0)
-            a_valid[:, 0] = a_mask
-            b_k = t - cols
-            b_mask = (b_k >= 0) & (b_k < k)
-            b_reg[0, :] = np.where(b_mask, b_tile[np.clip(b_k, 0, k - 1), cols], 0.0)
-            b_valid[0, :] = b_mask
-            # multiply-accumulate where both operands are live
-            live = a_valid & b_valid
-            acc += np.where(live, a_reg * b_reg, 0.0)
-            self._current_cycle += 1
-
-        return acc, span + PIPE_OVERHEAD
-
-    # ------------------------------------------------------------------
     def _tile_counts(self, tm: int, k: int, tn: int) -> Dict[str, int]:
         """One ``tm x k x tn`` tile's nonzero counter increments, by name."""
         macs = tm * k * tn
@@ -483,6 +433,3 @@ class SystolicEngine(ClockedComponent):
         self.gb.record_fill((m * k + k * n) * repeats)
         transfer = self.dram.transfer_cycles(read_bytes + write_bytes)
         return self.gb.dram_stall_cycles(transfer, compute_cycles)
-
-    def cycle(self) -> None:
-        self._current_cycle += 1

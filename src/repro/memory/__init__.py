@@ -14,7 +14,8 @@ selected by the user:
   sizes (used by SIGMA-like instances).
 
 Controllers use internal counters to produce the exact address streams, in
-the spirit of Buffets, and advance the fabric cycle by cycle.
+the spirit of Buffets, and advance the fabric a phase at a time, with the
+cycles a one-clock loop would take.
 """
 
 from repro.memory.dense_controller import DenseController, DenseRunResult

@@ -8,7 +8,7 @@ accelerator clock with *cycle-exact fast-forwarding*: within one steady
 phase every pixel step costs the same deterministic number of cycles, so
 the controller accounts whole phases at once while producing the same
 totals a one-cycle-at-a-time loop would (the test suite checks this
-against an explicit step-by-step replay).
+against the clock loop of ``tests/oracles/clock.py``).
 
 Timing model
 ------------
@@ -66,8 +66,9 @@ through the live DN queue (``enqueue(..., times=repeats)`` →
 
 So there is no batched variant to select: one measured no faster
 (``memory.dense_ctrl_s`` 0.035 s for this loop vs 0.038 s batched on the
-``benchmarks/perf`` dense sweeps). The true per-cycle oracle is
-:mod:`repro.engine.microsim`.
+``benchmarks/perf`` dense sweeps). The per-clock oracle is
+``tests/oracles/clock.py``: it enumerates every pixel step of both loop
+orderings, folded layers included, and clocks them through real queues.
 """
 
 from __future__ import annotations
@@ -581,6 +582,3 @@ class DenseController(ClockedComponent):
         self.gb.mark_fill(fill)
         transfer = self.dram.transfer_cycles(read_bytes + write_bytes)
         return self.gb.dram_stall_cycles(transfer, compute_cycles)
-
-    def cycle(self) -> None:
-        self._current_cycle += 1

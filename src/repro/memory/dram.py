@@ -92,9 +92,6 @@ class Dram(ClockedComponent):
             return self.config.row_hit_latency_cycles
         return self.config.access_latency_cycles
 
-    def cycle(self) -> None:
-        self._current_cycle += 1
-
     def reset(self) -> None:
         super().reset()
         self._last_row = -1

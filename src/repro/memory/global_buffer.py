@@ -95,6 +95,3 @@ class GlobalBuffer(ClockedComponent):
     def dram_stall_cycles(self, transfer_cycles: int, compute_cycles: int) -> int:
         """Stall cycles left over after double buffering hides a transfer."""
         return max(0, transfer_cycles - compute_cycles)
-
-    def cycle(self) -> None:
-        self._current_cycle += 1

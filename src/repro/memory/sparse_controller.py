@@ -99,7 +99,7 @@ from typing import (
 import numpy as np
 
 from repro.config.hardware import HardwareConfig
-from repro.errors import MappingError
+from repro.errors import ConfigurationError, MappingError
 from repro.memory.dram import Dram
 from repro.memory.global_buffer import GlobalBuffer
 from repro.noc.base import ClockedComponent, run_offsets, run_sums
@@ -451,6 +451,24 @@ def _as_index(name: str, value: Any) -> int:
         ) from None
 
 
+def _numeric(name: str, value: Any) -> np.ndarray:
+    """``np.asarray(value)`` when that is a bool, integer or float array;
+    otherwise a :class:`ConfigurationError` naming the operand (strings,
+    dicts and ragged lists would be timed as something they are not)."""
+    try:
+        array = np.asarray(value)
+    except (TypeError, ValueError) as error:
+        raise ConfigurationError(
+            f"spmm operand {name} must be a numeric array: {error}"
+        ) from None
+    if array.dtype.kind not in "biuf":
+        raise ConfigurationError(
+            f"spmm operand {name} must be a numeric array, got dtype "
+            f"{array.dtype}"
+        )
+    return array
+
+
 class SparseController(ClockedComponent):
     """Bitmap/CSR GEMM orchestration with dynamic cluster packing."""
 
@@ -551,14 +569,14 @@ class SparseController(ClockedComponent):
         if groups < 1:
             raise MappingError(f"groups must be at least 1, got groups={groups}")
         if streaming is not None:
-            streaming = np.asarray(streaming)
+            streaming = _numeric("streaming", streaming)
             if streaming.ndim != 2 or streaming.shape[1] != n_cols:
                 raise MappingError(
                     f"streaming operand shape {streaming.shape} disagrees "
                     f"with n_cols={n_cols}"
                 )
         if not isinstance(stationary, (BitmapMatrix, CsrMatrix)):
-            stationary = np.asarray(stationary)
+            stationary = _numeric("stationary", stationary)
             if stationary.ndim != 2:
                 raise MappingError(
                     "the stationary operand must be a 2-D matrix, got shape "
@@ -1037,6 +1055,3 @@ class SparseController(ClockedComponent):
         self.gb.mark_fill(fill)
         transfer = self.dram.transfer_cycles(read_bytes + write_bytes)
         return self.gb.dram_stall_cycles(transfer, compute_cycles)
-
-    def cycle(self) -> None:
-        self._current_cycle += 1

@@ -11,11 +11,11 @@ STONNE organizes every modeled accelerator as three network tiers:
   Reduction Tree (RT), Augmented Reduction Tree (ART / ART+ACC),
   Forwarding Adder Network (FAN) and Linear Reduction Network (LRN).
 
-Each block implements the :class:`~repro.noc.base.ClockedComponent`
-protocol — a ``cycle()`` method plus activity counters — so the
-``Accelerator`` top class can advance any composition cycle by cycle and
-the output module can convert activity into energy (Section III, Output
-Module).
+Each block is a :class:`~repro.noc.base.ClockedComponent`: it prices its
+work in closed form, advances its clock by whole phases and keeps activity
+counters the output module converts into energy (Section III, Output
+Module). The one-clock-at-a-time loop those closed forms equal is a test
+oracle (``tests/oracles/clock.py``), not part of the package.
 """
 
 from repro.noc.art_allocation import (
@@ -32,7 +32,6 @@ from repro.noc.distribution import (
     TreeNetwork,
     build_distribution_network,
 )
-from repro.noc.fifo import Fifo
 from repro.noc.multiplier import MultiplierNetwork, build_multiplier_network
 from repro.noc.reduction import (
     AugmentedReductionTree,
@@ -55,7 +54,6 @@ __all__ = [
     "ClockedComponent",
     "CounterSet",
     "DistributionNetwork",
-    "Fifo",
     "ForwardingAdderNetwork",
     "LinearReductionNetwork",
     "MultiplierNetwork",

@@ -1,11 +1,15 @@
-"""Component protocol and activity counters.
+"""Component base class and activity counters.
 
 The paper's Fig. 4 class diagram gives every microarchitectural component a
-``cycle()`` method and lets the top-level ``Accelerator`` iterate over the
-configured components each clock. :class:`ClockedComponent` is that
-contract. :class:`CounterSet` is the *counter file* backing store: a named
-multiset of activity events (multiplications, wire traversals, SRAM
-accesses, ...) that the output module later prices with the energy tables.
+``cycle()`` method and lets the top-level ``Accelerator`` advance the
+configured components one clock at a time. Here every component prices its
+work in closed form instead, and :class:`ClockedComponent` keeps what that
+needs: a name, a counter file, the clock the component has reached and the
+observability context. The one-clock-at-a-time loop those closed forms must
+equal lives with the tests, in ``tests/oracles/clock.py``.
+:class:`CounterSet` is the *counter file* backing store: a named multiset of
+activity events (multiplications, wire traversals, SRAM accesses, ...) that
+the output module later prices with the energy tables.
 """
 
 from __future__ import annotations
@@ -161,12 +165,14 @@ class CounterSet:
 
 
 class ClockedComponent(abc.ABC):
-    """A component the Accelerator advances one clock at a time.
+    """A component whose work is priced in closed form.
 
-    Components may internally *batch* several cycles of regular behaviour
-    (e.g. a distribution network draining a queue at a fixed bandwidth) via
-    :meth:`skip_cycles`; this keeps pure-Python simulation tractable while
-    producing exactly the cycle counts a one-cycle-at-a-time loop would.
+    Each one advances :attr:`current_cycle` by whole phases of regular
+    behaviour at once (a distribution network drains a queue for ``n``
+    clocks in one :meth:`~repro.noc.distribution.DistributionNetwork.
+    skip_cycles` call), producing exactly the cycles and counters a
+    one-clock-at-a-time loop would; ``tests/oracles/clock.py`` is that
+    loop.
     """
 
     def __init__(self, name: str) -> None:
@@ -188,17 +194,6 @@ class ClockedComponent(abc.ABC):
     @property
     def current_cycle(self) -> int:
         return self._current_cycle
-
-    @abc.abstractmethod
-    def cycle(self) -> None:
-        """Advance the component by one clock."""
-
-    def skip_cycles(self, count: int) -> None:
-        """Advance ``count`` clocks of regular (no-event) behaviour."""
-        if count < 0:
-            raise ValueError("cannot skip a negative number of cycles")
-        for _ in range(count):
-            self.cycle()
 
     def reset(self) -> None:
         """Return to the post-construction state, clearing statistics."""

@@ -17,9 +17,10 @@ value regardless of fan-out (this is precisely the mechanism whose loss
 makes analytical models optimistic — Fig. 1b); the point-to-point fabric
 charges one slot per destination.
 
-Deliveries are modeled with a pending-work queue drained by ``cycle()``.
-``delivery_cycles``/``record_delivery`` provide the batched equivalent the
-engines use for cycle-exact fast-forwarding, and
+Deliveries are modeled with a pending-work queue that ``skip_cycles``
+drains at ``bandwidth`` slots a clock, whole phases at once (the per-clock
+drain it equals is ``ReadPorts`` in ``tests/oracles/clock.py``).
+``delivery_cycles``/``record_delivery`` price one delivery, and
 ``delivery_cycles_of``/``schedule_deliveries``/``record_scheduled`` the
 same for a whole sequence of deliveries held as int64 columns (the
 sparse controller's round table). Each fabric's cost formulas are
@@ -171,29 +172,19 @@ class DistributionNetwork(ClockedComponent):
     def pending_slots(self) -> int:
         return self._pending_slots
 
-    @property
-    def is_idle(self) -> bool:
-        return self._pending_slots == 0
-
-    def cycle(self) -> None:
-        delivered = min(self.bandwidth, self._pending_slots)
-        self._pending_slots -= delivered
-        if delivered:
-            self.counters.add("dn_busy_cycles", 1)
-        self._current_cycle += 1
-
     def skip_cycles(self, count: int) -> None:
-        """Batched :meth:`cycle`: drains ``count`` cycles of bandwidth."""
+        """Advance ``count`` clocks, each handing the fabric up to
+        ``bandwidth`` queued slots; a clock that hands over any is busy.
+        A negative count raises :class:`~repro.errors.SimulationError`
+        before anything moves."""
         if count < 0:
-            raise ValueError("cannot skip a negative number of cycles")
+            raise SimulationError(
+                f"cannot skip a negative number of cycles, got count={count}"
+            )
         busy = min(count, math.ceil(self._pending_slots / self.bandwidth))
         self._pending_slots = max(0, self._pending_slots - count * self.bandwidth)
         self.counters.add("dn_busy_cycles", busy)
         self._current_cycle += count
-
-    def drain_cycles(self) -> int:
-        """Cycles needed to drain the current queue at full bandwidth."""
-        return math.ceil(self._pending_slots / self.bandwidth)
 
     # ---- batched helpers used by the engines ---------------------------
     def delivery_cycles(self, unique_values: int, destinations: int) -> int:

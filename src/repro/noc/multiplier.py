@@ -155,9 +155,6 @@ class MultiplierNetwork(ClockedComponent):
         """Psums pushed through forwarder MSs (folding without acc buffer)."""
         self.counters.add("mn_psum_injections", count)
 
-    def cycle(self) -> None:
-        self._current_cycle += 1
-
     def reset(self) -> None:
         super().reset()
         self._cluster_sizes = ()

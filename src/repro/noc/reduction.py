@@ -251,9 +251,6 @@ class ReductionNetwork(ClockedComponent):
     def record_outputs(self, count: int) -> None:
         self.counters.add("rn_outputs_written", count)
 
-    def cycle(self) -> None:
-        self._current_cycle += 1
-
     def reset(self) -> None:
         super().reset()
         self._cluster_sizes = ()

@@ -224,6 +224,6 @@ class Observability:
         ))
 
 
-#: shared disabled context — the default of every ClockedComponent until
-#: an Accelerator attaches its own
+#: shared disabled context — every component's (``ClockedComponent.obs``)
+#: until an Accelerator attaches its own
 DISABLED = Observability()

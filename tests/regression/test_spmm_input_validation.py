@@ -275,3 +275,53 @@ def test_all_zero_and_empty_csr_stay_accepted(accelerator):
     # and empty matrices still encode
     assert from_dense(np.zeros((0, 4), dtype=np.float32), "csr").nnz == 0
     assert from_dense(np.zeros((3, 0), dtype=np.float32), "bitmap").nnz == 0
+
+
+# ---------------------------------------------------------------------------
+# non-numeric operands (ROADMAP 8(d))
+# ---------------------------------------------------------------------------
+
+#: operands NumPy reads as strings or objects, or cannot read at all; the
+#: first two used to be timed (a 12-cycle, 4-MAC GEMM on sigma16), the
+#: ragged ones leaked NumPy's bare ``ValueError``
+NON_NUMERIC = {
+    "strings": [["a", ""]],
+    "objects": [[{}, None]],
+    "ragged": [[1.0, 0.0], [1.0]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_NUMERIC))
+@pytest.mark.parametrize("entry", ["time_spmm", "run_spmm"])
+def test_a_non_numeric_stationary_operand_is_a_configuration_error(name, entry):
+    acc = Accelerator(sigma_like(num_ms=16, bandwidth=8))
+    call = getattr(acc.sparse_controller, entry)
+    with pytest.raises(ConfigurationError, match="operand stationary"):
+        call(NON_NUMERIC[name], 2)
+    assert _untouched(acc)
+
+
+@pytest.mark.parametrize("name", sorted(NON_NUMERIC))
+def test_a_non_numeric_streaming_operand_is_a_configuration_error(name):
+    acc = Accelerator(sigma_like(num_ms=16, bandwidth=8))
+    with pytest.raises(ConfigurationError, match="operand streaming"):
+        acc.sparse_controller.time_spmm(
+            [[1.0, 0.0], [0.0, 1.0]], 2, streaming=NON_NUMERIC[name]
+        )
+    assert _untouched(acc)
+
+
+@pytest.mark.parametrize(
+    "dtype", [bool, np.int8, np.uint16, np.int64, np.float16, np.float64]
+)
+def test_bool_int_and_float_operands_time_as_before(dtype):
+    a = uniform_sparse_matrix(12, 24, 0.6, seed=0) != 0
+    b = uniform_sparse_matrix(24, 6, 0.5, seed=1000) != 0
+    config = sigma_like(num_ms=16, bandwidth=8)
+    reference = Accelerator(config).sparse_controller.run_spmm(
+        a.astype(np.float32), 6, streaming=b.astype(np.float32)
+    )
+    result = Accelerator(config).sparse_controller.run_spmm(
+        a.astype(dtype), 6, streaming=b.astype(dtype)
+    )
+    assert result == reference

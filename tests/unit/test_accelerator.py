@@ -25,12 +25,6 @@ class TestComposition:
         acc = Accelerator(small_sigma)
         assert acc.sparse_controller is not None
 
-    def test_cycle_advances_every_component(self, small_maeri):
-        acc = Accelerator(small_maeri)
-        acc.cycle()
-        acc.cycle()
-        assert all(c.current_cycle == 2 for c in acc.components)
-
     def test_reset(self, small_maeri, rng):
         acc = Accelerator(small_maeri)
         acc.run_gemm(

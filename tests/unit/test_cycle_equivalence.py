@@ -1,9 +1,9 @@
 """Cycle-exact fast-forwarding honesty tests.
 
-ARCHITECTURE.md promises that ``skip_cycles(n)`` produces exactly the
-state and statistics that ``n`` calls to ``cycle()`` would — these tests
-hold every component to that contract, and check the systolic engine's
-fast-forwarded schedule against its explicit register-transfer loop.
+ARCHITECTURE.md promises that the DN's ``skip_cycles(n)`` leaves exactly
+the queue and busy count that ``n`` clocks of the reference read ports
+(``tests/oracles/clock.py``) would, and that the systolic engine's
+fast-forwarded tile schedule equals the register-transfer loop there.
 """
 
 import numpy as np
@@ -11,66 +11,55 @@ import pytest
 
 from repro.config import tpu_like
 from repro.engine.accelerator import Accelerator
+from repro.engine.systolic import PIPE_OVERHEAD
 from repro.noc.distribution import BenesNetwork, PointToPointNetwork, TreeNetwork
-from repro.noc.multiplier import MultiplierNetwork
-from repro.noc.reduction import ForwardingAdderNetwork
+from tests.oracles.clock import ReadPorts, os_tile
+
+
+def _stepwise(dn, clocks):
+    """Clock ``dn``'s queued slots out of fresh read ports one at a time."""
+    ports = ReadPorts(dn.bandwidth)
+    ports.post(dn.pending_slots)
+    for _ in range(clocks):
+        ports.clock()
+    return ports
 
 
 @pytest.mark.parametrize("cls", [TreeNetwork, BenesNetwork, PointToPointNetwork])
 @pytest.mark.parametrize("work", [(3, 6), (17, 17), (1, 16)])
 def test_dn_skip_equals_stepwise(cls, work):
     unique, dests = work
-    stepwise = cls(num_leaves=32, bandwidth=4)
     batched = cls(num_leaves=32, bandwidth=4)
-
-    stepwise.enqueue(unique, dests)
     batched.enqueue(unique, dests)
 
-    for _ in range(7):
-        stepwise.cycle()
+    stepwise = _stepwise(batched, 7)
     batched.skip_cycles(7)
 
-    assert stepwise.pending_slots == batched.pending_slots
-    assert stepwise.current_cycle == batched.current_cycle
-    assert stepwise.counters.as_dict() == batched.counters.as_dict()
+    assert stepwise.pending == batched.pending_slots
+    assert batched.current_cycle == 7
+    assert stepwise.busy == batched.counters["dn_busy_cycles"]
 
 
 def test_dn_skip_with_interleaved_enqueues():
-    stepwise = TreeNetwork(num_leaves=16, bandwidth=2)
+    stepwise = ReadPorts(bandwidth=2)
     batched = TreeNetwork(num_leaves=16, bandwidth=2)
-    for dn, skip in ((stepwise, False), (batched, True)):
-        dn.enqueue(5, 5)
-        if skip:
-            dn.skip_cycles(2)
-        else:
-            dn.cycle()
-            dn.cycle()
-        dn.enqueue(4, 8)
-        if skip:
-            dn.skip_cycles(4)
-        else:
-            for _ in range(4):
-                dn.cycle()
-    assert stepwise.pending_slots == batched.pending_slots
-    assert stepwise.counters.as_dict() == batched.counters.as_dict()
-
-
-def test_mn_and_rn_cycles_advance_clock_only():
-    mn = MultiplierNetwork(16, forwarding=True)
-    rn = ForwardingAdderNetwork(16, 8)
-    for component in (mn, rn):
-        before = component.counters.as_dict()
-        component.skip_cycles(5)
-        assert component.current_cycle == 5
-        assert component.counters.as_dict() == before
+    for unique, dests, clocks in ((5, 5, 2), (4, 8, 4)):
+        queued = batched.pending_slots
+        batched.enqueue(unique, dests)
+        stepwise.post(batched.pending_slots - queued)
+        batched.skip_cycles(clocks)
+        for _ in range(clocks):
+            stepwise.clock()
+    assert stepwise.pending == batched.pending_slots
+    assert stepwise.busy == batched.counters["dn_busy_cycles"]
 
 
 def test_systolic_fast_forward_matches_rtl_loop(rng):
     engine = Accelerator(tpu_like(num_pes=64)).systolic
     a = rng.standard_normal((6, 9)).astype(np.float32)
     b = rng.standard_normal((9, 5)).astype(np.float32)
-    looped_out, looped_cycles = engine.simulate_tile_cycle_by_cycle(a, b)
-    assert looped_cycles == engine.tile_cycles(6, 9, 5)
+    looped_out, events = os_tile(a, b, engine.dim)
+    assert events.clocks + PIPE_OVERHEAD == engine.tile_cycles(6, 9, 5)
     assert np.allclose(looped_out, a @ b, atol=1e-4)
 
 

