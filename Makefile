@@ -1,7 +1,7 @@
 # Convenience targets for the STONNE reproduction.
 
 .PHONY: install test bench report examples validate \
-	sentinel-smoke lens-smoke perf-smoke \
+	sentinel-smoke lens-smoke perf-smoke report-smoke \
 	sanitize-smoke differential differential-vector differential-sparse \
 	differential-clock \
 	coverage \
@@ -51,7 +51,9 @@ bench:
 
 # serial vs parallel vs cached execution must be byte-identical; the two
 # extra files hold the other cases that start a real pool (real-pool ==
-# serial; a pool whose workers are killed is replaced, sized by --jobs)
+# serial; a pool whose workers are killed is replaced, sized by --jobs).
+# tests/differential/ also holds SNAPEA's in-place termination scan
+# against the per-filter scan it replaced (test_snapea_scan_oracle.py)
 differential:
 	PYTHONPATH=src python -m pytest tests/differential/ \
 		tests/unit/test_parallel.py \
@@ -99,7 +101,8 @@ differential-sparse:
 # and WS array register by register); plus the older per-clock checks it
 # absorbed (DN queue, microsim cases, FIFO semantics, systolic tiles).
 # `python tests/oracles/mutants.py` (~1 min) checks that six seeded
-# production mutants each fail it
+# production mutants each fail it (and a seventh, in the SNAPEA scan, the
+# scan oracle)
 differential-clock:
 	PYTHONPATH=src python -m pytest \
 		tests/property/test_prop_clock.py \
@@ -118,6 +121,15 @@ coverage:
 
 report:
 	python -m repro.experiments.report evaluation_report.md
+
+# every evaluation driver once through the report generator (~4 s), its
+# markdown into a temporary file: exits non-zero on any driver error
+report-smoke:
+	@out=$$(mktemp "$${TMPDIR:-/tmp}/stonne-report-XXXXXX"); \
+	PYTHONPATH=src python -m repro.experiments.report "$$out" > /dev/null; \
+	status=$$?; rm -f "$$out"; test $$status -eq 0 \
+		|| { echo "evaluation report failed (exit $$status)"; exit 1; }
+	@echo "report smoke OK (every evaluation driver ran)"
 
 validate:
 	stonne validate

@@ -89,17 +89,21 @@ def conv_functional(
     padding: int,
     groups: int,
     layer: ConvLayerSpec,
-) -> Tuple[np.ndarray, List[np.ndarray]]:
-    """Real-valued convolution via im2col; returns (output, group_cols)."""
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Real-valued convolution via im2col; returns ``(output, group_cols)``.
+
+    ``group_cols`` is one ``(groups, C*R*S, N*X'*Y')`` view of the unfold:
+    ``group_cols[g]`` is group ``g``'s column matrix.
+    """
     k = layer.k
     crs = layer.filter_size
     # one unfold over all channels: rows are (c, r, s)-ordered, so a
     # group's column matrix is a C-contiguous row slice
     cols = im2col(activations, layer.r, layer.s, stride, padding)
-    group_cols = [cols[g * crs : (g + 1) * crs] for g in range(groups)]
-    out = np.matmul(
-        weights.reshape(groups, k, crs), cols.reshape(groups, crs, -1)
-    ).reshape(groups * k, -1)
+    group_cols = cols.reshape(groups, crs, -1)
+    out = np.matmul(weights.reshape(groups, k, crs), group_cols).reshape(
+        groups * k, -1
+    )
     return col2im_output(out, layer.n, layer.x_out, layer.y_out), group_cols
 
 

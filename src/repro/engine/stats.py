@@ -241,14 +241,19 @@ class SimulationReport:
         #: run provenance (tool version, config hash, timestamp, ...) —
         #: mutable so callers can stamp extra keys (e.g. the run seed)
         self.metadata: Dict[str, object] = run_metadata(config)
+        self._total_cycles = 0
 
     def append(self, layer: LayerReport) -> None:
+        """Add the next layer; layers join the report only through here."""
         self.layers.append(layer)
+        self._total_cycles += layer.cycles
 
     # ---- aggregates -----------------------------------------------------
     @property
     def total_cycles(self) -> int:
-        return sum(layer.cycles for layer in self.layers)
+        """The running sum of the appended layers' cycles: where the next
+        layer starts, read at every layer start without re-summing."""
+        return self._total_cycles
 
     @property
     def total_macs(self) -> int:

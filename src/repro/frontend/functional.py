@@ -87,7 +87,7 @@ def linear(
 
 
 def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0).astype(np.float32)
+    return np.maximum(x, 0.0).astype(np.float32, copy=False)
 
 
 def maxpool2d(x: np.ndarray, pool: int, stride: Optional[int] = None) -> np.ndarray:
@@ -117,9 +117,9 @@ def batchnorm2d(
     """Inference-mode batch normalization using stored statistics."""
     scale = gamma / np.sqrt(var + eps)
     shift = beta - mean * scale
-    return (x * scale[None, :, None, None] + shift[None, :, None, None]).astype(
-        np.float32
-    )
+    out = x * scale[None, :, None, None]
+    out += shift[None, :, None, None]
+    return out.astype(np.float32, copy=False)
 
 
 def layernorm(

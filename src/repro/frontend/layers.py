@@ -90,7 +90,7 @@ class Conv2d(Module):
             )
         if self.bias is not None:
             out = out + self.bias.data[None, :, None, None]
-        return out.astype(np.float32)
+        return out.astype(np.float32, copy=False)
 
 
 class Linear(Module):
@@ -123,7 +123,7 @@ class Linear(Module):
             out = F.linear(x, self.weight.data, None)
         if self.bias is not None:
             out = out + self.bias.data
-        return out.astype(np.float32)
+        return out.astype(np.float32, copy=False)
 
 
 class MaxPool2d(Module):

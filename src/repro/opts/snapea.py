@@ -248,6 +248,15 @@ class SnapeaContext:
         filter's bias — after BN folding this carries the normalization
         shift, exactly what the hardware's accumulator would hold.
 
+        Each filter's reordered products are formed in one float32 buffer
+        and summed in place; the bias is added afterwards, and only to the
+        rows a check reads (from the last positive product on, and in
+        predictive mode from row ``window - 1`` on). Float32 addition
+        commutes and the running sums keep their order, so every length
+        and mask is bit-identical to adding the bias to the whole running
+        sum. The cut is one ``argmax`` down the checked rows plus a gather
+        of the row it lands on.
+
         Returns ``(lengths, predicted_zero_mask)``; the mask is ``None``
         in exact mode and marks the outputs a *predictive* check cut
         (which the caller zeroes, SNAPEA's approximate operating point).
@@ -264,6 +273,8 @@ class SnapeaContext:
         if bias is None:
             bias = np.zeros(k, dtype=np.float32)
         window = max(1, int(round(dot * self.window_fraction)))
+        csum = np.empty((dot, n_out), dtype=np.result_type(w2d, cols))
+        columns = np.arange(n_out)
         for f in range(k):
             w = w2d[f]
             pos = np.where(w > 0)[0]
@@ -272,19 +283,25 @@ class SnapeaContext:
                 [pos[np.argsort(-w[pos], kind="stable")],
                  neg[np.argsort(w[neg], kind="stable")]]
             )
-            ws = w[order]
             npos = len(pos)
-            csum = bias[f] + np.cumsum(ws[:, None] * cols[order, :], axis=0)
+            # the first row the exact check reads (the last positive
+            # product's), and the first row any check reads
+            start = max(npos - 1, 0) if npos < dot else dot
+            biased = min(start, window - 1) if predictive else start
+            # mode="clip" writes straight into `out` (indices are in range)
+            np.take(cols, order, axis=0, out=csum, mode="clip")
+            csum *= w[order][:, None]
+            np.cumsum(csum, axis=0, out=csum)
+            csum[biased:] += bias[f]
             if npos < dot:
-                start = max(npos - 1, 0)
-                region = csum[start:, :] <= 0.0
-                has_cut = region.any(axis=0)
-                first = np.argmax(region, axis=0)
-                cut_lengths = start + first + 1
-                lengths[f] = np.where(has_cut, cut_lengths, dot)
+                region = csum[start:] <= 0.0
+                first = region.argmax(axis=0)
+                lengths[f] = np.where(
+                    region[first, columns], start + first + 1, dot
+                )
             if predictive:
                 # single-check prediction after the first `window` MACs
-                predicted = csum[window - 1, :] < self.threshold
+                predicted = csum[window - 1] < self.threshold
                 cut_now = predicted & (lengths[f] > window)
                 lengths[f] = np.where(cut_now, window, lengths[f])
                 predicted_zero[f] = cut_now

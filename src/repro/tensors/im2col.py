@@ -48,6 +48,11 @@ def im2col(
         )
     n, c, x, y = activations.shape
     x_out, y_out = conv2d_output_shape(x, y, r, s, stride, padding)
+    if r == s == 1 and not padding:
+        # a 1x1 window is one pixel: one strided, transposing copy
+        columns = np.empty((c, n, x_out, y_out), dtype=activations.dtype)
+        columns[...] = activations[:, :, ::stride, ::stride].transpose(1, 0, 2, 3)
+        return columns.reshape(c, n * x_out * y_out)
     if padding:
         # hot path: an explicit zero canvas is several times faster than
         # np.pad and produces the identical array

@@ -8,8 +8,12 @@ the reproduction criterion set out in DESIGN.md.
 import numpy as np
 import pytest
 
+from repro.config import maeri_like, sigma_like, tpu_like
+from repro.engine.accelerator import Accelerator
 from repro.experiments import fig1, fig5, fig6, fig7, fig9, tablev
 from repro.experiments.runner import format_table, geometric_mean, normalize
+from repro.frontend.layers import Conv2d, Linear
+from repro.frontend.simulated import simulate
 
 
 class TestFig1:
@@ -64,6 +68,32 @@ class TestTableV:
         rows = tablev.run_tablev()
         avg = np.mean([r["error_vs_rtl_pct"] for r in rows])
         assert avg < 12.0  # documented in EXPERIMENTS.md
+
+    def test_direct_rows_equal_the_full_stack(self):
+        """Each row's one timing call gives the cycles of the same layer
+        run as a ``Conv2d`` / ``Linear`` model through ``simulate``."""
+        direct = {r["layer"]: r["repro_cycles"] for r in tablev.run_tablev()}
+        for case in tablev.VALIDATION_CASES:
+            rng = np.random.default_rng(3)
+            tiles = None
+            if case.design == "MAERI":
+                layer = tablev._maeri_layer(case)
+                model = Conv2d(layer.c, layer.k, 3, bias=False,
+                               name=case.name, rng=rng)
+                x = rng.standard_normal((1, layer.c, layer.x, layer.y))
+                config = maeri_like(num_ms=32, bandwidth=4)
+                tiles = {case.name: tablev.MAERI_TILE}
+            else:
+                model = Linear(case.k, case.m, bias=False, name=case.name,
+                               rng=rng)
+                x = rng.standard_normal((case.n, case.k))
+                config = (sigma_like(num_ms=128, bandwidth=128)
+                          if case.design == "SIGMA" else tpu_like(num_pes=256))
+            acc = Accelerator(config)
+            simulate(model, acc, tiles=tiles)
+            model(x.astype(np.float32))
+            assert len(acc.report.layers) == 1, case.name
+            assert acc.report.total_cycles == direct[case.name], case.name
 
 
 class TestFig5:
