@@ -1,26 +1,19 @@
 """``stonne lint``: static-analysis passes enforcing simulator invariants.
 
-The guarantees the simulator advertises — serial == parallel == cached
-byte-identical results, content-addressed cache keys, counters the
-insight layer can trust — hold only while every source file keeps a set
-of easy-to-break invariants. This package checks them at rest, on the
-AST, so a violation fails ``make lint`` instead of silently corrupting
-results months later:
+Most of the simulator's guarantees are held at run time — payload and
+trace pins, lens on/off differential suites, the reference clock, the
+counter-universe property. This package keeps the three checks no
+runtime test can stand in for (``tests/oracles/mutants.py`` seeds one
+fault of each that only the pass catches), on the AST, so a violation
+fails ``make lint``:
 
-- :mod:`repro.analysis.determinism` (``DET-*``) — no unseeded RNG, no
-  wall-clock reads from cycle-level code, no iteration-order
-  nondeterminism in cycle loops or key construction;
-- :mod:`repro.analysis.cachekey` (``CACHE-KEY-*``) — every config
-  dataclass field is either covered by the :class:`SimCache` canonical
-  key or explicitly exempted in the in-code manifest;
-- :mod:`repro.analysis.parsafe` (``PAR-*``) — nothing reachable from the
-  parallel worker entry points writes module-level state or opens the
-  run registry;
 - :mod:`repro.analysis.exceptions` (``EXC-*``) — no bare/overbroad
   handlers, simulator errors derive from :mod:`repro.errors`;
-- :mod:`repro.analysis.counters` (``COUNTER-*``) — every activity
-  counter incremented or read anywhere is declared in
-  ``repro.engine.stats.KNOWN_COUNTERS``.
+- :mod:`repro.analysis.parsafe` (``PAR-*``) — nothing reachable from the
+  parallel worker entry points writes module-level state or opens the
+  run registry (over the call graph of :mod:`repro.analysis.flow`);
+- :mod:`repro.analysis.floatorder` (``FLOAT-*``) — no ``sum()`` over a
+  set or dict view in the timing/energy packages.
 
 Run with ``stonne lint`` or ``python -m repro.analysis.lint``; suppress
 an individual finding with ``# stonne: lint-ok[<RULE-ID>] reason`` (the

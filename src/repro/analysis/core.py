@@ -20,7 +20,6 @@ from typing import (
     Dict,
     Iterable,
     List,
-    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -112,25 +111,6 @@ class SourceFile:
 
     def suppressions_for(self, line: int) -> List[Suppression]:
         return [s for s in self.suppressions if s.target_line == line]
-
-    def docstrings(self) -> Iterable[Tuple[int, str]]:
-        """(first line number, text) of every docstring in the file."""
-        if self.tree is None:
-            return
-        for node in ast.walk(self.tree):
-            if not isinstance(
-                node,
-                (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef),
-            ):
-                continue
-            body = getattr(node, "body", [])
-            if (
-                body
-                and isinstance(body[0], ast.Expr)
-                and isinstance(body[0].value, ast.Constant)
-                and isinstance(body[0].value.value, str)
-            ):
-                yield body[0].value.lineno, body[0].value.value
 
 
 def module_name(relpath: str) -> str:
@@ -245,15 +225,9 @@ def register_pass(
 
 def all_passes() -> Dict[str, LintPass]:
     """Registered passes by name (importing the modules registers them)."""
-    import repro.analysis.cachekey  # noqa: F401
-    import repro.analysis.counters  # noqa: F401
-    import repro.analysis.determinism  # noqa: F401
     import repro.analysis.exceptions  # noqa: F401
     import repro.analysis.floatorder  # noqa: F401
-    import repro.analysis.ledger  # noqa: F401
-    import repro.analysis.obsneutral  # noqa: F401
     import repro.analysis.parsafe  # noqa: F401
-    import repro.analysis.schemadrift  # noqa: F401
 
     return dict(_PASS_REGISTRY)
 
@@ -353,59 +327,18 @@ def resolve_call_name(func: ast.expr, aliases: Dict[str, str]) -> Optional[str]:
     return ".".join(reversed(parts))
 
 
-def is_dataclass_def(node: ast.ClassDef) -> bool:
-    for decorator in node.decorator_list:
-        target = decorator.func if isinstance(decorator, ast.Call) else decorator
-        name = target.attr if isinstance(target, ast.Attribute) else getattr(
-            target, "id", None
-        )
-        if name == "dataclass":
-            return True
-    return False
-
-
-def dataclass_field_names(node: ast.ClassDef) -> List[str]:
-    """Annotated field names of a dataclass body, ``ClassVar`` excluded."""
-    names: List[str] = []
-    for statement in node.body:
-        if not isinstance(statement, ast.AnnAssign):
-            continue
-        if not isinstance(statement.target, ast.Name):
-            continue
-        annotation = ast.unparse(statement.annotation)
-        if "ClassVar" in annotation:
-            continue
-        names.append(statement.target.id)
-    return names
-
-
-class ModuleLiteral(NamedTuple):
-    """A module-level ``name = <literal>``: its value and line span.
-
-    ``value`` is ``None`` when the right-hand side is not a literal;
-    ``line`` and ``end_line`` are 0 when there is no such assignment.
-    """
-
-    value: Optional[object]
-    line: int
-    end_line: int
-
-
-def literal_assignment(tree: ast.AST, name: str) -> ModuleLiteral:
-    """The first module-level ``name = <literal>`` assignment in ``tree``."""
+def literal_assignment(tree: ast.AST, name: str) -> Optional[object]:
+    """The value of the first module-level ``name = <literal>`` in
+    ``tree``; ``None`` when there is none or it is not a literal."""
     for node in getattr(tree, "body", []):
         targets: List[ast.expr] = []
         if isinstance(node, ast.Assign):
             targets = node.targets
         elif isinstance(node, ast.AnnAssign) and node.value is not None:
             targets = [node.target]
-        else:
-            continue
-        for target in targets:
-            if isinstance(target, ast.Name) and target.id == name:
-                span = (node.lineno, node.end_lineno or node.lineno)
-                try:
-                    return ModuleLiteral(ast.literal_eval(node.value), *span)
-                except ValueError:
-                    return ModuleLiteral(None, *span)
-    return ModuleLiteral(None, 0, 0)
+        if any(isinstance(t, ast.Name) and t.id == name for t in targets):
+            try:
+                return ast.literal_eval(node.value)
+            except ValueError:
+                return None
+    return None

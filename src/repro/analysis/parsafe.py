@@ -2,7 +2,7 @@
 
 The differential guarantee (a ``--jobs N`` run is byte-identical to a
 serial run) requires that the code a pool worker executes is a pure
-function of its arguments. This pass walks the shared interprocedural
+function of its arguments. This pass walks the call graph of
 :class:`repro.analysis.flow.CallGraph` from the worker entry points in
 ``repro/parallel/runner.py`` and flags, anywhere in the reachable set:
 
@@ -33,11 +33,7 @@ from repro.analysis.core import (
     register_pass,
     resolve_call_name,
 )
-from repro.analysis.flow import (
-    MUTATOR_METHODS,
-    CallGraph,
-    FunctionNode,
-)
+from repro.analysis.flow import CallGraph, FunctionNode
 
 #: module whose top-level functions are the pool-worker entry points
 RUNNER_MODULE = "repro.parallel.runner"
@@ -46,7 +42,10 @@ RUNNER_MODULE = "repro.parallel.runner"
 DEFAULT_ENTRY_POINTS = ("_simulate_workload", "_simulate_workload_in_worker")
 
 #: method calls that mutate a built-in container in place
-_MUTATORS = MUTATOR_METHODS
+_MUTATORS = frozenset({
+    "append", "extend", "insert", "add", "update", "setdefault", "pop",
+    "popitem", "clear", "remove", "discard", "appendleft", "sort",
+})
 
 RULES = (
     Rule(
@@ -141,7 +140,7 @@ def _entry_points(project: Project) -> List[str]:
     runner = project.module(RUNNER_MODULE)
     if runner is None or runner.tree is None:
         return []
-    declared = literal_assignment(runner.tree, "WORKER_ENTRY_POINTS").value
+    declared = literal_assignment(runner.tree, "WORKER_ENTRY_POINTS")
     names = (
         [str(n) for n in declared]
         if isinstance(declared, (list, tuple))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import configparser
 import enum
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Union
@@ -133,14 +134,46 @@ class DramConfig:
     row_hit_latency_cycles: int = 20
 
     def __post_init__(self) -> None:
-        if self.bandwidth_gbps <= 0:
-            raise ConfigurationError("DRAM bandwidth must be positive")
+        _check_positive_float(self, "bandwidth_gbps")
+        for field_name in (
+            "size_mb", "access_latency_cycles", "row_buffer_bytes",
+            "row_hit_latency_cycles",
+        ):
+            _check_int(self, field_name)
         if self.size_mb <= 0:
             raise ConfigurationError("DRAM size must be positive")
+        if self.row_buffer_bytes < 1:
+            raise ConfigurationError("DRAM row buffer must be >= 1 byte")
         if self.access_latency_cycles < 1 or self.row_hit_latency_cycles < 1:
             raise ConfigurationError("DRAM latencies must be >= 1 cycle")
         if self.row_hit_latency_cycles > self.access_latency_cycles:
             raise ConfigurationError("row hit latency cannot exceed miss latency")
+
+
+def _check_int(config: object, field_name: str) -> None:
+    """A count must be an ``int``, as every :class:`TileConfig` field is:
+    a float, a string or ``None`` would reach the timing models."""
+    value = getattr(config, field_name)
+    if not isinstance(value, int):
+        raise ConfigurationError(
+            f"{type(config).__name__}.{field_name} must be an int, "
+            f"got {value!r}"
+        )
+
+
+def _check_positive_float(config: object, field_name: str) -> None:
+    """A rate must be a finite, positive real number."""
+    value = getattr(config, field_name)
+    if (
+        not isinstance(value, (int, float))
+        or isinstance(value, bool)
+        or not math.isfinite(value)
+        or value <= 0
+    ):
+        raise ConfigurationError(
+            f"{type(config).__name__}.{field_name} must be a finite "
+            f"positive number, got {value!r}"
+        )
 
 
 def _is_power_of_two(value: int) -> bool:
@@ -179,6 +212,13 @@ class HardwareConfig:
     name: str = "custom"
 
     def __post_init__(self) -> None:
+        for field_name in (
+            "num_ms", "dn_bandwidth", "rn_bandwidth", "gb_size_kb",
+            "gb_banks", "ms_fifo_depth", "dn_fifo_depth", "rn_fifo_depth",
+            "technology_nm",
+        ):
+            _check_int(self, field_name)
+        _check_positive_float(self, "clock_ghz")
         if not _is_power_of_two(self.num_ms):
             raise ConfigurationError(
                 f"num_ms must be a power of two for tree-based fabrics, got {self.num_ms}"
@@ -200,8 +240,6 @@ class HardwareConfig:
         for fifo_name in ("ms_fifo_depth", "dn_fifo_depth", "rn_fifo_depth"):
             if getattr(self, fifo_name) < 1:
                 raise ConfigurationError(f"{fifo_name} must be >= 1")
-        if self.clock_ghz <= 0:
-            raise ConfigurationError("clock_ghz must be positive")
         if self.technology_nm not in (7, 14, 16, 22, 28, 45, 65):
             raise ConfigurationError(
                 f"no energy/area table for technology node {self.technology_nm} nm"

@@ -11,8 +11,8 @@ data-dependent optimizations) is the ``run_*`` front end of
 :class:`OperationFrontEnd`, which the parallel runner's recorder shares.
 The *microarchitectural* half (the cycle count and per-component
 activity recorded in the simulation report) is :meth:`Accelerator.time`,
-the one timing entry point of serial runs, pool workers, cache misses
-and ``stonne sanitize`` alike. It reads operand shapes only, and operand
+the one timing entry point of serial runs, pool workers and cache
+misses alike. It reads operand shapes only, and operand
 values only where timing is data-dependent (the stationary matrix on a
 sparse fabric): it computes no tensor.
 """

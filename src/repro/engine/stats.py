@@ -29,10 +29,11 @@ from repro.observability.provenance import run_metadata
 
 #: The declared universe of activity counters. CounterSet creates
 #: counters lazily (components need no pre-declaration), so this
-#: registry is the safety net: the COUNTER lint pass rejects any literal
-#: increment or read of a name missing here, which is how a typo'd
-#: counter fails `make lint` instead of silently pricing at zero energy
-#: or feeding the bottleneck-attribution layer a phantom.
+#: registry is the safety net: ``tests/property/test_prop_stall_counters.py``
+#: sweeps every fabric and fails on any name incremented but not declared
+#: here (a typo'd counter would otherwise price at zero energy or feed
+#: the bottleneck-attribution layer a phantom) and on any declared name
+#: nothing reaches.
 KNOWN_COUNTERS: Dict[str, str] = {
     "ctrl_cycles": "cycles the memory controller was driving the fabric",
     "ctrl_fifo_pops": "sparse-controller FIFO pop operations",
@@ -66,8 +67,8 @@ KNOWN_COUNTERS: Dict[str, str] = {
     "rn_wire_traversals": "RN wire segments traversed by all psums",
     # stall-attribution taxonomy (repro.observability.stalls): these live
     # in LayerReport.extra["stalls"], never in a CounterSet — declaring
-    # them here gives lint and `insight explain` one shared registry of
-    # names and descriptions
+    # them here gives `insight explain` one shared registry of names and
+    # descriptions
     "stall_compute_busy": "cycles the component advanced useful work",
     "stall_dram_stall": "cycles stalled on off-chip DRAM bandwidth",
     "stall_edge_underutilization": "systolic wavefront-skew cycles with edge PEs idle",
@@ -79,8 +80,7 @@ KNOWN_COUNTERS: Dict[str, str] = {
     "stall_weight_fill": "configuration + stationary operand fill cycles",
     # fabric-observatory metrics (repro.observability.fabric): these live
     # in LayerReport.extra["fabric"], never in a CounterSet — same shared
-    # registry idiom as the stall taxonomy above, for lint and
-    # `insight fabric`
+    # registry idiom as the stall taxonomy above, for `insight fabric`
     "fabric_dn_level_busy": "per-level DN switch/wire traversals (spatial split)",
     "fabric_mn_level_busy": "per-level MS-array multiplications (spatial split)",
     "fabric_rn_level_busy": "per-level RN adder/accumulator ops (spatial split)",
@@ -88,27 +88,6 @@ KNOWN_COUNTERS: Dict[str, str] = {
     "fifo_occupancy_hwm": "tier-boundary FIFO occupancy high-watermark",
     "fifo_occupancy_windows": "tier-boundary FIFO windowed occupancy series",
 }
-
-#: Counters that accumulate *simulated clock cycles*. Every site that
-#: increments one of these is a timing statement, and the stall ledger's
-#: conservation invariant (bucket sums == layer cycles) only holds if
-#: that site is charge-paired — i.e. the increment happens inside, or on
-#: a call path through, one of the CHARGE_FAMILIES functions below. The
-#: LEDGER lint pass extracts both literals statically and walks the
-#: interprocedural call graph to prove the pairing before any run.
-CYCLE_BEARING_COUNTERS: Dict[str, str] = {
-    "ctrl_cycles": "cycles the memory controller was driving the fabric",
-    "dn_busy_cycles": "cycles the distribution network moved data",
-}
-
-#: The charge-site vocabulary: a function whose name matches (exactly or
-#: by prefix), or that calls a matching function, anchors the stall /
-#: fabric attribution for every cycle-bearing increment it dominates.
-CHARGE_FAMILIES: Dict[str, List[str]] = {
-    "names": ["charge", "charge_levels"],
-    "prefixes": ["_charge_", "record_"],
-}
-
 
 _STR_ONLY = frozenset({str})
 _INT_ONLY = frozenset({int})

@@ -12,8 +12,9 @@ use.
 The layer window is also where host time is read: :meth:`start_layer`
 and :meth:`end_layer` bracket every simulated layer on every path, so
 the context keeps one :class:`LayerHostTime` per layer (``--profile``
-prints them). This package is the DET-CLOCK-whitelisted one; the
-engine, NoC and memory packages never read a wall clock.
+prints them). This package reads the host clock; the engine, NoC and
+memory packages never do (a cycle count that consulted one would fail
+the payload pins).
 
 The default-constructed context is fully disabled: the null tracer
 singleton plus no metrics recorder or ledger, so instrumented code paths

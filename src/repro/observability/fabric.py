@@ -54,8 +54,8 @@ FIFO_ANCHORS = {
 }
 
 #: per-level busy metrics live in ``extra["fabric"]["tiers"]``, never in
-#: a CounterSet — the string literals here are the canonical reference
-#: sites for the KNOWN_COUNTERS lint, mirroring stalls.BUCKET_COUNTERS
+#: a CounterSet; each name is declared in KNOWN_COUNTERS, which
+#: ``tests/unit/test_fabric.py`` holds, as for stalls.BUCKET_COUNTERS
 FABRIC_COUNTERS = {
     "dn": "fabric_dn_level_busy",
     "mn": "fabric_mn_level_busy",
@@ -63,7 +63,7 @@ FABRIC_COUNTERS = {
 }
 
 #: FIFO occupancy metrics live in ``extra["fabric"]["fifos"]`` — same
-#: registry idiom: declared in KNOWN_COUNTERS, referenced here for lint
+#: registry idiom: declared in KNOWN_COUNTERS
 FIFO_OCCUPANCY_COUNTERS = {
     "depth": "fifo_occupancy_depth",
     "high_watermark": "fifo_occupancy_hwm",

@@ -52,11 +52,10 @@ SCHEMA_VERSION = 3
 #: per schema version: the top-level payload keys and the per-layer row
 #: keys. Append-only history — every version ever shipped keeps its
 #: entry so readers know what a stored record of that vintage contains.
-#: The SCHEMA-DRIFT lint pass re-derives the *current* key sets straight
-#: from the AST of ``from_report`` / ``LayerReport.to_payload`` and
-#: diffs them against the entry for SCHEMA_VERSION: changing what gets
-#: persisted without bumping the version (and appending here) is a
-#: finding before it can corrupt a single store.
+#: ``tests/unit/test_registry.py`` builds a real record with every lens
+#: on and holds its keys to the entry for SCHEMA_VERSION: changing what
+#: gets persisted without bumping the version (and appending here) fails
+#: that test before it can corrupt a single store.
 REGISTRY_SCHEMA_MANIFEST: Dict[int, Dict[str, List[str]]] = {
     1: {
         "payload": ["config", "layers", "metadata", "metrics", "schema",

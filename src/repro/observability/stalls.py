@@ -41,8 +41,9 @@ recorder attached beside it cannot move the ledger.
 
 The per-bucket ``stall_*`` names below live in
 :data:`repro.engine.stats.KNOWN_COUNTERS` like every other activity
-name, which gives the lint pass and ``stonne insight explain`` one
-shared registry of descriptions.
+name, which gives ``stonne insight explain`` and the counter-universe
+property (``tests/property/test_prop_stall_counters.py``) one shared
+registry of descriptions.
 """
 
 from __future__ import annotations
@@ -51,8 +52,8 @@ from typing import Dict, List, Mapping
 
 from repro.errors import SimulationError
 
-#: bucket -> registered ``stall_*`` counter name (the string literals
-#: here are the canonical reference sites for the KNOWN_COUNTERS lint)
+#: bucket -> registered ``stall_*`` counter name (each declared in
+#: KNOWN_COUNTERS)
 BUCKET_COUNTERS: Dict[str, str] = {
     "compute_busy": "stall_compute_busy",
     "weight_fill": "stall_weight_fill",

@@ -84,7 +84,11 @@ _READ_CHUNK = 1 << 16
 _INT_ONLY = frozenset({int})
 
 #: params that describe the *mapping*, per kind — anything else a
-#: workload carries (round_builder objects, flags) is not part of the key
+#: workload carries (round_builder objects, flags) is not part of the key.
+#: Every config field reaches the key through ``config_hash``, the layer
+#: geometry through the operand shapes and these params;
+#: ``tests/property/test_prop_cache_key_fields.py`` checks that a field
+#: left out could not have changed the payload
 _KEY_PARAMS = {
     "conv": ("stride", "padding", "groups", "tile"),
     "gemm": ("tile",),
@@ -94,98 +98,6 @@ _KEY_PARAMS = {
 #: the lenses whose ledgers ride in a stored payload's ``extra`` (trace
 #: events and metrics samples never reach the cache)
 _PAYLOAD_LENSES = ("fabric", "stalls")
-
-#: How every config-dataclass field reaches the canonical key. The
-#: CACHE-KEY lint pass diffs these manifests against the *actual* fields
-#: of the classes in ``repro.config``: adding a field without deciding
-#: its cache-key fate here fails ``make lint`` instead of becoming a
-#: stale-cache bug. When coverage genuinely changes, bump
-#: ``CACHE_SCHEMA_VERSION`` in the same commit.
-KEY_COVERED_FIELDS = {
-    # config_hash() digests dataclasses.asdict(config), so every
-    # HardwareConfig field — including the nested DramConfig — flows
-    # into the key through the "config" entry of canonical_key_source.
-    "HardwareConfig": {
-        "num_ms": "via config_hash (asdict digests all fields)",
-        "dn_bandwidth": "via config_hash",
-        "rn_bandwidth": "via config_hash",
-        "controller": "via config_hash",
-        "distribution": "via config_hash",
-        "multiplier": "via config_hash",
-        "reduction": "via config_hash",
-        "dataflow": "via config_hash",
-        "sparse_format": "via config_hash",
-        "dtype": "via config_hash",
-        "gb_size_kb": "via config_hash",
-        "gb_banks": "via config_hash",
-        "ms_fifo_depth": "via config_hash",
-        "dn_fifo_depth": "via config_hash",
-        "rn_fifo_depth": "via config_hash",
-        "accumulation_buffer": "via config_hash",
-        "engine_mode": (
-            "via config_hash (ignored by the simulator; still hashed "
-            "until its removal regenerates the hashes)"
-        ),
-        "clock_ghz": "via config_hash",
-        "technology_nm": "via config_hash",
-        "dram": "via config_hash (asdict recurses into DramConfig)",
-        "name": "via config_hash (over-keys: renaming re-simulates)",
-    },
-    "DramConfig": {
-        "bandwidth_gbps": "via config_hash through HardwareConfig.dram",
-        "size_mb": "via config_hash through HardwareConfig.dram",
-        "access_latency_cycles": "via config_hash through HardwareConfig.dram",
-        "row_buffer_bytes": "via config_hash through HardwareConfig.dram",
-        "row_hit_latency_cycles": "via config_hash through HardwareConfig.dram",
-    },
-    # the tile travels in params["tile"]; _json_text writes it field by
-    # field (as dataclasses.asdict would), so all eight dimensions land in
-    # the key
-    "TileConfig": {
-        "t_r": "via params tile asdict",
-        "t_s": "via params tile asdict",
-        "t_c": "via params tile asdict",
-        "t_g": "via params tile asdict",
-        "t_k": "via params tile asdict",
-        "t_n": "via params tile asdict",
-        "t_x": "via params tile asdict",
-        "t_y": "via params tile asdict",
-    },
-    # layer geometry reaches the key through the operand *shapes* the
-    # workload carries, and the mapping through _KEY_PARAMS
-    "ConvLayerSpec": {
-        "r": "weights operand shape (k*g, c, r, s)",
-        "s": "weights operand shape",
-        "c": "weights and input operand shapes",
-        "k": "weights operand shape",
-        "g": "params groups and weights shape",
-        "n": "input operand shape (n, c*g, x, y)",
-        "x": "input operand shape",
-        "y": "input operand shape",
-        "stride": "params stride",
-    },
-    "GemmSpec": {
-        "m": "stationary operand shape (m, k)",
-        "n": "streamed operand shape (k, n)",
-        "k": "both operand shapes",
-    },
-}
-
-KEY_EXEMPT_FIELDS = {
-    "ConvLayerSpec": {
-        "kind": (
-            "descriptive tag only; timing is fully determined by the "
-            "geometry and params already in the key"
-        ),
-        "name": (
-            "the key is deliberately name-free so identically shaped "
-            "layers share one entry (from_payload re-stamps the name)"
-        ),
-    },
-    "GemmSpec": {
-        "name": "deliberately name-free, as for ConvLayerSpec.name",
-    },
-}
 
 
 def cacheable(workload: LayerWorkload, config: HardwareConfig) -> bool:

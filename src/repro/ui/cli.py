@@ -565,15 +565,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("lint_args", nargs=argparse.REMAINDER)
     lint.set_defaults(func=_cmd_lint)
 
-    sanitize = sub.add_parser(
-        "sanitize",
-        help="dual-run perturbation harness: prove a simulation is "
-             "hash- and submission-order independent",
-        add_help=False,
-    )
-    sanitize.add_argument("sanitize_args", nargs=argparse.REMAINDER)
-    sanitize.set_defaults(func=_cmd_sanitize)
-
     mkconfig = sub.add_parser("mkconfig", help="write a preset hardware .cfg file")
     mkconfig.add_argument("path")
     _add_hw_args(mkconfig)
@@ -731,16 +722,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return lint_main(forwarded)
 
 
-def _cmd_sanitize(args: argparse.Namespace) -> int:
-    """Forward ``stonne sanitize ...`` to the harness's own CLI."""
-    from repro.analysis.sanitize import main as sanitize_main
-
-    forwarded = list(args.sanitize_args)
-    if forwarded and forwarded[0] == "--":
-        forwarded = forwarded[1:]
-    return sanitize_main(forwarded)
-
-
 def _cmd_interactive(args: argparse.Namespace) -> int:
     from repro.ui.interactive import run_interactive
 
@@ -760,10 +741,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         from repro.analysis.lint import main as lint_main
 
         return lint_main(list(argv[1:]))
-    if argv and argv[0] == "sanitize":
-        from repro.analysis.sanitize import main as sanitize_main
-
-        return sanitize_main(list(argv[1:]))
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

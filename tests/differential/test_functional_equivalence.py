@@ -18,7 +18,7 @@ pass left the timing half:
 
 And one keeps the two halves of an operation apart: ``run_*`` is the
 functional front half plus ``Accelerator.time(workload)``, and ``time``
-alone — what a pool worker, a cache miss and ``stonne sanitize`` run —
+alone — what a pool worker and a cache miss run —
 leaves the payload, trace events, metrics samples and ledgers of the
 whole ``run_*`` while every functional helper is poisoned.
 """

@@ -1,11 +1,11 @@
 """Property tests: the counter universe is closed in both directions.
 
-``KNOWN_COUNTERS`` claims to be *the* universe of activity names: the
-lint pass rejects literals missing from it, and the energy model prices
-from it. That claim has two failure modes — an engine inventing a name
-behind the registry's back (a phantom that prices at zero energy), and
-a registered name nothing ever increments (dead weight that lint keeps
-alive). Both are pinned here against the real simulator:
+``KNOWN_COUNTERS`` claims to be *the* universe of activity names, and
+the energy model prices from it. That claim has two failure modes — an
+engine inventing a name behind the registry's back (a typo'd counter, a
+phantom that prices at zero energy), and a registered name nothing ever
+increments (dead weight, or a stall bucket no engine charges any more).
+Both are pinned here against the real simulator:
 
 - a full zoo × {tpu, maeri, sigma} sweep **with stall attribution and
   the fabric observatory on** must increment only registered names

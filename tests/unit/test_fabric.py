@@ -320,7 +320,7 @@ def test_hottest_links_ranking_is_deterministic():
     assert hottest_links(fabric, top=0) == []
 
 
-# ---- counter-name registry (lint contract) ----------------------------
+# ---- counter-name registry ---------------------------------------------
 def test_fabric_metric_names_registered_in_known_counters():
     assert set(FABRIC_COUNTERS) == set(FABRIC_TIERS)
     for name in FABRIC_COUNTERS.values():

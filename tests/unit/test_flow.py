@@ -1,9 +1,7 @@
-"""The shared interprocedural engine behind the flow-based passes."""
-
-from pathlib import Path
+"""The call graph behind PAR-SAFE."""
 
 from repro.analysis.core import Project
-from repro.analysis.flow import CallGraph, format_chain, mutated_params
+from repro.analysis.flow import CallGraph
 
 
 def _project(tmp_path, files):
@@ -73,54 +71,6 @@ def test_reachable_records_witness_chains(tmp_path):
     })
     reached = graph.reachable(["repro.chain:a"])
     assert "repro.chain:lonely" not in reached
-    chain = reached["repro.chain:c"]
-    assert format_chain(graph, chain) == "a -> b -> c"
-
-
-def test_caller_chain_walks_to_the_outermost_caller(tmp_path):
-    graph = _graph(tmp_path, {
-        "repro/chain.py": (
-            "def outer():\n    mid()\n"
-            "def mid():\n    leaf()\n"
-            "def leaf():\n    pass\n"
-        ),
-    })
-    inverse = graph.callers()
-    chain = graph.caller_chain("repro.chain:leaf", inverse)
-    assert format_chain(graph, chain) == "outer -> mid -> leaf"
-
-
-def test_mutated_params_direct_alias_and_propagated(tmp_path):
-    graph = _graph(tmp_path, {
-        "repro/fx.py": (
-            "def direct(box):\n"
-            "    box['k'] = 1\n"
-            "def via_alias(box):\n"
-            "    view = box\n"
-            "    view.append(2)\n"
-            "def delegator(box):\n"
-            "    direct(box)\n"
-            "def reader(box):\n"
-            "    return box['k']\n"
-        ),
-    })
-    summaries = mutated_params(graph)
-    assert summaries.get("repro.fx:direct") == {0}
-    assert summaries.get("repro.fx:via_alias") == {0}
-    assert summaries.get("repro.fx:delegator") == {0}
-    assert not summaries.get("repro.fx:reader")
-
-
-def test_call_results_are_not_tainted(tmp_path):
-    # mutating a fresh object *returned* by a method on the parameter
-    # is not a mutation of the parameter itself
-    graph = _graph(tmp_path, {
-        "repro/fx.py": (
-            "def edit_copy(layer):\n"
-            "    row = layer.to_payload()\n"
-            "    row.pop('extra')\n"
-            "    return row\n"
-        ),
-    })
-    summaries = mutated_params(graph)
-    assert not summaries.get("repro.fx:edit_copy")
+    assert reached["repro.chain:c"] == [
+        "repro.chain:a", "repro.chain:b", "repro.chain:c",
+    ]

@@ -16,9 +16,9 @@ def _baseline_from(tmp_path, *lint_args):
 
 
 def test_ratchet_passes_when_nothing_new(tmp_path, capsys):
-    baseline = _baseline_from(tmp_path, str(FIXTURES / "det"))
+    baseline = _baseline_from(tmp_path, str(FIXTURES / "exc"))
     capsys.readouterr()
-    code = main([str(FIXTURES / "det"), "--baseline", str(baseline)])
+    code = main([str(FIXTURES / "exc"), "--baseline", str(baseline)])
     out = capsys.readouterr().out
     assert code == 0
     assert "FAIL" not in out
@@ -26,18 +26,18 @@ def test_ratchet_passes_when_nothing_new(tmp_path, capsys):
 
 
 def test_ratchet_fails_only_on_new_findings(tmp_path, capsys):
-    baseline = _baseline_from(tmp_path, str(FIXTURES / "det"))
+    baseline = _baseline_from(tmp_path, str(FIXTURES / "exc"))
     capsys.readouterr()
     # same tree plus a fresh violation the baseline has never seen
     tree = tmp_path / "tree"
-    engine = tree / "repro" / "engine"
-    engine.mkdir(parents=True)
-    src = FIXTURES / "det" / "repro" / "engine" / "cycle.py"
-    (engine / "cycle.py").write_text(
+    package = tree / "repro"
+    package.mkdir(parents=True)
+    src = FIXTURES / "exc" / "repro" / "handlers.py"
+    (package / "handlers.py").write_text(
         src.read_text(encoding="utf-8"), encoding="utf-8"
     )
-    (engine / "fresh.py").write_text(
-        "import time\n\n\ndef tick():\n    return time.time()\n",
+    (package / "fresh.py").write_text(
+        "def tick():\n    raise RuntimeError('fresh')\n",
         encoding="utf-8",
     )
     code = main([str(tree), "--baseline", str(baseline)])
@@ -48,7 +48,7 @@ def test_ratchet_fails_only_on_new_findings(tmp_path, capsys):
 
 
 def test_ratchet_reports_fixed_counts(tmp_path, capsys):
-    baseline = _baseline_from(tmp_path, str(FIXTURES / "det"))
+    baseline = _baseline_from(tmp_path, str(FIXTURES / "exc"))
     capsys.readouterr()
     code = main([str(FIXTURES / "clean"), "--baseline", str(baseline)])
     out = capsys.readouterr().out
@@ -59,11 +59,11 @@ def test_ratchet_reports_fixed_counts(tmp_path, capsys):
 
 
 def test_baseline_block_lands_in_the_json_report(tmp_path, capsys):
-    baseline = _baseline_from(tmp_path, str(FIXTURES / "det"))
+    baseline = _baseline_from(tmp_path, str(FIXTURES / "exc"))
     out_path = tmp_path / "next.json"
     capsys.readouterr()
     main([
-        str(FIXTURES / "det"), "--baseline", str(baseline),
+        str(FIXTURES / "exc"), "--baseline", str(baseline),
         "--format", "json", "--output", str(out_path),
     ])
     report = json.loads(out_path.read_text(encoding="utf-8"))
@@ -84,7 +84,7 @@ def test_missing_or_unreadable_baseline_is_a_usage_error(tmp_path, capsys):
 
 def test_stale_suppression_is_a_finding(tmp_path):
     (tmp_path / "mod.py").write_text(
-        "x = 1  # stonne: lint-ok[DET-RAND] nothing here anymore\n",
+        "x = 1  # stonne: lint-ok[EXC-TYPE] nothing here anymore\n",
         encoding="utf-8",
     )
     result = run_lint([tmp_path])
@@ -94,11 +94,10 @@ def test_stale_suppression_is_a_finding(tmp_path):
 
 
 def test_used_suppression_is_not_stale(tmp_path):
-    (tmp_path / "repro" / "engine").mkdir(parents=True)
-    (tmp_path / "repro" / "engine" / "mod.py").write_text(
-        "import time\n\n\ndef tick():\n"
-        "    return time.time()"
-        "  # stonne: lint-ok[DET-CLOCK] test fixture\n",
+    (tmp_path / "mod.py").write_text(
+        "def tick():\n"
+        "    raise RuntimeError('x')"
+        "  # stonne: lint-ok[EXC-TYPE] test fixture\n",
         encoding="utf-8",
     )
     result = run_lint([tmp_path])
@@ -110,8 +109,8 @@ def test_stale_suppressions_are_not_judged_under_select(tmp_path):
     # under --select the unselected passes never ran, so their
     # suppressions legitimately match nothing
     (tmp_path / "mod.py").write_text(
-        "x = 1  # stonne: lint-ok[DET-RAND] out of scope today\n",
+        "x = 1  # stonne: lint-ok[EXC-TYPE] out of scope today\n",
         encoding="utf-8",
     )
-    result = run_lint([tmp_path], select=["EXC"])
+    result = run_lint([tmp_path], select=["FLOAT-ORDER"])
     assert result.findings == []

@@ -16,19 +16,19 @@ def _source(text: str) -> SourceFile:
 def test_module_name_anchors_at_repro():
     assert module_name("src/repro/engine/stats.py") == "repro.engine.stats"
     assert module_name("repro/__init__.py") == "repro"
-    assert module_name("det/repro/engine/cycle.py") == "repro.engine.cycle"
+    assert module_name("exc/repro/engine/cycle.py") == "repro.engine.cycle"
     assert module_name("foo/bar.py") == "foo.bar"
 
 
 def test_comment_line_suppresses_next_line_trailing_its_own():
     file = _source(
-        "# stonne: lint-ok[DET-RAND] seeded upstream\n"
+        "# stonne: lint-ok[PAR-GLOBAL] pure memo\n"
         "x = 1\n"
         "y = 2  # stonne: lint-ok[EXC-BROAD] trailing case\n"
     )
     (on_two,) = file.suppressions_for(2)
-    assert on_two.rule == "DET-RAND"
-    assert on_two.reason == "seeded upstream"
+    assert on_two.rule == "PAR-GLOBAL"
+    assert on_two.reason == "pure memo"
     (on_three,) = file.suppressions_for(3)
     assert on_three.rule == "EXC-BROAD"
     assert not file.suppressions_for(1)
@@ -41,12 +41,12 @@ def test_family_prefix_matching():
     assert suppression.matches("EXC-BROAD")
     assert suppression.matches("EXC")
     assert not suppression.matches("EXCESS-1")
-    assert not suppression.matches("DET-RAND")
+    assert not suppression.matches("PAR-GLOBAL")
 
 
 def test_reasonless_suppression_is_a_finding(tmp_path):
     (tmp_path / "mod.py").write_text(
-        "x = 1  # stonne: lint-ok[DET-RAND]\n", encoding="utf-8"
+        "x = 1  # stonne: lint-ok[EXC-TYPE]\n", encoding="utf-8"
     )
     result = run_lint([tmp_path])
     assert [f.rule for f in result.findings] == ["LINT-REASON"]
@@ -69,7 +69,7 @@ def test_syntax_error_is_a_finding(tmp_path):
 def test_driver_rules_cannot_be_suppressed(tmp_path):
     (tmp_path / "mod.py").write_text(
         "# stonne: lint-ok[LINT-REASON] hide the next line\n"
-        "x = 1  # stonne: lint-ok[DET-RAND]\n",
+        "x = 1  # stonne: lint-ok[EXC-TYPE]\n",
         encoding="utf-8",
     )
     result = run_lint([tmp_path])
@@ -77,16 +77,16 @@ def test_driver_rules_cannot_be_suppressed(tmp_path):
 
 
 def test_select_filters_passes(tmp_path):
-    result = run_lint([FIXTURES / "det"], select=["EXC"])
+    result = run_lint([FIXTURES / "exc"], select=["FLOAT-ORDER"])
     assert result.findings == []
-    result = run_lint([FIXTURES / "det"], select=["DET"])
+    result = run_lint([FIXTURES / "exc"], select=["EXC"])
     assert result.findings
 
 
 def test_cli_exit_codes(tmp_path, capsys):
     assert main([str(FIXTURES / "clean")]) == 0
     capsys.readouterr()
-    assert main([str(FIXTURES / "det")]) == 1
+    assert main([str(FIXTURES / "exc")]) == 1
     capsys.readouterr()
     assert main([str(tmp_path / "does-not-exist")]) == 2
 
@@ -94,7 +94,7 @@ def test_cli_exit_codes(tmp_path, capsys):
 def test_cli_json_report(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main([
-        str(FIXTURES / "det"), "--format", "json", "--output", str(out),
+        str(FIXTURES / "exc"), "--format", "json", "--output", str(out),
     ])
     assert code == 1
     report = json.loads(out.read_text(encoding="utf-8"))
@@ -111,6 +111,6 @@ def test_cli_json_report(tmp_path, capsys):
 def test_cli_list_rules(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule_id in ("DET-RAND", "CACHE-KEY-FIELD", "PAR-GLOBAL",
-                    "EXC-BROAD", "COUNTER-UNDECLARED", "LINT-REASON"):
+    for rule_id in ("PAR-GLOBAL", "PAR-REGISTRY", "EXC-BROAD",
+                    "FLOAT-DICT", "LINT-REASON"):
         assert rule_id in out

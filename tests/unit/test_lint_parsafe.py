@@ -55,9 +55,9 @@ def test_global_statement_is_flagged(tmp_path):
 
 
 def test_global_write_planted_in_accelerator_time_is_flagged(tmp_path):
-    """Every timing run — pool task, cache miss, serial fallback,
-    ``stonne sanitize`` — is ``_simulate_workload`` -> ``Accelerator.time``;
-    the pass must walk that edge on the real tree."""
+    """Every timing run — pool task, cache miss, serial fallback — is
+    ``_simulate_workload`` -> ``Accelerator.time``; the pass must walk
+    that edge on the real tree."""
     import shutil
 
     src = Path(__file__).resolve().parents[2] / "src" / "repro"

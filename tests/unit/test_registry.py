@@ -5,7 +5,10 @@ import pytest
 
 from repro.config import maeri_like
 from repro.engine.accelerator import Accelerator
+from repro.observability import Observability
 from repro.observability.registry import (
+    REGISTRY_SCHEMA_MANIFEST,
+    SCHEMA_VERSION,
     RunRecord,
     RunRegistry,
     default_registry_dir,
@@ -20,6 +23,29 @@ def report(rng):
     b = rng.standard_normal((16, 4)).astype(np.float32)
     acc.run_gemm(a, b, name="reg-gemm")
     return acc.report
+
+
+def test_persisted_keys_match_the_manifest_of_the_current_version(rng):
+    # what a record stores must be what REGISTRY_SCHEMA_MANIFEST says the
+    # current SCHEMA_VERSION stores: a key added or dropped needs a
+    # version bump and a new manifest entry, so readers can tell the
+    # vintages apart
+    acc = Accelerator(
+        maeri_like(16, 4),
+        observability=Observability.create(stalls=True, fabric=True),
+    )
+    acc.run_gemm(rng.standard_normal((8, 12)).astype(np.float32),
+                 rng.standard_normal((12, 9)).astype(np.float32))
+    acc.run_conv(rng.standard_normal((4, 2, 3, 3)).astype(np.float32),
+                 rng.standard_normal((1, 2, 6, 6)).astype(np.float32))
+    record = RunRecord.from_report(acc.report, workload="schema",
+                                   extra={"note": "x"})
+    assert max(REGISTRY_SCHEMA_MANIFEST) == SCHEMA_VERSION
+    declared = REGISTRY_SCHEMA_MANIFEST[SCHEMA_VERSION]
+    assert sorted(record.payload) == declared["payload"]
+    assert len(record.layers) == 2
+    for row in record.layers:
+        assert sorted(row) == declared["layer"]
 
 
 def test_record_from_report_carries_headlines(report):

@@ -14,10 +14,9 @@ def test_src_repro_lints_clean():
         f"{f.location()}: {f.rule} {f.message}" for f in result.findings
     ] == []
     assert result.files > 50  # the whole package was actually scanned
-    assert set(result.passes) == {
-        "CACHE-KEY", "COUNTER", "DET", "EXC", "FLOAT-ORDER", "LEDGER",
-        "OBS-NEUTRAL", "PAR-SAFE", "SCHEMA-DRIFT",
-    }
+    # the passes with a seeded mutant no runtime test catches
+    # (tests/oracles/mutants.py; docs/STATIC_ANALYSIS.md has the table)
+    assert set(result.passes) == {"EXC", "FLOAT-ORDER", "PAR-SAFE"}
 
 
 def test_known_suppressions_carry_reasons():
