@@ -151,10 +151,13 @@ class DramConfig:
 
 
 def _check_int(config: object, field_name: str) -> None:
-    """A count must be an ``int``, as every :class:`TileConfig` field is:
-    a float, a string or ``None`` would reach the timing models."""
+    """A count must be an ``int``: a float, a string or ``None`` would
+    reach the timing models, and a ``bool`` would time as 0 or 1 while
+    the config hash and every report write it as ``true`` / ``false``."""
     value = getattr(config, field_name)
-    if not isinstance(value, int):
+    if type(value) is not int and (
+        isinstance(value, bool) or not isinstance(value, int)
+    ):
         raise ConfigurationError(
             f"{type(config).__name__}.{field_name} must be an int, "
             f"got {value!r}"

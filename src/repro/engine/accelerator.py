@@ -15,6 +15,13 @@ the one timing entry point of serial runs, pool workers and cache
 misses alike. It reads operand shapes only, and operand
 values only where timing is data-dependent (the stationary matrix on a
 sparse fabric): it computes no tensor.
+
+A serial run times each distinct layer once: when the parallel runner's
+fold rule holds (no per-layer lens on, value-independent timing), the
+accelerator's front end gives a repeat of an already-timed layer the
+first one's report under its own name and advances every counter file
+and clock by what the first one added, as the runner folds repeated
+shapes (:meth:`Accelerator._offload`).
 """
 
 from __future__ import annotations
@@ -37,7 +44,9 @@ from repro.memory.dram import Dram
 from repro.memory.global_buffer import GlobalBuffer
 from repro.memory.sparse_controller import RoundBuilder, SparseController
 from repro.noc.base import CounterSet
-from repro.observability.context import TRACE_COUNTER_SERIES, Observability
+from repro.observability.context import (
+    TRACE_COUNTER_SERIES, LayerHostTime, Observability,
+)
 from repro.noc.distribution import build_distribution_network
 from repro.noc.multiplier import build_multiplier_network
 from repro.noc.reduction import build_reduction_network
@@ -214,6 +223,21 @@ class OperationFrontEnd:
         """The microarchitectural half: what becomes of a workload."""
         raise NotImplementedError
 
+    def _record(
+        self,
+        kind: str,
+        name: str,
+        params: Dict[str, Any],
+        operands: Dict[str, Any],
+    ) -> LayerWorkload:
+        """The next offloaded operation as a workload."""
+        data_dependent = kind in DATA_DEPENDENT_KINDS or self.config.is_sparse
+        workload = LayerWorkload(
+            self._offloaded, kind, name, params, operands, data_dependent
+        )
+        self._offloaded += 1
+        return workload
+
     def _offload(
         self,
         kind: str,
@@ -221,12 +245,7 @@ class OperationFrontEnd:
         params: Dict[str, Any],
         operands: Dict[str, Any],
     ) -> None:
-        data_dependent = kind in DATA_DEPENDENT_KINDS or self.config.is_sparse
-        workload = LayerWorkload(
-            self._offloaded, kind, name, params, operands, data_dependent
-        )
-        self._offloaded += 1
-        self.time(workload)
+        self.time(self._record(kind, name, params, operands))
 
     def run_conv(
         self,
@@ -365,6 +384,26 @@ class OperationFrontEnd:
 _Timing = Tuple[int, int, int, float, Dict[str, Any]]
 
 
+#: a component's clock
+_CLOCK = operator.attrgetter("_current_cycle")
+
+
+class _Fold:
+    """What the first timing of a foldable layer left behind."""
+
+    __slots__ = ("layer", "clocks", "parts")
+
+    def __init__(self, layer: LayerReport, clocks: Tuple[int, ...]) -> None:
+        self.layer = layer
+        #: how far the timing advanced each component's clock, in
+        #: component order
+        self.clocks = clocks
+        #: per component the layer touched: (the component, its part of
+        #: the layer's counters, its clock advance); built when a repeat
+        #: first needs it
+        self.parts: Optional[Tuple[Tuple[Any, CounterSet, int], ...]] = None
+
+
 class Accelerator(OperationFrontEnd):
     """One simulated accelerator instance."""
 
@@ -420,6 +459,12 @@ class Accelerator(OperationFrontEnd):
             self._components = [self.gb, self.dram, self.dn, self.mn, self.rn, controller]
         for component in self._components:
             component.obs = self.obs
+        #: the serial front end's fold table: fold key → the first timing
+        self._folds: Dict[Tuple, _Fold] = {}
+        #: counter name → index of the one component that records it
+        self._owners: Dict[str, int] = {}
+        #: the fold :meth:`_offload` hands :meth:`time` for one call
+        self._replay: Optional[_Fold] = None
 
     # ------------------------------------------------------------------
     # the configured components (Fig. 4)
@@ -433,6 +478,7 @@ class Accelerator(OperationFrontEnd):
             component.reset()
         self.report = SimulationReport(self.config)
         self._offloaded = 0
+        self._folds.clear()
 
     def _snapshot(self) -> CounterSet:
         # every counter name belongs to one component (union enforces it)
@@ -504,7 +550,95 @@ class Accelerator(OperationFrontEnd):
         return layer
 
     # ------------------------------------------------------------------
-    # the microarchitectural half (the run_* front ends are inherited)
+    # the serial front end's fold (the run_* front ends are inherited)
+    # ------------------------------------------------------------------
+    def _offload(
+        self,
+        kind: str,
+        name: str,
+        params: Dict[str, Any],
+        operands: Dict[str, Any],
+    ) -> None:
+        """Time the operation, or replay the first timing of its twin.
+
+        The parallel runner's fold rule: with only payload lenses on
+        (:attr:`Observability.payload_only`) and value-independent timing,
+        a workload whose :meth:`LayerWorkload.fold_key` (and lens set) an
+        earlier one since the last :meth:`reset` had is not timed again. Its report is the
+        first one's under its own name, every component's counter file
+        and clock advance by what the first timing added, the layer still
+        opens its window at its base and its host-time row says
+        ``deduplicated``. Pool workers and direct callers of :meth:`time`
+        never reach the table: ``time`` times every call of theirs.
+        """
+        workload = self._record(kind, name, params, operands)
+        obs = self.obs
+        if workload.data_dependent or not obs.payload_only:
+            self.time(workload)
+            return
+        key = (workload.fold_key(), obs.stalls is not None,
+               obs.fabric is not None)
+        fold = self._folds.get(key)
+        if fold is None:
+            components = self._components
+            clocks = list(map(_CLOCK, components))
+            layer = self.time(workload)
+            self._folds[key] = _Fold(layer, tuple(
+                map(operator.sub, map(_CLOCK, components), clocks)
+            ))
+            return
+        # handed to `time` rather than replayed here, so a serial run
+        # still passes every workload through `time`
+        self._replay = fold
+        try:
+            self.time(workload)
+        finally:
+            self._replay = None
+
+    def _replay_fold(self, workload: LayerWorkload, fold: _Fold) -> LayerReport:
+        """Append ``fold``'s report as ``workload``'s, leaving what timing
+        the workload would have left."""
+        name, kind = workload.name, workload.kind
+        self._start_layer(name, kind)
+        # the check every timing makes: no counter name in two components
+        self._snapshot()
+        first = fold.layer
+        parts = fold.parts
+        if parts is None:
+            components = self._components
+            owners = self._owners
+            split: List[Dict[str, int]] = [{} for _ in components]
+            for counter, count in first.counters.items():
+                owner = owners.get(counter)
+                if owner is None:
+                    owner = owners[counter] = next(
+                        index for index, component in enumerate(components)
+                        if counter in component.counters
+                    )
+                split[owner][counter] = count
+            parts = fold.parts = tuple(
+                (component, CounterSet(counts), cycles)
+                for component, counts, cycles in zip(
+                    components, split, fold.clocks
+                )
+                if counts or cycles
+            )
+        for component, part, cycles in parts:
+            component.counters.merge(part)
+            component._current_cycle += cycles
+        layer = LayerReport(
+            name, kind, first.cycles, first.macs, first.outputs,
+            first.multiplier_utilization, first.counters.copy(),
+            dict(first.extra),
+        )
+        self.obs.host_time.append(
+            LayerHostTime(name, kind, layer.cycles, None, "deduplicated")
+        )
+        self.report.append(layer)
+        return layer
+
+    # ------------------------------------------------------------------
+    # the microarchitectural half
     # ------------------------------------------------------------------
     def time(self, workload: LayerWorkload) -> LayerReport:
         """Simulate one workload's timing; appends and returns its report.
@@ -512,7 +646,10 @@ class Accelerator(OperationFrontEnd):
         Dense hardware reads operand shapes only; a sparse fabric also
         reads the stationary operand's values (round packing) and, under
         ``sparse_streaming``, the streamed one's. No output is computed.
+        Only a repeat :meth:`_offload` hands over is replayed instead.
         """
+        if self._replay is not None:
+            return self._replay_fold(workload, self._replay)
         kind, name = workload.kind, workload.name
         if kind not in ("conv", "gemm", "spmm", "maxpool"):
             raise SimulationError(f"unknown workload kind {kind!r}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Dict, Tuple
+from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
@@ -21,6 +21,18 @@ from repro.tensors.sparse import BitmapMatrix, CsrMatrix
 #: shapes: sparse scheduling packs rounds from the non-zero structure and
 #: SNAPEA terminates dot products from the running partial sums
 DATA_DEPENDENT_KINDS = frozenset({"spmm", "snapea"})
+
+#: params that describe the *mapping*, per value-independent kind —
+#: anything else a workload carries (round_builder objects, flags) does
+#: not change its timing. Both the simulation cache key and the serial
+#: fold key (:meth:`LayerWorkload.fold_key`) read exactly these;
+#: ``tests/property/test_prop_cache_key_fields.py`` checks that a param
+#: left out could not have changed the payload
+MAPPING_PARAMS = {
+    "conv": ("stride", "padding", "groups", "tile"),
+    "gemm": ("tile",),
+    "maxpool": ("pool", "stride"),
+}
 
 #: ``str(dtype)`` of the dtypes operands carry, precomputed: ``str`` of a
 #: NumPy dtype runs Python code on every call, a table read does not
@@ -35,6 +47,24 @@ def dtype_name(dtype: np.dtype) -> str:
     """``str(dtype)``, read from a table for the common dtypes."""
     name = _DTYPE_NAMES.get(dtype)
     return name if name is not None else str(dtype)
+
+
+def _exact(value: Any) -> Any:
+    """``value`` as a key part that equals another only where the cache
+    key writes both the same: ``1``, ``True`` and ``1.0`` compare equal
+    but serialise apart, and so do ``0.0`` and ``-0.0``. A plain int or
+    ``None`` (the front end's params) is its own key part."""
+    kind = type(value)
+    if kind is int or value is None:
+        return value
+    if isinstance(value, float):
+        return kind, float.__repr__(value)
+    if dataclasses.is_dataclass(kind):
+        return kind, tuple(
+            _exact(getattr(value, item.name))
+            for item in dataclasses.fields(kind)
+        )
+    return kind, value
 
 
 @dataclass(frozen=True)
@@ -87,6 +117,25 @@ class LayerWorkload:
             key: OperandSpec.of(value).shape
             for key, value in self.operands.items()
         }
+
+    def fold_key(self) -> Tuple:
+        """A hashable key under which equal workloads of a
+        value-independent kind time the same on one accelerator: the
+        kind, each operand's name, shape and dtype and the exact value of
+        each :data:`MAPPING_PARAMS` entry. Equal keys mean equal
+        simulation cache keys (``tests/differential/test_serial_fold.py``)
+        and cost no hashing of text, so a serial run can look one up per
+        layer."""
+        key: List[Any] = [self.kind]
+        for name, operand in self.operands.items():
+            key += (name, operand.shape, operand.dtype)
+        params = self.params
+        for name in MAPPING_PARAMS[self.kind]:
+            value = params.get(name)
+            key.append(
+                value if type(value) is int or value is None else _exact(value)
+            )
+        return tuple(key)
 
     def timing_view(self) -> "LayerWorkload":
         """This workload with every operand reduced to its

@@ -105,6 +105,17 @@ class Observability:
         return (self.tracer.enabled or self.metrics is not None
                 or self.stalls is not None or self.fabric is not None)
 
+    @property
+    def payload_only(self) -> bool:
+        """Whether every lens that is on writes only into the layer
+        payload (stall and fabric ledgers ride in its ``extra``). Trace
+        events and metrics samples are per layer and never in a payload,
+        so this is the fold rule of both model-run paths: only then may a
+        repeated layer be given its first twin's payload instead of being
+        timed again (the parallel runner's cache replays payloads under
+        any lens set)."""
+        return not self.tracer.enabled and self.metrics is None
+
     # ---- accelerator protocol -----------------------------------------
     def bind(self, snapshot: Callable[[], CounterSet]) -> None:
         """Install the accelerator's merged-counter snapshot provider."""

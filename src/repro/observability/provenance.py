@@ -16,11 +16,12 @@ import enum
 import functools
 import hashlib
 import json
+import operator
 import platform
 from datetime import datetime, timezone
-from typing import Dict, Optional
+from typing import Any, Callable, Dict, Optional, Tuple
 
-from repro.config.hardware import HardwareConfig
+from repro.config.hardware import DramConfig, HardwareConfig
 from repro.version import __version__
 
 
@@ -45,9 +46,31 @@ def config_digest_source(config: HardwareConfig) -> str:
     return json.dumps(_jsonable(config), sort_keys=True)
 
 
+def _field_reader(cls: type) -> Callable[[Any], Tuple]:
+    """A reader of ``cls``'s field values, in field order, as one tuple."""
+    return operator.attrgetter(*(item.name for item in dataclasses.fields(cls)))
+
+
+_HARDWARE_FIELDS = _field_reader(HardwareConfig)
+_DRAM_FIELDS = _field_reader(DramConfig)
+
+
+def _field_types(config: HardwareConfig) -> Tuple:
+    """The type of each field value of ``config`` and of its DRAM config:
+    ``2 == 2.0`` and ``True == 1`` compare and hash alike, but
+    :func:`config_digest_source` writes them apart."""
+    return (
+        tuple(map(type, _HARDWARE_FIELDS(config))),
+        tuple(map(type, _DRAM_FIELDS(config.dram))),
+    )
+
+
 @functools.lru_cache(maxsize=256)
-def _digest(config: HardwareConfig) -> str:
-    """The digest of ``config``'s fields, shared by equal configs."""
+def _digest(config: HardwareConfig, field_types: Tuple) -> str:
+    """The digest of ``config``'s fields, shared by configs whose fields
+    are equal and of the same types (``field_types`` is part of the memo
+    key, so a digest never depends on which equal config was hashed
+    first)."""
     return hashlib.sha256(
         config_digest_source(config).encode("utf-8")
     ).hexdigest()[:16]
@@ -60,12 +83,13 @@ def config_hash(config: HardwareConfig) -> str:
     is stored on the instance on first use and later calls read it back
     (the simulation cache asks for it on every layer it keys, reads and
     writes). The first call on an object finds the digest of an equal,
-    earlier config in a small value-keyed memo (sweeps rebuild the same
-    presets) and computes it only for a configuration not seen before.
+    earlier config in a small memo keyed by field values and types
+    (sweeps rebuild the same presets) and computes it only for a
+    configuration not seen before.
     """
     digest = getattr(config, _DIGEST_ATTRIBUTE, None)
     if digest is None:
-        digest = _digest(config)
+        digest = _digest(config, _field_types(config))
         # frozen dataclass: the digest bypasses __setattr__, and it is no
         # field, so equality, hashing and asdict never see it
         object.__setattr__(config, _DIGEST_ATTRIBUTE, digest)

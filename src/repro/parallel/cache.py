@@ -62,7 +62,8 @@ import numpy as np
 from repro.config.hardware import HardwareConfig
 from repro.engine.stats import LayerReport
 from repro.engine.workload import (
-    DATA_DEPENDENT_KINDS, LayerWorkload, OperandSpec, dtype_name,
+    DATA_DEPENDENT_KINDS, MAPPING_PARAMS, LayerWorkload, OperandSpec,
+    dtype_name,
 )
 from repro.errors import ConfigurationError
 from repro.observability.provenance import config_hash
@@ -83,18 +84,6 @@ _READ_CHUNK = 1 << 16
 
 _INT_ONLY = frozenset({int})
 
-#: params that describe the *mapping*, per kind — anything else a
-#: workload carries (round_builder objects, flags) is not part of the key.
-#: Every config field reaches the key through ``config_hash``, the layer
-#: geometry through the operand shapes and these params;
-#: ``tests/property/test_prop_cache_key_fields.py`` checks that a field
-#: left out could not have changed the payload
-_KEY_PARAMS = {
-    "conv": ("stride", "padding", "groups", "tile"),
-    "gemm": ("tile",),
-    "maxpool": ("pool", "stride"),
-}
-
 #: the lenses whose ledgers ride in a stored payload's ``extra`` (trace
 #: events and metrics samples never reach the cache)
 _PAYLOAD_LENSES = ("fabric", "stalls")
@@ -109,7 +98,7 @@ def cacheable(workload: LayerWorkload, config: HardwareConfig) -> bool:
     if config.is_sparse:
         # conv/GEMM on a sparse fabric is timed by the sparse controller
         return False
-    return workload.kind in _KEY_PARAMS
+    return workload.kind in MAPPING_PARAMS
 
 
 #: how ``json.dumps`` writes a string (``ensure_ascii``, quotes included)
@@ -122,10 +111,10 @@ _INF = float("inf")
 #: signature's parameter texts
 _PARAM_LABELS = {
     kind: tuple(f"{_JSON_STRING(name)}: " for name in sorted(names))
-    for kind, names in _KEY_PARAMS.items()
+    for kind, names in MAPPING_PARAMS.items()
 }
 _SORTED_PARAMS = {
-    kind: tuple(sorted(names)) for kind, names in _KEY_PARAMS.items()
+    kind: tuple(sorted(names)) for kind, names in MAPPING_PARAMS.items()
 }
 
 #: dataclass type → (``"<field>": ``, field name) in sorted field order

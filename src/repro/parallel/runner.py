@@ -424,13 +424,10 @@ class ParallelModelRunner:
         lenses = self._worker_lenses()
         cache = self.cache
         # keyed with or without a cache object: the key is also what
-        # folds a model's repeated shapes onto one simulation. Trace
-        # events and metrics samples are per layer and never part of a
-        # payload, so with one of those lenses on and no cache asked to
-        # replay from, nothing is folded: every layer keeps its detail.
-        keyed = cache is not None or not (
-            lenses["trace"] or lenses["metrics_every"]
-        )
+        # folds a model's repeated shapes onto one simulation, under the
+        # fold rule a serial run follows too (Observability.payload_only);
+        # with a cache to replay from, every lens set is keyed
+        keyed = cache is not None or self.obs.payload_only
         keys: Dict[int, Optional[str]] = dict(zip(
             (w.index for w in workloads),
             SimCache.keys_of(workloads, self.config, lenses) if keyed

@@ -15,7 +15,7 @@ import dataclasses
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from repro.config import EngineMode, tpu_like
@@ -139,7 +139,13 @@ def test_tile_grid_is_the_tile_classes_as_a_multiset(m, k, n, dim, dataflow):
     }
 
 
-@settings(max_examples=200, deadline=None)
+# no shrink phase: a failing example is a wide traced GEMM whose every
+# shrink step re-runs both timings, so shrinking one took minutes; the
+# unshrunk example fails within seconds and still names the shape
+@settings(
+    max_examples=200, deadline=None,
+    phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target),
+)
 @given(
     **SHAPES,
     mode=st.sampled_from(list(EngineMode)),

@@ -274,9 +274,9 @@ def test_cli_profile_rows_are_the_same_on_every_path(tmp_path, capsys):
     for label, rows in tables.items():
         assert [row[:3] for row in rows] == [
             row[:3] for row in tables["serial"]], label
-    assert {row[4] for row in tables["serial"]} == {"simulated"}
-    # the runner folds repeated shapes with or without a cache object
-    for label in ("jobs", "live", "cold"):
+    # every path folds repeated shapes, the serial one and the runner's
+    # with or without a cache object
+    for label in ("serial", "jobs", "live", "cold"):
         assert {row[4] for row in tables[label]} == {
             "simulated", "deduplicated"}, label
         assert [row[4] for row in tables[label]] == \

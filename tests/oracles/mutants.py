@@ -1,9 +1,12 @@
 """Seeded production mutants, each of which a named test must catch.
 
 Each mutant is one edit to production. Six edit the closed-form timing,
-which ``tests/property/test_prop_clock.py`` must catch, and one SNAPEA's
+which ``tests/property/test_prop_clock.py`` must catch, one SNAPEA's
 termination scan, which ``tests/differential/test_snapea_scan_oracle.py``
-must catch. The other ten stand for the checks ``docs/STATIC_ANALYSIS.md``
+must catch, and one leaves a systolic layer's stall ledger empty, which
+``tests/property/test_prop_ledger_compute_busy.py`` must catch (an empty
+ledger finalizes as all idle and passes conservation). The other ten
+stand for the checks ``docs/STATIC_ANALYSIS.md``
 weighs, one each: a fault of the kind the check was written for. Where a
 runtime test catches it, that test is named and the check is gone; where
 only a lint pass does, the entry names
@@ -96,7 +99,7 @@ MUTANTS = [
     ),
     (
         "CACHE-KEY: conv stride left out of the key",
-        "parallel/cache.py",
+        "engine/workload.py",
         '"conv": ("stride", "padding", "groups", "tile"),',
         '"conv": ("padding", "groups", "tile"),',
         "tests/property/test_prop_cache_key_fields.py",
@@ -129,6 +132,13 @@ MUTANTS = [
         "self._charge_stalls(ledger, classes, dram_stall * repeats)",
         "pass",
         STALL_COUNTERS + "::test_every_registered_name_is_reachable",
+    ),
+    (
+        "ATTRIBUTION: a systolic layer finalizes an empty, all-idle ledger",
+        "engine/systolic.py",
+        "self._charge_stalls(ledger, classes, dram_stall * repeats)",
+        "pass",
+        "tests/property/test_prop_ledger_compute_busy.py",
     ),
     (
         "OBS-NEUTRAL: metrics sampling folds counters into the engine's "
