@@ -44,6 +44,9 @@ bench:
 # serial; a pool whose workers are killed is replaced, sized by --jobs).
 # tests/differential/ also holds SNAPEA's in-place termination scan
 # against the per-filter scan it replaced (test_snapea_scan_oracle.py)
+# and a traced run's fold of repeated layers against timing every layer,
+# serial and at jobs=1|2, its exported trace bytes included
+# (test_trace_fold.py)
 differential:
 	PYTHONPATH=src python -m pytest tests/differential/ \
 		tests/unit/test_parallel.py \

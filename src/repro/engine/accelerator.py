@@ -17,11 +17,12 @@ values only where timing is data-dependent (the stationary matrix on a
 sparse fabric): it computes no tensor.
 
 A serial run times each distinct layer once: when the parallel runner's
-fold rule holds (no per-layer lens on, value-independent timing), the
+fold rule holds (no metrics recorder on, value-independent timing), the
 accelerator's front end gives a repeat of an already-timed layer the
-first one's report under its own name and advances every counter file
-and clock by what the first one added, as the runner folds repeated
-shapes (:meth:`Accelerator._offload`).
+first one's report under its own name, advances every counter file and
+clock by what the first one added and, under a tracer, replays the first
+one's trace records at its own base, as the runner folds repeated shapes
+(:meth:`Accelerator._offload`).
 """
 
 from __future__ import annotations
@@ -384,24 +385,30 @@ class OperationFrontEnd:
 _Timing = Tuple[int, int, int, float, Dict[str, Any]]
 
 
-#: a component's clock
-_CLOCK = operator.attrgetter("_current_cycle")
+#: per component a layer touched: (the component, its part of the
+#: layer's counters, how far the layer advanced its clock)
+_Parts = Tuple[Tuple[Any, CounterSet, int], ...]
 
 
 class _Fold:
     """What the first timing of a foldable layer left behind."""
 
-    __slots__ = ("layer", "clocks", "parts")
+    __slots__ = ("layer", "parts", "trace", "base")
 
-    def __init__(self, layer: LayerReport, clocks: Tuple[int, ...]) -> None:
+    def __init__(
+        self,
+        layer: LayerReport,
+        parts: _Parts,
+        trace: Optional[List[Any]],
+        base: int,
+    ) -> None:
         self.layer = layer
-        #: how far the timing advanced each component's clock, in
-        #: component order
-        self.clocks = clocks
-        #: per component the layer touched: (the component, its part of
-        #: the layer's counters, its clock advance); built when a repeat
-        #: first needs it
-        self.parts: Optional[Tuple[Tuple[Any, CounterSet, int], ...]] = None
+        self.parts = parts
+        #: the trace records the timing stored inside its layer span (the
+        #: span itself, closed last, is left out); ``None`` untraced
+        self.trace = trace
+        #: the cycle the layer started at
+        self.base = base
 
 
 class Accelerator(OperationFrontEnd):
@@ -461,10 +468,11 @@ class Accelerator(OperationFrontEnd):
             component.obs = self.obs
         #: the serial front end's fold table: fold key → the first timing
         self._folds: Dict[Tuple, _Fold] = {}
-        #: counter name → index of the one component that records it
-        self._owners: Dict[str, int] = {}
         #: the fold :meth:`_offload` hands :meth:`time` for one call
         self._replay: Optional[_Fold] = None
+        #: how many counter names the components held when no name was
+        #: last found in two of them
+        self._names = 0
 
     # ------------------------------------------------------------------
     # the configured components (Fig. 4)
@@ -479,10 +487,22 @@ class Accelerator(OperationFrontEnd):
         self.report = SimulationReport(self.config)
         self._offloaded = 0
         self._folds.clear()
+        self._names = 0
 
     def _snapshot(self) -> CounterSet:
         # every counter name belongs to one component (union enforces it)
         return CounterSet.union([c.counters for c in self._components])
+
+    def _check_names(self) -> None:
+        """Raise if a counter name is recorded by two components.
+
+        Names are only ever added to a counter file, so when the files
+        hold as many names together as when the union last found them
+        disjoint, they still are: the union runs only after one grew."""
+        names = sum(len(component.counters) for component in self._components)
+        if names != self._names:
+            self._snapshot()
+            self._names = names
 
     def _start_layer(self, name: str, kind: str) -> None:
         """Open the layer's observability window on the cycle timeline."""
@@ -496,6 +516,18 @@ class Accelerator(OperationFrontEnd):
         if tracer.enabled:
             tracer.begin(f"layer:{name}", "accelerator", self.obs.base, kind=kind)
 
+    def _close_layer_span(
+        self, cycles: int, macs: int, utilization: float
+    ) -> None:
+        """Close the span :meth:`_start_layer` opened, ``cycles`` on."""
+        tracer = self.obs.tracer
+        if tracer.enabled:
+            tracer.end(
+                self.obs.base + cycles,
+                cycles=cycles, macs=macs,
+                utilization=round(utilization, 6),
+            )
+
     def _finish_layer(
         self,
         name: str,
@@ -507,13 +539,7 @@ class Accelerator(OperationFrontEnd):
         utilization: float,
         **extra,
     ) -> LayerReport:
-        tracer = self.obs.tracer
-        if tracer.enabled:
-            tracer.end(
-                self.obs.base + cycles,
-                cycles=cycles, macs=macs,
-                utilization=round(utilization, 6),
-            )
+        self._close_layer_span(cycles, macs, utilization)
         self.obs.end_layer(cycles, name, kind)
         if self.obs.metrics is not None:
             extra["metrics"] = [
@@ -531,7 +557,9 @@ class Accelerator(OperationFrontEnd):
             # the ledger rides in `extra` so counters stay byte-identical
             # with attribution off
             extra["stalls"] = self.obs.stalls.finalize(cycles)
-        delta = self._snapshot().diff(before)
+        after = self._snapshot()
+        self._names = len(after)
+        delta = after.diff(before)
         if self.obs.fabric is not None:
             # the fabric ledger's consistency invariant needs the layer's
             # counter delta; like stalls, it rides only in `extra`
@@ -561,31 +589,46 @@ class Accelerator(OperationFrontEnd):
     ) -> None:
         """Time the operation, or replay the first timing of its twin.
 
-        The parallel runner's fold rule: with only payload lenses on
-        (:attr:`Observability.payload_only`) and value-independent timing,
-        a workload whose :meth:`LayerWorkload.fold_key` (and lens set) an
-        earlier one since the last :meth:`reset` had is not timed again. Its report is the
-        first one's under its own name, every component's counter file
-        and clock advance by what the first timing added, the layer still
-        opens its window at its base and its host-time row says
+        The parallel runner's fold rule: unless the metrics recorder is on
+        (:attr:`Observability.folds_repeats`), a value-independent
+        workload whose :meth:`LayerWorkload.fold_key` (and lens set and,
+        traced, open-span depth) an earlier one since the last
+        :meth:`reset` had is not timed again. Its report is the first
+        one's under its own name, every component's counter file and
+        clock advance by what the first timing added, the layer still
+        opens its window at its base, a tracer gets the first timing's
+        records shifted onto it, and its host-time row says
         ``deduplicated``. Pool workers and direct callers of :meth:`time`
         never reach the table: ``time`` times every call of theirs.
         """
         workload = self._record(kind, name, params, operands)
         obs = self.obs
-        if workload.data_dependent or not obs.payload_only:
+        if workload.data_dependent or not obs.folds_repeats:
             self.time(workload)
             return
+        tracer = obs.tracer
+        traced = tracer.enabled
+        # a record's depth counts the spans open around its layer
         key = (workload.fold_key(), obs.stalls is not None,
-               obs.fabric is not None)
+               obs.fabric is not None, tracer.open_spans if traced else None)
         fold = self._folds.get(key)
         if fold is None:
             components = self._components
-            clocks = list(map(_CLOCK, components))
+            clocks = [component._current_cycle for component in components]
+            mark = tracer.stored if traced else 0
             layer = self.time(workload)
-            self._folds[key] = _Fold(layer, tuple(
-                map(operator.sub, map(_CLOCK, components), clocks)
-            ))
+            parts = []
+            for component, clock in zip(components, clocks):
+                part = layer.counters.restricted_to(component.counters)
+                advance = component._current_cycle - clock
+                if part or advance:
+                    parts.append((component, part, advance))
+            self._folds[key] = _Fold(
+                layer, tuple(parts),
+                # the layer span, closed last, each repeat closes anew
+                tracer.stored_since(mark)[:-1] if traced else None,
+                obs.base,
+            )
             return
         # handed to `time` rather than replayed here, so a serial run
         # still passes every workload through `time`
@@ -601,31 +644,16 @@ class Accelerator(OperationFrontEnd):
         name, kind = workload.name, workload.kind
         self._start_layer(name, kind)
         # the check every timing makes: no counter name in two components
-        self._snapshot()
+        self._check_names()
         first = fold.layer
-        parts = fold.parts
-        if parts is None:
-            components = self._components
-            owners = self._owners
-            split: List[Dict[str, int]] = [{} for _ in components]
-            for counter, count in first.counters.items():
-                owner = owners.get(counter)
-                if owner is None:
-                    owner = owners[counter] = next(
-                        index for index, component in enumerate(components)
-                        if counter in component.counters
-                    )
-                split[owner][counter] = count
-            parts = fold.parts = tuple(
-                (component, CounterSet(counts), cycles)
-                for component, counts, cycles in zip(
-                    components, split, fold.clocks
-                )
-                if counts or cycles
-            )
-        for component, part, cycles in parts:
+        for component, part, cycles in fold.parts:
             component.counters.merge(part)
             component._current_cycle += cycles
+        if fold.trace is not None:
+            self.obs.tracer.extend(fold.trace, self.obs.base - fold.base)
+            self._close_layer_span(
+                first.cycles, first.macs, first.multiplier_utilization
+            )
         layer = LayerReport(
             name, kind, first.cycles, first.macs, first.outputs,
             first.multiplier_utilization, first.counters.copy(),

@@ -142,6 +142,15 @@ class CounterSet:
     def copy(self) -> "CounterSet":
         return CounterSet(dict(self._counts))
 
+    def restricted_to(self, other: "CounterSet") -> "CounterSet":
+        """The counters of this set whose names ``other`` records (an
+        accelerator's layer counters split by component)."""
+        names = other._counts
+        return CounterSet({
+            name: count for name, count in self._counts.items()
+            if name in names
+        })
+
     def scaled(self, factor: int) -> "CounterSet":
         """A copy with every counter multiplied by ``factor``."""
         result = CounterSet()

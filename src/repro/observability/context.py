@@ -106,15 +106,19 @@ class Observability:
                 or self.stalls is not None or self.fabric is not None)
 
     @property
-    def payload_only(self) -> bool:
-        """Whether every lens that is on writes only into the layer
-        payload (stall and fabric ledgers ride in its ``extra``). Trace
-        events and metrics samples are per layer and never in a payload,
-        so this is the fold rule of both model-run paths: only then may a
-        repeated layer be given its first twin's payload instead of being
-        timed again (the parallel runner's cache replays payloads under
-        any lens set)."""
-        return not self.tracer.enabled and self.metrics is None
+    def folds_repeats(self) -> bool:
+        """The fold rule of both model-run paths: whether a repeated,
+        value-independent layer may be given its first twin's timing
+        instead of being timed again. Everything else a layer leaves is
+        its twin's moved along the timeline: the stall and fabric ledgers
+        ride in the payload's ``extra``, and every trace record is placed
+        relative to the layer's base, so the twin's records shifted by
+        the difference of the bases are the repeat's. The metrics
+        recorder's samples are not: they sit on a grid of absolute
+        cycles (every ``every`` cycles from zero) and interpolate the
+        running counter totals, so a repeat at another base samples other
+        points. It is the one lens that stops a fold."""
+        return self.metrics is None
 
     # ---- accelerator protocol -----------------------------------------
     def bind(self, snapshot: Callable[[], CounterSet]) -> None:

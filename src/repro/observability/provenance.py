@@ -96,19 +96,29 @@ def config_hash(config: HardwareConfig) -> str:
     return digest
 
 
-def run_metadata(config: Optional[HardwareConfig] = None,
-                 seed: Optional[int] = None) -> Dict[str, object]:
-    """Provenance record for one simulation run."""
+@functools.lru_cache(maxsize=None)
+def _host() -> Tuple[Tuple[str, str], ...]:
+    """The facts that cannot change within a process, read once."""
     import numpy
 
-    metadata: Dict[str, object] = {
-        "tool": "stonne-repro",
-        "version": __version__,
-        "python": platform.python_version(),
-        "numpy": numpy.__version__,
-        "platform": platform.platform(),
-        "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-    }
+    return (
+        ("tool", "stonne-repro"),
+        ("version", __version__),
+        ("python", platform.python_version()),
+        ("numpy", numpy.__version__),
+        ("platform", platform.platform()),
+    )
+
+
+def run_metadata(config: Optional[HardwareConfig] = None,
+                 seed: Optional[int] = None) -> Dict[str, object]:
+    """Provenance record for one simulation run (every report's: an
+    :class:`~repro.engine.accelerator.Accelerator` takes one when it is
+    built). Only the timestamp is read per call."""
+    metadata: Dict[str, object] = dict(_host())
+    metadata["timestamp"] = datetime.now(timezone.utc).isoformat(
+        timespec="seconds"
+    )
     if config is not None:
         metadata["config_name"] = config.name
         metadata["config_hash"] = config_hash(config)

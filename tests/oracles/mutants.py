@@ -3,9 +3,11 @@
 Each mutant is one edit to production. Six edit the closed-form timing,
 which ``tests/property/test_prop_clock.py`` must catch, one SNAPEA's
 termination scan, which ``tests/differential/test_snapea_scan_oracle.py``
-must catch, and one leaves a systolic layer's stall ledger empty, which
+must catch, one leaves a systolic layer's stall ledger empty, which
 ``tests/property/test_prop_ledger_compute_busy.py`` must catch (an empty
-ledger finalizes as all idle and passes conservation). The other ten
+ledger finalizes as all idle and passes conservation), and one replays a
+folded layer's trace records where its twin ran, which
+``tests/differential/test_trace_fold.py`` must catch. The other ten
 stand for the checks ``docs/STATIC_ANALYSIS.md``
 weighs, one each: a fault of the kind the check was written for. Where a
 runtime test catches it, that test is named and the check is gone; where
@@ -37,8 +39,9 @@ LINT = "tests/unit/test_self_lint.py::test_src_repro_lints_clean"
 STALL_COUNTERS = "tests/property/test_prop_stall_counters.py"
 
 #: (name, file under src/repro, text, replacement, test): one per fabric
-#: and queue, one for the SNAPEA scan, and one per lint pass and for the
-#: sanitizer, each named after the check it stands for
+#: and queue, one for the SNAPEA scan, one for the traced fold, and one
+#: per lint pass and for the sanitizer, each named after the check it
+#: stands for
 MUTANTS = [
     (
         "MAERI: fold psum drain dropped",
@@ -139,6 +142,13 @@ MUTANTS = [
         "self._charge_stalls(ledger, classes, dram_stall * repeats)",
         "pass",
         "tests/property/test_prop_ledger_compute_busy.py",
+    ),
+    (
+        "trace fold: a repeat's records left at its twin's base",
+        "engine/accelerator.py",
+        "self.obs.tracer.extend(fold.trace, self.obs.base - fold.base)",
+        "self.obs.tracer.extend(fold.trace)",
+        "tests/differential/test_trace_fold.py",
     ),
     (
         "OBS-NEUTRAL: metrics sampling folds counters into the engine's "

@@ -345,19 +345,20 @@ def test_runner_deduplicates_repeated_shapes_without_a_cache(small_maeri):
     assert [l.to_payload() for l in result.report.layers] == \
         [l.to_payload() for l in ref_report.layers]
 
-    # trace events and metrics samples are per layer and in no payload:
-    # with one of those lenses on and no cache, nothing is folded
+    # metrics samples sit on an absolute cycle grid: with the recorder on
+    # and no cache, nothing is folded; trace records move with the layer,
+    # so a traced run folds like a ledger-carrying one
     from repro.observability import Observability
 
-    for lens in ({"trace": True}, {"metrics_every": 16}):
-        detailed = ParallelModelRunner(
+    detailed = ParallelModelRunner(
+        small_maeri, observability=Observability.create(metrics_every=16)
+    ).run_model(model, x)
+    assert (detailed.simulated, detailed.deduplicated) == (3, 0)
+    for lens in ({"trace": True}, {"stalls": True}):
+        folded = ParallelModelRunner(
             small_maeri, observability=Observability.create(**lens)
         ).run_model(model, x)
-        assert (detailed.simulated, detailed.deduplicated) == (3, 0)
-    ledgers = ParallelModelRunner(
-        small_maeri, observability=Observability.create(stalls=True)
-    ).run_model(model, x)
-    assert (ledgers.simulated, ledgers.deduplicated) == (1, 2)
+        assert (folded.simulated, folded.deduplicated) == (1, 2)
 
 
 class _BrokenSubmitExecutor:
