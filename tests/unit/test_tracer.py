@@ -7,6 +7,7 @@ import pytest
 from repro.errors import SimulationError
 from repro.observability.tracer import (
     NULL_TRACER,
+    EventRecord,
     NullTracer,
     TraceEvent,
     Tracer,
@@ -179,6 +180,25 @@ def test_extend_rebases_a_run_by_its_start():
     assert runs.to_wire()[1]["start"] == 3  # the source is untouched
 
 
+def test_stored_since_returns_the_records_after_the_mark():
+    tracer = Tracer()
+    tracer.span("a", "c", 0, 2)
+    mark = tracer.stored
+    tracer.span_run("b", "c", 2, 1, 3)
+    tracer.instant("i", "c", 5)
+    assert [r.name for r in tracer.stored_since(mark)] == ["b", "i"]
+
+
+def test_stored_since_refuses_a_mark_that_a_read_of_events_moved():
+    tracer = Tracer()
+    tracer.span_run("a", "c", 0, 2, 2)
+    mark = tracer.stored
+    tracer.span("b", "c", 4, 6)
+    assert len(tracer.events) == 3  # the run expands in place
+    with pytest.raises(SimulationError, match="after the mark"):
+        tracer.stored_since(mark)
+
+
 def test_clear_forgets_runs():
     tracer = Tracer()
     tracer.span_run("a", "c", 0, 2, 2)
@@ -291,3 +311,14 @@ def test_parse_chrome_trace_rejects_non_trace():
 def test_trace_event_end_property():
     event = TraceEvent(name="x", component="c", phase="X", start=5, duration=7)
     assert event.end == 12
+
+
+def test_a_stored_record_reads_like_its_event():
+    """A caller holding the list :attr:`Tracer.events` returned sees
+    later emissions as raw records; they still answer ``end``."""
+    tracer = Tracer()
+    held = tracer.events
+    tracer.span("x", "c", 5, 12)
+    record = held[-1]
+    assert isinstance(record, EventRecord)
+    assert record.end == 12 == tracer.events[-1].end
