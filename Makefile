@@ -39,18 +39,17 @@ typecheck:
 bench:
 	PYTHONPATH=src python -m pytest benchmarks/ --benchmark-only
 
-# serial vs parallel vs cached execution must be byte-identical; the two
-# extra files hold the other cases that start a real pool (real-pool ==
-# serial; a pool whose workers are killed is replaced, sized by --jobs).
-# tests/differential/ also holds SNAPEA's in-place termination scan
-# against the per-filter scan it replaced (test_snapea_scan_oracle.py)
+# serial vs runner vs cached execution must be byte-identical (the
+# runner at jobs=1 and jobs=2; test_parallel.py unit-tests the runner and
+# the cache). tests/differential/ also holds SNAPEA's in-place
+# termination scan against the per-filter scan it replaced
+# (test_snapea_scan_oracle.py)
 # and a traced run's fold of repeated layers against timing every layer,
 # serial and at jobs=1|2, its exported trace bytes included
 # (test_trace_fold.py)
 differential:
 	PYTHONPATH=src python -m pytest tests/differential/ \
-		tests/unit/test_parallel.py \
-		tests/regression/test_pool_recovery.py --jobs 4 -q
+		tests/unit/test_parallel.py -q
 
 # lenses on the timeline (tracer + metrics recorder) vs off, byte for
 # byte; one unfold per conv and `time_gemm(repeats=G)` vs their per-group

@@ -2,16 +2,13 @@
 
 Most of the simulator's guarantees are held at run time — payload and
 trace pins, lens on/off differential suites, the reference clock, the
-counter-universe property. This package keeps the three checks no
+counter-universe property. This package keeps the two checks no
 runtime test can stand in for (``tests/oracles/mutants.py`` seeds one
 fault of each that only the pass catches), on the AST, so a violation
 fails ``make lint``:
 
 - :mod:`repro.analysis.exceptions` (``EXC-*``) — no bare/overbroad
   handlers, simulator errors derive from :mod:`repro.errors`;
-- :mod:`repro.analysis.parsafe` (``PAR-*``) — nothing reachable from the
-  parallel worker entry points writes module-level state or opens the
-  run registry (over the call graph of :mod:`repro.analysis.flow`);
 - :mod:`repro.analysis.floatorder` (``FLOAT-*``) — no ``sum()`` over a
   set or dict view in the timing/energy packages.
 

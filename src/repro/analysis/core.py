@@ -135,9 +135,6 @@ class Project:
     def __init__(self, root: Path, files: Sequence[SourceFile]) -> None:
         self.root = root
         self.files: List[SourceFile] = sorted(files, key=lambda f: f.relpath)
-        self._by_module: Dict[str, SourceFile] = {
-            f.module: f for f in self.files
-        }
 
     @classmethod
     def from_paths(cls, paths: Sequence[Path]) -> "Project":
@@ -170,10 +167,6 @@ class Project:
                     path, rel, path.read_text(encoding="utf-8")
                 )
         return cls(anchor, list(seen.values()))
-
-    def module(self, name: str) -> Optional[SourceFile]:
-        """Look up a file by its dotted module name (``repro.x.y``)."""
-        return self._by_module.get(name)
 
     def in_packages(self, *packages: str) -> List[SourceFile]:
         """Files whose module lives in any of the given dotted packages."""
@@ -227,7 +220,6 @@ def all_passes() -> Dict[str, LintPass]:
     """Registered passes by name (importing the modules registers them)."""
     import repro.analysis.exceptions  # noqa: F401
     import repro.analysis.floatorder  # noqa: F401
-    import repro.analysis.parsafe  # noqa: F401
 
     return dict(_PASS_REGISTRY)
 
@@ -276,69 +268,3 @@ def all_rules() -> Dict[str, Rule]:
         for rule in lint_pass.rules:
             rules[rule.id] = rule
     return rules
-
-
-# ----------------------------------------------------------------------
-# AST helpers shared by passes
-# ----------------------------------------------------------------------
-def import_aliases(tree: ast.AST) -> Dict[str, str]:
-    """Local name → imported dotted target, for call resolution.
-
-    ``import numpy as np`` maps ``np -> numpy``; ``from datetime import
-    datetime`` maps ``datetime -> datetime.datetime``.
-    """
-    aliases: Dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for name in node.names:
-                aliases[name.asname or name.name.split(".")[0]] = (
-                    name.name if name.asname else name.name.split(".")[0]
-                )
-                if name.asname:
-                    aliases[name.asname] = name.name
-        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
-            for name in node.names:
-                if name.name == "*":
-                    continue
-                aliases[name.asname or name.name] = (
-                    f"{node.module}.{name.name}"
-                )
-    return aliases
-
-
-def resolve_call_name(func: ast.expr, aliases: Dict[str, str]) -> Optional[str]:
-    """Fully qualified dotted name of a call target, if resolvable.
-
-    ``np.random.rand`` with ``np -> numpy`` resolves to
-    ``numpy.random.rand``; attribute chains rooted in a non-imported name
-    (``self.rng.random``) resolve to ``None``.
-    """
-    parts: List[str] = []
-    node = func
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    root = aliases.get(node.id)
-    if root is None:
-        return None
-    parts.append(root)
-    return ".".join(reversed(parts))
-
-
-def literal_assignment(tree: ast.AST, name: str) -> Optional[object]:
-    """The value of the first module-level ``name = <literal>`` in
-    ``tree``; ``None`` when there is none or it is not a literal."""
-    for node in getattr(tree, "body", []):
-        targets: List[ast.expr] = []
-        if isinstance(node, ast.Assign):
-            targets = node.targets
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            targets = [node.target]
-        if any(isinstance(t, ast.Name) and t.id == name for t in targets):
-            try:
-                return ast.literal_eval(node.value)
-            except ValueError:
-                return None
-    return None

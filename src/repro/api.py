@@ -175,10 +175,11 @@ class StonneInstance:
     ):
         """Simulate every offloaded layer of ``model`` on this instance.
 
-        With ``jobs > 1`` the layers are timed across a process pool, and
-        an optional :class:`~repro.parallel.SimCache` reuses previously
-        simulated (layer, tile, hardware) results; either way the merged
-        report is byte-identical to driving the layers one by one. Layer
+        Each distinct layer is timed once, in process; an optional
+        :class:`~repro.parallel.SimCache` reuses previously simulated
+        (layer, tile, hardware) results. ``jobs`` is validated and
+        recorded but starts no process; either way the merged report is
+        byte-identical to driving the layers one by one. Layer
         reports accumulate into :attr:`report` exactly as per-operation
         instructions do. Returns a
         :class:`~repro.parallel.runner.ModelRunResult`.

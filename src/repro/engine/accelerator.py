@@ -11,8 +11,8 @@ data-dependent optimizations) is the ``run_*`` front end of
 :class:`OperationFrontEnd`, which the parallel runner's recorder shares.
 The *microarchitectural* half (the cycle count and per-component
 activity recorded in the simulation report) is :meth:`Accelerator.time`,
-the one timing entry point of serial runs, pool workers and cache
-misses alike. It reads operand shapes only, and operand
+the one timing entry point of serial runs and of the model runner's
+cache misses alike. It reads operand shapes only, and operand
 values only where timing is data-dependent (the stationary matrix on a
 sparse fabric): it computes no tensor.
 
@@ -598,8 +598,8 @@ class Accelerator(OperationFrontEnd):
         clock advance by what the first timing added, the layer still
         opens its window at its base, a tracer gets the first timing's
         records shifted onto it, and its host-time row says
-        ``deduplicated``. Pool workers and direct callers of :meth:`time`
-        never reach the table: ``time`` times every call of theirs.
+        ``deduplicated``. The model runner and direct callers of
+        :meth:`time` never reach the table: ``time`` times every call of theirs.
         """
         workload = self._record(kind, name, params, operands)
         obs = self.obs

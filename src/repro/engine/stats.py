@@ -119,7 +119,8 @@ class LayerReport:
         )
 
     def to_payload(self) -> Dict:
-        """Plain-data form for worker transport and the simulation cache.
+        """Plain-data form for the model runner's merge and the
+        simulation cache.
 
         Unlike :meth:`as_dict` (the human-facing report row), the payload
         round-trips exactly through :meth:`from_payload`: counters keep

@@ -2,9 +2,10 @@
 
 What the functional half of an operation hands the microarchitectural
 half (:meth:`repro.engine.accelerator.Accelerator.time`), and so also
-what the parallel runner records, keys the simulation cache by and —
-reduced to :meth:`LayerWorkload.timing_view` wherever values do not
-decide the timing — pickles to pool workers.
+what the model runner records and keys the simulation cache by.
+:meth:`LayerWorkload.timing_view` reduces it to shapes wherever values
+do not decide the timing; that the view times to the same payload is
+the proof that dense timing reads only shapes.
 """
 
 from __future__ import annotations
@@ -141,7 +142,7 @@ class LayerWorkload:
         """This workload with every operand reduced to its
         :class:`OperandSpec` — same cache key, same
         :meth:`Accelerator.time` payload wherever timing is
-        value-independent, and no tensor to pickle.
+        value-independent, and no tensor to carry.
 
         A ``data_dependent`` workload has no such view (its values *are*
         the input of the timing model) and is returned as is. Whether a

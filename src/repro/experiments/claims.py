@@ -9,7 +9,8 @@ cycles with the RTL column, the ground truth the paper validates against.
 
 The evaluation is deterministic, so ``tests/regression/paper_claims.json``
 pins every value exactly, and a ratchet there lets a value move away from
-the paper only with a written reason.
+the paper only with a written reason. :func:`render_table` renders that
+pin file as the paper-vs-measured block of ``EXPERIMENTS.md``.
 
 Usage::
 
@@ -19,7 +20,7 @@ Usage::
 from __future__ import annotations
 
 import sys
-from typing import Dict, List, NamedTuple
+from typing import Dict, List, Mapping, NamedTuple
 
 import numpy as np
 
@@ -166,6 +167,36 @@ def claims() -> List[Claim]:
     """Every headline number of the evaluation report, in report order:
     Fig. 1a-c, Table V, Fig. 5a-c, the SNAPEA metrics, the LFF gain."""
     return [*_fig1(), *_tablev(), *_fig5(), *_snapea(), *_lff()]
+
+
+#: the marker comments around the rendered block in ``EXPERIMENTS.md``
+BLOCK_BEGIN = (
+    "<!-- paper-claims:begin — rendered from "
+    "tests/regression/paper_claims.json; do not edit by hand -->"
+)
+BLOCK_END = "<!-- paper-claims:end -->"
+
+
+def _cell(value: float, spec: str) -> str:
+    return str(value) if isinstance(value, int) else format(value, spec)
+
+
+def render_table(pinned: Mapping[str, Mapping]) -> str:
+    """The paper-vs-measured block of ``EXPERIMENTS.md``, markers
+    included: one row per entry of the ``paper_claims.json`` mapping, in
+    its order."""
+    lines = [
+        BLOCK_BEGIN,
+        "",
+        "| claim | where the paper says it | paper | measured |",
+        "|---|---|---|---|",
+    ]
+    for name, entry in pinned.items():
+        lines.append(
+            f"| `{name}` | {entry['source']} | {_cell(entry['paper'], 'g')} "
+            f"| {_cell(entry['value'], '.4g')} |"
+        )
+    return "\n".join(lines + ["", BLOCK_END])
 
 
 def main() -> int:

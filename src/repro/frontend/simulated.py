@@ -136,11 +136,14 @@ def simulate_parallel(
     tiles=None,
     progress=None,
 ):
-    """Run ``model(x)`` with layers timed across a process pool.
+    """Run ``model(x)`` through one record pass, then time each distinct
+    layer once, in process.
 
     The merged per-layer reports land in ``accelerator.report`` exactly as
     a serial :func:`simulate` run would leave them (byte-identical cycles,
-    counters and outputs — pinned by the differential suite). ``cache``
+    counters and outputs — pinned by the differential suite). ``jobs`` is
+    validated and recorded as ``parallel_jobs`` but starts no process and
+    changes no result. ``cache``
     optionally reuses results from a :class:`~repro.parallel.SimCache`;
     ``progress`` optionally streams per-layer completion through a
     :class:`~repro.observability.telemetry.ProgressEmitter`.

@@ -353,9 +353,9 @@ class ScheduleMemoInfo(NamedTuple):
 #: (structure digest, groups, MSs, RN inputs, round builder)
 _MemoKey = Tuple[bytes, int, int, int, RoundBuilder]
 
-# The schedule memo: process-wide, least recently used last out. Each pool
-# worker has its own; nothing read from it can differ from what the same
-# process would compute, so it is invisible in every payload.
+# The schedule memo: process-wide, least recently used last out. Nothing
+# read from it can differ from what the same process would compute, so it
+# is invisible in every payload.
 _SCHEDULES: "OrderedDict[_MemoKey, _Schedule]" = OrderedDict()
 _MEMO_COUNTS: Dict[str, int] = {"hits": 0, "misses": 0, "nbytes": 0}
 _MEMO_LOCK = threading.Lock()
@@ -371,7 +371,6 @@ def _memoized_schedule(
     :data:`SCHEDULE_MEMO_BYTES`, least recently used first."""
     with _MEMO_LOCK:
         schedule = _SCHEDULES.get(key)
-        # stonne: lint-ok[PAR-GLOBAL] pure memo: a hit returns what the miss computed (tests/differential/test_schedule_memo_equivalence.py)
         _MEMO_COUNTS["misses" if schedule is None else "hits"] += 1
         if schedule is not None:
             _SCHEDULES.move_to_end(key)
@@ -379,14 +378,10 @@ def _memoized_schedule(
     schedule = build()
     with _MEMO_LOCK:
         if key not in _SCHEDULES:  # else another thread stored the same
-            # stonne: lint-ok[PAR-GLOBAL] pure memo: a hit returns what the miss computed (tests/differential/test_schedule_memo_equivalence.py)
             _SCHEDULES[key] = schedule
-            # stonne: lint-ok[PAR-GLOBAL] pure memo: a hit returns what the miss computed (tests/differential/test_schedule_memo_equivalence.py)
             _MEMO_COUNTS["nbytes"] += schedule.nbytes
         while _MEMO_COUNTS["nbytes"] > SCHEDULE_MEMO_BYTES:
-            # stonne: lint-ok[PAR-GLOBAL] pure memo: a hit returns what the miss computed (tests/differential/test_schedule_memo_equivalence.py)
             _, evicted = _SCHEDULES.popitem(last=False)
-            # stonne: lint-ok[PAR-GLOBAL] pure memo: a hit returns what the miss computed (tests/differential/test_schedule_memo_equivalence.py)
             _MEMO_COUNTS["nbytes"] -= evicted.nbytes
     return schedule
 

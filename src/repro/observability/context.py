@@ -57,7 +57,7 @@ class LayerHostTime(NamedTuple):
     #: wall seconds of the layer's simulation; ``None`` when nothing was
     #: simulated for it (cache hit, deduplicated shape)
     seconds: Optional[float]
-    #: ``simulated`` | ``cached`` | ``deduplicated`` | ``fallback``
+    #: ``simulated`` | ``cached`` | ``deduplicated``
     mode: str
 
 

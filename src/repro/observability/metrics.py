@@ -186,9 +186,9 @@ class MetricsRecorder:
         cycle_offset: int = 0,
         value_offsets: Optional[Mapping[str, float]] = None,
     ) -> None:
-        """Append samples recorded by another recorder (a worker process).
+        """Append samples recorded by another recorder (one layer's own).
 
-        Worker samples carry layer-local cycles and per-layer cumulative
+        Such samples carry layer-local cycles and per-layer cumulative
         counter values; ``cycle_offset`` rebases them onto the parent's
         absolute timeline and ``value_offsets`` adds the counters
         accumulated by every earlier layer, so the merged series reads

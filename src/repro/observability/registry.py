@@ -19,8 +19,8 @@ Recording surfaces:
   disables globally);
 - :meth:`repro.api.StonneInstance.register_run` records API-driven runs
   (``STONNE_REGISTRY=1`` makes ``run_model`` record automatically);
-- parallel workers never open a registry of their own — only the parent
-  records, once, after the merged report exists.
+- a per-layer simulation of the model runner never opens a registry —
+  only its driver records, once, after the merged report exists.
 
 Cross-run analysis (diff, regression gating, stall attribution, HTML
 reports) lives in :mod:`repro.observability.insight`.

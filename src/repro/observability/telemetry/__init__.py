@@ -2,8 +2,8 @@
 
 The cycle-level instruments in :mod:`repro.observability` watch the
 *simulated machine*; this package watches the *simulator host* — where
-wall-clock goes (``hotspots``), how the cache and worker pool behave
-(``facade`` instruments), how far a run has progressed (``progress``),
+wall-clock goes (``hotspots``), how the cache and the model runner's
+stages behave (``facade`` instruments), how far a run has progressed (``progress``),
 and how to get it all out (``export``). All of it is opt-in and proven
 arithmetically neutral by the differential suite.
 """

@@ -8,12 +8,12 @@ holds named instruments with Prometheus-style labels:
 - :class:`CounterMetric` — monotonically increasing totals
   (cache hits, registry writes, evictions);
 - :class:`GaugeMetric` — last-write-wins levels
-  (pool queue depth, cache bytes on disk per shard);
+  (cache bytes on disk per shard);
 - :class:`HistogramMetric` — bucketed distributions of observations
-  (per-stage wall seconds, per-task pool seconds).
+  (per-stage wall seconds, per-layer task seconds).
 
 Everything is plain instance state behind one lock per instrument, so
-instrumented call sites are safe to hit from executor done-callbacks.
+instrumented call sites are safe to hit from any thread.
 A process-global registry (:func:`telemetry`) starts *disabled*: every
 instrument method is a cheap no-op until :func:`enable_telemetry` flips
 it on (the CLI's ``--telemetry`` flag, the bench harness, or a test).

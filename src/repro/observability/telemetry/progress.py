@@ -102,8 +102,8 @@ def _format_eta(eta_s: Optional[float]) -> str:
 class ProgressEmitter:
     """Streams per-layer progress to a TTY, plain lines, and/or JSONL.
 
-    Thread-safe: the parallel runner fires ``layer_done`` from executor
-    done-callbacks. ``clock`` is injectable for deterministic tests.
+    Thread-safe, so any thread may fire ``layer_done``. ``clock`` is
+    injectable for deterministic tests.
     """
 
     def __init__(

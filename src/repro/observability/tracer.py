@@ -348,8 +348,8 @@ class Tracer(NullTracer):
     def extend(self, events, offset: int = 0) -> None:
         """Merge foreign records, shifted by ``offset`` cycles.
 
-        A worker process traces each layer on its own accelerator, whose
-        clock starts at zero; the parent rebases those records onto the
+        The model runner traces each layer on its own accelerator, whose
+        clock starts at zero, and rebases those records onto the
         model timeline by passing the layer's absolute start cycle; the
         accelerator replays a folded layer's twin the same way. A record
         may be a :class:`TraceEvent`, an :class:`EventRecord`, a

@@ -109,7 +109,7 @@ def validate_metrics_json(payload: object) -> dict:
     ``every`` / ``capacity`` positive, ``dropped`` non-negative, and a
     ``samples`` list whose cycles are non-negative, non-decreasing and
     whose values are numeric. Sample cycles are *not* required to be
-    multiples of ``every``: merged parallel runs rebase worker samples
+    multiples of ``every``: the model runner rebases each layer's samples
     by layer-start offsets that land off the grid.
 
     Raises :class:`ValueError` describing the first violation found.

@@ -1,20 +1,21 @@
-"""Parallel model simulation and the simulation-result cache.
+"""Whole-model simulation and the simulation-result cache.
 
-Layer-by-layer execution (paper Fig. 2d) makes whole-model simulation
-embarrassingly parallel across layers once the functional pass has
+Layer-by-layer execution (paper Fig. 2d) makes whole-model simulation a
+set of independent per-layer timings once the functional pass has
 recorded each layer's operands: per-layer timing is independent of
 execution order, and for dense paths it is independent of operand values
 too. This package exploits both facts:
 
 - :class:`ParallelModelRunner` — records a model's offloaded layers in
-  one functional pass, then times them across a process pool with
-  deterministic result ordering and per-layer serial fallback;
+  one functional pass, then times each distinct layer once, in process,
+  with results merged in execution order;
 - :class:`SimCache` — memoizes per-layer timing results under a
   canonical (layer, tile, hardware) key, persisted to disk with
   versioned invalidation; data-dependent paths (SpMM round packing,
   SNAPEA early termination) are refused by construction.
 
-See ``docs/PARALLEL.md`` for the worker model and cache-key semantics.
+See ``docs/PARALLEL.md`` for the cache-key semantics and why no process
+pool times the layers.
 """
 
 from repro.parallel.cache import (

@@ -16,8 +16,8 @@ real :class:`~repro.engine.accelerator.Accelerator` inherits too
 validation and functional helpers, so outputs and errors are the same
 bytes) with a ``time`` that appends the :class:`LayerWorkload` instead of
 simulating it. The runner then times the recorded workloads out of order
-through :meth:`Accelerator.time` — across worker processes or from the
-simulation cache.
+through :meth:`Accelerator.time`, each distinct one once, or serves
+them from the simulation cache.
 """
 
 from __future__ import annotations

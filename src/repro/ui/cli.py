@@ -400,8 +400,7 @@ def _cmd_model(args: argparse.Namespace) -> int:
         print(
             f"parallel run: {result.layers} layers, "
             f"{result.simulated} simulated, {result.cache_hits} cache hits, "
-            f"{result.deduplicated} deduplicated, "
-            f"{result.fallbacks} fallbacks",
+            f"{result.deduplicated} deduplicated",
             file=sys.stderr,
         )
     else:
@@ -527,8 +526,10 @@ def build_parser() -> argparse.ArgumentParser:
     model.add_argument("--batch", type=int, default=1)
     model.add_argument("--dense", action="store_true", help="skip weight pruning")
     model.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="time layers across N worker processes "
-                            "(0 = one per CPU, 1 = classic serial run)")
+                       help="use the record/simulate/merge runner unless "
+                            "N is 1 (the classic serial run); N is only "
+                            "recorded (0 = one per CPU): every layer is "
+                            "timed in this process")
     model.add_argument("--cache", metavar="DIR",
                        help="persist/reuse per-layer simulation results "
                             "in DIR (dense layers only)")

@@ -150,14 +150,14 @@ def test_fabric_on_off_payloads_byte_identical(model_name, arch):
     assert _payloads_without_fabric(on) == _payloads(off)
 
 
-def test_parallel_runner_threads_fabric_through_cache(jobs, tmp_path):
+def test_parallel_runner_threads_fabric_through_cache(tmp_path):
     model = build_model("squeezenet", seed=0)
     x = model_input("squeezenet", batch=1, seed=1)
     config = architecture_config("tpu")
 
     def attributed(cache):
         return ParallelModelRunner(
-            config, jobs=jobs, cache=cache,
+            config, cache=cache,
             observability=Observability.create(fabric=True),
         ).run_model(model, x)
 
@@ -176,7 +176,7 @@ def test_parallel_runner_threads_fabric_through_cache(jobs, tmp_path):
 
     # the lens set is part of the key: a ledger-free run on the same
     # cache replays none of the attributed payloads
-    plain = ParallelModelRunner(config, jobs=jobs, cache=cache).run_model(
+    plain = ParallelModelRunner(config, cache=cache).run_model(
         model, x
     )
     assert plain.cache_hits == 0 and plain.simulated > 0

@@ -24,7 +24,7 @@ from repro.frontend.models import build_model, model_input
 from repro.frontend.simulated import detach_context, simulate, simulate_parallel
 from repro.observability import Observability
 from repro.observability.tracer import Tracer
-from repro.parallel import record_model, shutdown_pools
+from repro.parallel import record_model
 from repro.parallel.runner import _simulate_workload
 from test_tile_tally_equivalence import _tile_grid
 
@@ -131,17 +131,10 @@ def _trace_of(model_name, config, jobs=None):
     return acc, obs.tracer
 
 
-@pytest.fixture
-def _fresh_pool_workers():
-    """Start from freshly forked pool workers and leave none behind."""
-    shutdown_pools()
-    yield
-    shutdown_pools()
-
-
-def test_parallel_merge_equals_serial_and_ships_runs(_fresh_pool_workers):
-    """Runs cross the process boundary as runs: the merged timeline is
-    the serial one and a worker bundle is smaller than its per-tile form."""
+def test_parallel_merge_equals_serial_and_ships_runs():
+    """A layer's bundle carries its spans as runs: the runner's merged
+    timeline is the serial one and a bundle is smaller than its
+    per-tile form."""
     config = tpu_like(16).with_updates(engine_mode=EngineMode.VECTOR)
     serial_acc, serial = _trace_of("mobilenets", config)
     parallel_acc, merged = _trace_of("mobilenets", config, jobs=2)

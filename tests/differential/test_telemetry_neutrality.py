@@ -95,9 +95,9 @@ def test_telemetry_on_off_identical_serial(model_name, arch):
 @pytest.mark.parametrize("model_name,arch", [
     ("squeezenet", "tpu"), ("mobilenets", "maeri"), ("bert", "sigma"),
 ])
-def test_telemetry_on_off_identical_parallel(model_name, arch, jobs, tmp_path):
+def test_telemetry_on_off_identical_parallel(model_name, arch, tmp_path):
     off = _parallel_run(
-        arch, model_name, jobs, cache=SimCache(tmp_path / "off")
+        arch, model_name, 1, cache=SimCache(tmp_path / "off")
     )
     enable_telemetry(True)
     telemetry().reset()
@@ -108,7 +108,7 @@ def test_telemetry_on_off_identical_parallel(model_name, arch, jobs, tmp_path):
             jsonl_path=tmp_path / "progress.jsonl",
         )
         on = _parallel_run(
-            arch, model_name, jobs,
+            arch, model_name, 2,
             cache=SimCache(tmp_path / "on"), progress=progress,
         )
         # telemetry actually observed the run it must not perturb
@@ -123,7 +123,7 @@ def test_telemetry_on_off_identical_parallel(model_name, arch, jobs, tmp_path):
     # warm pass over the telemetry-on cache, telemetry now off: the cache
     # contents written under telemetry are byte-compatible too
     warm = _parallel_run(
-        arch, model_name, jobs, cache=SimCache(tmp_path / "on")
+        arch, model_name, 1, cache=SimCache(tmp_path / "on")
     )
     _assert_identical(off.report, warm.report, off.output, warm.output)
 

@@ -3,17 +3,18 @@
 Only the metrics recorder stops a fold. Under a tracer a serial run
 still times each distinct layer once: a repeat replays the records its
 first twin's timing stored, shifted to its own base, with the layer span
-named after the repeat; the parallel runner gives a deduplicated layer
-its source's worker records, renamed and rebased. The oracle is one
+named after the repeat; the model runner gives a deduplicated layer
+its source's records, renamed and rebased. The oracle is one
 accelerator timing every workload through direct
 :meth:`Accelerator.time` calls, which never fold: the exported trace
 text (Chrome JSON and JSONL) and every payload must be byte-equal to it,
 serially and through ``simulate_parallel`` at ``jobs=1`` and ``jobs=2``
 without a cache, and every path must give each layer the same host-time
-mode.
+mode. ``jobs=2`` must start no process.
 """
 
 import json
+import multiprocessing
 
 import pytest
 
@@ -87,6 +88,7 @@ def test_a_folded_trace_is_every_layer_timed(model_name, preset, lenses):
             config, observability=Observability.create(**lens_args)
         )
         simulate_parallel(model, parallel, x, jobs=jobs)
+        assert multiprocessing.active_children() == []
         assert _exported(parallel) == expected, jobs
         assert _modes(parallel) == modes, jobs
 

@@ -113,7 +113,7 @@ MUTANTS = [
         "scale = _NODE_SCALE[technology_nm] * _DTYPE_SCALE[dtype]",
         "scale = _NODE_SCALE[technology_nm] = "
         "_NODE_SCALE[technology_nm] * _DTYPE_SCALE[dtype]",
-        LINT,
+        "tests/regression/test_energy_process_history.py",
     ),
     (
         "EXC: the CLI reports any exception as a user error",
@@ -200,7 +200,6 @@ def caught(file: str, text: str, replacement: str, test: str) -> bool:
                 ROOT / part, copy / part,
                 ignore=shutil.ignore_patterns("__pycache__"),
             )
-        shutil.copy(ROOT / "conftest.py", copy)
         shutil.copy(ROOT / "pyproject.toml", copy)
         target = copy / "src" / "repro" / file
         source = target.read_text()

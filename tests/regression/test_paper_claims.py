@@ -22,7 +22,9 @@ pinned at, and the entry needs a ``why`` from then on. Regenerate with::
 It writes every ``value``, moves ``best`` only toward the paper, marks an
 edited paper value with ``paper_was`` and keeps a ``why`` for as long as
 the value stays farther away than ``best`` or the entry has a
-``paper_was``.
+``paper_was``. It also rewrites the paper-vs-measured block of
+``EXPERIMENTS.md`` (:func:`repro.experiments.claims.render_table`), which
+must equal the rendering of the committed pin file.
 """
 
 import json
@@ -30,13 +32,28 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.claims import Claim, claims
+from repro.experiments.claims import (
+    BLOCK_BEGIN,
+    BLOCK_END,
+    Claim,
+    claims,
+    render_table,
+)
 
 PIN_PATH = Path(__file__).with_name("paper_claims.json")
+EXPERIMENTS_PATH = Path(__file__).resolve().parents[2] / "EXPERIMENTS.md"
 
 
 def _gap(value, paper):
     return abs(value - paper)
+
+
+def splice_block(text, pinned):
+    """``text`` with its marked block replaced by the rendering of
+    ``pinned``."""
+    begin = text.index(BLOCK_BEGIN)
+    end = text.index(BLOCK_END, begin) + len(BLOCK_END)
+    return text[:begin] + render_table(pinned) + text[end:]
 
 
 def regenerate(current, pinned):
@@ -113,6 +130,15 @@ def test_an_edited_paper_value_carries_a_why(pinned):
     )
 
 
+def test_experiments_md_shows_the_pinned_claims(pinned):
+    text = EXPERIMENTS_PATH.read_text(encoding="utf-8")
+    assert text.count(BLOCK_BEGIN) == text.count(BLOCK_END) == 1
+    assert splice_block(text, pinned) == text, (
+        "EXPERIMENTS.md's paper-vs-measured block is stale; rerun "
+        "PYTHONPATH=src python tests/regression/test_paper_claims.py"
+    )
+
+
 def test_regenerating_keeps_the_ratchet_across_a_paper_edit():
     pinned = {"x": {"value": 2.0, "paper": 1.0, "source": "s", "best": 2.0}}
     # the value moves away; the paper's value is moved after it
@@ -138,8 +164,10 @@ def test_regenerating_moves_best_only_toward_the_paper():
 
 if __name__ == "__main__":
     old = json.loads(PIN_PATH.read_text()) if PIN_PATH.exists() else {}
-    PIN_PATH.write_text(
-        json.dumps(regenerate(claims(), old), indent=1) + "\n",
+    new = regenerate(claims(), old)
+    PIN_PATH.write_text(json.dumps(new, indent=1) + "\n", encoding="utf-8")
+    EXPERIMENTS_PATH.write_text(
+        splice_block(EXPERIMENTS_PATH.read_text(encoding="utf-8"), new),
         encoding="utf-8",
     )
-    print(f"wrote {PIN_PATH}")
+    print(f"wrote {PIN_PATH} and {EXPERIMENTS_PATH}")

@@ -22,13 +22,13 @@ def test_module_name_anchors_at_repro():
 
 def test_comment_line_suppresses_next_line_trailing_its_own():
     file = _source(
-        "# stonne: lint-ok[PAR-GLOBAL] pure memo\n"
+        "# stonne: lint-ok[FLOAT-DICT] exact sum\n"
         "x = 1\n"
         "y = 2  # stonne: lint-ok[EXC-BROAD] trailing case\n"
     )
     (on_two,) = file.suppressions_for(2)
-    assert on_two.rule == "PAR-GLOBAL"
-    assert on_two.reason == "pure memo"
+    assert on_two.rule == "FLOAT-DICT"
+    assert on_two.reason == "exact sum"
     (on_three,) = file.suppressions_for(3)
     assert on_three.rule == "EXC-BROAD"
     assert not file.suppressions_for(1)
@@ -41,7 +41,7 @@ def test_family_prefix_matching():
     assert suppression.matches("EXC-BROAD")
     assert suppression.matches("EXC")
     assert not suppression.matches("EXCESS-1")
-    assert not suppression.matches("PAR-GLOBAL")
+    assert not suppression.matches("FLOAT-DICT")
 
 
 def test_reasonless_suppression_is_a_finding(tmp_path):
@@ -111,6 +111,5 @@ def test_cli_json_report(tmp_path, capsys):
 def test_cli_list_rules(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule_id in ("PAR-GLOBAL", "PAR-REGISTRY", "EXC-BROAD",
-                    "FLOAT-DICT", "LINT-REASON"):
+    for rule_id in ("EXC-BROAD", "FLOAT-DICT", "LINT-REASON"):
         assert rule_id in out

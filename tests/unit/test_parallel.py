@@ -1,16 +1,23 @@
 """Unit tests for ``repro.parallel``: recording, caching, runner."""
 
 import json
+import multiprocessing
 import os
 
 import numpy as np
 import pytest
 
+from repro.api import StonneInstance
 from repro.config import TileConfig, maeri_like, sigma_like, tpu_like
 from repro.engine.accelerator import Accelerator
+from repro.errors import ConfigurationError
 from repro.frontend.layers import Conv2d, Flatten, Linear, MaxPool2d
-from repro.frontend.module import Sequential
-from repro.frontend.simulated import detach_context, simulate
+from repro.frontend.module import Module, Sequential
+from repro.frontend.simulated import (
+    detach_context,
+    simulate,
+    simulate_parallel,
+)
 from repro.parallel import (
     CACHE_SCHEMA_VERSION,
     DATA_DEPENDENT_KINDS,
@@ -361,45 +368,14 @@ def test_runner_deduplicates_repeated_shapes_without_a_cache(small_maeri):
         assert (folded.simulated, folded.deduplicated) == (1, 2)
 
 
-class _BrokenSubmitExecutor:
-    def submit(self, fn, *args, **kwargs):
-        raise RuntimeError("pool is broken")
-
-
-class _BrokenFuture:
-    def result(self):
-        raise RuntimeError("worker died")
-
-
-class _BrokenResultExecutor:
-    def submit(self, fn, *args, **kwargs):
-        return _BrokenFuture()
-
-
-@pytest.mark.parametrize(
-    "executor", [_BrokenSubmitExecutor(), _BrokenResultExecutor()],
-    ids=["submit-raises", "result-raises"],
-)
-def test_runner_falls_back_per_layer_on_worker_failure(small_maeri, executor):
-    model = _tiny_model()
-    x = _tiny_input()
-    ref_out, ref_report = _run_serial(small_maeri, model, x)
-    runner = ParallelModelRunner(small_maeri, jobs=2, executor=executor)
-    result = runner.run_model(model, x)
-    assert result.fallbacks == result.simulated == result.layers
-    assert np.array_equal(result.output, ref_out)
-    assert result.report.total_cycles == ref_report.total_cycles
-    # the parent keeps each task's clock for the merged layer
-    assert [(row.name, row.cycles, row.mode) for row in runner.obs.host_time] \
-        == [(l.name, l.cycles, "fallback") for l in result.report.layers]
-    assert all(row.seconds > 0.0 for row in runner.obs.host_time)
-
-
 def test_runner_real_pool_matches_serial(small_maeri):
+    """``jobs=2`` times every layer in this process: no child process,
+    and what a serial run gives."""
     model = _tiny_model()
     x = _tiny_input()
     ref_out, ref_report = _run_serial(small_maeri, model, x)
     result = ParallelModelRunner(small_maeri, jobs=2).run_model(model, x)
+    assert multiprocessing.active_children() == []
     assert result.fallbacks == 0
     assert np.array_equal(result.output, ref_out)
     assert result.report.total_cycles == ref_report.total_cycles
@@ -449,3 +425,30 @@ def test_runner_sparse_model_never_caches(small_sigma):
     assert first.cache_hits == second.cache_hits == 0
     assert len(cache) == 0
     assert first.report.total_cycles == second.report.total_cycles
+
+
+# ---- jobs is validated before anything runs ----------------------------
+class _PoisonedModel(Module):
+    def forward(self, x):
+        raise AssertionError("the record pass ran before jobs was checked")
+
+
+@pytest.mark.parametrize("jobs", [2.5, "2", [2], 2.0])
+def test_non_integer_jobs_is_a_configuration_error(jobs, small_maeri):
+    model, x = _PoisonedModel(), _tiny_input()
+    with pytest.raises(ConfigurationError, match="jobs") as raised:
+        ParallelModelRunner(small_maeri, jobs=jobs).run_model(model, x)
+    assert repr(jobs) in str(raised.value)
+    with pytest.raises(ConfigurationError, match="jobs"):
+        simulate_parallel(model, Accelerator(small_maeri), x, jobs=jobs)
+    with pytest.raises(ConfigurationError, match="jobs"):
+        StonneInstance(small_maeri).run_model(model, x, jobs=jobs)
+
+
+def test_integer_like_jobs_are_accepted(small_maeri):
+    assert ParallelModelRunner(small_maeri, jobs=np.int64(3)).jobs == 3
+    assert type(ParallelModelRunner(small_maeri, jobs=np.int64(3)).jobs) is int
+    assert ParallelModelRunner(small_maeri, jobs=None).jobs == \
+        (os.cpu_count() or 1)
+    assert ParallelModelRunner(small_maeri, jobs=0).jobs == 1
+    assert ParallelModelRunner(small_maeri, jobs=-3).jobs == 1

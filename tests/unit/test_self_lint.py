@@ -16,20 +16,14 @@ def test_src_repro_lints_clean():
     assert result.files > 50  # the whole package was actually scanned
     # the passes with a seeded mutant no runtime test catches
     # (tests/oracles/mutants.py; docs/STATIC_ANALYSIS.md has the table)
-    assert set(result.passes) == {"EXC", "FLOAT-ORDER", "PAR-SAFE"}
+    assert set(result.passes) == {"EXC", "FLOAT-ORDER"}
 
 
 def test_known_suppressions_carry_reasons():
     result = run_lint([SRC])
-    # the intentionally suppressed findings in the tree: the
-    # worker-fallback handlers in parallel/runner.py (submit, result and
-    # the per-layer catch inside a chunk), and the writes of
-    # the sparse controller's schedule memo (one helper; a hit returns
-    # what the miss computed)
-    assert sorted((f.rule, f.path.split("repro/")[-1]) for f in result.suppressed) == (
-        [("EXC-BROAD", "parallel/runner.py")] * 3
-        + [("PAR-GLOBAL", "memory/sparse_controller.py")] * 5
-    )
+    # the tree silences no finding: every handler is typed and every
+    # float sum in the timing packages is order-independent
+    assert result.suppressed == []
 
 
 def test_report_schema():
@@ -42,5 +36,5 @@ def test_report_schema():
         "summary",
     }
     assert report["summary"]["total"] == 0
-    assert report["summary"]["suppressed"] == 8
+    assert report["summary"]["suppressed"] == 0
     json.dumps(report)  # must be JSON-serializable as-is
